@@ -13,7 +13,7 @@ from collections import deque
 
 from ..config import (
     BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
-    PoolCfg, RuleCfg, ScheduleCfg, WindowCfg, apply_override_layers,
+    OverrideError, PoolCfg, RuleCfg, ScheduleCfg, WindowCfg, apply_override_layers,
 )
 from ..ethernet import ETH_MAX_PAYLOAD, eth_frame_duration, eth_wire_bits, pad_payload
 from ..gateway import COUNT_PREFIX, RECORD_HEADER
@@ -289,10 +289,13 @@ class _Builder:
         k = (gateway, segment, can_id, tuple(key) if key else None)
         return self.rules.setdefault(k, [])
 
-    def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, dst: str, pool: str | None) -> None:
+    def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, dst: str, pool: str | None,
+                        key: tuple) -> None:
+        """Add dst unless switches forward this frame by a key that already
+        reaches every receiver (one frame per forwarding key)."""
         for d in dests:
             if d["kind"] == kind and d.get("pool") == pool and d["tag"] == tag:
-                if dst not in d["dst"]:
+                if key[0] == "dst" and dst not in d["dst"]:
                     d["dst"].append(dst)
                 return
         entry = {"kind": kind, "tag": tag, "dst": [dst]}
@@ -443,8 +446,39 @@ class _Builder:
 
     # -- derived tables ----------------------------------------------------------
 
+    def _next_stop(self, path: list[str], i: int) -> str:
+        """Where a frame sent by path[i] onto Ethernet is addressed: the
+        following gateway, else the receiver."""
+        return next((w for w in path[i + 1 : -1] if self.devices[w].kind == "gateway"), path[-1])
+
+    def _derive_endpoints(self, msg: MessageCfg, multicast: bool) -> None:
+        """What the sender emits and where each receiver subscribes on CAN."""
+        first = msg.paths[msg.receivers[0]]
+        kind, bus, seg = self._edge(first[0], first[1])
+        if kind == "can":
+            msg.can_talker = {"bus": bus, "id": msg.bindings[seg]["id"]}
+        else:
+            binding = msg.bindings[seg]
+            keys = set()
+            for receiver in msg.receivers:
+                dst = self._next_stop(msg.paths[receiver], 0)
+                key = self._forward_key(binding, msg, multicast, frame_dst=dst)
+                if key in keys:
+                    continue
+                keys.add(key)
+                frame = {"dst": dst, "binding": binding}
+                if binding["kind"] == "tt":
+                    frame["release"] = f"{msg.name}:{receiver}"
+                msg.eth_talker.append(frame)
+        for receiver in msg.receivers:
+            path = msg.paths[receiver]
+            kind, bus, seg = self._edge(path[-2], path[-1])
+            if kind == "can":
+                msg.can_receivers[receiver] = {"bus": bus, "id": msg.bindings[seg]["id"]}
+
     def _derive_tables(self, msg: MessageCfg, multicast: bool) -> None:
         line = 0
+        self._derive_endpoints(msg, multicast)
         for receiver in msg.receivers:
             path = msg.paths[receiver]
             for i, vertex in enumerate(path[1:-1], start=1):
@@ -455,20 +489,16 @@ class _Builder:
                 seg_out = self._segment_of(path[i], path[i + 1])
                 in_info = self._edge(path[i - 1], path[i])
                 out_info = self._edge(path[i], path[i + 1])
-                # Next stop on the Ethernet side: the following gateway, else the receiver.
-                next_stop = receiver
-                for w in path[i + 1 :]:
-                    if self.devices[w].kind == "gateway":
-                        next_stop = w
-                        break
                 if in_info[0] == "can":
                     can_id = msg.bindings[seg_in]["id"]
                     dests = self._add_rule(gw, seg_in, can_id=can_id)
                     if out_info[0] == "eth":
                         tag = msg.bindings[seg_out]
+                        next_stop = self._next_stop(path, i)
+                        key = self._forward_key(tag, msg, multicast, frame_dst=next_stop)
                         pool = msg.pools.get(gw, {}).get("pool")
                         if pool is not None:
-                            self._merge_eth_dest(dests, "pool", tag, next_stop, pool)
+                            self._merge_eth_dest(dests, "pool", tag, next_stop, pool, key)
                             members = self.pool_members.setdefault((gw, pool), [])
                             members.append({
                                 "message": msg.name, "can_id": can_id,
@@ -476,36 +506,25 @@ class _Builder:
                                 "holdup": msg.pools[gw]["holdUp"], "tag": tag,
                             })
                         else:
-                            self._merge_eth_dest(dests, "eth", tag, next_stop, None)
+                            self._merge_eth_dest(dests, "eth", tag, next_stop, None, key)
                     else:
                         if gw in msg.pools:
                             self.error(line, f"message {msg.name}: pool at {gw} needs an Ethernet egress")
                         self._merge_can_dest(dests, out_info[1], msg.bindings[seg_out]["id"])
                 else:
-                    # Ethernet ingress at the gateway
-                    if out_info[0] == "can":
-                        out_id = msg.bindings[seg_out]["id"]
-                        if any(self._edge(u, v)[0] == "can" for u, v in zip(path[: i], path[1 : i + 1])):
-                            # records tunneled from an upstream CAN segment
-                            origin_seg = next(
-                                self._segment_of(u, v)
-                                for u, v in zip(path[: i], path[1 : i + 1])
-                                if self._edge(u, v)[0] == "can"
-                            )
-                            origin_id = msg.bindings[origin_seg]["id"]
-                            dests = self._add_rule(gw, seg_in, can_id=origin_id)
-                        else:
-                            tag = msg.bindings[seg_in]
-                            key = self._forward_key(tag, msg, multicast, frame_dst=gw)
-                            dests = self._add_rule(gw, seg_in, key=list(key))
-                        self._merge_can_dest(dests, out_info[1], out_id)
-                        if gw in msg.pools:
-                            self.error(line, f"message {msg.name}: pool at {gw} needs an Ethernet egress")
+                    # Ethernet ingress: the egress is CAN, since a gateway has
+                    # one Ethernet link and a shortest path never reuses it.
+                    origin_seg = next((self._segment_of(u, v) for u, v in zip(path[:i], path[1 : i + 1])
+                                       if self._edge(u, v)[0] == "can"), None)
+                    if origin_seg is not None:
+                        # records tunneled from an upstream CAN segment
+                        dests = self._add_rule(gw, seg_in, can_id=msg.bindings[origin_seg]["id"])
                     else:
-                        tag = msg.bindings[seg_out]
                         key = self._forward_key(msg.bindings[seg_in], msg, multicast, frame_dst=gw)
                         dests = self._add_rule(gw, seg_in, key=list(key))
-                        self._merge_eth_dest(dests, "eth", tag, next_stop, None)
+                    self._merge_can_dest(dests, out_info[1], msg.bindings[seg_out]["id"])
+                    if gw in msg.pools:
+                        self.error(line, f"message {msg.name}: pool at {gw} needs an Ethernet egress")
 
             # switch forwarding along Ethernet runs
             for run in self._eth_runs(path):
@@ -605,6 +624,8 @@ class _Builder:
                 else:
                     flow_id = f"{msg.name}:{receiver}"
                     scheduled = True
+                    if not any(f.get("release") == flow_id for f in msg.eth_talker):
+                        continue  # this receiver shares another's frame
                 if flow_id not in self.tt_flows:
                     self.tt_flows[flow_id] = TtFlow(
                         flow_id, tag["ct"], period, tuple(hops), tuple(gaps), scheduled
@@ -678,7 +699,10 @@ class _Builder:
                     continue
                 key, _, value = stripped.partition("=")
                 self.cfg.ini.append([key.strip(), value.strip()])
-        apply_override_layers(self.cfg)
+        try:
+            apply_override_layers(self.cfg)
+        except OverrideError as exc:
+            self.error(0, f"inline ini: {exc}")
 
         # reservation cap, checked after overrides may have raised slopes
         for link, slot in self.cfg.slopes.items():

@@ -117,7 +117,6 @@ class GatewayCanPort:
         self.bus = bus
         self.store = store
         self.slots: dict[int, deque[CanFrame]] = {}
-        self._order = 0
         self.subscriptions: set[int] = set()
         self.on_rx = None
 
@@ -131,7 +130,6 @@ class GatewayCanPort:
                 self.store.scalar_add(f"{self.node}.canif[{self.bus}]", "overwrites", len(slot), "frames")
                 slot.clear()
             slot.extend(batch)
-        self._order += 1
         self.store.record_queue(
             f"{self.node}.canif[{self.bus}]", "txObjects", now,
             sum(len(s) for s in self.slots.values()),
@@ -206,15 +204,15 @@ class CanBus:
     def _arbitrate(self, now: int) -> None:
         if self._sending is not None or now < self.busy_until:
             return
-        candidates = []
+        pending = []
         for idx, port in enumerate(self.ports):
             best = port.best()
             if best is not None:
-                can_id, order, frame = best
-                candidates.append((can_id, idx, order, frame, port))
-        if not candidates:
+                pending.append((best[0], idx, best[2]))
+        frame = arbitrate(pending)
+        if frame is None:
             return
-        can_id, idx, order, frame, port = min(candidates, key=lambda c: (c[0], c[1], c[2]))
+        port = self.ports[next(idx for _, idx, f in pending if f is frame)]
         port.take(frame)
         duration = can_frame_duration(frame.payload_len, self.bitrate, self.stuffing)
         self.busy_until = now + duration

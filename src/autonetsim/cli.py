@@ -13,9 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .andl import CompileError, compile_network, has_errors, parse, validate
-from .config import NetworkConfig, apply_override_layers
+from .config import ConfigError, NetworkConfig, apply_override_layers
 from .engine import Runtime
-from .kernel import SEC, US, parse_duration
+from .kernel import MAX_TICKS, SEC, US, parse_duration
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -95,16 +95,26 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _run_one(path: str, args, overrides, outdir: Path) -> int:
+def _parse_times(args) -> tuple[int, tuple[int, int] | None]:
+    """The horizon and the optional bandwidth window, checked before any run."""
+    horizon = parse_duration(args.horizon)
+    if not 0 < horizon <= MAX_TICKS:
+        raise ValueError(f"--horizon {args.horizon}: must be positive and at most 2^63-1 ps")
+    if not args.window:
+        return horizon, None
+    t0, _, t1 = args.window.partition(":")
+    window = parse_duration(t0), parse_duration(t1)
+    if not window[0] < window[1]:
+        raise ValueError(f"--window {args.window}: the end must come after the start")
+    return horizon, window
+
+
+def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> int:
     cfg = _load_config(path, overrides, args.network)
     rt = Runtime(cfg, seed=args.seed)
-    horizon = parse_duration(args.horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     result = rt.run(horizon, drain=not args.no_drain)
-    if args.window:
-        t0, _, t1 = args.window.partition(":")
-        w0, w1 = parse_duration(t0), parse_duration(t1)
+    if window:
+        w0, w1 = window
         for link in sorted(rt.store.link_bits):
             bw = rt.store.utilized_bandwidth(link, w0, w1)
             rt.store.scalar_set(link, f"utilizedBandwidth[{args.window}]", bw, "bit/s")
@@ -127,6 +137,7 @@ def _run_one(path: str, args, overrides, outdir: Path) -> int:
 def cmd_run(args) -> int:
     try:
         overrides = _parse_set(args.set)
+        horizon, window = _parse_times(args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
@@ -138,17 +149,18 @@ def cmd_run(args) -> int:
     try:
         if args.jobs > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                codes = list(pool.map(lambda j: _run_one(j[0], args, overrides, j[1]), jobs))
+                codes = list(pool.map(
+                    lambda j: _run_one(j[0], args, overrides, j[1], horizon, window), jobs))
             return max(codes)
         for path, sub in jobs:
-            code = _run_one(path, args, overrides, sub)
+            code = _run_one(path, args, overrides, sub, horizon, window)
             if code != EXIT_OK:
                 return code
         return EXIT_OK
     except OSError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
-    except (CompileError, KeyError) as exc:
+    except (CompileError, ConfigError, KeyError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_SEMANTIC
     except ValueError as exc:

@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from fractions import Fraction
 
 from .kernel import parse_duration, parse_rate
+
+
+class ConfigError(Exception):
+    """A config document the engine cannot run, e.g. one from an older compiler."""
+
+
+class OverrideError(ValueError):
+    """An override value that does not parse; the message names the key."""
 
 
 @dataclass
@@ -51,7 +60,10 @@ class MessageCfg:
     gateways: list[str] = field(default_factory=list)
     pools: dict[str, dict] = field(default_factory=dict)      # gateway -> {pool, holdUp}
     paths: dict[str, list[str]] = field(default_factory=dict)  # receiver -> vertices
-
+    # What the sender emits and where receivers listen, derived by the compiler:
+    can_talker: dict | None = None                             # {"bus", "id"} of a CAN sender
+    eth_talker: list[dict] = field(default_factory=list)       # per forwarding key: {"dst", "binding"[, "release"]}
+    can_receivers: dict[str, dict] = field(default_factory=dict)  # receiver -> {"bus", "id"}
 
 @dataclass
 class PoolCfg:
@@ -128,7 +140,12 @@ class NetworkConfig:
         cfg.links = [LinkCfg(**d) for d in doc.get("links", [])]
         cfg.buses = [BusCfg(**d) for d in doc.get("buses", [])]
         cfg.segments = dict(doc.get("segments", {}))
-        cfg.messages = [MessageCfg(**d) for d in doc.get("messages", [])]
+        for d in doc.get("messages", []):
+            # A document from before these fields existed would run with no traffic.
+            missing = [k for k in ("can_talker", "eth_talker", "can_receivers") if k not in d]
+            if missing:
+                raise ConfigError(f"message {d.get('name')!r} lacks field {missing[0]!r}; recompile it")
+            cfg.messages.append(MessageCfg(**d))
         cfg.pools = [
             PoolCfg(p["gateway"], p["name"], {int(k): v for k, v in p["holdup_by_id"].items()})
             for p in doc.get("pools", [])
@@ -177,15 +194,24 @@ class NetworkConfig:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# Device parameters the engine parses when it builds the runtime.
+_DEVICE_VALUES = {"processingDelay": parse_duration, "hardwareDelay": parse_duration, "driftPpm": Fraction}
+
 
 def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
     """Apply one dotted override key; returns False when the key is unknown.
 
     Precedence is handled by call order: generated defaults, then inline-ini
-    pairs, then command-line pairs.
+    pairs, then command-line pairs.  A value that does not parse raises
+    OverrideError naming the key.
     """
-    value = value.strip()
-    parts = key.strip().split(".")
+    try:
+        return _apply_override(cfg, key.strip().split("."), value.strip())
+    except (KeyError, ValueError, ZeroDivisionError):
+        raise OverrideError(f"override {key.strip()!r}: cannot parse {value.strip()!r}") from None
+
+
+def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
     if parts[0] == "sim" and len(parts) == 2:
         if parts[1] == "seed":
             cfg.seed = int(value)
@@ -214,6 +240,8 @@ def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
         target, param = parts
         dev = cfg.device(target)
         if dev is not None:
+            if param in _DEVICE_VALUES:
+                _DEVICE_VALUES[param](value)
             dev.params[param] = value
             if dev.kind == "ethernetLink" and param == "bandwidth":
                 for link in cfg.links:

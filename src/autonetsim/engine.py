@@ -128,7 +128,7 @@ class TtSource:
     """Time-triggered talker releasing at its scheduled window offsets."""
 
     def __init__(self, rt: "Runtime", node: str, port: EthPort, message: str,
-                 receiver: str, dst: str, ct_id: int, payload: int,
+                 release: str, dst: str, ct_id: int, payload: int,
                  cycle: int, releases: list[int], osc: Oscillator):
         self.rt = rt
         self.port = port
@@ -139,7 +139,7 @@ class TtSource:
         self.payload = payload
         self.cycle = cycle
         self.osc = osc
-        self.path = f"{node}.src[{message}:{receiver}]"
+        self.path = f"{node}.src[{release}]"
         rt.sim.register(self.path, self._fire)
         for offset in releases:
             rt.sim.schedule(max(0, osc.local_to_ideal(offset)), self.path,
@@ -290,76 +290,43 @@ class Runtime:
             dst=tuple(d.get("dst", ())), bus=d.get("bus"), can_id=d.get("can_id"),
         )
 
-    def _edge_info(self, u: str, v: str) -> tuple | None:
-        for link in self.cfg.links:
-            if {link.a, link.b} == {u, v}:
-                return ("eth", link.name, link.segment)
-        for bus in self.cfg.buses:
-            if bus.name in (u, v) and (u in bus.attached or v in bus.attached):
-                return ("can", bus.name, bus.segment)
-        return None
-
     def _build_stimuli(self) -> None:
+        """Instantiate the talkers and CAN subscriptions the compiler derived."""
         for msg in self.cfg.messages:
-            first_path = msg.paths[msg.receivers[0]]
-            first_edge = self._edge_info(first_path[0], first_path[1])
-            if first_edge is None:
-                raise ValueError(f"message {msg.name}: broken path")
-            if first_edge[0] == "can":
-                bus = self.buses[first_edge[1]]
-                can_id = msg.bindings[first_edge[2]]["id"]
+            if msg.can_talker is not None:
+                bus = self.buses[msg.can_talker["bus"]]
                 port = self.node_can_ports[(msg.sender, bus.name)]
                 self.sources.append(CanSource(
-                    self, msg.sender, port, bus, msg.name, can_id,
+                    self, msg.sender, port, bus, msg.name, msg.can_talker["id"],
                     msg.payload, msg.period, msg.offset,
                 ))
             else:
-                host = self.hosts[msg.sender]
-                if host.nic is None:
+                nic = self.hosts[msg.sender].nic
+                if nic is None:
                     raise ValueError(f"message {msg.name}: sender {msg.sender} has no Ethernet port")
-                binding = msg.bindings[first_edge[2]]
-                if binding["kind"] == "tt":
-                    for receiver in msg.receivers:
-                        releases = (self.cfg.schedule.releases or {}).get(f"{msg.name}:{receiver}")
-                        if not releases:
-                            raise ValueError(f"message {msg.name}: no TT releases for {receiver}")
-                        dst = self._run_end(msg.paths[receiver])
-                        self.sources.append(TtSource(
-                            self, msg.sender, host.nic, msg.name, receiver, dst,
-                            binding["ct"], msg.payload, self.cfg.schedule.cycle,
-                            releases, self.oscillators[msg.sender],
-                        ))
-                else:
-                    tag = _tag_from_dict(binding)
-                    if binding["kind"] == "rc":
-                        emissions = [(self._run_end(first_path), tag)]
-                    else:
-                        emissions = []
-                        for r in msg.receivers:
-                            emission = (self._run_end(msg.paths[r]), tag)
-                            if emission not in emissions:
-                                emissions.append(emission)
+                emissions = []
+                for frame in msg.eth_talker:
+                    if "release" not in frame:
+                        emissions.append((frame["dst"], _tag_from_dict(frame["binding"])))
+                        continue
+                    releases = (self.cfg.schedule.releases or {}).get(frame["release"])
+                    if not releases:
+                        raise ValueError(f"message {msg.name}: no TT releases for {frame['release']}")
+                    self.sources.append(TtSource(
+                        self, msg.sender, nic, msg.name, frame["release"], frame["dst"],
+                        frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
+                        releases, self.oscillators[msg.sender],
+                    ))
+                if emissions:
                     self.sources.append(EthSource(
-                        self, msg.sender, host.nic, msg.name, emissions,
+                        self, msg.sender, nic, msg.name, emissions,
                         msg.payload, msg.period, msg.offset,
                     ))
-            # sinks
             for receiver in msg.receivers:
-                path = msg.paths[receiver]
-                last_edge = self._edge_info(path[-2], path[-1])
-                if last_edge[0] == "can":
-                    can_id = msg.bindings[last_edge[2]]["id"]
-                    port = self.node_can_ports.get((receiver, last_edge[1]))
-                    if port is not None:
-                        port.subscriptions.add(can_id)
+                sub = msg.can_receivers.get(receiver)
+                if sub is not None:
+                    self.node_can_ports[(receiver, sub["bus"])].subscriptions.add(sub["id"])
                 self.hosts[receiver].subs.add(msg.name)
-
-    def _run_end(self, path: list[str]) -> str:
-        """End of the first Ethernet run: the next gateway or the receiver."""
-        for vertex in path[1:]:
-            if vertex in self.gateways or vertex == path[-1]:
-                return vertex
-        return path[-1]
 
     # -- execution ------------------------------------------------------------
 

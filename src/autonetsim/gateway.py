@@ -4,9 +4,9 @@ A gateway routes by a static table; frames without a matching rule are
 dropped and counted.  CAN records bound for Ethernet are buffered in pools:
 every record carries a hold-up time, the pool deadline is the minimum of
 ``arrival + hold-up`` over its content, and expiry releases everything that
-has arrived so far into a single Ethernet frame per destination (split only
-when the encoding would exceed the maximum payload).  The aggregate payload
-layout is fixed:
+has arrived so far, one Ethernet frame per destination holding the records
+bound there (split only when the encoding would exceed the maximum
+payload).  The aggregate payload layout is fixed:
 
     [record count: 2 bytes BE] then per record
     [id: 2 bytes BE (11 bits used)] [dlc: 1 byte] [payload: dlc bytes]
@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .can import CanFrame, GatewayCanPort
-from .ethernet import ETH_MAX_PAYLOAD, EthFrame, pad_payload
+from .ethernet import ETH_MAX_PAYLOAD, EthFrame, pad_payload, route_key
 from .kernel import MS, US, Event, EventKind, Simulator
 from .metrics import MetricStore
 
 DEFAULT_PROCESSING_DELAY = 40 * US   # measured CAN-Ethernet gateway
-LEGACY_CENTRAL_DELAY = 60 * US       # legacy central CAN gateway
 
 RECORD_HEADER = 3   # 2-byte id + 1-byte dlc
 COUNT_PREFIX = 2
@@ -155,26 +154,21 @@ class Pool:
         pool_id: str,
         holdup_by_id: dict[int, int],
         on_flush,
-        default_holdup: int = 0,
     ):
         self.sim = sim
         self.store = store
         self.pool_id = pool_id
         self.path = f"{gateway}.pool.{pool_id}"
         self.holdup_by_id = dict(holdup_by_id)
-        self.default_holdup = default_holdup
         self.on_flush = on_flush
         self.buffered: list[PoolEntry] = []
         self.deadline: int | None = None
         self._timer = None
         sim.register(self.path, self._handle)
 
-    def holdup(self, can_id: int) -> int:
-        return self.holdup_by_id.get(can_id, self.default_holdup)
-
     def insert(self, record: CanRecord, now: int, dests: tuple[str, ...], tag) -> None:
         self.buffered.append(PoolEntry(record, now, dests, tag))
-        candidate = now + self.holdup(record.can_id)
+        candidate = now + self.holdup_by_id[record.can_id]
         if self.deadline is None or candidate < self.deadline:
             self.deadline = candidate
             if self._timer is not None:
@@ -243,7 +237,7 @@ class Gateway:
     def add_pool(self, pool_id: str, holdup_by_id: dict[int, int]) -> Pool:
         pool = Pool(
             self.sim, self.store, self.name, pool_id, holdup_by_id,
-            on_flush=self._flush_to_ethernet,
+            on_flush=self._emit_aggregates,
         )
         self.pools[pool_id] = pool
         return pool
@@ -257,16 +251,6 @@ class Gateway:
 
     def add_key_rule(self, segment: str, key: tuple, dests: list[RouteDest]) -> None:
         self.key_rules[(segment, key)] = dests
-
-    # -- routing ------------------------------------------------------------
-
-    def route(self, segment: str, frame) -> list[RouteDest]:
-        """Destinations of the matching rule; empty means drop (counted)."""
-        if isinstance(frame, CanFrame):
-            return self.can_rules.get((segment, frame.can_id), [])
-        from .ethernet import route_key
-
-        return self.key_rules.get((segment, route_key(frame)), [])
 
     # -- CAN ingress ----------------------------------------------------------
 
@@ -295,19 +279,17 @@ class Gateway:
 
     # -- pool flush / Ethernet egress -------------------------------------------
 
-    def _flush_to_ethernet(self, entries: list[PoolEntry], now: int) -> None:
-        self._emit_aggregates(entries, now)
-
     def _emit_aggregates(self, entries: list[PoolEntry], now: int) -> None:
+        """One aggregate per destination, carrying only the records bound there."""
         dests: list[str] = []
         for e in entries:
             for d in e.dests:
                 if d not in dests:
                     dests.append(d)
         tag = entries[0].tag
-        records = [e.record for e in entries]
         frames = []
         for dst in dests:
+            records = [e.record for e in entries if dst in e.dests]
             for chunk in split_records(records):
                 payload = encode_records(chunk)
                 frame = EthFrame(
@@ -328,6 +310,7 @@ class Gateway:
         for record in frame.records or ():
             if record.message is not None:
                 self.store.station_latency(self.name, record.message, record.creation, now)
+        # Every rule for Ethernet ingress leads to CAN: a gateway has one Ethernet link.
         segment = self.eth_segment
         if frame.records:
             # Aggregate: route each embedded record on its own.
@@ -338,42 +321,28 @@ class Gateway:
                     self.store.count_drop(self.name, "router", reason="no_rule")
                     continue
                 for d in dests:
-                    if d.kind == "can":
-                        out = CanFrame(
-                            d.can_id if d.can_id is not None else record.can_id,
-                            record.payload, d.bus, record.creation, record.message,
-                        )
-                        batches.setdefault(d.bus, []).append(out)
-                    elif d.kind == "eth":
-                        self._emit_aggregates([PoolEntry(record, now, d.dst, d.tag)], now)
+                    out = CanFrame(
+                        d.can_id if d.can_id is not None else record.can_id,
+                        record.payload, d.bus, record.creation, record.message,
+                    )
+                    batches.setdefault(d.bus, []).append(out)
             for bus_name, batch in batches.items():
                 self.sim.schedule(
                     now + self.processing_delay, self.name,
                     EventKind.GW_CAN_EGRESS, (bus_name, batch),
                 )
             return
-        dests = self.route(segment, frame)
+        dests = self.key_rules.get((segment, route_key(frame)))
         if not dests:
             self.store.count_drop(self.name, "router", reason="no_rule")
             return
         for d in dests:
-            if d.kind == "can":
-                payload = bytes(min(8, frame.logical_len or 8))
-                out = CanFrame(d.can_id, payload, d.bus, frame.creation_time, frame.message)
-                self.sim.schedule(
-                    now + self.processing_delay, self.name,
-                    EventKind.GW_CAN_EGRESS, (d.bus, [out]),
-                )
-            elif d.kind == "eth":
-                fwd = EthFrame(
-                    src=self.name, dst=d.dst[0] if d.dst else frame.dst,
-                    payload_len=frame.payload_len, tag=d.tag,
-                    creation_time=frame.creation_time, message=frame.message,
-                    records=frame.records, logical_len=frame.logical_len,
-                )
-                self.sim.schedule(
-                    now + self.processing_delay, self.name, EventKind.GW_ETH_EGRESS, [fwd]
-                )
+            payload = bytes(min(8, frame.logical_len or 8))
+            out = CanFrame(d.can_id, payload, d.bus, frame.creation_time, frame.message)
+            self.sim.schedule(
+                now + self.processing_delay, self.name,
+                EventKind.GW_CAN_EGRESS, (d.bus, [out]),
+            )
 
     # -- deferred egress events -------------------------------------------------
 

@@ -167,3 +167,52 @@ def test_shipped_scenarios_compile_and_run(tmp_path, capsys):
                      "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "delivered doorState@displayEcu" in text
+
+
+@pytest.mark.parametrize("ini, argv, code, needle", [
+    ("metrics.stations = maybe", ["validate"], 1, "metrics.stations"),
+    ("sim.queueCapacity = lots", ["compile"], 1, "sim.queueCapacity"),
+    (None, ["run", "--set", "metrics.stations=maybe"], 2, "metrics.stations"),
+    (None, ["run", "--set", "sim.queueCapacity=lots"], 2, "sim.queueCapacity"),
+    (None, ["run", "--set", "gw1.processingDelay=fast"], 2, "gw1.processingDelay"),
+    (None, ["run", "--horizon", "9999999s"], 2, "--horizon"),
+    (None, ["run", "--window", "5ms:1ms"], 2, "--window"),
+], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window"])
+def test_bad_values_are_diagnosed_before_running(
+        tmp_path, listing_small, capsys, monkeypatch, ini, argv, code, needle):
+    import autonetsim.cli as cli
+
+    def no_runtime(*args, **kwargs):
+        raise AssertionError("the simulation was built")
+
+    monkeypatch.setattr(cli, "Runtime", no_runtime)
+    src = tmp_path / "small.andl"
+    src.write_text(listing_small if ini is None
+                   else listing_small.replace("record-eventlog = false", ini))
+    out = tmp_path / "out"
+    command, *rest = argv
+    args = {
+        "validate": [str(src)],
+        "compile": [str(src), "-o", str(out)],
+        "run": [str(src), "--horizon", "10ms", "--out", str(out)],
+    }[command]
+    assert main([command, *args, *rest]) == code
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_config_without_derived_message_fields(tmp_path, listing_small, capsys):
+    src = write_listing(tmp_path, listing_small)
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(src), "-o", str(cfgp)]) == 0
+    for field in ("can_talker", "eth_talker", "can_receivers"):
+        doc = json.loads(cfgp.read_text())
+        for msg in doc["messages"]:
+            del msg[field]
+        old = tmp_path / f"old_{field}.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / f"r_{field}"
+        assert main(["run", str(old), "--horizon", "10ms", "--out", str(out)]) == 1
+        assert repr(field) in capsys.readouterr().err
+        assert not out.exists()

@@ -209,6 +209,112 @@ def test_ethernet_to_can_direction():
         assert sample.latency == expected
 
 
+AVB_MULTICAST = """
+network avbmc {
+  devices { node src; node log; node fusi; switch s1; switch s2; }
+  connections {
+    segment backbone { src <--> s1; s1 <--> s2; log <--> s2; fusi <--> s2; }
+  }
+  communication {
+    message cam {
+      sender src;
+      receivers log, fusi;
+      payload 500B;
+      period 1ms;
+      multicast;
+      mapping { backbone: avb{id 3;}; }
+    }
+  }
+}
+"""
+
+
+def test_multicast_avb_sends_one_frame_per_period():
+    rt = build(AVB_MULTICAST)
+    result = rt.run(10 * MS)
+    # one frame per period, replicated by the switch toward both listeners
+    assert result.deliveries["cam@log"] == 11
+    assert result.deliveries["cam@fusi"] == 11
+    assert result.link_frames["src->s1"] == 11
+    assert result.link_frames["s1->s2"] == 11
+
+
+RC_FROM_GATEWAY = """
+network rcgw {
+  devices { canLink cb1; node ecu; node log; node fusi; gateway gw; switch s1; }
+  connections {
+    segment backbone { gw <--> s1; log <--> s1; fusi <--> s1; }
+    segment canside { ecu <--> cb1; gw <--> cb1; }
+  }
+  communication {
+    message speed {
+      sender ecu;
+      receivers log, fusi;
+      payload 8B;
+      period 10ms;
+      mapping {
+        canside: can{id 21;};
+        gw;
+        backbone: rc{vlID 4; bag 1ms;};
+      }
+    }
+  }
+}
+"""
+
+
+def test_rc_from_gateway_sends_one_frame_per_can_frame():
+    rt = build(RC_FROM_GATEWAY)
+    result = rt.run(100 * MS)
+    # one virtual-link frame per CAN frame; the switch multicasts it
+    assert result.deliveries["speed@log"] == 11
+    assert result.deliveries["speed@fusi"] == 11
+    assert result.link_frames["gw->s1"] == 11
+    rule = next(r for r in rt.cfg.rules if r.gateway == "gw")
+    assert [d["dst"] for d in rule.dests] == [["log"]]
+
+
+SHARED_POOL = """
+network sharedpool {
+  devices {
+    canLink cbS; canLink cbA; canLink cbB;
+    node ecu; node a; node b;
+    gateway gwS { pool p; } gateway gwA; gateway gwB;
+    switch s1;
+  }
+  connections {
+    segment backbone { gwS <--> s1; gwA <--> s1; gwB <--> s1; }
+    segment canS { ecu <--> cbS; gwS <--> cbS; }
+    segment canA { a <--> cbA; gwA <--> cbA; }
+    segment canB { b <--> cbB; gwB <--> cbB; }
+  }
+  communication {
+    message toA {
+      sender ecu; receivers a; payload 4B; period 10ms;
+      mapping { canS: can{id 100;}; gwS: pool p{holdUp 2ms;}; gwA; backbone: be{priority 3;}; canA: can{id 100;}; }
+    }
+    message toB {
+      sender ecu; receivers b; payload 4B; period 10ms;
+      mapping { canS: can{id 101;}; gwS: pool p{holdUp 2ms;}; gwB; backbone: be{priority 3;}; canB: can{id 101;}; }
+    }
+  }
+}
+"""
+
+
+def test_pool_aggregate_carries_only_its_destinations_records():
+    rt = build(SHARED_POOL)
+    result = rt.run(100 * MS)
+    assert result.deliveries["toA@a"] == 11
+    assert result.deliveries["toB@b"] == 11
+    assert result.drops == 0
+    assert rt.store.scalar("gwA", "drops.no_rule", 0) == 0
+    assert rt.store.scalar("gwB", "drops.no_rule", 0) == 0
+    # both records share every flush, yet each aggregate holds one of them
+    counts = [v for _, v in rt.store.vectors[("gwS", "aggregateCount")]]
+    assert len(counts) == 22 and set(counts) == {1}
+
+
 def test_no_drain_leaves_tail_in_flight(listing_small):
     rt = build(listing_small)
     result = rt.run(1 * SEC, drain=False)
