@@ -111,6 +111,10 @@ def _parse_times(args) -> tuple[int, tuple[int, int] | None]:
 
 def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> int:
     cfg = _load_config(path, overrides, args.network)
+    if window and window != (0, horizon) and not cfg.metric_flags.get("completions", True):
+        # Only the whole run's totals are kept without completion records.
+        raise ValueError(f"--window {args.window}: windowed bandwidth needs completion recording"
+                         " (metrics.completions=true)")
     rt = Runtime(cfg, seed=args.seed)
     result = rt.run(horizon, drain=not args.no_drain)
     if window:

@@ -103,6 +103,11 @@ class EthFrame:
             )
 
 
+BE_LABELS = tuple(f"BE[{p}]" for p in range(8))
+BE_PRECEDENCE = tuple((p, BE_LABELS[p]) for p in range(7, -1, -1))  # highest 802.1Q first
+AVB_LABELS = {"A": "AVB_A", "B": "AVB_B"}
+
+
 def pad_payload(logical_len: int) -> int:
     """Frames shorter than the Ethernet minimum are padded on the wire."""
     return max(ETH_MIN_PAYLOAD, logical_len)
@@ -110,13 +115,14 @@ def pad_payload(logical_len: int) -> int:
 
 def route_key(frame: EthFrame) -> tuple:
     tag = frame.tag
-    if isinstance(tag, TT):
-        return ("tt", tag.ct_id)
-    if isinstance(tag, RC):
-        return ("rc", tag.vl_id)
-    if isinstance(tag, AVB):
+    kind = type(tag)
+    if kind is BE:
+        return ("dst", frame.dst)
+    if kind is AVB:
         return ("avb", tag.stream_id)
-    return ("dst", frame.dst)
+    if kind is RC:
+        return ("rc", tag.vl_id)
+    return ("tt", tag.ct_id)
 
 
 # --------------------------------------------------------------------------
@@ -343,10 +349,16 @@ class EthPort:
             self.credit["A"] = CreditState(idle_slope_a, rate, self._credit_points("A"))
         if idle_slope_b:
             self.credit["B"] = CreditState(idle_slope_b, rate, self._credit_points("B"))
+        # (label, shaper, queue) per reserved AVB class; empty on unreserved ports.
+        self._shapers = tuple(
+            (AVB_LABELS[cls], state, self.avb_queues[cls]) for cls, state in self.credit.items()
+        )
         self.be_queues = [deque() for _ in range(8)]
+        self._durations: dict[int, int] = {}  # payload length -> ticks on this port
 
         self._order = 0
         self._tx: tuple[EthFrame, str] | None = None  # (frame, class label)
+        self._tx_end = 0  # end tick of the current (or last) transmission
         self._wakeup_at: int | None = None
         self._kick_pending = False
         self._max_gap = schedule.max_gap(self.link) if schedule else None
@@ -357,51 +369,57 @@ class EthPort:
             return None
         return self.store.vectors.setdefault((self.path, f"credit[{cls}]"), [])
 
+    def _duration(self, payload_len: int) -> int:
+        dur = self._durations.get(payload_len)
+        if dur is None:
+            dur = self._durations[payload_len] = eth_frame_duration(payload_len, self.rate)
+        return dur
+
     # -- queue plumbing -------------------------------------------------
 
-    def _queue_label(self, tag) -> str:
-        if isinstance(tag, TT):
-            return f"TT[{tag.ct_id}]"
-        if isinstance(tag, RC):
-            return "RC"
-        if isinstance(tag, AVB):
-            return f"AVB_{tag.cls}"
-        return f"BE[{tag.priority}]"
-
-    def _queue_len(self, tag) -> int:
-        if isinstance(tag, TT):
-            return len(self.tt_queues.get(tag.ct_id, ()))
-        if isinstance(tag, RC):
-            return len(self.rc_queue)
-        if isinstance(tag, AVB):
-            return len(self.avb_queues[tag.cls])
-        return len(self.be_queues[tag.priority])
+    def _queue_of(self, tag) -> tuple:
+        """The queue holding a tag's frames, and its label."""
+        kind = type(tag)
+        if kind is BE:
+            return self.be_queues[tag.priority], BE_LABELS[tag.priority]
+        if kind is AVB:
+            return self.avb_queues[tag.cls], AVB_LABELS[tag.cls]
+        if kind is RC:
+            return self.rc_queue, "RC"
+        queue = self.tt_queues.get(tag.ct_id)
+        if queue is None:
+            queue = self.tt_queues[tag.ct_id] = deque()
+        return queue, f"TT[{tag.ct_id}]"
 
     def enqueue(self, frame: EthFrame, now: int) -> None:
         tag = frame.tag
-        label = self._queue_label(tag)
-        if self._queue_len(tag) >= self.capacity:
-            self.store.count_drop(self.path, label)
-            self.store.record_queue(self.path, label, now, self._queue_len(tag))
+        queue, label = self._queue_of(tag)
+        store = self.store
+        if len(queue) >= self.capacity:
+            store.count_drop(self.path, label)
+            if store.flags.queues:
+                store.record_queue(self.path, label, now, len(queue))
             return
-        if not isinstance(tag, TT) and self._max_gap is not None:
+        kind = type(tag)
+        if kind is not TT and self._max_gap is not None:
             # A frame longer than every window-free stretch can never start.
-            if eth_frame_duration(frame.payload_len, self.rate) > self._max_gap:
-                self.store.count_drop(self.path, label, reason="guardband")
+            if self._duration(frame.payload_len) > self._max_gap:
+                store.count_drop(self.path, label, reason="guardband")
                 return
-        self._credit_advance(now)
-        if isinstance(tag, TT):
-            self.tt_queues.setdefault(tag.ct_id, deque()).append(frame)
-        elif isinstance(tag, RC):
+        if self._shapers:
+            self._credit_advance(now)
+        if kind is RC:
             self._order += 1
-            self.rc_queue.append((now, tag.vl_id, self._order, frame))
+            queue.append((now, tag.vl_id, self._order, frame))
             self.bags.setdefault(tag.vl_id, BagState(tag.vl_id, tag.bag))
-        elif isinstance(tag, AVB):
-            self.avb_queues[tag.cls].append(frame)
         else:
-            self.be_queues[tag.priority].append(frame)
-        self.store.record_queue(self.path, label, now, self._queue_len(tag))
-        self._kick(now)
+            queue.append(frame)
+        if store.flags.queues:
+            store.record_queue(self.path, label, now, len(queue))
+        # While a transmission runs past this tick a kick would find the port
+        # busy and do nothing; _complete kicks when the transmission ends.
+        if self._tx_end <= now:
+            self._kick(now)
 
     def _kick(self, now: int) -> None:
         """Defer selection to a same-tick event so simultaneous arrivals
@@ -413,14 +431,14 @@ class EthPort:
     # -- credit bookkeeping ----------------------------------------------
 
     def _credit_advance(self, now: int) -> None:
-        for cls, state in self.credit.items():
-            transmitting = self._tx is not None and self._tx[1] == f"AVB_{cls}"
-            state.advance(now, waiting=bool(self.avb_queues[cls]), transmitting=transmitting)
+        sending = self._tx[1] if self._tx is not None else None
+        for label, state, queue in self._shapers:
+            state.advance(now, bool(queue), label == sending)
 
     def _credit_reset_check(self, now: int) -> None:
-        for cls, state in self.credit.items():
-            transmitting = self._tx is not None and self._tx[1] == f"AVB_{cls}"
-            if not self.avb_queues[cls] and not transmitting:
+        sending = self._tx[1] if self._tx is not None else None
+        for label, state, queue in self._shapers:
+            if not queue and label != sending:
                 state.reset_if_positive(now)
 
     # -- transmission selection --------------------------------------------
@@ -432,7 +450,7 @@ class EthPort:
         return begin is None or now + duration <= begin
 
     def _select(self, now: int):
-        """Return (frame, class label, duration) or None, dequeuing the winner."""
+        """Return (frame, class label, duration, queue) or None, dequeuing the winner."""
         sched = self.schedule
         # TT: only inside a window and only the window's ct.
         if sched is not None:
@@ -441,17 +459,16 @@ class EthPort:
             if w is not None:
                 q = self.tt_queues.get(w.ct_id)
                 if q:
-                    dur = eth_frame_duration(q[0].payload_len, self.rate)
+                    dur = self._duration(q[0].payload_len)
                     if cyc + dur <= w.offset + w.duration:
-                        frame = q.popleft()
-                        return frame, f"TT[{w.ct_id}]", dur
+                        return q.popleft(), f"TT[{w.ct_id}]", dur, q
         # RC: oldest frame whose BAG gate is open, ties by lowest vl id.
         best = None
         for entry in self.rc_queue:
             enq_t, vl, order, frame = entry
             if bag_gate(self.bags[vl], now) > now:
                 continue
-            dur = eth_frame_duration(frame.payload_len, self.rate)
+            dur = self._duration(frame.payload_len)
             if not self._fits_guard_band(dur, now):
                 continue
             key = (enq_t, vl, order)
@@ -460,10 +477,9 @@ class EthPort:
         if best is not None:
             _, entry, dur = best
             self.rc_queue.remove(entry)
-            return entry[3], "RC", dur
+            return entry[3], "RC", dur, self.rc_queue
         # AVB A then B: gate open when credit >= 0.
-        for cls in ("A", "B"):
-            q = self.avb_queues[cls]
+        for cls, q in self.avb_queues.items():
             if not q:
                 continue
             state = self.credit.get(cls)
@@ -471,40 +487,44 @@ class EthPort:
                 raise RuntimeError(f"AVB class {cls} frame on {self.path} without a reservation")
             if state.scaled < 0:
                 continue
-            dur = eth_frame_duration(q[0].payload_len, self.rate)
+            dur = self._duration(q[0].payload_len)
             if self._fits_guard_band(dur, now):
-                return q.popleft(), f"AVB_{cls}", dur
+                return q.popleft(), AVB_LABELS[cls], dur, q
         # Best effort, highest 802.1Q priority first.
-        for prio in range(7, -1, -1):
+        for prio, label in BE_PRECEDENCE:
             q = self.be_queues[prio]
             if not q:
                 continue
-            dur = eth_frame_duration(q[0].payload_len, self.rate)
+            dur = self._duration(q[0].payload_len)
             if self._fits_guard_band(dur, now):
-                return q.popleft(), f"BE[{prio}]", dur
+                return q.popleft(), label, dur, q
         return None
 
     def try_send(self, now: int) -> None:
         if self._tx is not None:
             return
-        self._credit_advance(now)
-        self._credit_reset_check(now)
+        if self._shapers:
+            self._credit_advance(now)
+            self._credit_reset_check(now)
         picked = self._select(now)
         if picked is None:
             self._plan_wakeup(now)
             return
-        frame, label, dur = picked
-        if label.startswith("AVB"):
-            cls = label[-1]
-            assert self.credit[cls].scaled >= 0, "CBS gate violated"
+        frame, label, dur, queue = picked
         self._tx = (frame, label)
-        self.store.record_queue(self.path, label, now, self._queue_len(frame.tag))
-        if isinstance(frame.tag, RC):
-            self.bags[frame.tag.vl_id].last_departure = now
-            self.store.vec(self.path, f"txStart[vl{frame.tag.vl_id}]", now, eth_wire_bits(frame.payload_len))
-        elif isinstance(frame.tag, AVB):
-            self.store.vec(self.path, f"txStart[{label}]", now, eth_wire_bits(frame.payload_len))
-        self.sim.schedule(now + dur, self.path, EventKind.PORT_TX_DONE, frame)
+        self._tx_end = end = now + dur
+        store = self.store
+        if store.flags.queues:
+            store.record_queue(self.path, label, now, len(queue))
+        tag = frame.tag
+        kind = type(tag)
+        if kind is RC:
+            self.bags[tag.vl_id].last_departure = now
+            store.vec(self.path, f"txStart[vl{tag.vl_id}]", now, eth_wire_bits(frame.payload_len))
+        elif kind is AVB:
+            assert self.credit[tag.cls].scaled >= 0, "CBS gate violated"
+            store.vec(self.path, f"txStart[{label}]", now, eth_wire_bits(frame.payload_len))
+        self.sim.schedule(end, self.path, EventKind.PORT_TX_DONE, frame)
 
     def _plan_wakeup(self, now: int) -> None:
         candidates: list[int] = []
@@ -512,7 +532,7 @@ class EthPort:
         if sched is not None:
             for ct, q in self.tt_queues.items():
                 while q:
-                    dur = eth_frame_duration(q[0].payload_len, self.rate)
+                    dur = self._duration(q[0].payload_len)
                     t = sched.next_open_for_ct(self.link, ct, now, dur)
                     if t is None:
                         # No window will ever fit this frame: schedule fault.
@@ -525,9 +545,8 @@ class EthPort:
             gate = bag_gate(self.bags[vl], now)
             if gate > now:
                 candidates.append(gate)
-        for cls, q in self.avb_queues.items():
-            state = self.credit.get(cls)
-            if q and state is not None and state.scaled < 0:
+        for _, state, q in self._shapers:
+            if q and state.scaled < 0:
                 candidates.append(state.zero_crossing(now))
         if sched is not None and (
             self.rc_queue
@@ -549,21 +568,25 @@ class EthPort:
     # -- event handling -----------------------------------------------------
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind is EventKind.PORT_TRY_SEND:
+        kind = ev.kind
+        if kind is EventKind.PORT_TRY_SEND:
             if ev.payload == "kick":
                 self._kick_pending = False
             elif self._wakeup_at is not None and ev.time >= self._wakeup_at:
                 self._wakeup_at = None
             self.try_send(ev.time)
-        elif ev.kind is EventKind.PORT_TX_DONE:
+        elif kind is EventKind.PORT_TX_DONE:
             self._complete(ev)
 
     def _complete(self, ev: Event) -> None:
         frame = ev.payload
         now = ev.time
-        self._credit_advance(now)
+        shapers = self._shapers
+        if shapers:
+            self._credit_advance(now)
         self._tx = None
-        self._credit_reset_check(now)
+        if shapers:
+            self._credit_reset_check(now)
         self.store.link_completed(self.link, now, eth_wire_bits(frame.payload_len))
         if self.peer is not None:
             self.peer.receive(frame, now, self)
@@ -590,11 +613,13 @@ class Switch:
         self.table[key] = ports
 
     def receive(self, frame: EthFrame, now: int, in_port=None) -> None:
-        if frame.message is not None:
-            self.store.station_latency(self.name, frame.message, frame.creation_time, now)
-        for record in frame.records or ():
-            if record.message is not None:
-                self.store.station_latency(self.name, record.message, record.creation, now)
+        store = self.store
+        if store.flags.stations:
+            if frame.message is not None:
+                store.station_latency(self.name, frame.message, frame.creation_time, now)
+            for record in frame.records or ():
+                if record.message is not None:
+                    store.station_latency(self.name, record.message, record.creation, now)
         self.sim.schedule(now + self.hw_delay, self.name, EventKind.SWITCH_FORWARD, frame)
 
     def _handle(self, ev: Event) -> None:
@@ -602,7 +627,7 @@ class Switch:
             return
         frame: EthFrame = ev.payload
         ports = self.table.get(route_key(frame))
-        if ports is None and not isinstance(frame.tag, BE):
+        if ports is None and type(frame.tag) is not BE:
             ports = self.table.get(("dst", frame.dst))
         if not ports:
             self.store.count_drop(self.name, "forwarding", reason="unknown_destination")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .can import CanFrame, GatewayCanPort
-from .ethernet import ETH_MAX_PAYLOAD, EthFrame, pad_payload, route_key
+from .ethernet import BE, ETH_MAX_PAYLOAD, EthFrame, pad_payload, route_key
 from .kernel import MS, US, Event, EventKind, Simulator
 from .metrics import MetricStore
 
@@ -305,11 +305,13 @@ class Gateway:
     # -- Ethernet ingress ----------------------------------------------------
 
     def receive(self, frame: EthFrame, now: int, port=None) -> None:
-        if frame.message is not None:
-            self.store.station_latency(self.name, frame.message, frame.creation_time, now)
-        for record in frame.records or ():
-            if record.message is not None:
-                self.store.station_latency(self.name, record.message, record.creation, now)
+        store = self.store
+        if store.flags.stations:
+            if frame.message is not None:
+                store.station_latency(self.name, frame.message, frame.creation_time, now)
+            for record in frame.records or ():
+                if record.message is not None:
+                    store.station_latency(self.name, record.message, record.creation, now)
         # Every rule for Ethernet ingress leads to CAN: a gateway has one Ethernet link.
         segment = self.eth_segment
         if frame.records:
@@ -333,6 +335,9 @@ class Gateway:
                 )
             return
         dests = self.key_rules.get((segment, route_key(frame)))
+        if dests is None and type(frame.tag) is not BE:
+            # Streams with several receivers are keyed by their destination.
+            dests = self.key_rules.get((segment, ("dst", frame.dst)))
         if not dests:
             self.store.count_drop(self.name, "router", reason="no_rule")
             return

@@ -13,12 +13,12 @@ a single seeded generator owned by the simulator.
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 # Tick multipliers (1 tick = 1 ps).
@@ -71,6 +71,8 @@ def parse_rate(text: str) -> int:
     value = Fraction(m.group(1)) * _RATE_PREFIX[m.group(2)]
     if value.denominator != 1:
         raise ValueError(f"rate {text!r} is not a whole number of bits per second")
+    if not value:
+        raise ValueError(f"rate {text!r} must be positive")
     return int(value)
 
 
@@ -154,28 +156,40 @@ class Simulator:
 
     def schedule(self, time: int, target: str, kind: EventKind, payload: Any = None) -> Event:
         """Insert an event into the future event list and return its handle."""
-        check_time(time)
-        if time < self.now:
+        if not self.now <= time <= MAX_TICKS:
+            check_time(time)  # outside the tick range is an overflow, not the past
             raise SchedulingInPast(
                 f"event for {target} at {time} is before current time {self.now}"
             )
-        self._seq += 1
-        ev = Event(time, self._seq, target, kind, payload)
-        heapq.heappush(self._heap, (time, ev.seq, ev))
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, target, kind, payload)
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     def cancel(self, event: Event) -> None:
         """Mark an event dead; it is skipped (not counted) at dispatch time."""
         event.cancelled = True
 
-    def _dispatch(self, ev: Event) -> None:
-        self.now = ev.time
-        handler = self._handlers.get(ev.target)
-        if handler is None:
-            raise SimulationError(f"event targets unregistered module {ev.target!r}")
-        if self.trace is not None:
-            self.trace.append((ev.time, ev.seq, ev.target, ev.kind.name))
-        handler(ev)
+    def _dispatch_through(self, t_end: int) -> int:
+        """Dispatch every live event with time <= t_end; return how many ran."""
+        heap = self._heap
+        pop = heappop
+        handlers = self._handlers
+        trace = self.trace
+        dispatched = 0
+        while heap and heap[0][0] <= t_end:
+            time, seq, ev = pop(heap)
+            if ev.cancelled:
+                continue
+            self.now = time
+            handler = handlers.get(ev.target)
+            if handler is None:
+                raise SimulationError(f"event targets unregistered module {ev.target!r}")
+            if trace is not None:
+                trace.append((time, seq, ev.target, ev.kind.name))
+            handler(ev)
+            dispatched += 1
+        return dispatched
 
     def run_until(self, t_end: int) -> RunSummary:
         """Dispatch every event with time <= t_end (inclusive horizon).
@@ -186,28 +200,13 @@ class Simulator:
         check_time(t_end)
         if t_end < self.now:
             raise SchedulingInPast(f"horizon {t_end} is before current time {self.now}")
-        dispatched = 0
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self._dispatch(ev)
-            dispatched += 1
+        dispatched = self._dispatch_through(t_end)
         self.now = t_end
         return RunSummary(dispatched, self.now)
 
     def run_to_completion(self) -> RunSummary:
         """Dispatch until the event list is empty (used to drain in-flight work)."""
-        dispatched = 0
-        heap = self._heap
-        while heap:
-            _, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self._dispatch(ev)
-            dispatched += 1
-        return RunSummary(dispatched, self.now)
+        return RunSummary(self._dispatch_through(MAX_TICKS), self.now)
 
     def pending(self) -> int:
         return sum(1 for _, _, ev in self._heap if not ev.cancelled)

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,3 +292,47 @@ network g {{
     ast2, diags2 = parse(print_file(ast))
     assert not has_errors(diags2)
     assert ast2 == ast
+
+
+SMALL_NETWORK = Path(__file__).resolve().parents[1] / "scenarios" / "small_network.andl"
+MUTATION_ALPHABET = "abcdefghijklmnopqrstuvwxyzBMS0123456789{};:<->.,=/\"'` \n"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """Insert, delete or replace 1 to 4 characters at random places."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(MUTATION_ALPHABET)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + c + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + c + text[i + 1:]
+    return text
+
+
+def test_mutated_scenarios_give_diagnostics_not_crashes():
+    rng = random.Random(20181)
+    base = SMALL_NETWORK.read_text()
+    for _ in range(3000):
+        text = mutate(rng, base)
+        ast, diags = parse(text)
+        if has_errors(diags):
+            continue
+        try:
+            compile_network(ast)
+        except CompileError:
+            pass
+
+
+@pytest.mark.parametrize("old, new", [
+    ("bandwidth 100Mb/s;", "bandwidth 0Mb/s;"),
+    ("canLink cb1;", "canLink cb1 { bitrate 0kb/s; }"),
+], ids=["ethernet", "can"])
+def test_zero_rate_is_a_compile_error(old, new):
+    ast, diags = parse(SMALL_NETWORK.read_text().replace(old, new))
+    assert not has_errors(diags)
+    with pytest.raises(CompileError, match="must be positive"):
+        compile_network(ast)

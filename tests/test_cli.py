@@ -216,3 +216,19 @@ def test_run_rejects_config_without_derived_message_fields(tmp_path, listing_sma
         assert main(["run", str(old), "--horizon", "10ms", "--out", str(out)]) == 1
         assert repr(field) in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_run_window_without_completions_is_rejected_before_running(
+        tmp_path, listing_small, capsys, monkeypatch):
+    import autonetsim.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli.Runtime, "run", no_run)
+    src = write_listing(tmp_path, listing_small)
+    out = tmp_path / "out"
+    assert main(["run", str(src), "--horizon", "10ms", "--window", "1ms:5ms",
+                 "--set", "metrics.completions=false", "--out", str(out)]) == 2
+    assert "completion recording" in capsys.readouterr().err
+    assert not out.exists()

@@ -429,3 +429,38 @@ def test_drift_zero_tt_is_exact():
     samples = rt.store.latencies[("beat", "listener")]
     assert len({s.latency for s in samples}) == 1
     assert rt.store.jitter("beat", "listener") == 0
+
+
+ETH_TO_TWO_CAN_RECEIVERS = """
+network ethtwocan {
+  devices { canLink cb1; node ecu; node ecu2; node telem; gateway gw; switch s; }
+  connections {
+    segment backbone { telem <--> s; gw <--> s; }
+    segment canside { ecu <--> cb1; ecu2 <--> cb1; gw <--> cb1; }
+  }
+  communication {
+    message cmd {
+      sender telem;
+      receivers ecu, ecu2;
+      payload 4B;
+      period 1ms;
+      mapping {
+        backbone: %s;
+        gw;
+        canside: can{id 55;};
+      }
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("binding", ["tt{ctID 5;}", "avb{id 3;}"], ids=["tt", "avb"])
+def test_gateway_routes_stream_keyed_by_destination(binding):
+    # With several receivers the gateway's rule is keyed by ("dst", gw),
+    # not by the stream's class key; ingress must fall back to it.
+    rt = build(ETH_TO_TWO_CAN_RECEIVERS % binding)
+    result = rt.run(20 * MS)
+    assert result.deliveries.get("cmd@ecu", 0) == 21
+    assert result.deliveries.get("cmd@ecu2", 0) == 21
+    assert rt.store.scalar("gw", "drops.no_rule", 0) == 0

@@ -7,7 +7,7 @@ from autonetsim.ethernet import (
     PayloadOutOfRange, Switch, TdmaSchedule, TdmaWindow, bag_gate,
     check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
 )
-from autonetsim.kernel import MS, US, Simulator
+from autonetsim.kernel import MS, US, EventKind, Simulator
 from autonetsim.metrics import MetricStore
 
 RATE = 100_000_000
@@ -242,3 +242,47 @@ def test_switch_forwarding():
     assert store.scalar("s2", "drops[forwarding]") == 1
     # hardware delay: forwarding happened 8 us after ingress
     assert all(t >= 8 * US for _, t in peer_a.got)
+
+
+def test_enqueue_while_transmission_runs_on_schedules_no_kick():
+    sim, store, port, peer = make_port()
+    sim.trace = []
+    dur = eth_frame_duration(46, RATE)
+    port.enqueue(frame(BE(0)), 0)
+    sim.run_until(1 * US)  # the first frame is on the wire until dur
+    port.enqueue(frame(BE(0)), sim.now)
+    sim.run_until(1 * MS)
+    assert [t for t, _, _, kind in sim.trace if kind == "PORT_TRY_SEND"] == [0, dur, 2 * dur]
+    assert [t for _, t in peer.got] == [dur, 2 * dur]
+
+
+def test_enqueue_at_transmission_end_keeps_its_kick():
+    sim, store, port, peer = make_port()
+    dur = eth_frame_duration(46, RATE)
+    # Scheduled before the port's PORT_TX_DONE, so it runs first at that tick.
+    sim.register("probe", lambda ev: port.enqueue(frame(BE(0)), ev.time))
+    sim.schedule(dur, "probe", EventKind.TIMER)
+    sim.trace = []
+    port.enqueue(frame(BE(0)), 0)
+    sim.run_until(1 * MS)
+    at_end = [(target, kind) for t, _, target, kind in sim.trace if t == dur]
+    assert at_end == [
+        ("probe", "TIMER"),
+        ("s1.port.en2", "PORT_TX_DONE"),
+        ("s1.port.en2", "PORT_TRY_SEND"),
+    ]
+    assert [t for _, t in peer.got] == [dur, 2 * dur]
+
+
+def test_unreserved_port_never_touches_credit_state(monkeypatch):
+    def untouchable(*args, **kwargs):
+        raise AssertionError("credit state used on a port without a reservation")
+
+    for method in ("advance", "reset_if_positive", "zero_crossing"):
+        monkeypatch.setattr(CreditState, method, untouchable)
+    sim, store, port, peer = make_port()
+    for _ in range(3):
+        port.enqueue(frame(BE(2)), 0)
+        port.enqueue(frame(RC(4, 100 * US), payload=100), 0)
+    sim.run_until(5 * MS)
+    assert len(peer.got) == 6

@@ -103,6 +103,17 @@ def test_overflow_guard():
         sim.schedule(2**63, "probe", EventKind.TIMER)
 
 
+def test_negative_time_is_an_overflow_and_earlier_time_is_in_the_past():
+    sim, _ = make_sim()
+    with pytest.raises(SimTimeOverflow):
+        sim.schedule(-1, "probe", EventKind.TIMER)  # also while now == 0
+    sim.run_until(3)
+    with pytest.raises(SimTimeOverflow):
+        sim.schedule(-1, "probe", EventKind.TIMER)
+    with pytest.raises(SchedulingInPast):
+        sim.schedule(2, "probe", EventKind.TIMER)
+
+
 def test_oscillator_identity():
     osc = Oscillator(0)
     assert osc.local_to_ideal(1 * SEC) == 1 * SEC
