@@ -36,6 +36,10 @@ class CompileError(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics if d.severity == "error"))
         self.diagnostics = diagnostics
 
+    def __reduce__(self):
+        # Rebuilt from the diagnostics, so it survives the trip back from `run --jobs` workers.
+        return (CompileError, (self.diagnostics,))
+
 
 def _binding_dict(binding) -> dict:
     if isinstance(binding, CanBind):

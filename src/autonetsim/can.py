@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from heapq import heappop, heappush
 
 from .kernel import SEC, Event, EventKind, Simulator
 from .metrics import MetricStore
@@ -63,45 +64,28 @@ class CanFrame:
 
 
 def arbitrate(pending: list[tuple[int, int, CanFrame]]) -> CanFrame | None:
-    """Pick the winner among (can_id, node_index, frame) candidates."""
+    """Pick the winner among (can_id, node_index, frame) candidates (the
+    reference form of the order CanBus keeps in its heap)."""
     if not pending:
         return None
     return min(pending, key=lambda c: (c[0], c[1]))[2]
 
 
 class NodeCanPort:
-    """Controller of an application node: unbounded FIFO transmit queue."""
+    """Controller of an application node: unbounded transmit queue, kept in
+    the bus's heap."""
 
     def __init__(self, node: str):
         self.node = node
-        self.queue: deque[tuple[CanFrame, int]] = deque()
-        self._order = 0
         self.subscriptions: set[int] = set()
         self.on_rx = None  # callable(frame, now)
+        self._pending: list | None = None  # the bus heap, set by CanBus.attach
+        self._index = 0
+        self._order = 0
 
     def submit(self, frame: CanFrame) -> None:
         self._order += 1
-        self.queue.append((frame, self._order))
-
-    def best(self) -> tuple[int, int, CanFrame] | None:
-        if not self.queue:
-            return None
-        frame, order = min(self.queue, key=lambda e: (e[0].can_id, e[1]))
-        return (frame.can_id, order, frame)
-
-    def take(self, frame: CanFrame) -> None:
-        for entry in self.queue:
-            if entry[0] is frame:
-                self.queue.remove(entry)
-                return
-        raise LookupError("frame not queued")
-
-    def wants(self, can_id: int) -> bool:
-        return can_id in self.subscriptions
-
-    def deliver(self, frame: CanFrame, now: int) -> None:
-        if self.on_rx is not None:
-            self.on_rx(frame, now)
+        heappush(self._pending, (frame.can_id, self._index, self._order, frame, None))
 
 
 class GatewayCanPort:
@@ -109,7 +93,8 @@ class GatewayCanPort:
 
     Placing a batch (the burst produced by decoding one aggregate frame)
     queues its records in order.  If a later batch finds frames of the same
-    id still waiting, the stale ones are overwritten and counted as drops.
+    id still waiting, the stale ones are overwritten and counted as drops;
+    their bus heap entries are dropped when they reach the top.
     """
 
     def __init__(self, gateway: str, bus: str, store: MetricStore):
@@ -117,46 +102,41 @@ class GatewayCanPort:
         self.bus = bus
         self.store = store
         self.slots: dict[int, deque[CanFrame]] = {}
+        self.occupancy = 0  # frames in all slots
         self.subscriptions: set[int] = set()
         self.on_rx = None
+        self._pending: list | None = None
+        self._index = 0
+        self._order = 0
 
     def place_batch(self, frames: list[CanFrame], now: int) -> None:
         by_id: dict[int, list[CanFrame]] = {}
         for f in frames:
             by_id.setdefault(f.can_id, []).append(f)
+        store = self.store
+        pending, index = self._pending, self._index
         for can_id, batch in by_id.items():
             slot = self.slots.setdefault(can_id, deque())
             if slot:
-                self.store.scalar_add(f"{self.node}.canif[{self.bus}]", "overwrites", len(slot), "frames")
+                store.scalar_add(f"{self.node}.canif[{self.bus}]", "overwrites", len(slot), "frames")
+                self.occupancy -= len(slot)
                 slot.clear()
             slot.extend(batch)
-        self.store.record_queue(
-            f"{self.node}.canif[{self.bus}]", "txObjects", now,
-            sum(len(s) for s in self.slots.values()),
-        )
-
-    def best(self) -> tuple[int, int, CanFrame] | None:
-        candidates = [(i, s[0]) for i, s in self.slots.items() if s]
-        if not candidates:
-            return None
-        can_id, frame = min(candidates, key=lambda c: c[0])
-        return (can_id, 0, frame)
-
-    def take(self, frame: CanFrame) -> None:
-        slot = self.slots[frame.can_id]
-        assert slot[0] is frame
-        slot.popleft()
-
-    def wants(self, can_id: int) -> bool:
-        return can_id in self.subscriptions
-
-    def deliver(self, frame: CanFrame, now: int) -> None:
-        if self.on_rx is not None:
-            self.on_rx(frame, now)
+            self.occupancy += len(batch)
+            for f in batch:
+                self._order += 1
+                heappush(pending, (can_id, index, self._order, f, self))
+        if store.flags.queues:
+            store.record_queue(f"{self.node}.canif[{self.bus}]", "txObjects", now, self.occupancy)
 
 
 class CanBus:
-    """Shared bus: serializes frames, delivers to matching receivers."""
+    """Shared bus: serializes frames, delivers to matching receivers.
+
+    Every pending frame of every controller sits in one heap keyed by
+    (can_id, attachment index, submission order): the arbitration order,
+    found in O(log n) without polling the controllers.
+    """
 
     def __init__(
         self,
@@ -176,17 +156,21 @@ class CanBus:
         self.segment = segment or name
         self.stuffing = stuffing
         self.ports: list = []
+        self.pending: list[tuple[int, int, int, CanFrame, GatewayCanPort | None]] = []
         self.busy_until = 0
-        self._sending: tuple[CanFrame, object] | None = None
+        self._sending: tuple[CanFrame, object, int] | None = None  # frame, sender, wire bits
         self._arb_scheduled = False
+        self._timing: dict[int, tuple[int, int]] = {}  # payload length -> (ticks, wire bits)
         self.sent = 0
         self.delivered = 0
         sim.register(name, self._handle)
 
     def attach(self, port) -> int:
         """Attach a controller; the return value is its node index."""
+        port._pending = self.pending
+        port._index = len(self.ports)
         self.ports.append(port)
-        return len(self.ports) - 1
+        return port._index
 
     def notify(self, now: int) -> None:
         """A controller gained a pending frame; arbitrate once the bus idles."""
@@ -201,38 +185,55 @@ class CanBus:
         elif ev.kind is EventKind.CAN_TX_DONE:
             self._complete(ev.time)
 
+    def _top(self):
+        """The winning heap entry, or None; overwritten gateway frames are dropped."""
+        pending = self.pending
+        while pending:
+            entry = pending[0]
+            port = entry[4]
+            if port is None:
+                return entry
+            slot = port.slots[entry[0]]
+            # Slot frames were pushed in order, so a live entry at the top
+            # is its slot's head; an overwritten one is in no slot.
+            if slot and slot[0] is entry[3]:
+                return entry
+            heappop(pending)
+        return None
+
     def _arbitrate(self, now: int) -> None:
-        if self._sending is not None or now < self.busy_until:
+        if self._sending is not None or now < self.busy_until or self._top() is None:
             return
-        pending = []
-        for idx, port in enumerate(self.ports):
-            best = port.best()
-            if best is not None:
-                pending.append((best[0], idx, best[2]))
-        frame = arbitrate(pending)
-        if frame is None:
-            return
-        port = self.ports[next(idx for _, idx, f in pending if f is frame)]
-        port.take(frame)
-        duration = can_frame_duration(frame.payload_len, self.bitrate, self.stuffing)
-        self.busy_until = now + duration
-        self._sending = (frame, port)
+        can_id, index, _, frame, gw_port = heappop(self.pending)
+        if gw_port is not None:
+            gw_port.slots[can_id].popleft()
+            gw_port.occupancy -= 1
+        size = frame.payload_len
+        timing = self._timing.get(size)
+        if timing is None:
+            timing = self._timing[size] = (
+                can_frame_duration(size, self.bitrate, self.stuffing),
+                can_wire_bits(size, self.stuffing),
+            )
+        self.busy_until = now + timing[0]
+        self._sending = (frame, self.ports[index], timing[1])
         self.sim.schedule(self.busy_until, self.name, EventKind.CAN_TX_DONE)
 
     def _complete(self, now: int) -> None:
         assert self._sending is not None
-        frame, sender = self._sending
+        frame, sender, wire_bits = self._sending
         self._sending = None
         self.sent += 1
-        self.store.link_completed(self.name, now, can_wire_bits(frame.payload_len, self.stuffing))
+        self.store.link_completed(self.name, now, wire_bits)
+        can_id = frame.can_id
         for port in self.ports:
-            if port is sender:
-                continue
-            if port.wants(frame.can_id):
+            if can_id in port.subscriptions and port is not sender:
                 self.delivered += 1
-                port.deliver(frame, now)
+                on_rx = port.on_rx
+                if on_rx is not None:
+                    on_rx(frame, now)
         # Anything still pending re-arbitrates immediately; the 3-bit
         # interframe space is already part of the frame duration.
-        if any(port.best() is not None for port in self.ports):
+        if self._top() is not None:
             self._arb_scheduled = True
             self.sim.schedule(now, self.name, EventKind.CAN_ARBITRATE)

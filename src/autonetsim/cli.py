@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 from .andl import CompileError, compile_network, has_errors, parse, validate
@@ -109,7 +111,8 @@ def _parse_times(args) -> tuple[int, tuple[int, int] | None]:
     return horizon, window
 
 
-def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> int:
+def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> str:
+    """Simulate and export one file; return its printed summary."""
     cfg = _load_config(path, overrides, args.network)
     if window and window != (0, horizon) and not cfg.metric_flags.get("completions", True):
         # Only the whole run's totals are kept without completion records.
@@ -129,13 +132,11 @@ def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> 
         rt.store.export_csv(outdir)
     else:
         rt.store.export_json(outdir / "results.json")
-    print(f"[{path}] {result.events} events, final time {result.final_time} ps")
-    for key in sorted(result.deliveries):
-        print(f"[{path}]   delivered {key}: {result.deliveries[key]}")
-    for link in sorted(result.link_frames):
-        print(f"[{path}]   frames {link}: {result.link_frames[link]}")
-    print(f"[{path}]   drops: {result.drops}")
-    return EXIT_OK
+    lines = [f"[{path}] {result.events} events, final time {result.final_time} ps"]
+    lines += [f"[{path}]   delivered {key}: {result.deliveries[key]}" for key in sorted(result.deliveries)]
+    lines += [f"[{path}]   frames {link}: {result.link_frames[link]}" for link in sorted(result.link_frames)]
+    lines.append(f"[{path}]   drops: {result.drops}")
+    return "\n".join(lines)
 
 
 def cmd_run(args) -> int:
@@ -145,21 +146,30 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
+    if args.jobs < 1:
+        print(f"--jobs {args.jobs}: must be at least 1", file=sys.stderr)
+        return EXIT_IO
     out_base = Path(args.out)
     jobs = []
     for path in args.files:
         sub = out_base if len(args.files) == 1 else out_base / Path(path).stem
-        jobs.append((path, sub))
+        jobs.append((path, args, overrides, sub, horizon, window))
+    # Runs share no state, so files go to separate processes; summaries are
+    # printed in file order, as a serial run prints them.
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     try:
-        if args.jobs > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                codes = list(pool.map(
-                    lambda j: _run_one(j[0], args, overrides, j[1], horizon, window), jobs))
-            return max(codes)
-        for path, sub in jobs:
-            code = _run_one(path, args, overrides, sub, horizon, window)
-            if code != EXIT_OK:
-                return code
+        if workers > 1:
+            with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+                futures = [pool.submit(_run_one, *job) for job in jobs]
+                try:
+                    for future in futures:
+                        print(future.result())
+                finally:
+                    for future in futures:
+                        future.cancel()
+        else:
+            for job in jobs:
+                print(_run_one(*job))
         return EXIT_OK
     except OSError as exc:
         print(exc, file=sys.stderr)

@@ -174,7 +174,8 @@ class Pool:
             if self._timer is not None:
                 self.sim.cancel(self._timer)
             self._timer = self.sim.schedule(candidate, self.path, EventKind.POOL_FLUSH, False)
-        self.store.record_queue(self.path, "pool", now, len(self.buffered))
+        if self.store.flags.queues:
+            self.store.record_queue(self.path, "pool", now, len(self.buffered))
 
     def _handle(self, ev: Event) -> None:
         if ev.kind is not EventKind.POOL_FLUSH:
@@ -197,7 +198,8 @@ class Pool:
         self._timer = None
         for e in entries:
             self.store.vec(self.path, "holdUpTime", now, now - e.arrival)
-        self.store.record_queue(self.path, "pool", now, 0)
+        if self.store.flags.queues:
+            self.store.record_queue(self.path, "pool", now, 0)
         self.on_flush(entries, now)
 
 
@@ -255,7 +257,7 @@ class Gateway:
     # -- CAN ingress ----------------------------------------------------------
 
     def on_can_rx(self, bus, frame: CanFrame, now: int) -> None:
-        if frame.message is not None:
+        if frame.message is not None and self.store.flags.stations:
             self.store.station_latency(self.name, frame.message, frame.creation_time, now)
         dests = self.can_rules.get((bus.segment, frame.can_id))
         if not dests:

@@ -18,16 +18,21 @@ from pathlib import Path
 from .kernel import SEC
 
 
-@dataclass(frozen=True)
 class LatencySample:
-    message: str
-    sink: str
-    creation: int
-    arrival: int
+    """One delivery of a message at a sink; latency is arrival - creation."""
 
-    @property
-    def latency(self) -> int:
-        return self.arrival - self.creation
+    __slots__ = ("message", "sink", "creation", "arrival", "latency")
+
+    def __init__(self, message: str, sink: str, creation: int, arrival: int):
+        self.message = message
+        self.sink = sink
+        self.creation = creation
+        self.arrival = arrival
+        self.latency = arrival - creation
+
+    def __repr__(self) -> str:
+        return (f"LatencySample(message={self.message!r}, sink={self.sink!r}, "
+                f"creation={self.creation}, arrival={self.arrival})")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autonetsim.can import (
     CanBus, CanFrame, GatewayCanPort, NodeCanPort, arbitrate,
     can_frame_duration, can_wire_bits, worst_case_stuff_bits,
 )
-from autonetsim.kernel import US, Simulator
+from autonetsim.kernel import US, EventKind, Simulator
 from autonetsim.metrics import MetricStore
 
 
@@ -128,8 +130,14 @@ def test_conservation_on_error_free_bus():
 
 
 def test_gateway_port_batch_overwrite():
-    store = MetricStore()
+    sim, store, bus = bus_fixture()
     port = GatewayCanPort("gw1", "cb2", store)
+    rx = NodeCanPort("rx")
+    sink = Sink()
+    rx.on_rx = sink
+    rx.subscriptions |= {10, 20}
+    bus.attach(port)
+    bus.attach(rx)
     f = lambda i: CanFrame(i, bytes(2), "cb2", 0)
     port.place_batch([f(10), f(10), f(20)], 0)
     # same-batch records of one id stay queued in order
@@ -138,7 +146,139 @@ def test_gateway_port_batch_overwrite():
     port.place_batch([f(10)], 5)
     assert len(port.slots[10]) == 1
     assert store.scalar("gw1.canif[cb2]", "overwrites") == 2
-    best = port.best()
-    assert best[0] == 10
-    port.take(best[2])
-    assert port.best()[0] == 20
+    assert [v for _, v in store.vectors[("gw1.canif[cb2]", "QueueLength[txObjects]")]] == [3, 2]
+    bus.notify(5)
+    sim.run_until(10_000 * US)
+    assert [can_id for can_id, _ in sink.got] == [10, 20]
+    assert port.occupancy == 0 and bus.sent == 2
+
+
+def test_subscription_added_after_attach_is_honoured():
+    sim, _, bus = bus_fixture()
+    tx, rx = NodeCanPort("n1"), NodeCanPort("rx")
+    sink = Sink()
+    rx.on_rx = sink
+    bus.attach(tx)
+    bus.attach(rx)
+    rx.subscriptions.add(42)
+    tx.submit(CanFrame(42, bytes(1), "cb1", 0))
+    bus.notify(0)
+    sim.run_until(10_000 * US)
+    assert sink.got == [(42, can_frame_duration(1, 500_000))]
+
+
+def test_overwritten_gateway_frame_is_never_transmitted():
+    sim, store, bus = bus_fixture()
+    node, gw, rx = NodeCanPort("n1"), GatewayCanPort("gw1", "cb1", store), NodeCanPort("rx")
+    got = []
+    rx.on_rx = lambda frame, now: got.append(frame.message)
+    rx.subscriptions |= {1, 10, 20}
+    for p in (node, gw, rx):
+        bus.attach(p)
+    node.submit(CanFrame(1, bytes(8), "cb1", 0, message="busy"))
+    bus.notify(0)
+    gw.place_batch([CanFrame(10, b"", "cb1", 0, message="stale"),
+                    CanFrame(20, b"", "cb1", 0, message="kept")], 0)
+    sim.run_until(10 * US)  # the bus is sending "busy"
+    gw.place_batch([CanFrame(10, b"", "cb1", 0, message="fresh")], sim.now)
+    bus.notify(sim.now)
+    sim.run_until(10_000 * US)
+    assert got == ["busy", "fresh", "kept"]
+    assert store.scalar("gw1.canif[cb1]", "overwrites") == 1
+    assert bus.sent == 3 and not bus.pending
+
+
+# -- differential check of the bus heap against the arbitration rule ---------
+
+SLOT = 50 * US   # action times are multiples of this; frames take 94-222 us
+IDS = st.integers(0, 5)  # few ids, so equal ids meet on one bus
+PAYLOAD = st.integers(0, 8)
+ACTION = st.one_of(
+    st.tuples(st.just("node"), st.integers(0, 2), st.tuples(IDS, PAYLOAD)),
+    st.tuples(st.just("gw"), st.integers(0, 1), st.lists(st.tuples(IDS, PAYLOAD), min_size=1, max_size=4)),
+)
+PORTS = ["n0", "n1", "n2", "g0", "g1"]
+
+
+def reference_transmissions(order, actions):
+    """Brute force: at every idle instant apply `arbitrate` to each
+    controller's best frame, as a bus that polls its controllers would."""
+    nodes = {name: [] for name in order if name[0] == "n"}   # [(can_id, seq, frame)]
+    slots = {name: {} for name in order if name[0] == "g"}   # can_id -> [frame]
+    seq = 0
+    out, t, i = [], 0, 0
+    while True:
+        while i < len(actions) and actions[i][0] <= t:
+            _, port, frames = actions[i]
+            i += 1
+            if port in nodes:
+                seq += 1
+                nodes[port].append((frames[0].can_id, seq, frames[0]))
+            else:
+                by_id = {}
+                for f in frames:
+                    by_id.setdefault(f.can_id, []).append(f)
+                for can_id, batch in by_id.items():
+                    slots[port][can_id] = list(batch)
+        candidates = []
+        for index, name in enumerate(order):
+            if nodes.get(name):
+                can_id, _, frame = min(nodes[name], key=lambda e: e[:2])
+                candidates.append((can_id, index, frame))
+            elif name in slots:
+                live = [(can_id, q[0]) for can_id, q in slots[name].items() if q]
+                if live:
+                    can_id, frame = min(live, key=lambda e: e[0])
+                    candidates.append((can_id, index, frame))
+        frame = arbitrate(candidates)
+        if frame is None:
+            if i == len(actions):
+                return out
+            t = actions[i][0]
+            continue
+        sender = order[next(idx for cid, idx, f in candidates if f is frame)]
+        if sender in nodes:
+            nodes[sender] = [e for e in nodes[sender] if e[2] is not frame]
+        else:
+            slots[sender][frame.can_id].pop(0)
+        t += can_frame_duration(len(frame.payload), 500_000)
+        out.append((t, frame.can_id, frame.message))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.permutations(PORTS), timed=st.lists(st.tuples(st.integers(0, 40), ACTION), max_size=30))
+def test_bus_heap_matches_reference_arbitration(order, timed):
+    sim, store, bus = bus_fixture()
+    ports = {name: NodeCanPort(name) if name[0] == "n" else GatewayCanPort(name, "cb1", store)
+             for name in order}
+    for name in order:
+        bus.attach(ports[name])
+    rx = NodeCanPort("rx")
+    got = []
+    rx.on_rx = lambda frame, now: got.append((now, frame.can_id, frame.message))
+    bus.attach(rx)
+    rx.subscriptions |= set(range(6))
+    actions = []
+    for k, (slot, (kind, which, spec)) in enumerate(sorted(timed, key=lambda a: a[0])):
+        name = f"{kind[0]}{which}"
+        specs = [spec] if kind == "node" else spec
+        frames = [CanFrame(can_id, bytes(n), "cb1", 0, message=f"{name}#{k}.{j}")
+                  for j, (can_id, n) in enumerate(specs)]
+        actions.append((slot * SLOT, name, frames))
+
+    def act(ev):
+        _, name, frames = ev.payload
+        if name[0] == "n":
+            ports[name].submit(frames[0])
+        else:
+            ports[name].place_batch(frames, ev.time)
+        bus.notify(ev.time)
+
+    sim.register("driver", act)
+    for action in actions:
+        sim.schedule(action[0], "driver", EventKind.TIMER, action)
+    sim.run_to_completion()
+    assert got == reference_transmissions(order, actions)
+    created = sum(len(frames) for _, _, frames in actions)
+    overwritten = sum(v for (_, name), (v, _) in store.scalars.items() if name == "overwrites")
+    assert bus.sent == len(got) == created - overwritten

@@ -103,6 +103,34 @@ def test_run_structured_format_and_jobs(tmp_path, listing_small):
     assert doc1 == doc2
 
 
+def _tree(d: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+def test_run_jobs_output_matches_serial_run(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1] / "scenarios"
+    files = [str(root / "small_network.andl"), str(root / "two_pools.andl")]
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", *files, "--horizon", "200ms", "--out", str(out),
+                     "--jobs", jobs]) == 0
+        outputs[jobs] = capsys.readouterr().out, _tree(out)
+    assert outputs["1"][0].index("small_network.andl]") < outputs["1"][0].index("two_pools.andl]")
+    assert len(outputs["1"][1]) > 2
+    assert outputs["2"] == outputs["1"]
+    # A file that fails in a worker fails the run as it does serially.
+    bad = tmp_path / "bad.andl"
+    bad.write_text("network broken {")
+    codes = []
+    for jobs in ("1", "2"):
+        codes.append(main(["run", files[0], str(bad), "--horizon", "20ms",
+                           "--out", str(tmp_path / f"bad{jobs}"), "--jobs", jobs]))
+        outputs[jobs] = capsys.readouterr().out
+    assert codes == [1, 1]
+    assert outputs["2"] == outputs["1"]
+
+
 def test_analyze_latency_and_jitter(tmp_path, listing_small, capsys):
     src = write_listing(tmp_path, listing_small)
     out = tmp_path / "res"
@@ -177,7 +205,8 @@ def test_shipped_scenarios_compile_and_run(tmp_path, capsys):
     (None, ["run", "--set", "gw1.processingDelay=fast"], 2, "gw1.processingDelay"),
     (None, ["run", "--horizon", "9999999s"], 2, "--horizon"),
     (None, ["run", "--window", "5ms:1ms"], 2, "--window"),
-], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window"])
+    (None, ["run", "--jobs", "0"], 2, "--jobs"),
+], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window", "jobs"])
 def test_bad_values_are_diagnosed_before_running(
         tmp_path, listing_small, capsys, monkeypatch, ini, argv, code, needle):
     import autonetsim.cli as cli
