@@ -15,9 +15,10 @@ from ..config import (
     BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
     OverrideError, PoolCfg, RuleCfg, ScheduleCfg, WindowCfg, apply_override_layers,
 )
-from ..ethernet import ETH_MAX_PAYLOAD, eth_frame_duration, eth_wire_bits, pad_payload
+from ..ethernet import (DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, check_reservation_cap,
+                        eth_frame_duration, eth_wire_bits, pad_payload)
 from ..gateway import COUNT_PREFIX, RECORD_HEADER
-from ..kernel import SEC, US, parse_duration, parse_rate
+from ..kernel import SEC, parse_duration, parse_rate
 from .nodes import (
     AndlFile, AvbBind, BeBind, CanBind, Diagnostic, MessageDecl, NetworkDecl,
     PoolBind, RcBind, TtBind, has_errors,
@@ -26,7 +27,6 @@ from .tdma import CycleTooLong, ScheduleInfeasible, TtFlow, generate_tdma_schedu
 
 DEFAULT_ETH_RATE = 100_000_000
 DEFAULT_CAN_BITRATE = 500_000
-DEFAULT_HW_DELAY = 8 * US
 
 NODE_KINDS = ("node", "gateway", "switch")
 
@@ -713,9 +713,9 @@ class _Builder:
             rate = self.link_rate.get(link)
             if rate is None:
                 continue
-            total = slot.get("A", 0) + slot.get("B", 0)
-            if 4 * total > 3 * rate:
-                self.error(0, f"AVB reservation on {link} is {total} b/s, above 75% of {rate} b/s")
+            a, b = slot.get("A", 0), slot.get("B", 0)
+            if not check_reservation_cap(a, b, rate):
+                self.error(0, f"AVB reservation on {link} is {a + b} b/s, above 75% of {rate} b/s")
 
         self.cfg.warnings.extend(str(d) for d in self.diags if d.severity == "warning")
         return self.cfg, self.diags

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..ethernet import BE
 from ..kernel import parse_byte_count, parse_duration
 from .nodes import (
     AndlFile, AvbBind, BeBind, CanBind, ConnDecl, DeviceDecl, Diagnostic,
@@ -425,7 +426,12 @@ class Parser:
         if kind == "be":
             self.expect("{")
             self.expect("priority")
+            prio_tok = self.peek()
             prio = self.integer("priority")
+            try:
+                BE(prio)
+            except ValueError as exc:  # well-formed, so parsing goes on
+                self.diags.append(Diagnostic("error", prio_tok.line, prio_tok.col, str(exc)))
             self.expect(";")
             self.expect("}")
             return BeBind(prio)

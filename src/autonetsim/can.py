@@ -161,7 +161,6 @@ class CanBus:
         self._sending: tuple[CanFrame, object, int] | None = None  # frame, sender, wire bits
         self._arb_scheduled = False
         self._timing: dict[int, tuple[int, int]] = {}  # payload length -> (ticks, wire bits)
-        self.sent = 0
         self.delivered = 0
         sim.register(name, self._handle)
 
@@ -223,7 +222,6 @@ class CanBus:
         assert self._sending is not None
         frame, sender, wire_bits = self._sending
         self._sending = None
-        self.sent += 1
         self.store.link_completed(self.name, now, wire_bits)
         can_id = frame.can_id
         for port in self.ports:

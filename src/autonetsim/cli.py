@@ -17,7 +17,7 @@ from pathlib import Path
 from .andl import CompileError, compile_network, has_errors, parse, validate
 from .config import ConfigError, NetworkConfig, apply_override_layers
 from .engine import Runtime
-from .kernel import MAX_TICKS, SEC, US, parse_duration
+from .kernel import MAX_TICKS, US, parse_duration
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -120,18 +120,17 @@ def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> 
                          " (metrics.completions=true)")
     rt = Runtime(cfg, seed=args.seed)
     result = rt.run(horizon, drain=not args.no_drain)
-    if window:
-        w0, w1 = window
-        for link in sorted(rt.store.link_bits):
-            bw = rt.store.utilized_bandwidth(link, w0, w1)
-            rt.store.scalar_set(link, f"utilizedBandwidth[{args.window}]", bw, "bit/s")
-    for link in sorted(rt.store.link_bits):
-        rt.store.scalar_set(link, "utilizedBandwidth", rt.store.utilized_bandwidth(link), "bit/s")
+    store = rt.store
+    for link in sorted(store.link_bits):
+        store.scalar_set(link, "utilizedBandwidth", store.utilized_bandwidth(link), "bit/s")
+        if window:
+            bw = store.utilized_bandwidth(link, *window)
+            store.scalar_set(link, f"utilizedBandwidth[{args.window}]", bw, "bit/s")
     outdir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        rt.store.export_csv(outdir)
+        store.export_csv(outdir)
     else:
-        rt.store.export_json(outdir / "results.json")
+        store.export_json(outdir / "results.json")
     lines = [f"[{path}] {result.events} events, final time {result.final_time} ps"]
     lines += [f"[{path}]   delivered {key}: {result.deliveries[key]}" for key in sorted(result.deliveries)]
     lines += [f"[{path}]   frames {link}: {result.link_frames[link]}" for link in sorted(result.link_frames)]
@@ -236,15 +235,10 @@ def cmd_analyze(args) -> int:
                 rows.append((series, f"jitter={jit/US:.3f}us over {len(values)} samples"))
             plot.extend((series, t, v) for t, v in points)
     elif args.metric == "bandwidth":
-        window = doc.get("window")
+        # Totals include drained frames; rates are the exported scalars.
         for link, info in sorted(doc.get("links", {}).items()):
-            if pattern not in link:
-                continue
-            if window:
-                bw = info["wire_bits"] * SEC / (window[1] - window[0])
-                rows.append((link, f"{bw:.1f} bit/s over run window"))
-            else:
-                rows.append((link, f"{info['wire_bits']} wire bits"))
+            if pattern in link:
+                rows.append((link, f"{info['wire_bits']} wire bits in {info['frames']} frames"))
         for name, entry in sorted(doc.get("scalars", {}).items()):
             if "utilizedBandwidth" in name and pattern in name:
                 rows.append((name, f"{entry['value']} {entry['unit']}"))

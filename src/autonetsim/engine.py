@@ -332,11 +332,10 @@ class Runtime:
 
     def run(self, horizon: int, drain: bool = True) -> RunResult:
         self.stop_time = horizon
-        self.store.run_window = (0, horizon)
         summary = self.sim.run_until(horizon)
         events = summary.events_dispatched
         final = summary.final_time
-        self.store.freeze_window_totals()
+        self.store.close_run_window(horizon)
         if drain:
             extra = self.sim.run_to_completion()
             events += extra.events_dispatched

@@ -162,15 +162,18 @@ class Pool:
         self.holdup_by_id = dict(holdup_by_id)
         self.on_flush = on_flush
         self.buffered: list[PoolEntry] = []
-        self.deadline: int | None = None
         self._timer = None
         sim.register(self.path, self._handle)
+
+    @property
+    def deadline(self) -> int | None:
+        """When the armed flush timer fires; None while the pool is idle."""
+        return None if self._timer is None else self._timer.time
 
     def insert(self, record: CanRecord, now: int, dests: tuple[str, ...], tag) -> None:
         self.buffered.append(PoolEntry(record, now, dests, tag))
         candidate = now + self.holdup_by_id[record.can_id]
         if self.deadline is None or candidate < self.deadline:
-            self.deadline = candidate
             if self._timer is not None:
                 self.sim.cancel(self._timer)
             self._timer = self.sim.schedule(candidate, self.path, EventKind.POOL_FLUSH, False)
@@ -188,14 +191,11 @@ class Pool:
         self.flush(ev.time)
 
     def flush(self, now: int) -> None:
+        self._timer = None
         if not self.buffered:
-            self.deadline = None
-            self._timer = None
             return
         entries = self.buffered
         self.buffered = []
-        self.deadline = None
-        self._timer = None
         for e in entries:
             self.store.vec(self.path, "holdUpTime", now, now - e.arrival)
         if self.store.flags.queues:

@@ -19,20 +19,17 @@ from .kernel import SEC
 
 
 class LatencySample:
-    """One delivery of a message at a sink; latency is arrival - creation."""
+    """One delivery; latency is arrival - creation (the store keys it by message and sink)."""
 
-    __slots__ = ("message", "sink", "creation", "arrival", "latency")
+    __slots__ = ("creation", "arrival", "latency")
 
-    def __init__(self, message: str, sink: str, creation: int, arrival: int):
-        self.message = message
-        self.sink = sink
+    def __init__(self, creation: int, arrival: int):
         self.creation = creation
         self.arrival = arrival
         self.latency = arrival - creation
 
     def __repr__(self) -> str:
-        return (f"LatencySample(message={self.message!r}, sink={self.sink!r}, "
-                f"creation={self.creation}, arrival={self.arrival})")
+        return f"LatencySample(creation={self.creation}, arrival={self.arrival})"
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ class MetricStore:
         self.link_frames: dict[str, int] = {}
         self.link_completions: dict[str, list[tuple[int, int]]] = {}
         self.run_window: tuple[int, int] | None = None
-        self._window_bits: dict[str, int] | None = None
+        self._window_bits: dict[str, int] = {}
 
     # -- raw recording -------------------------------------------------
 
@@ -98,11 +95,13 @@ class MetricStore:
     # -- latency -------------------------------------------------------
 
     def add_latency(self, message: str, sink: str, creation: int, arrival: int) -> None:
-        sample = LatencySample(message, sink, creation, arrival)
+        sample = LatencySample(creation, arrival)
         if sample.latency < 0:
             raise ValueError(f"negative latency for {message} at {sink}")
-        self.latencies.setdefault((message, sink), []).append(sample)
-        self.vec(f"{sink}.app[{message}]", "rxLatency", arrival, sample.latency)
+        samples = self.latencies.setdefault((message, sink), [])
+        if samples and arrival < samples[-1].arrival:
+            raise ValueError(f"timestamps must be non-decreasing in {sink}.app[{message}].rxLatency")
+        samples.append(sample)
 
     def station_latency(self, station: str, message: str, creation: int, arrival: int) -> None:
         if self.flags.stations:
@@ -143,9 +142,10 @@ class MetricStore:
         if self.flags.completions:
             self.link_completions.setdefault(link, []).append((t, wire_bits))
 
-    def freeze_window_totals(self) -> None:
-        """Snapshot per-link totals at the end of the run window so frames
-        completing during the post-horizon drain are not counted."""
+    def close_run_window(self, horizon: int) -> None:
+        """Make (0, horizon] the run window and snapshot the per-link totals it
+        is answered from, so frames completing in the post-horizon drain never count."""
+        self.run_window = (0, horizon)
         self._window_bits = dict(self.link_bits)
 
     def utilized_bandwidth(self, link: str, t0: int | None = None, t1: int | None = None) -> float:
@@ -157,51 +157,52 @@ class MetricStore:
             t0, t1 = self.run_window
         if t1 <= t0:
             raise ValueError("window must have t1 > t0")
-        if self.flags.completions:
+        if (t0, t1) == self.run_window:
+            bits = self._window_bits.get(link, 0)
+        elif self.flags.completions:
             bits = sum(b for t, b in self.link_completions.get(link, ()) if t0 < t <= t1)
-        elif self.run_window is not None and (t0, t1) == self.run_window:
-            totals = self._window_bits if self._window_bits is not None else self.link_bits
-            bits = totals.get(link, 0)
         else:
             raise ValueError("windowed bandwidth needs completion recording")
         return bits * SEC / (t1 - t0)
 
     # -- export ----------------------------------------------------------
 
+    def _series(self):
+        """(exported name, (time, value) points) of every series in sorted order;
+        end-to-end ``rxLatency`` points come straight from the delivery samples."""
+        series = {(f"{sink}.app[{message}]", "rxLatency"): ((s.arrival, s.latency) for s in samples)
+                  for (message, sink), samples in self.latencies.items()}
+        series.update(self.vectors)
+        for key in sorted(series):
+            yield f"{key[0]}.{key[1]}", series[key]
+
     def export_csv(self, outdir: str | Path) -> list[Path]:
         """One CSV per vector plus a scalars.csv; returns written paths."""
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        for (module, name) in sorted(self.vectors):
-            path = out / f"{module}.{name}.csv"
+        for name, points in self._series():
+            path = out / f"{name}.csv"
             lines = ["time_ps,value"]
-            lines += [f"{t},{_fmt_value(v)}" for t, v in self.vectors[(module, name)]]
+            lines += [f"{t},{_fmt_value(v)}" for t, v in points]
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
         path = out / "scalars.csv"
         lines = ["module,name,value,unit"]
-        for (module, name) in sorted(self.scalars):
-            value, unit = self.scalars[(module, name)]
+        for (module, name), (value, unit) in sorted(self.scalars.items()):
             lines.append(f"{module},{name},{_fmt_value(value)},{unit}")
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
         return written
 
     def to_document(self) -> dict:
-        doc: dict = {"vectors": {}, "scalars": {}, "links": {}}
-        for (module, name) in sorted(self.vectors):
-            doc["vectors"][f"{module}.{name}"] = [
-                [t, _fmt_value(v)] for t, v in self.vectors[(module, name)]
-            ]
-        for (module, name) in sorted(self.scalars):
-            value, unit = self.scalars[(module, name)]
+        doc: dict = {"vectors": {}, "scalars": {}}
+        for name, points in self._series():
+            doc["vectors"][name] = [[t, _fmt_value(v)] for t, v in points]
+        for (module, name), (value, unit) in sorted(self.scalars.items()):
             doc["scalars"][f"{module}.{name}"] = {"value": _fmt_value(value), "unit": unit}
-        for link in sorted(self.link_bits):
-            doc["links"][link] = {
-                "wire_bits": self.link_bits[link],
-                "frames": self.link_frames[link],
-            }
+        doc["links"] = {link: {"wire_bits": bits, "frames": self.link_frames[link]}
+                        for link, bits in sorted(self.link_bits.items())}
         if self.run_window:
             doc["window"] = list(self.run_window)
         return doc

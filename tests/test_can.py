@@ -106,7 +106,7 @@ def test_equal_id_tie_broken_by_node_index():
 
 
 def test_conservation_on_error_free_bus():
-    sim, _, bus = bus_fixture()
+    sim, store, bus = bus_fixture()
     tx = NodeCanPort("n1")
     sinks = []
     ports = [tx]
@@ -124,7 +124,7 @@ def test_conservation_on_error_free_bus():
         tx.submit(CanFrame(10, bytes(4), "cb1", 0))
     bus.notify(0)
     sim.run_until(10**12)
-    assert bus.sent == n
+    assert store.link_frames[bus.name] == n
     assert all(len(s.got) == n for s in sinks)
     assert bus.delivered == 3 * n
 
@@ -150,7 +150,7 @@ def test_gateway_port_batch_overwrite():
     bus.notify(5)
     sim.run_until(10_000 * US)
     assert [can_id for can_id, _ in sink.got] == [10, 20]
-    assert port.occupancy == 0 and bus.sent == 2
+    assert port.occupancy == 0 and store.link_frames[bus.name] == 2
 
 
 def test_subscription_added_after_attach_is_honoured():
@@ -185,7 +185,7 @@ def test_overwritten_gateway_frame_is_never_transmitted():
     sim.run_until(10_000 * US)
     assert got == ["busy", "fresh", "kept"]
     assert store.scalar("gw1.canif[cb1]", "overwrites") == 1
-    assert bus.sent == 3 and not bus.pending
+    assert store.link_frames[bus.name] == 3 and not bus.pending
 
 
 # -- differential check of the bus heap against the arbitration rule ---------
@@ -281,4 +281,4 @@ def test_bus_heap_matches_reference_arbitration(order, timed):
     assert got == reference_transmissions(order, actions)
     created = sum(len(frames) for _, _, frames in actions)
     overwritten = sum(v for (_, name), (v, _) in store.scalars.items() if name == "overwrites")
-    assert bus.sent == len(got) == created - overwritten
+    assert store.link_frames.get(bus.name, 0) == len(got) == created - overwritten

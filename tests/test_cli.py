@@ -162,6 +162,33 @@ def test_run_window_bandwidth(tmp_path, listing_small, capsys):
     assert main(["analyze", str(out), "bandwidth", "--filter", "en1->s1"]) == 0
     text = capsys.readouterr().out
     assert "utilizedBandwidth[10ms:60ms]" in text
+    # the run window's rates come from its totals, with or without completion records
+    off = tmp_path / "off"
+    assert main(["run", str(src), "--horizon", "100ms", "--out", str(off),
+                 "--set", "metrics.completions=false"]) == 0
+
+    def run_window_rows(results):
+        return [line for line in (results / "scalars.csv").read_text().splitlines()
+                if ",utilizedBandwidth," in line]
+
+    assert run_window_rows(off) and run_window_rows(off) == run_window_rows(out)
+
+
+def test_analyze_bandwidth_prints_the_exported_rates(tmp_path, capsys):
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "small_network.andl"
+    out = tmp_path / "r"
+    assert main(["run", str(scenario), "--horizon", "20ms", "--format", "structured",
+                 "--out", str(out)]) == 0
+    scalars = json.loads((out / "results.json").read_text())["scalars"]
+    exported = {name: entry["value"] for name, entry in scalars.items() if "utilizedBandwidth" in name}
+    capsys.readouterr()
+    assert main(["analyze", str(out), "bandwidth"]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, desc = line.split(None, 1)
+        if "bit/s" in desc:
+            printed[name] = desc.split()[0]
+    assert exported and printed == exported
 
 
 def test_run_infeasible_schedule_exits_semantic(tmp_path, capsys):
@@ -197,18 +224,27 @@ def test_shipped_scenarios_compile_and_run(tmp_path, capsys):
     assert "delivered doorState@displayEcu" in text
 
 
-@pytest.mark.parametrize("ini, argv, code, needle", [
-    ("metrics.stations = maybe", ["validate"], 1, "metrics.stations"),
-    ("sim.queueCapacity = lots", ["compile"], 1, "sim.queueCapacity"),
+INI = "record-eventlog = false"
+BE9 = ("avb{id 1;}", "be{priority 9;}")
+BE9_DIAG = "small.andl:64:31: error: 802.1Q priority must be 0..7"
+
+
+@pytest.mark.parametrize("edit, argv, code, needle", [
+    ((INI, "metrics.stations = maybe"), ["validate"], 1, "metrics.stations"),
+    ((INI, "sim.queueCapacity = lots"), ["compile"], 1, "sim.queueCapacity"),
     (None, ["run", "--set", "metrics.stations=maybe"], 2, "metrics.stations"),
     (None, ["run", "--set", "sim.queueCapacity=lots"], 2, "sim.queueCapacity"),
     (None, ["run", "--set", "gw1.processingDelay=fast"], 2, "gw1.processingDelay"),
     (None, ["run", "--horizon", "9999999s"], 2, "--horizon"),
     (None, ["run", "--window", "5ms:1ms"], 2, "--window"),
     (None, ["run", "--jobs", "0"], 2, "--jobs"),
-], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window", "jobs"])
+    (BE9, ["validate"], 1, BE9_DIAG),
+    (BE9, ["compile"], 1, BE9_DIAG),
+    (BE9, ["run"], 1, BE9_DIAG),
+], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window", "jobs",
+        "be-priority-validate", "be-priority-compile", "be-priority-run"])
 def test_bad_values_are_diagnosed_before_running(
-        tmp_path, listing_small, capsys, monkeypatch, ini, argv, code, needle):
+        tmp_path, listing_small, capsys, monkeypatch, edit, argv, code, needle):
     import autonetsim.cli as cli
 
     def no_runtime(*args, **kwargs):
@@ -216,8 +252,7 @@ def test_bad_values_are_diagnosed_before_running(
 
     monkeypatch.setattr(cli, "Runtime", no_runtime)
     src = tmp_path / "small.andl"
-    src.write_text(listing_small if ini is None
-                   else listing_small.replace("record-eventlog = false", ini))
+    src.write_text(listing_small if edit is None else listing_small.replace(*edit))
     out = tmp_path / "out"
     command, *rest = argv
     args = {

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from autonetsim.andl import compile_network, parse
@@ -28,6 +30,20 @@ def test_small_network_end_to_end(listing_small):
     # no TT receive violations and nothing dropped anywhere
     assert result.drops == 0
     assert not any("ttViolations" in name for (_, name) in rt.store.scalars)
+
+
+def test_end_to_end_latency_series_is_exported_from_the_samples(listing_small, tmp_path):
+    rt = build(listing_small)
+    rt.run(20 * MS)
+    samples = rt.store.latencies[("msg1", "cn2")]
+    assert samples and not any(".app[" in module for module, _ in rt.store.vectors)
+    rows = [[s.arrival, str(s.latency)] for s in samples]
+    rt.store.export_csv(tmp_path)
+    lines = (tmp_path / "cn2.app[msg1].rxLatency.csv").read_text().splitlines()
+    assert lines == ["time_ps,value"] + [f"{t},{v}" for t, v in rows]
+    rt.store.export_json(tmp_path / "results.json")
+    doc = json.loads((tmp_path / "results.json").read_text())
+    assert doc["vectors"]["cn2.app[msg1].rxLatency"] == rows
 
 
 def test_small_network_latency_decomposition(listing_small):

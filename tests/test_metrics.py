@@ -73,6 +73,15 @@ def test_negative_latency_rejected():
         store.add_latency("m", "sink", 10, 5)
 
 
+def test_latency_arrivals_must_not_go_back_in_time():
+    store = MetricStore()
+    store.add_latency("m", "sink", 0, 10)
+    store.add_latency("other", "sink", 0, 5)  # another series keeps its own order
+    with pytest.raises(ValueError, match=r"sink\.app\[m\]\.rxLatency"):
+        store.add_latency("m", "sink", 0, 9)
+    assert [s.arrival for s in store.latencies[("m", "sink")]] == [10]
+
+
 def test_queue_recording_and_drops():
     store = MetricStore()
     store.record_queue("s1.port.en2", "BE[0]", 5, 1)
