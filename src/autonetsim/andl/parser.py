@@ -144,9 +144,9 @@ class Parser:
             parts.append(self.expect_ident("type name").value)
         return ".".join(parts)
 
-    def sync(self) -> None:
-        """Skip to just past the next ';' or to a block boundary."""
-        depth = 0
+    def sync(self, depth: int = 0) -> None:
+        """Skip to just past the next ';' or to a block boundary, ``depth``
+        levels out: the braces the faulty item opened before its fault."""
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -366,10 +366,13 @@ class Parser:
                 while not self.accept("}"):
                     if self.peek().kind == "eof":
                         self.error("unterminated mapping block")
+                    start = self.pos
                     try:
                         msg.entries.append(self.map_entry())
                     except _ParseError:
-                        self.sync()
+                        # Recover at the entry's own brace depth, so the '}' of a faulty
+                        # binding such as ``can{id x;}`` does not close the mapping.
+                        self.sync(sum((t.value == "{") - (t.value == "}") for t in self.tokens[start:self.pos]))
             else:
                 self.error(f"unexpected token {self.peek().value!r} in message")
         return msg

@@ -10,9 +10,9 @@ Export is deterministic: identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .kernel import SEC
@@ -49,14 +49,22 @@ def _fmt_value(value) -> str:
         return str(value)
     if isinstance(value, Fraction):
         # Credit values are bits scaled by 10^12; render exactly.
-        if (10**12) % value.denominator == 0:
-            scaled = value.numerator * ((10**12) // value.denominator)
-            sign = "-" if scaled < 0 else ""
-            scaled = abs(scaled)
-            whole, frac = divmod(scaled, 10**12)
-            return f"{sign}{whole}.{frac:012d}"
+        num, den = value.as_integer_ratio()
+        if (10**12) % den == 0:
+            digits = f"{abs(num) * (10**12 // den):013d}"
+            return f"{'-' if num < 0 else ''}{digits[:-12]}.{digits[-12:]}"
         return repr(float(value))
     return repr(value)
+
+
+def _fmt_point(value) -> str:
+    """_fmt_value's text for a series point; ints skip its type tests (bools still render 1/0)."""
+    return str(value) if type(value) is int else _fmt_value(value)
+
+
+def _json_block(items: list[str], indent: str, brackets: str = "{}") -> str:
+    """Items one per line as ``json.dumps(indent=1)`` lays them out, closed at ``indent``."""
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}" if items else brackets
 
 
 class MetricStore:
@@ -168,13 +176,15 @@ class MetricStore:
     # -- export ----------------------------------------------------------
 
     def _series(self):
-        """(exported name, (time, value) points) of every series in sorted order;
-        end-to-end ``rxLatency`` points come straight from the delivery samples."""
+        """(exported name ``module.name``, (time, value) points) of every series in
+        name order, the later key winning a shared name; end-to-end ``rxLatency``
+        points come straight from the delivery samples."""
         series = {(f"{sink}.app[{message}]", "rxLatency"): ((s.arrival, s.latency) for s in samples)
                   for (message, sink), samples in self.latencies.items()}
         series.update(self.vectors)
-        for key in sorted(series):
-            yield f"{key[0]}.{key[1]}", series[key]
+        named = {f"{module}.{name}": series[module, name] for module, name in sorted(series)}
+        for name in sorted(named):
+            yield name, named[name]
 
     def export_csv(self, outdir: str | Path) -> list[Path]:
         """One CSV per vector plus a scalars.csv; returns written paths."""
@@ -184,7 +194,7 @@ class MetricStore:
         for name, points in self._series():
             path = out / f"{name}.csv"
             lines = ["time_ps,value"]
-            lines += [f"{t},{_fmt_value(v)}" for t, v in points]
+            lines += [f"{t},{_fmt_point(v)}" for t, v in points]
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
         path = out / "scalars.csv"
@@ -195,20 +205,23 @@ class MetricStore:
         written.append(path)
         return written
 
-    def to_document(self) -> dict:
-        doc: dict = {"vectors": {}, "scalars": {}}
-        for name, points in self._series():
-            doc["vectors"][name] = [[t, _fmt_value(v)] for t, v in points]
-        for (module, name), (value, unit) in sorted(self.scalars.items()):
-            doc["scalars"][f"{module}.{name}"] = {"value": _fmt_value(value), "unit": unit}
-        doc["links"] = {link: {"wire_bits": bits, "frames": self.link_frames[link]}
-                        for link, bits in sorted(self.link_bits.items())}
-        if self.run_window:
-            doc["window"] = list(self.run_window)
-        return doc
-
     def export_json(self, path: str | Path) -> Path:
+        """Write what ``json.dumps(document, indent=1, sort_keys=True)`` would, series by series."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_document(), indent=1, sort_keys=True) + "\n")
+        links = [f'  {_quote(link)}: {{\n   "frames": {self.link_frames[link]},\n   "wire_bits": {bits}\n  }}'
+                 for link, bits in sorted(self.link_bits.items())]
+        named = {f"{module}.{name}": entry for (module, name), entry in sorted(self.scalars.items())}
+        scalars = [f'  {_quote(name)}: {{\n   "unit": {_quote(unit)},\n   "value": {_quote(_fmt_value(value))}\n  }}'
+                   for name, (value, unit) in sorted(named.items())]
+        with path.open("w") as f:
+            f.write(f'{{\n "links": {_json_block(links, " ")},\n')
+            f.write(f' "scalars": {_json_block(scalars, " ")},\n "vectors": {{')
+            sep = "\n"
+            for name, points in self._series():
+                rows = [f"   [\n    {t},\n    {_quote(_fmt_point(v))}\n   ]" for t, v in points]
+                f.write(f"{sep}  {_quote(name)}: {_json_block(rows, '  ', '[]')}")
+                sep = ",\n"
+            window = ',\n "window": [\n  %d,\n  %d\n ]' % self.run_window if self.run_window else ""
+            f.write(("}" if sep == "\n" else "\n }") + window + "\n}\n")
         return path

@@ -53,6 +53,19 @@ network n {
     assert sum(1 for d in diags if d.severity == "error") >= 2
 
 
+def test_fault_inside_class_binding_is_reported_once():
+    lines = (Path(__file__).resolve().parents[1] / "scenarios" / "two_pools.andl").read_text().splitlines(True)
+    assert "bodyBus: can{id 120;};" in lines[43] and "pool slow{holdUp 60ms;}" in lines[70]
+    lines[43] = lines[43].replace("can{id 120;}", "can{id x;}")
+    _, diags = parse("".join(lines))
+    assert [(d.line, d.message) for d in diags] == [(44, "expected CAN id, found 'x'")]
+    # Parsing resumed after the binding, so a fault in a later message is found too.
+    lines[70] = lines[70].replace("holdUp 60ms;", "holdUp soon;")
+    _, diags = parse("".join(lines))
+    assert [(d.line, d.message) for d in diags] == [
+        (44, "expected CAN id, found 'x'"), (71, "expected holdUp, found 'soon'")]
+
+
 def test_validate_small_network_clean(listing_small):
     ast, diags = parse(listing_small)
     all_diags = diags + validate(ast)

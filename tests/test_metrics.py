@@ -1,7 +1,10 @@
+import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from autonetsim.kernel import MS, SEC, US
 from autonetsim.metrics import MetricStore, RecordingFlags
@@ -150,3 +153,115 @@ def test_jitter_matches_bruteforce(latencies):
         t += 10**9
     brute = max(abs(b - a) for a, b in zip(latencies, latencies[1:]))
     assert store.jitter("m", "x") == brute
+
+
+# -- export oracle: the exporters as they were before export_json streamed ----
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        if (10**12) % value.denominator == 0:
+            scaled = value.numerator * ((10**12) // value.denominator)
+            sign = "-" if scaled < 0 else ""
+            whole, frac = divmod(abs(scaled), 10**12)
+            return f"{sign}{whole}.{frac:012d}"
+        return repr(float(value))
+    return repr(value)
+
+
+def _reference_series(store):
+    series = {(f"{sink}.app[{message}]", "rxLatency"): [(s.arrival, s.latency) for s in samples]
+              for (message, sink), samples in store.latencies.items()}
+    series.update(store.vectors)
+    return [(f"{key[0]}.{key[1]}", series[key]) for key in sorted(series)]
+
+
+def _reference_json(store) -> str:
+    doc: dict = {"vectors": {}, "scalars": {}}
+    for name, points in _reference_series(store):
+        doc["vectors"][name] = [[t, _reference_fmt(v)] for t, v in points]
+    for (module, name), (value, unit) in sorted(store.scalars.items()):
+        doc["scalars"][f"{module}.{name}"] = {"value": _reference_fmt(value), "unit": unit}
+    doc["links"] = {link: {"wire_bits": bits, "frames": store.link_frames[link]}
+                    for link, bits in sorted(store.link_bits.items())}
+    if store.run_window:
+        doc["window"] = list(store.run_window)
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _reference_csv(store) -> dict[str, str]:
+    files = {}
+    for name, points in _reference_series(store):
+        files[f"{name}.csv"] = "time_ps,value\n" + "".join(f"{t},{_reference_fmt(v)}\n" for t, v in points)
+    files["scalars.csv"] = "module,name,value,unit\n" + "".join(
+        f"{module},{name},{_reference_fmt(value)},{unit}\n"
+        for (module, name), (value, unit) in sorted(store.scalars.items()))
+    return files
+
+
+# Dots make tuple order and joined-name order differ ("a", "z") < ("a.b", "x")
+# but "a.b.x" < "a.z", and can join two keys into one name; the quote,
+# backslash and non-ASCII letter need JSON escaping.
+_names = st.text(alphabet='ab.z"\\é', min_size=1, max_size=4)
+_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.floats(),
+    st.integers(-10**15, 10**15).map(lambda n: Fraction(n, 10**12)),  # credit bits
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
+    _names,  # rendered by repr, so the quotes and escapes reach the JSON
+)
+_timed = st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 10**6)), max_size=4).map(sorted)
+_store_spec = st.fixed_dictionaries({
+    "vectors": st.dictionaries(st.tuples(_names, _names),
+                               st.lists(st.tuples(st.integers(0, 10**9), _values), max_size=4)),
+    "latencies": st.dictionaries(st.tuples(_names, _names), _timed),
+    "scalars": st.dictionaries(st.tuples(_names, _names), st.tuples(_values, _names)),
+    "links": st.dictionaries(_names, _timed),
+    "horizon": st.none() | st.integers(1, 10**12),
+})
+_EMPTY_SPEC = {"vectors": {}, "latencies": {}, "scalars": {}, "links": {}, "horizon": None}
+
+
+def _build_store(spec) -> MetricStore:
+    store = MetricStore()
+    for (module, name), points in spec["vectors"].items():
+        store.vectors.setdefault((module, name), [])  # a series may stay empty
+        for t, value in sorted(points, key=lambda p: p[0]):
+            store.vec(module, name, t, value)
+    for (message, sink), deliveries in spec["latencies"].items():
+        for arrival, latency in deliveries:
+            store.add_latency(message, sink, arrival - latency, arrival)
+    for (module, name), (value, unit) in spec["scalars"].items():
+        store.scalar_set(module, name, value, unit)
+    for link, completions in spec["links"].items():
+        for t, bits in completions:
+            store.link_completed(link, t, bits)
+    if spec["horizon"] is not None:
+        store.close_run_window(spec["horizon"])
+    return store
+
+
+@settings(max_examples=100, deadline=None)
+@given(_store_spec)
+@example(_EMPTY_SPEC)
+@example({
+    "vectors": {("a", "z"): [(1, True), (2, Fraction(-3, 4))], ("a.b", "x"): [],
+                ('q"é', "v"): [(5, 0.25)]},
+    "latencies": {("m", "a.b"): [(7, 3)]},
+    "scalars": {("a", "z"): (False, "bit/s"), ("a.b", "x"): (-1.5, '"'),
+                ("a.b", "c"): (Fraction(-1, 10**12), "bits"), ("a", "b.c"): (3, "later wins")},
+    "links": {"é->s": [(1, 672), (2, 111)]},
+    "horizon": 10,
+})
+def test_exports_match_the_reference_exporters(spec):
+    store = _build_store(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        store.export_json(out / "json" / "results.json")
+        assert (out / "json" / "results.json").read_text() == _reference_json(store)
+        store.export_csv(out / "csv")
+        assert {p.name: p.read_text() for p in (out / "csv").iterdir()} == _reference_csv(store)
