@@ -145,8 +145,8 @@ class Parser:
         return ".".join(parts)
 
     def sync(self, depth: int = 0) -> None:
-        """Skip to just past the next ';' or to a block boundary, ``depth``
-        levels out: the braces the faulty item opened before its fault."""
+        """Skip past the next ';', or to a block boundary ``depth`` levels out (the braces
+        the faulty item opened), or past the '}' closing them when the next item follows."""
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -160,7 +160,23 @@ class Parser:
                 if depth == 0:
                     return
                 depth -= 1
+                if depth == 0 and self.peek(1).kind == "ident":
+                    self.advance()
+                    return
             self.advance()
+
+    def item(self, into: list, parse_one, *args) -> None:
+        """Append one block item; on a fault, skip the rest of it."""
+        start = self.pos
+        try:
+            into.append(parse_one(*args))
+        except _ParseError:
+            self.recover(start)
+
+    def recover(self, start: int) -> None:
+        """Skip the rest of a faulty item that began at token ``start``, at the item's
+        own brace depth, so a '}' inside the item does not close the enclosing block."""
+        self.sync(sum((t.value == "{") - (t.value == "}") for t in self.tokens[start:self.pos]))
 
     def duration(self, what: str) -> int:
         tok = self.expect_scalar(what)
@@ -207,10 +223,7 @@ class Parser:
         while not self.accept("}"):
             if self.peek().kind == "eof":
                 self.error("unterminated types block")
-            try:
-                block.decls.append(self.typed_decl(TypeDecl))
-            except _ParseError:
-                self.sync()
+            self.item(block.decls, self.typed_decl, TypeDecl)
         return block
 
     def typed_decl(self, ctor):
@@ -249,6 +262,7 @@ class Parser:
         while not self.accept("}"):
             if self.peek().kind == "eof":
                 self.error("unterminated network block")
+            start = self.pos
             try:
                 if self.at("inline"):
                     self.advance()
@@ -265,37 +279,28 @@ class Parser:
                     while not self.accept("}"):
                         if self.peek().kind == "eof":
                             self.error("unterminated devices block")
-                        try:
-                            net.devices.append(self.typed_decl(DeviceDecl))
-                        except _ParseError:
-                            self.sync()
+                        self.item(net.devices, self.typed_decl, DeviceDecl)
                 elif self.at("connections"):
                     self.advance()
                     self.expect("{")
                     while not self.accept("}"):
                         if self.peek().kind == "eof":
                             self.error("unterminated connections block")
-                        try:
-                            net.segments.append(self.segment())
-                        except _ParseError:
-                            self.sync()
+                        self.item(net.segments, self.segment)
                 elif self.at("communication"):
                     self.advance()
                     self.expect("{")
                     while not self.accept("}"):
                         if self.peek().kind == "eof":
                             self.error("unterminated communication block")
-                        try:
-                            net.messages.append(self.message())
-                        except _ParseError:
-                            self.sync()
+                        self.item(net.messages, self.message)
                 else:
                     self.error(
                         "expected 'inline', 'devices', 'connections' or "
                         f"'communication', found {self.peek().value!r}"
                     )
             except _ParseError:
-                self.sync()
+                self.recover(start)
         return net
 
     def segment(self) -> SegmentDecl:
@@ -305,10 +310,7 @@ class Parser:
         while not self.accept("}"):
             if self.peek().kind == "eof":
                 self.error("unterminated segment block")
-            try:
-                seg.conns.append(self.connection())
-            except _ParseError:
-                self.sync()
+            self.item(seg.conns, self.connection)
         return seg
 
     def connection(self) -> ConnDecl:
@@ -366,13 +368,7 @@ class Parser:
                 while not self.accept("}"):
                     if self.peek().kind == "eof":
                         self.error("unterminated mapping block")
-                    start = self.pos
-                    try:
-                        msg.entries.append(self.map_entry())
-                    except _ParseError:
-                        # Recover at the entry's own brace depth, so the '}' of a faulty
-                        # binding such as ``can{id x;}`` does not close the mapping.
-                        self.sync(sum((t.value == "{") - (t.value == "}") for t in self.tokens[start:self.pos]))
+                    self.item(msg.entries, self.map_entry)
             else:
                 self.error(f"unexpected token {self.peek().value!r} in message")
         return msg

@@ -222,7 +222,7 @@ class CanBus:
         assert self._sending is not None
         frame, sender, wire_bits = self._sending
         self._sending = None
-        self.store.link_completed(self.name, now, wire_bits)
+        self.store.link_completed(self.name, wire_bits)
         can_id = frame.can_id
         for port in self.ports:
             if can_id in port.subscriptions and port is not sender:

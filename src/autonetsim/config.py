@@ -227,6 +227,7 @@ def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
             return True
         return False
     if parts[0] == "metrics" and len(parts) == 2:
+        # "completions" is still accepted but switches nothing (windows come from checkpoints).
         if parts[1] in ("queues", "credit", "completions", "stations"):
             cfg.metric_flags[parts[1]] = _BOOL[value.lower()]
             return True

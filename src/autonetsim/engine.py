@@ -3,8 +3,8 @@
 The engine wires buses, switch ports, gateways, stimuli and sinks to the
 event kernel, runs to the horizon, and (by default) drains in-flight
 frames afterwards: periodic sources stop at the horizon, so delivery
-counts line up with creation counts while bandwidth windows stay clamped
-to the horizon.
+counts line up with creation counts while bandwidth windows, checkpointed
+during the run, never reach past the horizon.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class Runtime:
         self.cfg = cfg
         flags = RecordingFlags(**{
             k: cfg.metric_flags.get(k, True)
-            for k in ("queues", "credit", "completions", "stations")
+            for k in ("queues", "credit", "stations")
         })
         self.store = MetricStore(flags)
         self.sim = Simulator(seed if seed is not None else cfg.seed)
@@ -330,10 +330,16 @@ class Runtime:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, horizon: int, drain: bool = True) -> RunResult:
+    def run(self, horizon: int, drain: bool = True, window: tuple[int, int] | None = None) -> RunResult:
+        """Run to the horizon, checkpointing the store at ``window``'s ends; then drain if asked."""
         self.stop_time = horizon
+        events = 0  # run_until(t) dispatches every event at t, so a split reorders none
+        for t in window or ():
+            if 0 < t < horizon:
+                events += self.sim.run_until(t).events_dispatched
+                self.store.checkpoint(t)
         summary = self.sim.run_until(horizon)
-        events = summary.events_dispatched
+        events += summary.events_dispatched
         final = summary.final_time
         self.store.close_run_window(horizon)
         if drain:

@@ -587,7 +587,7 @@ class EthPort:
         self._tx = None
         if shapers:
             self._credit_reset_check(now)
-        self.store.link_completed(self.link, now, eth_wire_bits(frame.payload_len))
+        self.store.link_completed(self.link, eth_wire_bits(frame.payload_len))
         if self.peer is not None:
             self.peer.receive(frame, now, self)
         self._kick(now)

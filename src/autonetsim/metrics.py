@@ -38,7 +38,6 @@ class RecordingFlags:
 
     queues: bool = True
     credit: bool = True
-    completions: bool = True
     stations: bool = True
 
 
@@ -75,12 +74,11 @@ class MetricStore:
         self.vectors: dict[tuple[str, str], list[tuple[int, object]]] = {}
         self.scalars: dict[tuple[str, str], tuple[object, str]] = {}
         self.latencies: dict[tuple[str, str], list[LatencySample]] = {}
-        # Per-link wire-bit accounting; completions kept for windowed queries.
+        # Per-link wire-bit totals; bandwidth windows are answered from their checkpoints.
         self.link_bits: dict[str, int] = {}
         self.link_frames: dict[str, int] = {}
-        self.link_completions: dict[str, list[tuple[int, int]]] = {}
+        self.checkpoints: dict[int, dict[str, int]] = {0: {}}
         self.run_window: tuple[int, int] | None = None
-        self._window_bits: dict[str, int] = {}
 
     # -- raw recording -------------------------------------------------
 
@@ -144,33 +142,33 @@ class MetricStore:
 
     # -- bandwidth -------------------------------------------------------
 
-    def link_completed(self, link: str, t: int, wire_bits: int) -> None:
+    def link_completed(self, link: str, wire_bits: int) -> None:
         self.link_bits[link] = self.link_bits.get(link, 0) + wire_bits
         self.link_frames[link] = self.link_frames.get(link, 0) + 1
-        if self.flags.completions:
-            self.link_completions.setdefault(link, []).append((t, wire_bits))
+
+    def checkpoint(self, t: int) -> None:
+        """Snapshot the per-link totals as of time t: every frame completed at or before t."""
+        self.checkpoints[t] = dict(self.link_bits)
 
     def close_run_window(self, horizon: int) -> None:
-        """Make (0, horizon] the run window and snapshot the per-link totals it
-        is answered from, so frames completing in the post-horizon drain never count."""
+        """Make (0, horizon] the run window and checkpoint it, so frames
+        completing in the post-horizon drain never count."""
         self.run_window = (0, horizon)
-        self._window_bits = dict(self.link_bits)
+        self.checkpoint(horizon)
 
     def utilized_bandwidth(self, link: str, t0: int | None = None, t1: int | None = None) -> float:
         """Wire bits per second of frames whose transmission completed in
-        the half-open window (t0, t1]; frames still queued never count."""
+        the half-open window (t0, t1], whose ends must be checkpoints (0 always is)."""
         if t0 is None or t1 is None:
             if self.run_window is None:
                 raise ValueError("no window given and run_window unset")
             t0, t1 = self.run_window
         if t1 <= t0:
             raise ValueError("window must have t1 > t0")
-        if (t0, t1) == self.run_window:
-            bits = self._window_bits.get(link, 0)
-        elif self.flags.completions:
-            bits = sum(b for t, b in self.link_completions.get(link, ()) if t0 < t <= t1)
-        else:
-            raise ValueError("windowed bandwidth needs completion recording")
+        try:
+            bits = self.checkpoints[t1].get(link, 0) - self.checkpoints[t0].get(link, 0)
+        except KeyError as exc:
+            raise ValueError(f"no checkpoint at {exc.args[0]} ps: pass the window to Runtime.run") from None
         return bits * SEC / (t1 - t0)
 
     # -- export ----------------------------------------------------------

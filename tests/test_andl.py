@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from autonetsim.andl import (
     CompileError, compile_network, has_errors, parse, print_file, validate,
 )
+from autonetsim.cli import main
 from autonetsim.kernel import MS, US
 
 
@@ -64,6 +65,71 @@ def test_fault_inside_class_binding_is_reported_once():
     _, diags = parse("".join(lines))
     assert [(d.line, d.message) for d in diags] == [
         (44, "expected CAN id, found 'x'"), (71, "expected holdUp, found 'soon'")]
+
+
+@pytest.mark.parametrize("edit, position, message", [
+    (("pool gw1_1;", "pool 5;"), (24, 12), "expected pool name, found '5'"),
+    (("en2 <--> {new std.ETH}", "en2 <--> {new 5}"), (33, 21), "expected type name, found '5'"),
+    (("```\nrecord-eventlog = false\n```", "eventlog"), (10, 1), "inline ini payload must be fenced with ```"),
+], ids=["device-body", "connection-link-type", "inline-ini"])
+def test_fault_inside_a_braced_item_is_reported_once(listing_small, edit, position, message):
+    ast, diags = parse(listing_small.replace(*edit))
+    assert [(d.line, d.col, d.message) for d in diags] == [(*position, message)]
+    (net,) = ast.networks
+    assert [m.name for m in net.messages] == ["msg1", "msg2"]
+    assert [s.name for s in net.segments] == ["backbone", "canbus"]
+    assert [d.name for d in net.devices][-2:] == ["gw2", "s1"]
+
+
+_COMM = "  communication {      //Communication in the network\n"
+
+
+def _add_message(text):
+    return (_COMM, f"{_COMM}    message m3 {{ {text} }}\n")
+
+
+@pytest.mark.parametrize("edits, needle", [
+    pytest.param([("ethernetLink ETH {", "ethernetLink ETH extends ETH {")],
+                 "inheritance cycle through ETH", id="inheritance-cycle"),
+    pytest.param([("node cn1;", "node cn1 extends std.ETH;")],
+                 "cn1 (node) cannot extend std.ETH (ethernetLink)", id="cannot-extend"),
+    pytest.param([_add_message("sender en1; receivers cn1; payload 4B; period 1ms; mapping { "
+                               "backbone: be{priority 1;}; canbus: can{id 40;}; gw1: pool gw1_1{holdUp 1ms;}; }")],
+                 "message m3: pool at gw1 needs an Ethernet egress", id="pool-ethernet-to-can"),
+    pytest.param([("gw1 <--> cb1;", "gw1 <--> cb1; gw1 <--> cb2;"), ("gw2;           //gw2 also", "//")],
+                 "message msg1: pool at gw1 needs an Ethernet egress", id="pool-can-to-can"),
+    pytest.param([("canLink cb2;", "canLink cb2; canLink cb3; node cn3;"),
+                  ("gw1 <--> cb1;", "gw1 <--> cb1; cn3 <--> cb3; gw1 <--> cb3;"),
+                  _add_message("sender cn3; receivers en2; payload 2B; period 1ms; mapping { "
+                               "canbus: can{id 37;}; gw1: pool gw1_1{holdUp 1ms;}; backbone: be{priority 1;}; }")],
+                 "pool gw1.gw1_1: conflicting hold-ups for id 37", id="conflicting-hold-ups"),
+    pytest.param([_add_message("sender cn1; receivers en2; payload 2B; period 1ms; mapping { "
+                               "canbus: can{id 38;}; gw1: pool gw1_1{holdUp 2ms;}; backbone: be{priority 1;}; }")],
+                 "pool gw1.gw1_1: members map to different backbone classes", id="pool-classes"),
+    pytest.param([("    segment canbus {", "    segment extra { en1 <--> cb1; }\n    segment canbus {")],
+                 "bus 'cb1' appears in two segments", id="bus-in-two-segments"),
+    pytest.param([("cn1 <--> cb1;", "cn1 <--> cb1; cn1 <--> s1;")],
+                 "segment 'canbus' mixes CAN and Ethernet", id="mixed-segment"),
+    pytest.param([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> eth1 <--> s1;")],
+                 "link 'eth1' used in more than one connection", id="link-used-twice"),
+    pytest.param([("cn2 <--> cb2;", "cn2 <--> cb2; cb1 <--> cb2;")],
+                 "cannot connect two CAN links", id="two-can-links"),
+    pytest.param([("en1 <--> eth1 <--> s1;", "en1 <--> cb1 <--> s1;")],
+                 "'cb1' is not an ethernetLink", id="link-not-ethernet"),
+    pytest.param([("sender cn1;", "sender cn1; multicast;")],
+                 "message msg1: multicast TT streams are not supported", id="multicast-tt"),
+    pytest.param([("backbone: avb{id 1;};", "backbone: rc{vlID 3; bag 0ms;};")],
+                 "message msg2: bag must be positive", id="zero-bag"),
+])
+def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle):
+    text = listing_small
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    src = tmp_path / "small.andl"
+    src.write_text(text)
+    assert main(["validate", str(src)]) == 1
+    assert needle in capsys.readouterr().err
 
 
 def test_validate_small_network_clean(listing_small):

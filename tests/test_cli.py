@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from autonetsim.cli import main
+from autonetsim.kernel import MS, SEC
 
 
 def write_listing(tmp_path, listing_small):
@@ -162,7 +163,7 @@ def test_run_window_bandwidth(tmp_path, listing_small, capsys):
     assert main(["analyze", str(out), "bandwidth", "--filter", "en1->s1"]) == 0
     text = capsys.readouterr().out
     assert "utilizedBandwidth[10ms:60ms]" in text
-    # the run window's rates come from its totals, with or without completion records
+    # the run window's rates are the same with metrics.completions on or off
     off = tmp_path / "off"
     assert main(["run", str(src), "--horizon", "100ms", "--out", str(off),
                  "--set", "metrics.completions=false"]) == 0
@@ -237,12 +238,13 @@ BE9_DIAG = "small.andl:64:31: error: 802.1Q priority must be 0..7"
     (None, ["run", "--set", "gw1.processingDelay=fast"], 2, "gw1.processingDelay"),
     (None, ["run", "--horizon", "9999999s"], 2, "--horizon"),
     (None, ["run", "--window", "5ms:1ms"], 2, "--window"),
+    (None, ["run", "--window", "5ms:11ms"], 2, "after the horizon"),
     (None, ["run", "--jobs", "0"], 2, "--jobs"),
     (BE9, ["validate"], 1, BE9_DIAG),
     (BE9, ["compile"], 1, BE9_DIAG),
     (BE9, ["run"], 1, BE9_DIAG),
-], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window", "jobs",
-        "be-priority-validate", "be-priority-compile", "be-priority-run"])
+], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window",
+        "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run"])
 def test_bad_values_are_diagnosed_before_running(
         tmp_path, listing_small, capsys, monkeypatch, edit, argv, code, needle):
     import autonetsim.cli as cli
@@ -282,17 +284,71 @@ def test_run_rejects_config_without_derived_message_fields(tmp_path, listing_sma
         assert not out.exists()
 
 
-def test_run_window_without_completions_is_rejected_before_running(
-        tmp_path, listing_small, capsys, monkeypatch):
+def test_run_window_with_completions_off_matches_completions_on(tmp_path, listing_small, capsys):
+    src = write_listing(tmp_path, listing_small)
+
+    def windowed_rows(completions):
+        out = tmp_path / completions
+        assert main(["run", str(src), "--horizon", "10ms", "--window", "1ms:5ms",
+                     "--set", f"metrics.completions={completions}", "--out", str(out)]) == 0
+        return [line for line in (out / "scalars.csv").read_text().splitlines()
+                if ",utilizedBandwidth[1ms:5ms]," in line]
+
+    off = windowed_rows("false")
+    assert off and off == windowed_rows("true")
+    capsys.readouterr()
+
+
+SMALL_NETWORK = Path(__file__).resolve().parents[1] / "scenarios" / "small_network.andl"
+
+
+def _logged_run(tmp_path, monkeypatch, name, *extra):
+    """Run small_network.andl to 50ms with every completed frame logged as
+    (link, sim.now, wire bits); return the log and the exported scalars."""
     import autonetsim.cli as cli
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("the simulation ran")
+    log = []
 
-    monkeypatch.setattr(cli.Runtime, "run", no_run)
-    src = write_listing(tmp_path, listing_small)
-    out = tmp_path / "out"
-    assert main(["run", str(src), "--horizon", "10ms", "--window", "1ms:5ms",
-                 "--set", "metrics.completions=false", "--out", str(out)]) == 2
-    assert "completion recording" in capsys.readouterr().err
-    assert not out.exists()
+    class LoggingRuntime(cli.Runtime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            completed = self.store.link_completed
+
+            def logged(link, bits):
+                log.append((link, self.sim.now, bits))
+                completed(link, bits)
+
+            self.store.link_completed = logged
+
+    monkeypatch.setattr(cli, "Runtime", LoggingRuntime)
+    out = tmp_path / name
+    assert main(["run", str(SMALL_NETWORK), "--horizon", "50ms", "--seed", "1", "--format", "structured",
+                 "--out", str(out), *extra]) == 0
+    return log, json.loads((out / "results.json").read_text())["scalars"]
+
+
+@pytest.mark.parametrize("case", ["run-window", "completion-ticks", "no-drain"])
+def test_windowed_bandwidth_is_the_completion_log_sum(tmp_path, monkeypatch, capsys, case):
+    horizon = 50 * MS
+    t0, t1 = 0, horizon
+    if case == "completion-ticks":
+        # The ends fall on completions of different links, so a frame counted
+        # on the wrong side of an end cannot cancel against the other end.
+        log, _ = _logged_run(tmp_path, monkeypatch, "ticks")
+        t0 = sorted(t for link, t, _ in log if link == "cb1")[10]
+        t1 = sorted(t for link, t, _ in log if link == "en1->s1" and t < horizon)[-10]
+    window = f"{t0}ps:{t1}ps"
+    log, scalars = _logged_run(tmp_path, monkeypatch, case, "--window", window,
+                               *(["--no-drain"] if case == "no-drain" else []))
+    if case == "completion-ticks":
+        assert t0 in {t for link, t, _ in log if link == "cb1"}
+        assert t1 in {t for link, t, _ in log if link == "en1->s1"}
+    if case == "run-window":
+        assert any(t > horizon for _, t, _ in log)  # drained frames must not count
+    capsys.readouterr()
+    links = sorted({link for link, _, _ in log})
+    assert "cb1" in links and "en1->s1" in links
+    for link in links:
+        for name, (a, b) in (("utilizedBandwidth", (0, horizon)), (f"utilizedBandwidth[{window}]", (t0, t1))):
+            brute = sum(bits for l, t, bits in log if l == link and a < t <= b) * SEC / (b - a)
+            assert float(scalars[f"{link}.{name}"]["value"]) == brute, (link, name)

@@ -10,43 +10,59 @@ from autonetsim.kernel import MS, SEC, US
 from autonetsim.metrics import MetricStore, RecordingFlags
 
 
+def _replay(store, link, completions, checkpoints):
+    """Feed (t, bits) completions in time order, checkpointing as Runtime.run
+    does: the checkpoint at t sees every frame completed at or before t."""
+    pending = sorted(checkpoints)
+    for t, bits in completions:
+        while pending and pending[0] < t:
+            store.checkpoint(pending.pop(0))
+        store.link_completed(link, bits)
+    for t in pending:
+        store.checkpoint(t)
+
+
 def test_bandwidth_one_eth_frame_per_ms():
     store = MetricStore()
-    for k in range(1000):
-        store.link_completed("en1->s1", (k + 1) * MS, 672)
+    _replay(store, "en1->s1", [((k + 1) * MS, 672) for k in range(1000)], [SEC])
     assert store.utilized_bandwidth("en1->s1", 0, SEC) == 672_000.0
 
 
 def test_bandwidth_one_can_frame_per_10ms():
     store = MetricStore()
-    for k in range(100):
-        store.link_completed("cb1", (k + 1) * 10 * MS, 111)
+    _replay(store, "cb1", [((k + 1) * 10 * MS, 111) for k in range(100)], [SEC])
     assert store.utilized_bandwidth("cb1", 0, SEC) == 11_100.0
 
 
 def test_bandwidth_empty_window_is_zero():
     store = MetricStore()
-    store.link_completed("cb1", 5 * SEC, 111)
+    _replay(store, "cb1", [(5 * SEC, 111)], [SEC])
     assert store.utilized_bandwidth("cb1", 0, SEC) == 0.0
 
 
 def test_bandwidth_queued_frames_excluded():
     store = MetricStore()
-    store.link_completed("cb1", 10, 100)
-    store.link_completed("cb1", 2 * SEC, 100)  # completes after the window
+    # the second frame completes after the window
+    _replay(store, "cb1", [(10, 100), (2 * SEC, 100)], [SEC])
     assert store.utilized_bandwidth("cb1", 0, SEC) == 100.0
 
 
 def test_bandwidth_additivity():
     store = MetricStore()
-    for t, bits in ((3, 10), (SEC // 2, 20), (SEC - 1, 30), (SEC + 5, 40)):
-        store.link_completed("l", t, bits)
     t0, t1, t2 = 0, SEC // 2, SEC
+    _replay(store, "l", [(3, 10), (SEC // 2, 20), (SEC - 1, 30), (SEC + 5, 40)], [t1, t2])
     whole = store.utilized_bandwidth("l", t0, t2)
     left = store.utilized_bandwidth("l", t0, t1)
     right = store.utilized_bandwidth("l", t1, t2)
     weighted = (left * (t1 - t0) + right * (t2 - t1)) / (t2 - t0)
     assert whole == pytest.approx(weighted)
+
+
+def test_bandwidth_window_ends_must_be_checkpoints():
+    store = MetricStore()
+    _replay(store, "l", [(3, 10)], [SEC])
+    with pytest.raises(ValueError, match="no checkpoint at 5 ps"):
+        store.utilized_bandwidth("l", 5, SEC)
 
 
 def test_jitter_constant_latency():
@@ -116,7 +132,7 @@ def test_json_and_csv_agree_and_are_deterministic(tmp_path):
         store = MetricStore()
         store.add_latency("m", "sink", 0, 7)
         store.scalar_add("mod", "drops[RC]", 2, "frames")
-        store.link_completed("l", 3, 672)
+        store.link_completed("l", 672)
         return store
 
     a, b = build(), build()
@@ -238,8 +254,8 @@ def _build_store(spec) -> MetricStore:
     for (module, name), (value, unit) in spec["scalars"].items():
         store.scalar_set(module, name, value, unit)
     for link, completions in spec["links"].items():
-        for t, bits in completions:
-            store.link_completed(link, t, bits)
+        for _, bits in completions:
+            store.link_completed(link, bits)
     if spec["horizon"] is not None:
         store.close_run_window(spec["horizon"])
     return store
