@@ -64,7 +64,7 @@ class _Builder:
         self.devices: dict[str, object] = {}
         self.links: list[LinkCfg] = []
         self.buses: dict[str, BusCfg] = {}
-        self.adj: dict[str, list[tuple[str, tuple]]] = {}
+        self.adj: dict[str, dict[str, tuple]] = {}  # node -> neighbour -> first edge's info
         self.link_rate: dict[str, int] = {}  # directed link -> bits/s
         self._anon = 0
         self.pool_members: dict[tuple[str, str], list[dict]] = {}
@@ -143,8 +143,8 @@ class _Builder:
             self.cfg.devices.append(DeviceCfg(dev.name, dev.kind, dict(dev.params)))
 
         def add_edge(a: str, b: str, info: tuple) -> None:
-            self.adj.setdefault(a, []).append((b, info))
-            self.adj.setdefault(b, []).append((a, info))
+            self.adj.setdefault(a, {}).setdefault(b, info)
+            self.adj.setdefault(b, {}).setdefault(a, info)
 
         for seg in net.segments:
             kinds = set()
@@ -239,10 +239,7 @@ class _Builder:
                 self.warn(0, f"node {name} has {count} Ethernet links; the first is its interface")
 
     def _edge(self, u: str, v: str) -> tuple | None:
-        for nbr, info in self.adj.get(u, ()):
-            if nbr == v:
-                return info
-        return None
+        return self.adj.get(u, {}).get(v)
 
     def _shortest_path(self, src: str, dst: str) -> list[str] | None:
         if src == dst or src not in self.adj:
@@ -251,7 +248,7 @@ class _Builder:
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for v, _ in self.adj[u]:
+            for v in self.adj[u]:
                 if v not in seen:
                     seen[v] = u
                     if v == dst:

@@ -9,7 +9,6 @@ verbatim between triple-backtick fences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..ethernet import BE
 from ..kernel import parse_byte_count, parse_duration
@@ -21,67 +20,68 @@ from .nodes import (
 
 DEVICE_KINDS = ("ethernetLink", "canLink", "node", "gateway", "switch")
 
+# Token kinds that keywords and punctuation can have.
+_WORD_KINDS = frozenset(("ident", "punct", "arrow"))
+
+# Whitespace and comments are unnamed groups, so ``lastgroup`` is None for them.
+# A fence is one lexeme; a bare ``` is an opening fence that is never closed.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>//[^\n]*)
-  | (?P<fence>```)
-  | (?P<arrow><-->)
-  | (?P<scalar>\d+(?:\.\d+)?[A-Za-z/%]*)
+    [ \t\r]+
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{}();:,.=])
-  | (?P<space>[ \t\r]+)
   | (?P<newline>\n)
+  | (?P<scalar>\d+(?:\.\d+)?[A-Za-z/%]*)
+  | //[^\n]*
+  | (?P<arrow><-->)
+  | (?P<fenced>```(?s:.*?)```)
+  | (?P<unterminated>```)
   | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | scalar | punct | arrow | fenced | eof
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # ident | scalar | punct | arrow | fenced | eof
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        assert m is not None
+    line, line_start = 1, 0  # line_start: index of the current line's first character
+    end = len(text)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
+        if kind is None:
+            continue
+        start = m.start()
         if kind == "newline":
             line += 1
-            col = 1
-        elif kind in ("space", "comment"):
-            col += len(value)
-        elif kind == "fence":
-            # capture verbatim until the closing fence
-            end = text.find("```", m.end())
-            if end < 0:
-                diags.append(Diagnostic("error", line, col, "unterminated ``` fence"))
-                pos = len(text)
-                break
-            body = text[m.end():end]
-            tokens.append(Token("fenced", body.strip("\n"), line, col))
-            line += text.count("\n", pos, end + 3)
-            col = 1
-            pos = end + 3
-            continue
+            line_start = start + 1
+        elif kind == "fenced":
+            lexeme = m.group()
+            tokens.append(Token("fenced", lexeme[3:-3].strip("\n"), line, start - line_start + 1))
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + lexeme.rindex("\n") + 1
         elif kind == "bad":
-            diags.append(Diagnostic("error", line, col, f"unexpected character {value!r}"))
-            col += 1
+            diags.append(Diagnostic("error", line, start - line_start + 1,
+                                    f"unexpected character {m.group()!r}"))
+        elif kind == "unterminated":
+            diags.append(Diagnostic("error", line, start - line_start + 1, "unterminated ``` fence"))
+            end = start
+            break
         else:
-            tok_kind = {"arrow": "arrow", "scalar": "scalar", "ident": "ident", "punct": "punct"}[kind]
-            tokens.append(Token(tok_kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens, diags
 
 
@@ -97,8 +97,10 @@ class Parser:
 
     # -- primitives ---------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    # The token list ends at 'eof' and ``advance`` never moves past it, so
+    # ``tokens[pos]`` is always valid.
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -107,36 +109,41 @@ class Parser:
         return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.value == value and tok.kind in ("ident", "punct", "arrow")
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.kind in _WORD_KINDS
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.value == value and tok.kind in _WORD_KINDS:
+            self.pos += 1
             return True
         return False
 
     def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         self.diags.append(Diagnostic("error", tok.line, tok.col, message))
         raise _ParseError()
 
     def expect(self, value: str) -> Token:
-        if self.at(value):
-            return self.advance()
-        self.error(f"expected {value!r}, found {self.peek().value!r}")
+        tok = self.tokens[self.pos]
+        if tok.value == value and tok.kind in _WORD_KINDS:
+            self.pos += 1
+            return tok
+        self.error(f"expected {value!r}, found {tok.value!r}")
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             self.error(f"expected {what}, found {tok.value!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_scalar(self, what: str = "value") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "scalar":
             self.error(f"expected {what}, found {tok.value!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def qname(self) -> str:
         parts = [self.expect_ident("type name").value]
@@ -160,7 +167,7 @@ class Parser:
                 if depth == 0:
                     return
                 depth -= 1
-                if depth == 0 and self.peek(1).kind == "ident":
+                if depth == 0 and self.tokens[self.pos + 1].kind == "ident":
                     self.advance()
                     return
             self.advance()

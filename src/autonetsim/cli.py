@@ -64,7 +64,8 @@ def cmd_validate(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_IO
     ast, diags = parse(text)
-    diags = diags + validate(ast, args.network)
+    if not has_errors(diags):  # a partial AST would give follow-on errors
+        diags = diags + validate(ast, args.network)
     _print_diags(diags, args.file)
     if has_errors(diags):
         return EXIT_SEMANTIC

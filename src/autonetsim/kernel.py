@@ -52,12 +52,18 @@ _DURATION_UNITS = {"ps": PS, "ns": NS, "us": US, "ms": MS, "s": SEC}
 _RATE_PREFIX = {None: 1, "k": 10**3, "M": 10**6, "G": 10**9}
 
 
+def _number(digits: str) -> int | Fraction:
+    """An unsigned literal matched by the unit patterns; exact, as an int when it has no point."""
+    return Fraction(digits) if "." in digits else int(digits)
+
+
 def parse_duration(text: str) -> int:
     """Parse a duration like ``2ms`` or ``125us`` into ticks."""
     m = _DURATION_RE.match(text)
     if not m:
         raise ValueError(f"not a duration: {text!r}")
-    value = Fraction(m.group(1)) * _DURATION_UNITS[m.group(2)]
+    number, unit = m.groups()
+    value = _number(number) * _DURATION_UNITS[unit]
     if value.denominator != 1:
         raise ValueError(f"duration {text!r} is not a whole number of ticks")
     return int(value)
@@ -68,7 +74,8 @@ def parse_rate(text: str) -> int:
     m = _RATE_RE.match(text)
     if not m:
         raise ValueError(f"not a rate: {text!r}")
-    value = Fraction(m.group(1)) * _RATE_PREFIX[m.group(2)]
+    number, prefix = m.groups()
+    value = _number(number) * _RATE_PREFIX[prefix]
     if value.denominator != 1:
         raise ValueError(f"rate {text!r} is not a whole number of bits per second")
     if not value:

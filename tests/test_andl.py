@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from autonetsim.andl import (
     CompileError, compile_network, has_errors, parse, print_file, validate,
 )
+from autonetsim.andl.parser import tokenize
 from autonetsim.cli import main
 from autonetsim.kernel import MS, US
 
@@ -120,6 +122,8 @@ def _add_message(text):
                  "message msg1: multicast TT streams are not supported", id="multicast-tt"),
     pytest.param([("backbone: avb{id 1;};", "backbone: rc{vlID 3; bag 0ms;};")],
                  "message msg2: bag must be positive", id="zero-bag"),
+    pytest.param([_add_message("sender en1; receivers en2; payload 4B; period 1ms; mapping { backbone: avb{id 1;}; }")],
+                 "duplicate avb id 1 (m3 vs msg2)", id="duplicate-stream-id"),
 ])
 def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle):
     text = listing_small
@@ -130,6 +134,15 @@ def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, e
     src.write_text(text)
     assert main(["validate", str(src)]) == 1
     assert needle in capsys.readouterr().err
+
+
+def test_validate_stops_at_parse_errors(tmp_path, listing_small, capsys):
+    # The faulty gateway is not in the partial AST; checking that AST would report
+    # its connections as unknown devices too.
+    src = tmp_path / "small.andl"
+    src.write_text(listing_small.replace("pool gw1_1;", "pool 5;"))
+    assert main(["validate", str(src)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{src}:24:12: error: expected pool name, found '5'"]
 
 
 def test_validate_small_network_clean(listing_small):
@@ -415,3 +428,99 @@ def test_zero_rate_is_a_compile_error(old, new):
     assert not has_errors(diags)
     with pytest.raises(CompileError, match="must be positive"):
         compile_network(ast)
+
+
+def test_column_after_a_fence_counts_from_the_fences_last_line():
+    tokens, diags = tokenize("inline ini ```a=1``` ; @")
+    assert [(t.kind, t.value, t.line, t.col) for t in tokens] == [
+        ("ident", "inline", 1, 1), ("ident", "ini", 1, 8), ("fenced", "a=1", 1, 12),
+        ("punct", ";", 1, 22), ("eof", "", 1, 25)]
+    assert [(d.line, d.col, d.message) for d in diags] == [(1, 24, "unexpected character '@'")]
+    tokens, _ = tokenize("x ```\na\n  b``` ;")
+    assert [(t.value, t.line, t.col) for t in tokens][-2:] == [(";", 3, 8), ("", 3, 9)]
+
+
+# The lexer as it was before the single-pass rewrite: one anchored match per lexeme.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<comment>//[^\n]*)
+  | (?P<fence>```)
+  | (?P<arrow><-->)
+  | (?P<scalar>\d+(?:\.\d+)?[A-Za-z/%]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>[{}();:,.=])
+  | (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text):
+    """(kind, value, line, col) tokens and (line, col, message) diagnostics of the old lexer.
+    One deliberate difference: after a fence it counted the column from 1; this copy
+    counts from the fence's last newline, or goes on along the line when it has none."""
+    tokens, diags = [], []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        elif kind in ("space", "comment"):
+            col += len(value)
+        elif kind == "fence":
+            end = text.find("```", m.end())
+            if end < 0:
+                diags.append((line, col, "unterminated ``` fence"))
+                break
+            tokens.append(("fenced", text[m.end():end].strip("\n"), line, col))
+            line += text.count("\n", pos, end + 3)
+            last_newline = text.rfind("\n", pos, end + 3)
+            col = end + 3 - last_newline if last_newline >= 0 else col + end + 3 - pos  # the fix
+            pos = end + 3
+            continue
+        elif kind == "bad":
+            diags.append((line, col, f"unexpected character {value!r}"))
+            col += 1
+        else:
+            tokens.append((kind, value, line, col))
+            col += len(value)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens, diags
+
+
+LEXER_FRAGMENTS = [
+    "```", "`", "```\nk = v\n```", "//", "// note\n", "<-->", "<-", "-->", "1.5us", "10ms", "0.5ps",
+    "100Mb/s", "6B", "7", "1.", "\n", "\r\n", "\t", " ", "@", "\u00e9", "\u00a0", "\u0663", "#", "{", "}",
+    ";", ".", "x_1",
+]
+
+
+@pytest.mark.parametrize("scenario", ["small_network.andl", "two_pools.andl"])
+def test_lexer_matches_the_reference_lexer(scenario):
+    base = (SMALL_NETWORK.parent / scenario).read_text()
+    rng = random.Random(8)
+    texts = [base, "", "```", "a ```b", "x\n```\n"]
+    for _ in range(600):
+        text = base
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + rng.choice(LEXER_FRAGMENTS) + text[i:]
+            elif op == 1:
+                text = text[:i] + text[i + rng.randint(1, 4):]
+            else:
+                text = text[:i] + rng.choice(LEXER_FRAGMENTS) + text[i + 1:]
+        texts.append(text)
+    for text in texts:
+        tokens, diags = tokenize(text)
+        got = ([(t.kind, t.value, t.line, t.col) for t in tokens],
+               [(d.line, d.col, d.message) for d in diags])
+        assert got == reference_tokenize(text), text

@@ -164,6 +164,12 @@ def test_parse_helpers():
     assert parse_rate("100Mb/s") == 100_000_000
     assert parse_rate("500kb/s") == 500_000
     assert parse_rate("0.5Mb/s") == 500_000
+    assert parse_duration("1.5us") == 1_500_000
+    assert parse_rate("1.5Mb/s") == 1_500_000
+    with pytest.raises(ValueError, match=r"^duration '0.5ps' is not a whole number of ticks$"):
+        parse_duration("0.5ps")
+    with pytest.raises(ValueError, match=r"^rate '0b/s' must be positive$"):
+        parse_rate("0b/s")
     assert parse_byte_count("46B") == 46
     assert fmt_duration(2 * MS) == "2ms"
     with pytest.raises(ValueError):
