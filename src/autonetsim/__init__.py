@@ -22,7 +22,7 @@ from .gateway import (
     decode_records, encode_records, split_records,
 )
 from .metrics import LatencySample, MetricStore, RecordingFlags
-from .config import NetworkConfig, apply_override, apply_override_layers
+from .config import NetworkConfig, apply_override
 from .engine import Runtime
 from . import andl
 

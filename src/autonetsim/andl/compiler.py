@@ -1,10 +1,10 @@
 """Validation and compilation of ANDL sources into a NetworkConfig.
 
-The compiler resolves type inheritance, materializes the topology graph,
-computes shortest-hop message paths, derives gateway routing rules, pools,
-switch forwarding tables and AVB reservations, and generates the TDMA
-schedule for time-triggered streams.  Inline-ini pairs are applied last so
-they override generated definitions.
+The compiler resolves type inheritance, checks device parameters, builds
+the topology graph and applies the inline-ini and command-line overrides;
+only then does it compute shortest-hop message paths, derive gateway
+routing rules, pools, switch forwarding tables and AVB reservations, and
+generate the TDMA schedule, so each is computed once, from final values.
 """
 
 from __future__ import annotations
@@ -12,21 +12,18 @@ from __future__ import annotations
 from collections import deque
 
 from ..config import (
-    BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
-    OverrideError, PoolCfg, RuleCfg, ScheduleCfg, WindowCfg, apply_override_layers,
+    _DEVICE_VALUES, BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
+    OverrideError, PoolCfg, RuleCfg, ScheduleCfg, WindowCfg, apply_override, device_value,
 )
-from ..ethernet import (DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, check_reservation_cap,
+from ..ethernet import (ETH_MAX_PAYLOAD, check_reservation_cap,
                         eth_frame_duration, eth_wire_bits, pad_payload)
 from ..gateway import COUNT_PREFIX, RECORD_HEADER
-from ..kernel import SEC, parse_duration, parse_rate
+from ..kernel import SEC
 from .nodes import (
-    AndlFile, AvbBind, BeBind, CanBind, Diagnostic, MessageDecl, NetworkDecl,
+    AndlFile, AvbBind, CanBind, Diagnostic, MessageDecl, NetworkDecl,
     PoolBind, RcBind, TtBind, has_errors,
 )
 from .tdma import CycleTooLong, ScheduleInfeasible, TtFlow, generate_tdma_schedule
-
-DEFAULT_ETH_RATE = 100_000_000
-DEFAULT_CAN_BITRATE = 500_000
 
 NODE_KINDS = ("node", "gateway", "switch")
 
@@ -50,9 +47,7 @@ def _binding_dict(binding) -> dict:
         return {"kind": "avb", "stream": binding.stream_id, "class": binding.cls}
     if isinstance(binding, RcBind):
         return {"kind": "rc", "vl": binding.vl_id, "bag": binding.bag}
-    if isinstance(binding, BeBind):
-        return {"kind": "be", "priority": binding.priority}
-    raise TypeError(f"not a segment binding: {binding!r}")
+    return {"kind": "be", "priority": binding.priority}  # BeBind, the last segment binding
 
 
 class _Builder:
@@ -61,11 +56,13 @@ class _Builder:
         self.network_name = network
         self.diags: list[Diagnostic] = []
         self.cfg = NetworkConfig(name="")
-        self.devices: dict[str, object] = {}
-        self.links: list[LinkCfg] = []
+        self.devices: dict[str, DeviceCfg] = {}  # the config's own entries, overridden in place
+        self.device_pools: dict[str, list[str]] = {}
+        self.resolved: dict[int, tuple[dict, list]] = {}  # id(decl) -> inherited params, pools
+        self.resolving: set[int] = set()
         self.buses: dict[str, BusCfg] = {}
         self.adj: dict[str, dict[str, tuple]] = {}  # node -> neighbour -> first edge's info
-        self.link_rate: dict[str, int] = {}  # directed link -> bits/s
+        self.link_rate: dict[str, int] = {}  # directed link -> bits/s, read after overriding
         self._anon = 0
         self.pool_members: dict[tuple[str, str], list[dict]] = {}
         self.rules: dict[tuple, list[dict]] = {}
@@ -89,35 +86,47 @@ class _Builder:
                 index.setdefault(decl.name, decl)
         return index
 
-    def _resolve(self, decl, types: dict) -> object:
+    def _resolve(self, decl, types: dict) -> tuple[dict[str, str], list[str]]:
+        """The params and pools ``decl`` declares or inherits, leaving it as parsed.
+
+        Each declaration is resolved once, so a faulty chain, or a known
+        parameter that does not parse, is reported once, at its own line.
+        """
+        key = id(decl)
+        if key in self.resolved:
+            return self.resolved[key]
         params: dict[str, str] = {}
         pools: list[str] = []
-        chain = []
-        cur = decl
-        while cur is not None:
-            chain.append(cur)
-            if cur.extends is None:
-                break
-            nxt = types.get(cur.extends)
-            if nxt is None:
-                self.error(cur.line, f"unknown type {cur.extends!r} in extends")
-                break
-            if nxt.kind != decl.kind:
-                self.error(cur.line, f"{decl.name} ({decl.kind}) cannot extend {cur.extends} ({nxt.kind})")
-                break
-            if nxt in chain:
-                self.error(cur.line, f"inheritance cycle through {cur.extends}")
-                break
-            cur = nxt
-        for member in reversed(chain):
-            params.update(member.params)
-            for p in member.pools:
-                if p not in pools:
-                    pools.append(p)
-        decl.params = params
-        decl.pools = pools
-        return decl
+        if decl.extends is not None:
+            base = types.get(decl.extends)
+            if base is None:
+                self.error(decl.line, f"unknown type {decl.extends!r} in extends")
+            elif base.kind != decl.kind:
+                self.error(decl.line, f"{decl.name} ({decl.kind}) cannot extend {decl.extends} ({base.kind})")
+            elif id(base) in self.resolving:
+                self.error(decl.line, f"inheritance cycle through {decl.extends}")
+            else:
+                self.resolving.add(key)
+                base_params, base_pools = self._resolve(base, types)
+                self.resolving.discard(key)
+                params.update(base_params)
+                pools.extend(base_pools)
+        params.update(self._checked(decl.name, decl.params, decl.line))
+        for p in decl.pools:
+            if p not in pools:
+                pools.append(p)
+        self.resolved[key] = params, pools
+        return params, pools
 
+    def _checked(self, label: str, params: dict[str, str], line: int) -> dict[str, str]:
+        """``params`` less each known value that does not parse, an error at ``line``."""
+        for key in [k for k in params if k in _DEVICE_VALUES]:
+            try:
+                device_value(params, key)
+            except ValueError as exc:
+                self.error(line, f"{label}.{key}: {exc}")
+                params = {k: v for k, v in params.items() if k != key}
+        return params
     def _pick_network(self) -> NetworkDecl | None:
         if not self.ast.networks:
             self.error(1, "no network declared")
@@ -135,12 +144,13 @@ class _Builder:
     def _build_topology(self, net: NetworkDecl) -> None:
         types = self._type_index()
         for dev in net.devices:
-            self._resolve(dev, types)
+            params, pools = self._resolve(dev, types)
             if dev.name in self.devices:
                 self.error(dev.line, f"duplicate device name {dev.name!r}")
                 continue
-            self.devices[dev.name] = dev
-            self.cfg.devices.append(DeviceCfg(dev.name, dev.kind, dict(dev.params)))
+            self.devices[dev.name] = DeviceCfg(dev.name, dev.kind, dict(params))
+            self.device_pools[dev.name] = pools
+            self.cfg.devices.append(self.devices[dev.name])
 
         def add_edge(a: str, b: str, info: tuple) -> None:
             self.adj.setdefault(a, {}).setdefault(b, info)
@@ -167,12 +177,7 @@ class _Builder:
                         continue
                     bus = self.buses.get(bus_decl.name)
                     if bus is None:
-                        try:
-                            bitrate = parse_rate(bus_decl.params.get("bitrate", "500kb/s"))
-                        except ValueError as exc:
-                            self.error(conn.line, str(exc))
-                            bitrate = DEFAULT_CAN_BITRATE
-                        bus = BusCfg(bus_decl.name, bitrate, seg.name)
+                        bus = BusCfg(bus_decl.name, device_value(bus_decl.params, "bitrate"), seg.name)
                         self.buses[bus_decl.name] = bus
                     elif bus.segment != seg.name:
                         self.error(conn.line, f"bus {bus.name!r} appears in two segments")
@@ -186,38 +191,27 @@ class _Builder:
                 if a.kind not in NODE_KINDS or b.kind not in NODE_KINDS:
                     self.error(conn.line, "Ethernet links connect nodes, switches, or gateways")
                     continue
-                rate = DEFAULT_ETH_RATE
                 if conn.link:
                     link_dev = self.devices.get(conn.link)
                     if link_dev is None or link_dev.kind != "ethernetLink":
                         self.error(conn.line, f"{conn.link!r} is not an ethernetLink")
                         continue
-                    name = conn.link
-                    raw = link_dev.params.get("bandwidth")
-                elif conn.new_type:
-                    link_type = types.get(conn.new_type)
-                    if link_type is None or link_type.kind != "ethernetLink":
-                        self.error(conn.line, f"{conn.new_type!r} is not an ethernetLink type")
-                        continue
-                    self._anon += 1
-                    name = f"link{self._anon}"
-                    raw = link_type.params.get("bandwidth")
+                    name, rate = conn.link, device_value(link_dev.params, "bandwidth")
                 else:
+                    params = {}
+                    if conn.new_type:
+                        link_type = types.get(conn.new_type)
+                        if link_type is None or link_type.kind != "ethernetLink":
+                            self.error(conn.line, f"{conn.new_type!r} is not an ethernetLink type")
+                            continue
+                        params = self._resolve(link_type, types)[0]
+                    rate = device_value(params, "bandwidth")
                     self._anon += 1
                     name = f"link{self._anon}"
-                    raw = None
-                if raw is not None:
-                    try:
-                        rate = parse_rate(raw)
-                    except ValueError as exc:
-                        self.error(conn.line, str(exc))
-                if any(l.name == name for l in self.links):
+                if any(l.name == name for l in self.cfg.links):
                     self.error(conn.line, f"link {name!r} used in more than one connection")
                     continue
-                link = LinkCfg(name, conn.a, conn.b, rate, seg.name)
-                self.links.append(link)
-                self.link_rate[f"{conn.a}->{conn.b}"] = rate
-                self.link_rate[f"{conn.b}->{conn.a}"] = rate
+                self.cfg.links.append(LinkCfg(name, conn.a, conn.b, rate, seg.name))
                 add_edge(conn.a, conn.b, ("eth", name, seg.name))
                 kinds.add("ethernet")
             if kinds:
@@ -225,8 +219,9 @@ class _Builder:
                     self.error(seg.line, f"segment {seg.name!r} mixes CAN and Ethernet")
                 self.cfg.segments[seg.name] = sorted(kinds)[0]
 
+        self.cfg.buses = list(self.buses.values())
         eth_degree: dict[str, int] = {}
-        for link in self.links:
+        for link in self.cfg.links:
             for end in (link.a, link.b):
                 eth_degree[end] = eth_degree.get(end, 0) + 1
         for name, count in eth_degree.items():
@@ -346,7 +341,7 @@ class _Builder:
                     self.error(entry.line, f"message {msg.name}: {target!r} is not a gateway")
                     continue
                 if isinstance(entry.binding, PoolBind):
-                    if entry.binding.pool not in dev.pools:
+                    if entry.binding.pool not in self.device_pools[target]:
                         self.error(entry.line, f"gateway {target} declares no pool {entry.binding.pool!r}")
                         continue
                     pool_binds[target] = entry.binding
@@ -533,13 +528,10 @@ class _Builder:
                 seg = self._segment_of(run[0], run[1])
                 tag = msg.bindings[seg]
                 key = self._forward_key(tag, msg, multicast, frame_dst=end)
-                for j in range(1, len(run) - 1):
-                    sw = run[j]
-                    if self.devices[sw].kind != "switch":
-                        continue
+                for sw, nxt in zip(run[1:-1], run[2:]):  # a run's interior vertices are switches
                     ports = self.forwarding.setdefault((sw, key), [])
-                    if run[j + 1] not in ports:
-                        ports.append(run[j + 1])
+                    if nxt not in ports:
+                        ports.append(nxt)
 
         # AVB reservations
         self._reserve_avb(msg, multicast)
@@ -612,9 +604,7 @@ class _Builder:
                     dur = eth_frame_duration(payload, self.link_rate[link])
                     hops.append((link, dur))
                     if idx < len(run) - 2:
-                        sw = run[idx + 1]
-                        raw = self.devices[sw].params.get("hardwareDelay")
-                        gaps.append(parse_duration(raw) if raw else DEFAULT_HW_DELAY)
+                        gaps.append(device_value(self.devices[run[idx + 1]].params, "hardwareDelay"))
                 if self.devices[run[0]].kind == "gateway":
                     pool = msg.pools.get(run[0], {}).get("pool")
                     if pool:
@@ -653,7 +643,30 @@ class _Builder:
 
     # -- assembly -------------------------------------------------------------------
 
-    def build(self) -> tuple[NetworkConfig, list[Diagnostic]]:
+    def _apply_overrides(self, net: NetworkDecl, overrides) -> None:
+        """The inline-ini pairs, then the command-line pairs: a later pair wins."""
+        for block in net.inline_ini:
+            for raw in block.splitlines():
+                stripped = raw.strip()
+                if not stripped or stripped.startswith(("#", "//")):
+                    continue
+                key, eq, value = stripped.partition("=")
+                if not eq:
+                    self.warn(0, f"inline ini line without '=': {stripped!r}")
+                    continue
+                try:
+                    known = apply_override(self.cfg, key, value)
+                except OverrideError as exc:
+                    self.error(0, f"inline ini: {exc}")
+                    continue
+                if not known:
+                    self.cfg.extras[key.strip()] = value.strip()
+                    self.cfg.warnings.append(f"unknown inline-ini key {key.strip()!r} (kept as extra)")
+        for key, value in overrides:
+            if not apply_override(self.cfg, key, value):
+                raise KeyError(f"unknown override key {key!r}")
+
+    def build(self, overrides=()) -> tuple[NetworkConfig, list[Diagnostic]]:
         net = self._pick_network()
         if net is None:
             return self.cfg, self.diags
@@ -661,22 +674,22 @@ class _Builder:
         self._build_topology(net)
         if has_errors(self.diags):
             return self.cfg, self.diags
+        self._apply_overrides(net, overrides)
+        for link in self.cfg.links:
+            self.link_rate[f"{link.a}->{link.b}"] = self.link_rate[f"{link.b}->{link.a}"] = link.rate
         self._build_messages(net)
         self._build_pools()
 
-        self.cfg.links = self.links
-        self.cfg.buses = list(self.buses.values())
         for (gw, seg, can_id, key), dests in self.rules.items():
             self.cfg.rules.append(
                 RuleCfg(gw, seg, can_id=can_id, key=list(key) if key else None, dests=dests)
             )
         for (sw, key), ports in self.forwarding.items():
             self.cfg.forwarding.append(ForwardCfg(sw, list(key), ports))
-        self.cfg.slopes = {
-            link: {cls: v for cls, v in slot.items() if v}
-            for link, slot in self.slopes.items()
-            if any(slot.values())
-        }
+        for link, slot in self.slopes.items():  # an overridden (link, class) keeps its value
+            for cls, v in slot.items():
+                if v:
+                    self.cfg.slopes.setdefault(link, {}).setdefault(cls, v)
 
         flows = list(self.tt_flows.values())
         if flows:
@@ -690,22 +703,7 @@ class _Builder:
             except (ScheduleInfeasible, CycleTooLong) as exc:
                 self.error(0, f"TDMA schedule: {exc}")
 
-        for block in net.inline_ini:
-            for raw in block.splitlines():
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("#") or stripped.startswith("//"):
-                    continue
-                if "=" not in stripped:
-                    self.warn(0, f"inline ini line without '=': {stripped!r}")
-                    continue
-                key, _, value = stripped.partition("=")
-                self.cfg.ini.append([key.strip(), value.strip()])
-        try:
-            apply_override_layers(self.cfg)
-        except OverrideError as exc:
-            self.error(0, f"inline ini: {exc}")
-
-        # reservation cap, checked after overrides may have raised slopes
+        # reservation cap, over the derived and the overridden slopes
         for link, slot in self.cfg.slopes.items():
             rate = self.link_rate.get(link)
             if rate is None:
@@ -732,9 +730,10 @@ def validate(ast: AndlFile, network: str | None = None) -> list[Diagnostic]:
     return diags
 
 
-def compile_network(ast: AndlFile, network: str | None = None) -> NetworkConfig:
-    """Compile a parsed description; raises CompileError on any error."""
-    cfg, diags = _Builder(ast, network).build()
+def compile_network(ast: AndlFile, network: str | None = None, overrides=()) -> NetworkConfig:
+    """Compile a parsed description; raises CompileError on any error.  ``overrides``
+    are command-line pairs: a bad value raises OverrideError, an unknown key KeyError."""
+    cfg, diags = _Builder(ast, network).build(overrides)
     if has_errors(diags):
         raise CompileError(diags)
     return cfg

@@ -15,7 +15,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from .andl import CompileError, compile_network, has_errors, parse, validate
-from .config import ConfigError, NetworkConfig, apply_override_layers
+from .config import ConfigError, NetworkConfig, OverrideError, apply_override, derives_tables
 from .engine import Runtime
 from .kernel import MAX_TICKS, US, parse_duration
 
@@ -35,15 +35,19 @@ def _print_diags(diags, path: str) -> None:
 
 def _load_config(path: str, overrides: list[tuple[str, str]], network: str | None) -> NetworkConfig:
     text = _read(path)
-    if text.lstrip().startswith("{"):
-        cfg = NetworkConfig.from_json(text)
-    else:
+    if not text.lstrip().startswith("{"):
         ast, diags = parse(text)
         if has_errors(diags):
             _print_diags(diags, path)
             raise CompileError(diags)
-        cfg = compile_network(ast, network)
-    apply_override_layers(cfg, overrides)
+        return compile_network(ast, network, overrides)
+    cfg = NetworkConfig.from_json(text)
+    for key, value in overrides:
+        if derives_tables(cfg, key):
+            raise OverrideError(f"override {key!r}: the document's tables were derived from it; "
+                                "set it in the source and recompile")
+        if not apply_override(cfg, key, value):
+            raise KeyError(f"unknown override key {key!r}")
     return cfg
 
 

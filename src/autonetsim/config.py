@@ -2,7 +2,7 @@
 
 A NetworkConfig is the self-contained output of the network-description
 compiler: devices, links, buses, message flows, gateway routing rules,
-pools, switch forwarding tables, the TDMA schedule, and override layers.
+pools, switch forwarding tables, the TDMA schedule, and the run knobs.
 It serializes to a stable-key-order JSON document (see README for the
 schema) so identical sources compile to identical bytes.
 """
@@ -13,7 +13,9 @@ import json
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .kernel import parse_duration, parse_rate
+from .ethernet import DEFAULT_HW_DELAY
+from .gateway import DEFAULT_PROCESSING_DELAY
+from .kernel import Oscillator, parse_duration, parse_rate
 
 
 class ConfigError(Exception):
@@ -116,7 +118,6 @@ class NetworkConfig:
     forwarding: list[ForwardCfg] = field(default_factory=list)
     schedule: ScheduleCfg | None = None
     slopes: dict[str, dict] = field(default_factory=dict)  # link -> {"A": b/s, "B": b/s}
-    ini: list[list[str]] = field(default_factory=list)     # [key, value] pairs, in order
     extras: dict[str, str] = field(default_factory=dict)   # unknown override keys
     warnings: list[str] = field(default_factory=list)
     seed: int = 0
@@ -160,7 +161,6 @@ class NetworkConfig:
                 dict(sched.get("releases", {})),
             )
         cfg.slopes = {k: dict(v) for k, v in doc.get("slopes", {}).items()}
-        cfg.ini = [list(p) for p in doc.get("ini", [])]
         cfg.extras = dict(doc.get("extras", {}))
         cfg.warnings = list(doc.get("warnings", []))
         cfg.seed = doc.get("seed", 0)
@@ -185,30 +185,54 @@ class NetworkConfig:
                 return d
         return None
 
-    def device_param(self, name: str, key: str, default: str | None = None) -> str | None:
-        dev = self.device(name)
-        if dev is None:
-            return default
-        return dev.params.get(key, default)
-
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-# Device parameters the engine parses when it builds the runtime.
-_DEVICE_VALUES = {"processingDelay": parse_duration, "hardwareDelay": parse_duration, "driftPpm": Fraction}
+
+def _parse_drift(text: str) -> Fraction:
+    try:
+        drift = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a drift in ppm: {text!r}") from None
+    return Oscillator(drift).drift_ppm  # Oscillator checks the range
+
+
+# The one table of device parameters, each with its parser and the default of
+# a device that leaves it unset: for the compiler, the overrides and the engine.
+_DEVICE_VALUES = {
+    "processingDelay": (parse_duration, DEFAULT_PROCESSING_DELAY),
+    "hardwareDelay": (parse_duration, DEFAULT_HW_DELAY),
+    "driftPpm": (_parse_drift, 0),
+    "bandwidth": (parse_rate, 100_000_000),
+    "bitrate": (parse_rate, 500_000),
+}
+
+
+def device_value(params: dict[str, str], key: str):
+    """The parsed value of a known device parameter, or its default when unset."""
+    parse, default = _DEVICE_VALUES[key]
+    raw = params.get(key)
+    return default if raw is None else parse(raw)
 
 
 def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
     """Apply one dotted override key; returns False when the key is unknown.
 
-    Precedence is handled by call order: generated defaults, then inline-ini
-    pairs, then command-line pairs.  A value that does not parse raises
-    OverrideError naming the key.
+    The compiler applies the inline-ini pairs and then the command-line
+    pairs before it derives anything, so the later pair wins.  A value that
+    does not parse raises OverrideError naming the key.
     """
     try:
         return _apply_override(cfg, key.strip().split("."), value.strip())
-    except (KeyError, ValueError, ZeroDivisionError):
+    except (KeyError, ValueError):
         raise OverrideError(f"override {key.strip()!r}: cannot parse {value.strip()!r}") from None
+
+
+def derives_tables(cfg: NetworkConfig, key: str) -> bool:
+    """Whether the compiler derived TDMA windows or the reservation check from ``key``."""
+    target, _, param = key.strip().rpartition(".")
+    return param in ("hardwareDelay", "idleSlopeA", "idleSlopeB") or (
+        param == "bandwidth" and any(link.name == target for link in cfg.links))
 
 
 def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
@@ -240,34 +264,16 @@ def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
     if len(parts) == 2:
         target, param = parts
         dev = cfg.device(target)
+        links = [link for link in cfg.links if link.name == target and param == "bandwidth"]
+        if dev is None and not links:  # an unnamed link is no device
+            return False
+        parsed = _DEVICE_VALUES[param][0](value) if param in _DEVICE_VALUES else value
         if dev is not None:
-            if param in _DEVICE_VALUES:
-                _DEVICE_VALUES[param](value)
             dev.params[param] = value
-            if dev.kind == "ethernetLink" and param == "bandwidth":
-                for link in cfg.links:
-                    if link.name == target:
-                        link.rate = parse_rate(value)
-            if dev.kind == "canLink" and param == "bitrate":
-                for bus in cfg.buses:
-                    if bus.name == target:
-                        bus.bitrate = parse_rate(value)
-            return True
-        for link in cfg.links:
-            if link.name == target and param == "bandwidth":
-                link.rate = parse_rate(value)
-                return True
+        for link in links:
+            link.rate = parsed
+        for bus in cfg.buses:
+            if bus.name == target and param == "bitrate":
+                bus.bitrate = parsed
+        return True
     return False
-
-
-def apply_override_layers(cfg: NetworkConfig, cli_overrides: list[tuple[str, str]] | None = None) -> None:
-    """Apply the inline-ini layer, then the command-line layer."""
-    for key, value in cfg.ini:
-        if not apply_override(cfg, key, value):
-            cfg.extras[key] = value
-            warning = f"unknown inline-ini key {key!r} (kept as extra)"
-            if warning not in cfg.warnings:
-                cfg.warnings.append(warning)
-    for key, value in cli_overrides or []:
-        if not apply_override(cfg, key, value):
-            raise KeyError(f"unknown override key {key!r}")

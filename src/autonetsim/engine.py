@@ -10,16 +10,15 @@ during the run, never reach past the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .can import CanBus, CanFrame, NodeCanPort
-from .config import NetworkConfig
+from .config import NetworkConfig, device_value
 from .ethernet import (
-    AVB, BE, RC, TT, DEFAULT_HW_DELAY, EthFrame, EthPort, Switch,
+    AVB, BE, RC, TT, EthFrame, EthPort, Switch,
     TdmaSchedule, TdmaWindow, pad_payload, tt_receive_check,
 )
-from .gateway import DEFAULT_PROCESSING_DELAY, Gateway, RouteDest
-from .kernel import Event, EventKind, Oscillator, Simulator, parse_duration
+from .gateway import Gateway, RouteDest
+from .kernel import Event, EventKind, Oscillator, Simulator
 from .metrics import MetricStore, RecordingFlags
 
 
@@ -195,10 +194,6 @@ class Runtime:
 
     # -- construction -------------------------------------------------------
 
-    def _device_duration(self, dev, key: str, default: int) -> int:
-        raw = dev.params.get(key)
-        return parse_duration(raw) if raw else default
-
     def _build(self) -> None:
         cfg = self.cfg
         if cfg.schedule and cfg.schedule.windows:
@@ -207,17 +202,14 @@ class Runtime:
                 [TdmaWindow(w.ct_id, w.link, w.offset, w.duration) for w in cfg.schedule.windows],
             )
         for dev in cfg.devices:
-            drift = dev.params.get("driftPpm", "0")
-            self.oscillators[dev.name] = Oscillator(Fraction(drift))
+            self.oscillators[dev.name] = Oscillator(device_value(dev.params, "driftPpm"))
             if dev.kind == "switch":
                 self.switches[dev.name] = Switch(
-                    self.sim, self.store, dev.name,
-                    self._device_duration(dev, "hardwareDelay", DEFAULT_HW_DELAY),
+                    self.sim, self.store, dev.name, device_value(dev.params, "hardwareDelay"),
                 )
             elif dev.kind == "gateway":
                 self.gateways[dev.name] = Gateway(
-                    self.sim, self.store, dev.name,
-                    self._device_duration(dev, "processingDelay", DEFAULT_PROCESSING_DELAY),
+                    self.sim, self.store, dev.name, device_value(dev.params, "processingDelay"),
                 )
             elif dev.kind == "node":
                 self.hosts[dev.name] = Host(

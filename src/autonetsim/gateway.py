@@ -132,7 +132,7 @@ class RouteDest:
     tag: object | None = None  # egress traffic-class tag for Ethernet emission
     dst: tuple[str, ...] = ()  # destination node(s) for Ethernet emission
     bus: str | None = None    # destination bus for CAN emission
-    can_id: int | None = None  # id on the destination bus (None keeps the id)
+    can_id: int | None = None  # id on the destination bus
 
 
 @dataclass
@@ -270,10 +270,7 @@ class Gateway:
             elif d.kind == "eth":
                 self._emit_aggregates([PoolEntry(record, now, d.dst, d.tag)], now)
             elif d.kind == "can":
-                out = CanFrame(
-                    d.can_id if d.can_id is not None else frame.can_id,
-                    frame.payload, d.bus, frame.creation_time, frame.message,
-                )
+                out = CanFrame(d.can_id, frame.payload, d.bus, frame.creation_time, frame.message)
                 self.sim.schedule(
                     now + self.processing_delay, self.name,
                     EventKind.GW_CAN_EGRESS, (d.bus, [out]),
@@ -325,10 +322,7 @@ class Gateway:
                     self.store.count_drop(self.name, "router", reason="no_rule")
                     continue
                 for d in dests:
-                    out = CanFrame(
-                        d.can_id if d.can_id is not None else record.can_id,
-                        record.payload, d.bus, record.creation, record.message,
-                    )
+                    out = CanFrame(d.can_id, record.payload, d.bus, record.creation, record.message)
                     batches.setdefault(d.bus, []).append(out)
             for bus_name, batch in batches.items():
                 self.sim.schedule(

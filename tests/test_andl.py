@@ -90,49 +90,106 @@ def _add_message(text):
     return (_COMM, f"{_COMM}    message m3 {{ {text} }}\n")
 
 
-@pytest.mark.parametrize("edits, needle", [
-    pytest.param([("ethernetLink ETH {", "ethernetLink ETH extends ETH {")],
-                 "inheritance cycle through ETH", id="inheritance-cycle"),
-    pytest.param([("node cn1;", "node cn1 extends std.ETH;")],
-                 "cn1 (node) cannot extend std.ETH (ethernetLink)", id="cannot-extend"),
-    pytest.param([_add_message("sender en1; receivers cn1; payload 4B; period 1ms; mapping { "
-                               "backbone: be{priority 1;}; canbus: can{id 40;}; gw1: pool gw1_1{holdUp 1ms;}; }")],
-                 "message m3: pool at gw1 needs an Ethernet egress", id="pool-ethernet-to-can"),
-    pytest.param([("gw1 <--> cb1;", "gw1 <--> cb1; gw1 <--> cb2;"), ("gw2;           //gw2 also", "//")],
-                 "message msg1: pool at gw1 needs an Ethernet egress", id="pool-can-to-can"),
-    pytest.param([("canLink cb2;", "canLink cb2; canLink cb3; node cn3;"),
-                  ("gw1 <--> cb1;", "gw1 <--> cb1; cn3 <--> cb3; gw1 <--> cb3;"),
-                  _add_message("sender cn3; receivers en2; payload 2B; period 1ms; mapping { "
-                               "canbus: can{id 37;}; gw1: pool gw1_1{holdUp 1ms;}; backbone: be{priority 1;}; }")],
-                 "pool gw1.gw1_1: conflicting hold-ups for id 37", id="conflicting-hold-ups"),
-    pytest.param([_add_message("sender cn1; receivers en2; payload 2B; period 1ms; mapping { "
-                               "canbus: can{id 38;}; gw1: pool gw1_1{holdUp 2ms;}; backbone: be{priority 1;}; }")],
-                 "pool gw1.gw1_1: members map to different backbone classes", id="pool-classes"),
-    pytest.param([("    segment canbus {", "    segment extra { en1 <--> cb1; }\n    segment canbus {")],
-                 "bus 'cb1' appears in two segments", id="bus-in-two-segments"),
-    pytest.param([("cn1 <--> cb1;", "cn1 <--> cb1; cn1 <--> s1;")],
-                 "segment 'canbus' mixes CAN and Ethernet", id="mixed-segment"),
-    pytest.param([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> eth1 <--> s1;")],
-                 "link 'eth1' used in more than one connection", id="link-used-twice"),
-    pytest.param([("cn2 <--> cb2;", "cn2 <--> cb2; cb1 <--> cb2;")],
-                 "cannot connect two CAN links", id="two-can-links"),
-    pytest.param([("en1 <--> eth1 <--> s1;", "en1 <--> cb1 <--> s1;")],
-                 "'cb1' is not an ethernetLink", id="link-not-ethernet"),
-    pytest.param([("sender cn1;", "sender cn1; multicast;")],
-                 "message msg1: multicast TT streams are not supported", id="multicast-tt"),
-    pytest.param([("backbone: avb{id 1;};", "backbone: rc{vlID 3; bag 0ms;};")],
-                 "message msg2: bag must be positive", id="zero-bag"),
-    pytest.param([_add_message("sender en1; receivers en2; payload 4B; period 1ms; mapping { backbone: avb{id 1;}; }")],
-                 "duplicate avb id 1 (m3 vs msg2)", id="duplicate-stream-id"),
+def _case(edits, needle, *, id, code=1, args=()):
+    return pytest.param(edits, needle, code, args, id=id)
+
+
+@pytest.mark.parametrize("edits, needle, code, args", [
+    _case([("ethernetLink ETH {", "ethernetLink ETH extends ETH {")],
+          "inheritance cycle through ETH", id="inheritance-cycle"),
+    _case([("node cn1;", "node cn1 extends std.ETH;")],
+          "cn1 (node) cannot extend std.ETH (ethernetLink)", id="cannot-extend"),
+    _case([_add_message("sender en1; receivers cn1; payload 4B; period 1ms; mapping { "
+                        "backbone: be{priority 1;}; canbus: can{id 40;}; gw1: pool gw1_1{holdUp 1ms;}; }")],
+          "message m3: pool at gw1 needs an Ethernet egress", id="pool-ethernet-to-can"),
+    _case([("gw1 <--> cb1;", "gw1 <--> cb1; gw1 <--> cb2;"), ("gw2;           //gw2 also", "//")],
+          "message msg1: pool at gw1 needs an Ethernet egress", id="pool-can-to-can"),
+    _case([("canLink cb2;", "canLink cb2; canLink cb3; node cn3;"),
+           ("gw1 <--> cb1;", "gw1 <--> cb1; cn3 <--> cb3; gw1 <--> cb3;"),
+           _add_message("sender cn3; receivers en2; payload 2B; period 1ms; mapping { "
+                        "canbus: can{id 37;}; gw1: pool gw1_1{holdUp 1ms;}; backbone: be{priority 1;}; }")],
+          "pool gw1.gw1_1: conflicting hold-ups for id 37", id="conflicting-hold-ups"),
+    _case([_add_message("sender cn1; receivers en2; payload 2B; period 1ms; mapping { "
+                        "canbus: can{id 38;}; gw1: pool gw1_1{holdUp 2ms;}; backbone: be{priority 1;}; }")],
+          "pool gw1.gw1_1: members map to different backbone classes", id="pool-classes"),
+    _case([("    segment canbus {", "    segment extra { en1 <--> cb1; }\n    segment canbus {")],
+          "bus 'cb1' appears in two segments", id="bus-in-two-segments"),
+    _case([("cn1 <--> cb1;", "cn1 <--> cb1; cn1 <--> s1;")],
+          "segment 'canbus' mixes CAN and Ethernet", id="mixed-segment"),
+    _case([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> eth1 <--> s1;")],
+          "link 'eth1' used in more than one connection", id="link-used-twice"),
+    _case([("cn2 <--> cb2;", "cn2 <--> cb2; cb1 <--> cb2;")],
+          "cannot connect two CAN links", id="two-can-links"),
+    _case([("en1 <--> eth1 <--> s1;", "en1 <--> cb1 <--> s1;")],
+          "'cb1' is not an ethernetLink", id="link-not-ethernet"),
+    _case([("sender cn1;", "sender cn1; multicast;")],
+          "message msg1: multicast TT streams are not supported", id="multicast-tt"),
+    _case([("backbone: avb{id 1;};", "backbone: rc{vlID 3; bag 0ms;};")],
+          "message msg2: bag must be positive", id="zero-bag"),
+    _case([_add_message("sender en1; receivers en2; payload 4B; period 1ms; mapping { backbone: avb{id 1;}; }")],
+          "duplicate avb id 1 (m3 vs msg2)", id="duplicate-stream-id"),
+    # Device parameters are parsed once, against one table, at the device's line.
+    _case([("switch s1;", "switch s1 { hardwareDelay fast; }")],
+          "small.andl:27:1: error: s1.hardwareDelay: not a duration: 'fast'", id="hardware-delay"),
+    _case([("gateway gw2;", "gateway gw2 { processingDelay soon; }")],
+          "small.andl:26:1: error: gw2.processingDelay: not a duration: 'soon'", id="processing-delay"),
+    _case([("node cn1;", "node cn1 { driftPpm abc; }")],
+          "small.andl:19:1: error: cn1.driftPpm: not a drift in ppm: 'abc'", id="drift-not-a-number"),
+    _case([("node cn1;", "node cn1 { driftPpm 2000000; }")],
+          "small.andl:19:1: error: cn1.driftPpm: |drift_ppm| must be < 10^6", id="drift-out-of-range"),
+    _case([("    bandwidth 100Mb/s;", "    bandwidth fast;")],
+          "small.andl:3:1: error: ETH.bandwidth: not a rate: 'fast'", id="link-type-bandwidth"),
+    # Diagnostics no other test reaches.
+    _case([(None, "types std { node N; }\n")], "no network declared", id="no-network"),
+    _case([], "network 'nope' not found", args=("--network", "nope"), id="network-not-found"),
+    _case([("node cn2;", "node cn2; node cn2;")], "duplicate device name 'cn2'", id="duplicate-device"),
+    _case([("gw2 <--> cb2;", "s1 <--> cb2;")], "'s1' cannot attach to a CAN bus", id="switch-on-can"),
+    _case([("cn1 <--> cb1;", "cn1 <--> eth1 <--> cb1;")],
+          "CAN attachments take no link reference", id="can-link-reference"),
+    _case([("en1 <--> eth1 <--> s1;", "en1 <--> eth1;")],
+          "Ethernet links connect nodes, switches, or gateways", id="ethernet-to-a-link"),
+    _case([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> {new std.NOPE} <--> s1;")],
+          "'std.NOPE' is not an ethernetLink type", id="new-not-a-link-type"),
+    _case([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> {new std.ETH} <--> s1; en1 <--> en2;")],
+          "node en1 has 2 Ethernet links; the first is its interface", code=0, id="node-two-links"),
+    _case([("sender cn1;", "sender gw1;")], "message msg1: 'gw1' is not a node", id="sender-not-a-node"),
+    _case([("period 1ms;", "period 0ms;")], "message msg1: period must be positive", id="zero-period"),
+    _case([("receivers cn2;", "")], "message msg1: needs at least one receiver", id="no-receiver"),
+    _case([("gw2;           //gw2 also", "s1;           //gw2 also")],
+          "message msg1: 's1' is not a gateway", id="not-a-gateway"),
+    _case([("gw1: pool gw1_1{", "gw1: pool nope{")], "gateway gw1 declares no pool 'nope'", id="no-such-pool"),
+    _case([("backbone: avb{id 1;};", "nowhere: avb{id 1;};")],
+          "message msg2: unknown segment 'nowhere'", id="unknown-segment"),
+    _case([("canbus: can{id 37;};", "canbus: be{priority 1;};")],
+          "segment canbus is CAN; use a can binding", id="can-segment-binding"),
+    _case([("backbone: avb{id 1;};", "backbone: can{id 1;};")],
+          "segment backbone is Ethernet; can binding not allowed", id="ethernet-segment-binding"),
+    _case([("node en2;", "node en2; node lone;"), ("receivers en2;", "receivers lone;")],
+          "message msg2: receiver 'lone' is unreachable", id="unreachable"),
+    _case([("gw2;           //gw2 also", "//")],
+          "message msg1: gateway gw2 on path but not listed in mapping", id="gateway-not-listed"),
+    _case([("backbone: avb{id 1;};", "backbone: avb{id 1;}; gw1;")],
+          "message msg2: gateway gw1 listed but not on the message path", id="gateway-off-path"),
+    _case([("payload 6B;", "payload 9B;")], "message msg1: CAN payload exceeds 8 bytes", id="can-payload"),
+    _case([("payload 500B;", "payload 1501B;")], "message msg2: payload exceeds 1500 bytes", id="eth-payload"),
+    _case([], "pool gw1.gw1_1: hold-up of id 37 exceeds its period", code=0, id="hold-up-over-period"),
+    _case([("record-eventlog = false", "record-eventlog")],
+          "inline ini line without '=': 'record-eventlog'", code=0, id="ini-without-equals"),
+    _case([("node cn1;", "node cn1 extends NOPE;")], "unknown type 'NOPE' in extends", id="unknown-type"),
+    _case([("cn1 <--> cb1;", "cn1 <--> cb1; cn1 <--> cb1;")], "'cn1' attached to 'cb1' twice",
+          code=0, id="attached-twice"),
 ])
-def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle):
+def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle, code, args):
     text = listing_small
     for old, new in edits:
+        if old is None:  # the whole listing
+            text = new
+            continue
         assert text.count(old) == 1, old
         text = text.replace(old, new)
     src = tmp_path / "small.andl"
     src.write_text(text)
-    assert main(["validate", str(src)]) == 1
+    assert main(["validate", str(src), *args]) == code
     assert needle in capsys.readouterr().err
 
 
@@ -273,6 +330,32 @@ def test_compile_error_raises(listing_small):
     ast, _ = parse(listing_small.replace("payload 6B;", "payload 9B;"))
     with pytest.raises(CompileError):
         compile_network(ast)
+
+
+def test_compile_leaves_the_ast_as_parsed(listing_small, listing_backbone):
+    for listing in (listing_small, listing_backbone):
+        ast, _ = parse(listing)
+        before = print_file(ast)
+        compile_network(ast)
+        assert print_file(ast) == before
+
+
+def test_new_link_instance_inherits_its_types_bandwidth():
+    text = """
+types std {
+  ethernetLink BASE { bandwidth 10Mb/s; }
+  ethernetLink KID extends BASE;
+}
+network n {
+  devices { node a; node b; switch s; }
+  connections { segment eth { a <--> {new std.KID} <--> s; b <--> s; } }
+  communication {}
+}
+"""
+    ast, diags = parse(text)
+    assert not has_errors(diags)
+    rates = {link.name: link.rate for link in compile_network(ast).links}
+    assert rates == {"link1": 10_000_000, "link2": 100_000_000}
 
 
 def test_compile_backbone_extension(listing_backbone):

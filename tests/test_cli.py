@@ -4,8 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from autonetsim.andl import compile_network, parse
 from autonetsim.cli import main
+from autonetsim.ethernet import eth_frame_duration
 from autonetsim.kernel import MS, SEC
+
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "small_network.andl"
 
 
 def write_listing(tmp_path, listing_small):
@@ -88,6 +92,62 @@ def test_run_override_layers(tmp_path, listing_small, capsys):
         "run", str(src), "--horizon", "20ms", "--out", str(tmp_path / "bad"),
         "--set", "nonsense.key=1",
     ]) == 1
+
+
+@pytest.mark.parametrize("how", ["set", "inline-ini"])
+def test_link_bandwidth_override_is_applied_before_derivation(tmp_path, capsys, how):
+    # link2 is the scenario's gw1 <--> s1.  Its TT windows must be sized for the
+    # overridden rate; windows sized for 100 Mb/s drop every aggregate as unschedulable.
+    text, argv, overrides = SCENARIO.read_text(), [], [("link2.bandwidth", "10Mb/s")]
+    if how == "set":
+        argv = ["--set", "link2.bandwidth=10Mb/s"]
+    else:
+        text = text.replace("metrics.stations = true", "metrics.stations = true\nlink2.bandwidth = 10Mb/s")
+        overrides = []
+    src = tmp_path / "small.andl"
+    src.write_text(text)
+    assert main(["run", str(src), "--horizon", "50ms", "--out", str(tmp_path / "o"), *argv]) == 0
+    summary = capsys.readouterr().out
+    assert "delivered msg1@cn2: 51" in summary
+    assert "drops: 0" in summary
+    cfg = compile_network(parse(text)[0], overrides=overrides)
+    assert next(l.rate for l in cfg.links if l.name == "link2") == 10_000_000
+    # A flush carries at most three 6-byte records: a minimum-size frame.
+    windows = {w.duration for w in cfg.schedule.windows if w.link == "gw1->s1"}
+    assert windows == {eth_frame_duration(46, 10_000_000)}
+
+
+def test_idle_slope_override_is_held_to_the_reservation_cap(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", str(SCENARIO), "--horizon", "10ms", "--out", str(out),
+                 "--set", "port.en1.s1.idleSlopeA=99Mb/s"]) == 1
+    assert "AVB reservation on en1->s1 is 99000000 b/s, above 75% of 100000000 b/s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", [
+    "link2.bandwidth=10Mb/s", "eth1.bandwidth=1Gb/s", "s1.hardwareDelay=1us",
+    "port.en1.s1.idleSlopeA=1Mb/s", "port.s1.en2.idleSlopeB=1Mb/s",
+])
+def test_compiled_document_refuses_keys_its_tables_derive_from(tmp_path, capsys, pair):
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", str(cfgp), "--horizon", "10ms", "--out", str(out), "--set", pair]) == 2
+    assert repr(pair.partition("=")[0]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compiled_document_takes_other_keys_as_the_source_does(tmp_path):
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    pairs = ["--set", "gw1.processingDelay=60us", "--set", "cb1.bitrate=250kb/s", "--set", "sim.seed=3"]
+    hashes = {}
+    for name, src, argv in (("plain", SCENARIO, []), ("andl", SCENARIO, pairs), ("doc", cfgp, pairs)):
+        assert main(["run", str(src), "--horizon", "20ms", "--out", str(tmp_path / name), *argv]) == 0
+        hashes[name] = hash_dir(tmp_path / name)
+    assert hashes["andl"] == hashes["doc"] != hashes["plain"]
 
 
 def test_run_structured_format_and_jobs(tmp_path, listing_small):
@@ -243,8 +303,13 @@ BE9_DIAG = "small.andl:64:31: error: 802.1Q priority must be 0..7"
     (BE9, ["validate"], 1, BE9_DIAG),
     (BE9, ["compile"], 1, BE9_DIAG),
     (BE9, ["run"], 1, BE9_DIAG),
+    (("gateway gw2;", "gateway gw2 { processingDelay soon; }"), ["run"], 1,
+     "26:1: error: gw2.processingDelay: not a duration: 'soon'"),
+    (("node cn1;", "node cn1 { driftPpm abc; }"), ["run"], 1, "19:1: error: cn1.driftPpm: not a drift in ppm"),
+    (None, ["run", "--set", "cn1.driftPpm=1/0"], 2, "cn1.driftPpm"),
 ], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window",
-        "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run"])
+        "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run",
+        "processing-delay-run", "drift-run", "set-drift"])
 def test_bad_values_are_diagnosed_before_running(
         tmp_path, listing_small, capsys, monkeypatch, edit, argv, code, needle):
     import autonetsim.cli as cli

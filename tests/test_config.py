@@ -1,19 +1,19 @@
 import pytest
 
 from autonetsim.andl import compile_network, parse
-from autonetsim.config import apply_override, apply_override_layers
+from autonetsim.config import apply_override
 from autonetsim.kernel import US
 
 
-def compiled(listing_small):
+def compiled(listing_small, overrides=()):
     ast, _ = parse(listing_small)
-    return compile_network(ast)
+    return compile_network(ast, overrides=overrides)
 
 
 def test_override_device_param(listing_small):
     cfg = compiled(listing_small)
     assert apply_override(cfg, "gw1.processingDelay", "60us")
-    assert cfg.device_param("gw1", "processingDelay") == "60us"
+    assert cfg.device("gw1").params["processingDelay"] == "60us"
 
 
 def test_override_port_slopes(listing_small):
@@ -45,24 +45,22 @@ def test_unknown_override_key(listing_small):
 
 
 def test_precedence_cli_over_ini_over_generated(listing_small):
-    # generated default: 40us; ini raises it; CLI wins over ini
-    cfg = compiled(listing_small)
-    cfg.ini.append(["gw1.processingDelay", "55us"])
-    apply_override_layers(cfg)
-    assert cfg.device_param("gw1", "processingDelay") == "55us"
-    apply_override_layers(cfg, [("gw1.processingDelay", "70us")])
-    assert cfg.device_param("gw1", "processingDelay") == "70us"
+    # generated default: unset (40us); ini raises it; CLI wins over ini
+    assert "processingDelay" not in compiled(listing_small).device("gw1").params
+    listing = listing_small.replace("record-eventlog = false", "gw1.processingDelay = 55us")
+    assert compiled(listing).device("gw1").params["processingDelay"] == "55us"
+    cfg = compiled(listing, [("gw1.processingDelay", "70us")])
+    assert cfg.device("gw1").params["processingDelay"] == "70us"
 
 
 def test_unknown_cli_override_raises(listing_small):
-    cfg = compiled(listing_small)
     with pytest.raises(KeyError):
-        apply_override_layers(cfg, [("bogus.key", "1")])
+        compiled(listing_small, [("bogus.key", "1")])
 
 
 def test_unknown_ini_key_warns_once(listing_small):
-    cfg = compiled(listing_small)  # listing carries record-eventlog already
-    n = sum("record-eventlog" in w for w in cfg.warnings)
-    apply_override_layers(cfg)
-    assert sum("record-eventlog" in w for w in cfg.warnings) == n
+    # The listing carries record-eventlog; it is kept as an extra and warned about
+    # once, and command-line pairs add no second warning.
+    cfg = compiled(listing_small, [("gw1.processingDelay", "70us")])
+    assert sum("record-eventlog" in w for w in cfg.warnings) == 1
     assert cfg.extras["record-eventlog"] == "false"
