@@ -10,6 +10,7 @@ generate the TDMA schedule, so each is computed once, from final values.
 from __future__ import annotations
 
 from collections import deque
+from itertools import zip_longest
 
 from ..config import (
     _DEVICE_VALUES, BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
@@ -58,6 +59,7 @@ class _Builder:
         self.cfg = NetworkConfig(name="")
         self.devices: dict[str, DeviceCfg] = {}  # the config's own entries, overridden in place
         self.device_pools: dict[str, list[str]] = {}
+        self.device_line: dict[str, int] = {}
         self.resolved: dict[int, tuple[dict, list]] = {}  # id(decl) -> inherited params, pools
         self.resolving: set[int] = set()
         self.buses: dict[str, BusCfg] = {}
@@ -150,6 +152,7 @@ class _Builder:
                 continue
             self.devices[dev.name] = DeviceCfg(dev.name, dev.kind, dict(params))
             self.device_pools[dev.name] = pools
+            self.device_line[dev.name] = dev.line
             self.cfg.devices.append(self.devices[dev.name])
 
         def add_edge(a: str, b: str, info: tuple) -> None:
@@ -229,9 +232,11 @@ class _Builder:
                 continue
             kind = self.devices[name].kind
             if kind == "gateway":
-                self.error(0, f"gateway {name} has {count} Ethernet links; one uplink is supported")
+                self.error(self.device_line[name],
+                           f"gateway {name} has {count} Ethernet links; one uplink is supported")
             elif kind == "node":
-                self.warn(0, f"node {name} has {count} Ethernet links; the first is its interface")
+                self.warn(self.device_line[name],
+                          f"node {name} has {count} Ethernet links; the first is its interface")
 
     def _edge(self, u: str, v: str) -> tuple | None:
         return self.adj.get(u, {}).get(v)
@@ -437,7 +442,7 @@ class _Builder:
             pools={gw: {"pool": pb.pool, "holdUp": pb.holdup} for gw, pb in pool_binds.items()},
             paths=paths,
         )
-        self._derive_tables(cfg_msg, msg.multicast)
+        self._derive_tables(cfg_msg, msg.multicast, line)
         return cfg_msg
 
     # -- derived tables ----------------------------------------------------------
@@ -472,8 +477,7 @@ class _Builder:
             if kind == "can":
                 msg.can_receivers[receiver] = {"bus": bus, "id": msg.bindings[seg]["id"]}
 
-    def _derive_tables(self, msg: MessageCfg, multicast: bool) -> None:
-        line = 0
+    def _derive_tables(self, msg: MessageCfg, multicast: bool, line: int) -> None:
         self._derive_endpoints(msg, multicast)
         for receiver in msg.receivers:
             path = msg.paths[receiver]
@@ -626,42 +630,43 @@ class _Builder:
 
     def _build_pools(self) -> None:
         for (gw, pool), members in sorted(self.pool_members.items()):
+            line = self.device_line[gw]
             holdups: dict[int, int] = {}
             tags = []
             for m in members:
                 if m["can_id"] in holdups and holdups[m["can_id"]] != m["holdup"]:
-                    self.error(0, f"pool {gw}.{pool}: conflicting hold-ups for id {m['can_id']}")
+                    self.error(line, f"pool {gw}.{pool}: conflicting hold-ups for id {m['can_id']}")
                 holdups[m["can_id"]] = m["holdup"]
                 if m["tag"] not in tags:
                     tags.append(m["tag"])
                 if m["holdup"] > m["period"]:
-                    self.warn(0, f"pool {gw}.{pool}: hold-up of id {m['can_id']} exceeds its period; "
+                    self.warn(line, f"pool {gw}.{pool}: hold-up of id {m['can_id']} exceeds its period; "
                                  "aggregates may carry several instances of one id")
             if len(tags) > 1:
-                self.error(0, f"pool {gw}.{pool}: members map to different backbone classes")
+                self.error(line, f"pool {gw}.{pool}: members map to different backbone classes")
             self.cfg.pools.append(PoolCfg(gw, pool, holdups))
 
     # -- assembly -------------------------------------------------------------------
 
     def _apply_overrides(self, net: NetworkDecl, overrides) -> None:
         """The inline-ini pairs, then the command-line pairs: a later pair wins."""
-        for block in net.inline_ini:
+        for block, line in zip_longest(net.inline_ini, net.inline_ini_lines, fillvalue=0):
             for raw in block.splitlines():
                 stripped = raw.strip()
                 if not stripped or stripped.startswith(("#", "//")):
                     continue
                 key, eq, value = stripped.partition("=")
                 if not eq:
-                    self.warn(0, f"inline ini line without '=': {stripped!r}")
+                    self.warn(line, f"inline ini line without '=': {stripped!r}")
                     continue
                 try:
                     known = apply_override(self.cfg, key, value)
                 except OverrideError as exc:
-                    self.error(0, f"inline ini: {exc}")
+                    self.error(line, f"inline ini: {exc}")
                     continue
                 if not known:
                     self.cfg.extras[key.strip()] = value.strip()
-                    self.cfg.warnings.append(f"unknown inline-ini key {key.strip()!r} (kept as extra)")
+                    self.warn(line, f"unknown inline-ini key {key.strip()!r} (kept as extra)")
         for key, value in overrides:
             if not apply_override(self.cfg, key, value):
                 raise KeyError(f"unknown override key {key!r}")
@@ -701,9 +706,9 @@ class _Builder:
                     {fid: offs for fid, offs in releases.items() if self.tt_flows[fid].scheduled_release},
                 )
             except (ScheduleInfeasible, CycleTooLong) as exc:
-                self.error(0, f"TDMA schedule: {exc}")
+                self.error(0, f"TDMA schedule: {exc}")  # a fact of all TT flows: no position
 
-        # reservation cap, over the derived and the overridden slopes
+        # reservation cap, over the derived and the overridden slopes: no single source line
         for link, slot in self.cfg.slopes.items():
             rate = self.link_rate.get(link)
             if rate is None:
@@ -733,7 +738,14 @@ def validate(ast: AndlFile, network: str | None = None) -> list[Diagnostic]:
 def compile_network(ast: AndlFile, network: str | None = None, overrides=()) -> NetworkConfig:
     """Compile a parsed description; raises CompileError on any error.  ``overrides``
     are command-line pairs: a bad value raises OverrideError, an unknown key KeyError."""
+    return compile_with_warnings(ast, network, overrides)[0]
+
+
+def compile_with_warnings(
+    ast: AndlFile, network: str | None = None, overrides=()
+) -> tuple[NetworkConfig, list[Diagnostic]]:
+    """``compile_network``, also returning the warnings it found."""
     cfg, diags = _Builder(ast, network).build(overrides)
     if has_errors(diags):
         raise CompileError(diags)
-    return cfg
+    return cfg, diags

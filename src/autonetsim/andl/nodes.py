@@ -16,11 +16,13 @@ from ..kernel import fmt_duration
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
-    line: int
+    line: int  # 0: a fact with no single source line, rendered without a position
     col: int
     message: str
 
     def __str__(self) -> str:
+        if not self.line:
+            return f"{self.severity}: {self.message}"
         return f"{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
@@ -131,6 +133,7 @@ class MessageDecl:
 class NetworkDecl:
     name: str
     inline_ini: list[str] = field(default_factory=list)  # verbatim fenced blocks
+    inline_ini_lines: list[int] = field(default_factory=list, compare=False)  # their `inline` keywords
     devices: list[DeviceDecl] = field(default_factory=list)
     segments: list[SegmentDecl] = field(default_factory=list)
     messages: list[MessageDecl] = field(default_factory=list)

@@ -272,13 +272,14 @@ class Parser:
             start = self.pos
             try:
                 if self.at("inline"):
-                    self.advance()
+                    line = self.advance().line
                     self.expect("ini")
                     self.expect("{")
                     body = self.peek()
                     if body.kind != "fenced":
                         self.error("inline ini payload must be fenced with ```")
                     net.inline_ini.append(self.advance().value)
+                    net.inline_ini_lines.append(line)
                     self.expect("}")
                 elif self.at("devices"):
                     self.advance()

@@ -77,7 +77,6 @@ class NodeCanPort:
 
     def __init__(self, node: str):
         self.node = node
-        self.subscriptions: set[int] = set()
         self.on_rx = None  # callable(frame, now)
         self._pending: list | None = None  # the bus heap, set by CanBus.attach
         self._index = 0
@@ -103,7 +102,6 @@ class GatewayCanPort:
         self.store = store
         self.slots: dict[int, deque[CanFrame]] = {}
         self.occupancy = 0  # frames in all slots
-        self.subscriptions: set[int] = set()
         self.on_rx = None
         self._pending: list | None = None
         self._index = 0
@@ -135,7 +133,13 @@ class CanBus:
 
     Every pending frame of every controller sits in one heap keyed by
     (can_id, attachment index, submission order): the arbitration order,
-    found in O(log n) without polling the controllers.
+    found in O(log n) without polling the controllers.  The bus also owns
+    the subscriptions: per id, the receiving controllers in attachment
+    order.
+
+    Arbitration that falls due at the current tick runs inline when the
+    kernel has nothing else queued at that tick (``Simulator.idle_at``);
+    otherwise it is a CAN_ARBITRATE event behind everything already queued.
     """
 
     def __init__(
@@ -156,6 +160,7 @@ class CanBus:
         self.segment = segment or name
         self.stuffing = stuffing
         self.ports: list = []
+        self._receivers: dict[int, tuple] = {}  # can_id -> subscribed ports, attachment order
         self.pending: list[tuple[int, int, int, CanFrame, GatewayCanPort | None]] = []
         self.busy_until = 0
         self._sending: tuple[CanFrame, object, int] | None = None  # frame, sender, wire bits
@@ -171,11 +176,26 @@ class CanBus:
         self.ports.append(port)
         return port._index
 
+    def subscribe(self, port, can_id: int) -> None:
+        """Deliver frames with ``can_id`` to an attached controller."""
+        if not (port._index < len(self.ports) and self.ports[port._index] is port):
+            raise ValueError(f"{port.node} is not attached to bus {self.name}")
+        receivers = self._receivers.get(can_id, ())
+        if port not in receivers:
+            self._receivers[can_id] = tuple(sorted(receivers + (port,), key=lambda p: p._index))
+
     def notify(self, now: int) -> None:
-        """A controller gained a pending frame; arbitrate once the bus idles."""
+        """A controller gained a pending frame; arbitrate once the bus idles.
+
+        Callers call this last, so arbitration due now runs inline when the
+        kernel has nothing else queued at now."""
         if self._sending is None and not self._arb_scheduled:
+            t = max(now, self.busy_until)
+            if t == now and self.sim.idle_at(now):
+                self._arbitrate(now)
+                return
             self._arb_scheduled = True
-            self.sim.schedule(max(now, self.busy_until), self.name, EventKind.CAN_ARBITRATE)
+            self.sim.schedule(t, self.name, EventKind.CAN_ARBITRATE)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind is EventKind.CAN_ARBITRATE:
@@ -223,15 +243,16 @@ class CanBus:
         frame, sender, wire_bits = self._sending
         self._sending = None
         self.store.link_completed(self.name, wire_bits)
-        can_id = frame.can_id
-        for port in self.ports:
-            if can_id in port.subscriptions and port is not sender:
+        for port in self._receivers.get(frame.can_id, ()):
+            if port is not sender:
                 self.delivered += 1
                 on_rx = port.on_rx
                 if on_rx is not None:
                     on_rx(frame, now)
         # Anything still pending re-arbitrates immediately; the 3-bit
         # interframe space is already part of the frame duration.
-        if self._top() is not None:
+        if self.sim.idle_at(now):
+            self._arbitrate(now)
+        elif self._top() is not None:
             self._arb_scheduled = True
             self.sim.schedule(now, self.name, EventKind.CAN_ARBITRATE)

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
-from .andl import CompileError, compile_network, has_errors, parse, validate
+from .andl import CompileError, Diagnostic, compile_with_warnings, has_errors, parse, validate
 from .config import ConfigError, NetworkConfig, OverrideError, apply_override, derives_tables
 from .engine import Runtime
 from .kernel import MAX_TICKS, US, parse_duration
@@ -28,19 +28,28 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _print_diags(diags, path: str) -> None:
-    for d in diags:
-        print(f"{path}:{d}", file=sys.stderr)
+def _diag_lines(diags: list[Diagnostic], path: str) -> list[str]:
+    """``file:line:col: severity: message``, or ``file: severity: message`` without a position."""
+    return [f"{path}:{d}" if d.line else f"{path}: {d}" for d in diags]
 
 
-def _load_config(path: str, overrides: list[tuple[str, str]], network: str | None) -> NetworkConfig:
+def _print_diags(diags: list[Diagnostic], path: str) -> None:
+    for line in _diag_lines(diags, path):
+        print(line, file=sys.stderr)
+
+
+def _load_config(
+    path: str, overrides: list[tuple[str, str]], network: str | None
+) -> tuple[NetworkConfig, list[Diagnostic]]:
+    """The config of an ANDL file, with its warnings, or of a config document.
+    An ANDL file with errors raises CompileError."""
     text = _read(path)
     if not text.lstrip().startswith("{"):
         ast, diags = parse(text)
         if has_errors(diags):
-            _print_diags(diags, path)
             raise CompileError(diags)
-        return compile_network(ast, network, overrides)
+        cfg, warnings = compile_with_warnings(ast, network, overrides)
+        return cfg, diags + warnings
     cfg = NetworkConfig.from_json(text)
     for key, value in overrides:
         if derives_tables(cfg, key):
@@ -48,7 +57,7 @@ def _load_config(path: str, overrides: list[tuple[str, str]], network: str | Non
                                 "set it in the source and recompile")
         if not apply_override(cfg, key, value):
             raise KeyError(f"unknown override key {key!r}")
-    return cfg
+    return cfg, []
 
 
 def _parse_set(values: list[str]) -> list[tuple[str, str]]:
@@ -88,11 +97,11 @@ def cmd_compile(args) -> int:
         _print_diags(diags, args.file)
         return EXIT_SEMANTIC
     try:
-        cfg = compile_network(ast, args.network)
+        cfg, warnings = compile_with_warnings(ast, args.network)
     except CompileError as exc:
         _print_diags(exc.diagnostics, args.file)
         return EXIT_SEMANTIC
-    _print_diags([d for d in diags if d.severity == "warning"], args.file)
+    _print_diags(diags + warnings, args.file)
     try:
         Path(args.out).write_text(cfg.to_json())
     except OSError as exc:
@@ -116,9 +125,15 @@ def _parse_times(args) -> tuple[int, tuple[int, int] | None]:
     return horizon, window
 
 
-def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> str:
-    """Simulate and export one file; return its printed summary."""
-    cfg = _load_config(path, overrides, args.network)
+def _run_one(
+    path: str, args, overrides, outdir: Path, horizon: int, window
+) -> tuple[list[str], str | None]:
+    """Simulate and export one file.  Return its diagnostics as printed lines and
+    its summary, which is None when the file does not compile."""
+    try:
+        cfg, warnings = _load_config(path, overrides, args.network)
+    except CompileError as exc:
+        return _diag_lines(exc.diagnostics, path), None
     rt = Runtime(cfg, seed=args.seed)
     result = rt.run(horizon, drain=not args.no_drain, window=window)
     store = rt.store
@@ -136,7 +151,16 @@ def _run_one(path: str, args, overrides, outdir: Path, horizon: int, window) -> 
     lines += [f"[{path}]   delivered {key}: {result.deliveries[key]}" for key in sorted(result.deliveries)]
     lines += [f"[{path}]   frames {link}: {result.link_frames[link]}" for link in sorted(result.link_frames)]
     lines.append(f"[{path}]   drops: {result.drops}")
-    return "\n".join(lines)
+    return _diag_lines(warnings, path), "\n".join(lines)
+
+
+def _report(diag_lines: list[str], summary: str | None) -> bool:
+    """Print one file's diagnostics and summary; False when it did not compile."""
+    for line in diag_lines:
+        print(line, file=sys.stderr)
+    if summary is not None:
+        print(summary)
+    return summary is not None
 
 
 def cmd_run(args) -> int:
@@ -154,27 +178,26 @@ def cmd_run(args) -> int:
     for path in args.files:
         sub = out_base if len(args.files) == 1 else out_base / Path(path).stem
         jobs.append((path, args, overrides, sub, horizon, window))
-    # Runs share no state, so files go to separate processes; summaries are
-    # printed in file order, as a serial run prints them.
+    # Runs share no state, so files go to separate processes; diagnostics and
+    # summaries are printed in file order, as a serial run prints them, up to
+    # the first file that does not compile.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     try:
         if workers > 1:
             with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
                 futures = [pool.submit(_run_one, *job) for job in jobs]
                 try:
-                    for future in futures:
-                        print(future.result())
+                    compiled = all(_report(*future.result()) for future in futures)
                 finally:
                     for future in futures:
                         future.cancel()
         else:
-            for job in jobs:
-                print(_run_one(*job))
-        return EXIT_OK
+            compiled = all(_report(*_run_one(*job)) for job in jobs)
+        return EXIT_OK if compiled else EXIT_SEMANTIC
     except OSError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
-    except (CompileError, ConfigError, KeyError) as exc:
+    except (ConfigError, KeyError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_SEMANTIC
     except ValueError as exc:

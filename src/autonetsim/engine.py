@@ -87,10 +87,12 @@ class CanSource:
         now = ev.time
         frame = CanFrame(self.can_id, self.payload, self.bus.name, now, self.message)
         self.port.submit(frame)
-        self.bus.notify(now)
         nxt = now + self.period
         if self.rt.stop_time is None or nxt <= self.rt.stop_time:
             self.rt.sim.schedule(nxt, self.path, EventKind.FIRE_SOURCE)
+        # Last, so that an arbitration run inline schedules its CAN_TX_DONE
+        # after the next FIRE_SOURCE, as the deferred arbitration would.
+        self.bus.notify(now)
 
 
 class EthSource:
@@ -317,7 +319,8 @@ class Runtime:
             for receiver in msg.receivers:
                 sub = msg.can_receivers.get(receiver)
                 if sub is not None:
-                    self.node_can_ports[(receiver, sub["bus"])].subscriptions.add(sub["id"])
+                    bus = sub["bus"]
+                    self.buses[bus].subscribe(self.node_can_ports[(receiver, bus)], sub["id"])
                 self.hosts[receiver].subs.add(msg.name)
 
     # -- execution ------------------------------------------------------------

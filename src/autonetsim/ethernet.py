@@ -590,7 +590,11 @@ class EthPort:
         self.store.link_completed(self.link, eth_wire_bits(frame.payload_len))
         if self.peer is not None:
             self.peer.receive(frame, now, self)
-        self._kick(now)
+        # The kick would be the next event when nothing else is due now.
+        if self.sim.idle_at(now):
+            self.try_send(now)
+        else:
+            self._kick(now)
 
 
 # --------------------------------------------------------------------------

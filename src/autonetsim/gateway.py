@@ -249,7 +249,7 @@ class Gateway:
         for port in self.can_ports.values():
             bus = self.buses[port.bus]
             if bus.segment == segment:
-                port.subscriptions.add(can_id)
+                bus.subscribe(port, can_id)
 
     def add_key_rule(self, segment: str, key: tuple, dests: list[RouteDest]) -> None:
         self.key_rules[(segment, key)] = dests

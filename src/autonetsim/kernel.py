@@ -9,6 +9,13 @@ Events are dispatched in strict (time, seq) order where seq is a global
 insertion counter; two runs over the same configuration therefore produce
 identical event traces.  Randomness, when a model asks for it, comes from
 a single seeded generator owned by the simulator.
+
+An event scheduled at the current time gets a higher seq than everything
+already queued.  So while a handler runs at time t and nothing else is
+queued at t (``Simulator.idle_at``), a same-tick event that the handler
+would schedule as its last act would be the very next one dispatched.
+Models do that follow-up work inline instead, which leaves the order of
+every other event unchanged; the deferred event stays their fallback.
 """
 
 from __future__ import annotations
@@ -153,6 +160,7 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
+        self._dispatching = False
         self.trace: list[tuple[int, int, str, str]] | None = [] if trace else None
 
     def register(self, path: str, handler: Callable[[Event], None]) -> None:
@@ -177,6 +185,13 @@ class Simulator:
         """Mark an event dead; it is skipped (not counted) at dispatch time."""
         event.cancelled = True
 
+    def idle_at(self, t: int) -> bool:
+        """True while a handler runs at time t and no entry, live or
+        cancelled, is queued at t: an event the handler schedules at t as
+        its last act would be dispatched next, so its work may run inline."""
+        heap = self._heap
+        return self._dispatching and t == self.now and not (heap and heap[0][0] == t)
+
     def _dispatch_through(self, t_end: int) -> int:
         """Dispatch every live event with time <= t_end; return how many ran."""
         heap = self._heap
@@ -184,18 +199,22 @@ class Simulator:
         handlers = self._handlers
         trace = self.trace
         dispatched = 0
-        while heap and heap[0][0] <= t_end:
-            time, seq, ev = pop(heap)
-            if ev.cancelled:
-                continue
-            self.now = time
-            handler = handlers.get(ev.target)
-            if handler is None:
-                raise SimulationError(f"event targets unregistered module {ev.target!r}")
-            if trace is not None:
-                trace.append((time, seq, ev.target, ev.kind.name))
-            handler(ev)
-            dispatched += 1
+        self._dispatching = True
+        try:
+            while heap and heap[0][0] <= t_end:
+                time, seq, ev = pop(heap)
+                if ev.cancelled:
+                    continue
+                self.now = time
+                handler = handlers.get(ev.target)
+                if handler is None:
+                    raise SimulationError(f"event targets unregistered module {ev.target!r}")
+                if trace is not None:
+                    trace.append((time, seq, ev.target, ev.kind.name))
+                handler(ev)
+                dispatched += 1
+        finally:
+            self._dispatching = False
         return dispatched
 
     def run_until(self, t_end: int) -> RunSummary:

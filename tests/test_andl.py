@@ -178,6 +178,40 @@ def _case(edits, needle, *, id, code=1, args=()):
     _case([("node cn1;", "node cn1 extends NOPE;")], "unknown type 'NOPE' in extends", id="unknown-type"),
     _case([("cn1 <--> cb1;", "cn1 <--> cb1; cn1 <--> cb1;")], "'cn1' attached to 'cb1' twice",
           code=0, id="attached-twice"),
+    # Facts derived after the topology carry the line of their gateway, message or
+    # inline-ini block; facts with no single source line are printed without one.
+    _case([("canLink cb2;", "canLink cb2; canLink cb3; node cn3;"),
+           ("gw1 <--> cb1;", "gw1 <--> cb1; cn3 <--> cb3; gw1 <--> cb3;"),
+           _add_message("sender cn3; receivers en2; payload 2B; period 1ms; mapping { "
+                        "canbus: can{id 37;}; gw1: pool gw1_1{holdUp 1ms;}; backbone: be{priority 1;}; }")],
+          "small.andl:23:1: error: pool gw1.gw1_1: conflicting hold-ups for id 37",
+          id="pool-conflict-at-gateway"),
+    _case([], "small.andl:23:1: warning: pool gw1.gw1_1: hold-up of id 37 exceeds its period",
+          code=0, id="hold-up-warning-at-gateway"),
+    _case([_add_message("sender en1; receivers cn1; payload 4B; period 1ms; mapping { "
+                        "backbone: be{priority 1;}; canbus: can{id 40;}; gw1: pool gw1_1{holdUp 1ms;}; }")],
+          "small.andl:46:1: error: message m3: pool at gw1 needs an Ethernet egress", id="egress-at-message"),
+    _case([("gw2 <--> {new std.ETH} <--> s1;",
+            "gw2 <--> {new std.ETH} <--> s1; gw1 <--> {new std.ETH} <--> en1;")],
+          "small.andl:23:1: error: gateway gw1 has 2 Ethernet links; one uplink is supported",
+          id="second-uplink"),
+    _case([("record-eventlog = false", "sim.queueCapacity = lots")],
+          "small.andl:9:1: error: inline ini: override 'sim.queueCapacity'", id="ini-value-at-block"),
+    _case([], "small.andl:9:1: warning: unknown inline-ini key 'record-eventlog' (kept as extra)",
+          code=0, id="ini-unknown-key-at-block"),
+    _case([("record-eventlog = false", "port.en1.s1.idleSlopeA = 99Mb/s")],
+          "small.andl: error: AVB reservation on en1->s1 is 99000000 b/s, above 75% of 100000000 b/s",
+          id="reservation-cap-without-position"),
+    _case([(None, "network n {\n"
+                  "  devices { node a; node b; switch s; }\n"
+                  "  connections { segment e { a <--> s; b <--> s; } }\n"
+                  "  communication {\n"
+                  "    message t1 { sender a; receivers b; payload 1500B; period 200us;\n"
+                  "      mapping { e: tt{ctID 1;}; } }\n"
+                  "    message t2 { sender a; receivers b; payload 1500B; period 200us;\n"
+                  "      mapping { e: tt{ctID 2;}; } }\n"
+                  "  }\n}\n")],
+          "small.andl: error: TDMA schedule: ", id="tdma-without-position"),
 ])
 def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle, code, args):
     text = listing_small

@@ -60,9 +60,10 @@ def test_same_instant_release_serializes_by_priority():
     p1, p2, rx = NodeCanPort("n1"), NodeCanPort("n2"), NodeCanPort("rx")
     sink = Sink()
     rx.on_rx = sink
-    rx.subscriptions |= {100, 200}
     for p in (p1, p2, rx):
         bus.attach(p)
+    for can_id in (100, 200):
+        bus.subscribe(rx, can_id)
     p2.submit(CanFrame(200, bytes(8), "cb1", 0))
     p1.submit(CanFrame(100, bytes(8), "cb1", 0))
     bus.notify(0)
@@ -76,9 +77,10 @@ def test_frame_arriving_mid_transmission_waits():
     p1, p2, rx = NodeCanPort("n1"), NodeCanPort("n2"), NodeCanPort("rx")
     sink = Sink()
     rx.on_rx = sink
-    rx.subscriptions |= {5, 900}
     for p in (p1, p2, rx):
         bus.attach(p)
+    for can_id in (5, 900):
+        bus.subscribe(rx, can_id)
     p1.submit(CanFrame(900, bytes(8), "cb1", 0))
     bus.notify(0)
     sim.run_until(10 * US)
@@ -95,9 +97,9 @@ def test_equal_id_tie_broken_by_node_index():
     p1, p2, rx = NodeCanPort("n1"), NodeCanPort("n2"), NodeCanPort("rx")
     sink = Sink()
     rx.on_rx = sink
-    rx.subscriptions.add(50)
     for p in (p1, p2, rx):
         bus.attach(p)
+    bus.subscribe(rx, 50)
     p2.submit(CanFrame(50, b"b", "cb1", 0, message="from_n2"))
     p1.submit(CanFrame(50, b"a", "cb1", 0, message="from_n1"))
     bus.notify(0)
@@ -114,11 +116,12 @@ def test_conservation_on_error_free_bus():
         p = NodeCanPort(f"rx{i}")
         s = Sink()
         p.on_rx = s
-        p.subscriptions.add(10)
         sinks.append(s)
         ports.append(p)
     for p in ports:
         bus.attach(p)
+    for p in ports[1:]:
+        bus.subscribe(p, 10)
     n = 25
     for k in range(n):
         tx.submit(CanFrame(10, bytes(4), "cb1", 0))
@@ -135,9 +138,10 @@ def test_gateway_port_batch_overwrite():
     rx = NodeCanPort("rx")
     sink = Sink()
     rx.on_rx = sink
-    rx.subscriptions |= {10, 20}
     bus.attach(port)
     bus.attach(rx)
+    for can_id in (10, 20):
+        bus.subscribe(rx, can_id)
     f = lambda i: CanFrame(i, bytes(2), "cb2", 0)
     port.place_batch([f(10), f(10), f(20)], 0)
     # same-batch records of one id stay queued in order
@@ -160,11 +164,56 @@ def test_subscription_added_after_attach_is_honoured():
     rx.on_rx = sink
     bus.attach(tx)
     bus.attach(rx)
-    rx.subscriptions.add(42)
+    bus.subscribe(rx, 42)
     tx.submit(CanFrame(42, bytes(1), "cb1", 0))
     bus.notify(0)
     sim.run_until(10_000 * US)
     assert sink.got == [(42, can_frame_duration(1, 500_000))]
+
+
+def test_frame_queued_at_a_completion_tick_joins_the_re_arbitration():
+    sim, _, bus = bus_fixture()
+    tx, late, rx = NodeCanPort("n1"), NodeCanPort("n2"), NodeCanPort("rx")
+    sink = Sink()
+    rx.on_rx = sink
+    for p in (tx, late, rx):
+        bus.attach(p)
+    for can_id in (5, 100, 300):
+        bus.subscribe(rx, can_id)
+    tx.submit(CanFrame(100, bytes(8), "cb1", 0))
+    tx.submit(CanFrame(300, bytes(8), "cb1", 0))
+    bus.notify(0)
+    sim.run_until(0)  # id 100 is on the wire; its CAN_TX_DONE is queued
+    dur = can_frame_duration(8, 500_000)
+
+    def submit(ev):
+        late.submit(CanFrame(5, bytes(8), "cb1", ev.time))
+        bus.notify(ev.time)
+
+    sim.register("late", submit)
+    # Queued behind the CAN_TX_DONE at dur, so the completion must not
+    # arbitrate inline: id 5 has to take part and win over id 300.
+    sim.schedule(dur, "late", EventKind.TIMER)
+    sim.run_until(10_000 * US)
+    assert sink.got == [(100, dur), (5, 2 * dur), (300, 3 * dur)]
+
+
+def test_subscribe_needs_an_attached_port_and_keeps_attachment_order():
+    sim, _, bus = bus_fixture()
+    tx, a, b = NodeCanPort("n1"), NodeCanPort("a"), NodeCanPort("b")
+    with pytest.raises(ValueError):
+        bus.subscribe(a, 7)
+    order = []
+    for p in (tx, a, b):
+        bus.attach(p)
+        p.on_rx = lambda frame, now, name=p.node: order.append(name)
+    bus.subscribe(b, 7)
+    bus.subscribe(a, 7)
+    bus.subscribe(b, 7)  # a second subscription delivers once
+    tx.submit(CanFrame(7, b"", "cb1", 0))
+    bus.notify(0)
+    sim.run_until(10_000 * US)
+    assert order == ["a", "b"] and bus.delivered == 2
 
 
 def test_overwritten_gateway_frame_is_never_transmitted():
@@ -172,9 +221,10 @@ def test_overwritten_gateway_frame_is_never_transmitted():
     node, gw, rx = NodeCanPort("n1"), GatewayCanPort("gw1", "cb1", store), NodeCanPort("rx")
     got = []
     rx.on_rx = lambda frame, now: got.append(frame.message)
-    rx.subscriptions |= {1, 10, 20}
     for p in (node, gw, rx):
         bus.attach(p)
+    for can_id in (1, 10, 20):
+        bus.subscribe(rx, can_id)
     node.submit(CanFrame(1, bytes(8), "cb1", 0, message="busy"))
     bus.notify(0)
     gw.place_batch([CanFrame(10, b"", "cb1", 0, message="stale"),
@@ -257,7 +307,8 @@ def test_bus_heap_matches_reference_arbitration(order, timed):
     got = []
     rx.on_rx = lambda frame, now: got.append((now, frame.can_id, frame.message))
     bus.attach(rx)
-    rx.subscriptions |= set(range(6))
+    for can_id in range(6):
+        bus.subscribe(rx, can_id)
     actions = []
     for k, (slot, (kind, which, spec)) in enumerate(sorted(timed, key=lambda a: a[0])):
         name = f"{kind[0]}{which}"

@@ -192,6 +192,33 @@ def test_run_jobs_output_matches_serial_run(tmp_path, capsys):
     assert outputs["2"] == outputs["1"]
 
 
+@pytest.mark.parametrize("edit, expected", [
+    (("pool gw1_1;", "pool 5;"), ["{bad}:24:12: error: expected pool name, found '5'"]),
+    (("gateway gw2;", "gateway gw2 { processingDelay soon; }"),
+     ["{bad}:26:1: error: gw2.processingDelay: not a duration: 'soon'"]),
+    (("record-eventlog = false", "port.en1.s1.idleSlopeA = 99Mb/s"),
+     ["{bad}: error: AVB reservation on en1->s1 is 99000000 b/s, above 75% of 100000000 b/s"]),
+], ids=["parse-error", "compile-error", "error-without-position"])
+def test_run_prints_each_diagnostic_once_with_its_file(tmp_path, listing_small, capsys, edit, expected):
+    good = write_listing(tmp_path, listing_small)
+    bad = tmp_path / "bad.andl"
+    bad.write_text(listing_small.replace(*edit))
+    assert main(["compile", str(good), "-o", str(tmp_path / "net.json")]) == 0
+    compile_err = capsys.readouterr().err.splitlines()
+    assert main(["run", str(good), str(bad), "--horizon", "10ms",
+                 "--out", str(tmp_path / "o"), "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    # The good file's warnings as `compile` prints them, then the bad file's
+    # diagnostics, each once and each naming its file.
+    assert compile_err and all(line.startswith(f"{good}:") for line in compile_err)
+    err = captured.err.splitlines()
+    bad_lines = [line for line in err if line.startswith(f"{bad}:")]
+    assert err == compile_err + bad_lines
+    for line in expected:
+        assert bad_lines.count(line.format(bad=bad)) == 1
+    assert f"[{good}]" in captured.out and f"[{bad}]" not in captured.out
+
+
 def test_analyze_latency_and_jitter(tmp_path, listing_small, capsys):
     src = write_listing(tmp_path, listing_small)
     out = tmp_path / "res"

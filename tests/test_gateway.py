@@ -149,9 +149,9 @@ def test_transform_aggregate_to_can_burst_after_processing_delay():
     gw.add_can_rule("backbone", 37, [RouteDest(kind="can", bus="cb2", can_id=37)])
     got = []
     rx = NodeCanPort("cn2")
-    rx.subscriptions.add(37)
     rx.on_rx = lambda frame, now: got.append(now)
     bus.attach(rx)
+    bus.subscribe(rx, 37)
     records = [CanRecord(37, bytes(6), "msg1", 0) for _ in range(3)]
     frame = EthFrame("gw1", "gw2", 46, None, 0, records=records)
     gw.receive(frame, 0)

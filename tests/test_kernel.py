@@ -85,6 +85,42 @@ def test_cancellation():
     assert summary.events_dispatched == 0 and not log
 
 
+def test_idle_at_is_false_outside_dispatch():
+    sim, _ = make_sim()
+    assert not sim.idle_at(0)  # set-up code keeps its deferred events
+    sim.schedule(5, "probe", EventKind.TIMER)
+    sim.run_until(10)
+    assert not sim.idle_at(10)
+
+
+def test_idle_at_holds_only_when_nothing_else_is_queued_at_the_tick():
+    sim = Simulator()
+    seen = []
+    sim.register("probe", lambda ev: seen.append(
+        (ev.payload, sim.idle_at(ev.time), sim.idle_at(ev.time + 1))))
+    sim.schedule(3, "probe", EventKind.TIMER, "alone")
+    sim.schedule(5, "probe", EventKind.TIMER, "before a live one")
+    sim.schedule(5, "probe", EventKind.TIMER, "last at 5")
+    sim.schedule(6, "probe", EventKind.TIMER, "at 6")
+    sim.run_until(10)
+    assert seen == [
+        ("alone", True, False),
+        ("before a live one", False, False),
+        ("last at 5", True, False),
+        ("at 6", True, False),
+    ]
+
+
+def test_idle_at_is_false_with_a_cancelled_entry_at_the_tick():
+    sim = Simulator()
+    seen = []
+    sim.register("probe", lambda ev: seen.append(sim.idle_at(ev.time)))
+    sim.schedule(5, "probe", EventKind.TIMER)
+    sim.cancel(sim.schedule(5, "probe", EventKind.TIMER))
+    sim.run_until(10)
+    assert seen == [False]
+
+
 def test_time_never_decreases_and_trace_is_ordered():
     sim = Simulator(trace=True)
     sim.register("a", lambda ev: None)
