@@ -257,6 +257,9 @@ def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
             return True
         return False
     if parts[0] == "port" and len(parts) == 4 and parts[3] in ("idleSlopeA", "idleSlopeB"):
+        ends = {parts[1], parts[2]}
+        if not any({ln.a, ln.b} == ends for ln in cfg.links):
+            return False  # no Ethernet link joins the two devices: no such port
         link = f"{parts[1]}->{parts[2]}"
         cls = parts[3][-1]
         cfg.slopes.setdefault(link, {})[cls] = parse_rate(value)

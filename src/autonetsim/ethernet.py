@@ -12,8 +12,8 @@ scheduled window begins (guard band by lookahead; preemption is not
 modeled).  AVB classes are shaped by a credit-based shaper: credit grows at
 idle_slope while frames wait, drains at send_slope while transmitting, and
 resets to zero when the queue empties with positive credit.  Credit is kept
-as an integer scaled by 10^12 (slope in bit/s times ticks), so the recorded
-trajectory is exact.
+as an integer scaled by 10^12 (slope in bit/s times ticks) and recorded as
+that integer, so the trajectory is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import deque
 from fractions import Fraction
 
 from .kernel import SEC, US, Event, EventKind, Simulator
-from .metrics import MetricStore
+from .metrics import SCALE, MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
 ETH_OVERHEAD_BYTES = 38
@@ -32,7 +32,6 @@ ETH_MIN_PAYLOAD = 46
 ETH_MAX_PAYLOAD = 1500
 DEFAULT_HW_DELAY = 8 * US
 DEFAULT_QUEUE_CAPACITY = 512
-CREDIT_SCALE = 10**12
 
 
 class PayloadOutOfRange(ValueError):
@@ -141,13 +140,9 @@ class CreditState:
         self.send_slope = idle_slope - port_rate
         self.scaled = 0  # credit in bits, scaled by 10^12
         self.last_update = 0
-        self._points = points
+        self._points = points  # (tick, scaled credit), or None when not recorded
         if points is not None:
-            points.append((0, Fraction(0)))
-
-    def _record(self, t: int) -> None:
-        if self._points is not None:
-            self._points.append((t, Fraction(self.scaled, CREDIT_SCALE)))
+            points.append((0, 0))
 
     def advance(self, now: int, waiting: bool, transmitting: bool) -> None:
         """Integrate credit over [last_update, now] under one constant phase."""
@@ -162,12 +157,14 @@ class CreditState:
             slope = 0
         self.scaled += slope * dt
         self.last_update = now
-        self._record(now)
+        if self._points is not None:
+            self._points.append((now, self.scaled))
 
     def reset_if_positive(self, now: int) -> None:
         if self.scaled > 0:
             self.scaled = 0
-            self._record(now)
+            if self._points is not None:
+                self._points.append((now, 0))
 
     def zero_crossing(self, now: int) -> int:
         """First tick at which credit is back to >= 0, accruing at idle_slope."""
@@ -178,7 +175,7 @@ class CreditState:
 
     @property
     def credit_bits(self) -> Fraction:
-        return Fraction(self.scaled, CREDIT_SCALE)
+        return Fraction(self.scaled, SCALE)
 
 
 @dataclass
@@ -367,7 +364,7 @@ class EthPort:
     def _credit_points(self, cls: str) -> list | None:
         if not self.store.flags.credit:
             return None
-        return self.store.vectors.setdefault((self.path, f"credit[{cls}]"), [])
+        return self.store.scaled_vec(self.path, f"credit[{cls}]")
 
     def _duration(self, payload_len: int) -> int:
         dur = self._durations.get(payload_len)

@@ -17,6 +17,9 @@ from pathlib import Path
 
 from .kernel import SEC
 
+# Points of a scaled series are integers in units of 10^-12 (credit: bits x 10^12).
+SCALE = 10**12
+
 
 class LatencySample:
     """One delivery; latency is arrival - creation (the store keys it by message and sink)."""
@@ -41,17 +44,22 @@ class RecordingFlags:
     stations: bool = True
 
 
+def _fmt_scaled(scaled: int) -> str:
+    """An integer count of 10^-12 units as a decimal with twelve places."""
+    digits = f"{abs(scaled):013d}"
+    return f"{'-' if scaled < 0 else ''}{digits[:-12]}.{digits[-12:]}"
+
+
 def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        # Credit values are bits scaled by 10^12; render exactly.
+        # Exact when the denominator divides 10^12, as for credit bits.
         num, den = value.as_integer_ratio()
-        if (10**12) % den == 0:
-            digits = f"{abs(num) * (10**12 // den):013d}"
-            return f"{'-' if num < 0 else ''}{digits[:-12]}.{digits[-12:]}"
+        if SCALE % den == 0:
+            return _fmt_scaled(num * (SCALE // den))
         return repr(float(value))
     return repr(value)
 
@@ -72,6 +80,7 @@ class MetricStore:
     def __init__(self, flags: RecordingFlags | None = None):
         self.flags = flags or RecordingFlags()
         self.vectors: dict[tuple[str, str], list[tuple[int, object]]] = {}
+        self.scaled: set[tuple[str, str]] = set()  # vector keys whose points are ints in 10^-12 units
         self.scalars: dict[tuple[str, str], tuple[object, str]] = {}
         self.latencies: dict[tuple[str, str], list[LatencySample]] = {}
         # Per-link wire-bit totals; bandwidth windows are answered from their checkpoints.
@@ -87,6 +96,12 @@ class MetricStore:
         if points and t < points[-1][0]:
             raise ValueError(f"timestamps must be non-decreasing in {module}.{name}")
         points.append((t, value))
+
+    def scaled_vec(self, module: str, name: str) -> list[tuple[int, int]]:
+        """The point list of a series whose values are integers in 10^-12 units;
+        the owner appends to it directly and the exports render twelve decimals."""
+        self.scaled.add((module, name))
+        return self.vectors.setdefault((module, name), [])
 
     def scalar_set(self, module: str, name: str, value, unit: str = "") -> None:
         self.scalars[(module, name)] = (value, unit)
@@ -174,25 +189,26 @@ class MetricStore:
     # -- export ----------------------------------------------------------
 
     def _series(self):
-        """(exported name ``module.name``, (time, value) points) of every series in
-        name order, the later key winning a shared name; end-to-end ``rxLatency``
-        points come straight from the delivery samples."""
+        """(exported name ``module.name``, (time, value) points, value formatter) of
+        every series in name order, the later key winning a shared name; end-to-end
+        ``rxLatency`` points come straight from the delivery samples."""
         series = {(f"{sink}.app[{message}]", "rxLatency"): ((s.arrival, s.latency) for s in samples)
                   for (message, sink), samples in self.latencies.items()}
         series.update(self.vectors)
-        named = {f"{module}.{name}": series[module, name] for module, name in sorted(series)}
+        named = {f"{key[0]}.{key[1]}": (series[key], _fmt_scaled if key in self.scaled else _fmt_point)
+                 for key in sorted(series)}
         for name in sorted(named):
-            yield name, named[name]
+            yield name, *named[name]
 
     def export_csv(self, outdir: str | Path) -> list[Path]:
         """One CSV per vector plus a scalars.csv; returns written paths."""
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, points in self._series():
+        for name, points, fmt in self._series():
             path = out / f"{name}.csv"
             lines = ["time_ps,value"]
-            lines += [f"{t},{_fmt_point(v)}" for t, v in points]
+            lines += [f"{t},{fmt(v)}" for t, v in points]
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
         path = out / "scalars.csv"
@@ -216,8 +232,8 @@ class MetricStore:
             f.write(f'{{\n "links": {_json_block(links, " ")},\n')
             f.write(f' "scalars": {_json_block(scalars, " ")},\n "vectors": {{')
             sep = "\n"
-            for name, points in self._series():
-                rows = [f"   [\n    {t},\n    {_quote(_fmt_point(v))}\n   ]" for t, v in points]
+            for name, points, fmt in self._series():
+                rows = [f"   [\n    {t},\n    {_quote(fmt(v))}\n   ]" for t, v in points]
                 f.write(f"{sep}  {_quote(name)}: {_json_block(rows, '  ', '[]')}")
                 sep = ",\n"
             window = ',\n "window": [\n  %d,\n  %d\n ]' % self.run_window if self.run_window else ""

@@ -229,7 +229,7 @@ def test_criterion_03_cbs_invariants():
             for (t0, c0), (t1, c1) in zip(points, points[1:]):
                 if t1 == t0:
                     continue  # reset discontinuity
-                slope = (c1 - c0) * SEC / (t1 - t0)
+                slope = Fraction(c1 - c0, t1 - t0)  # scaled bits per tick = bits per second
                 assert slope in slopes, (link, cls, t0, t1, slope)
                 checked_segments += 1
     assert checked_starts > 1000 and checked_segments > 1000

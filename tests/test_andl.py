@@ -199,6 +199,9 @@ def _case(edits, needle, *, id, code=1, args=()):
           "small.andl:9:1: error: inline ini: override 'sim.queueCapacity'", id="ini-value-at-block"),
     _case([], "small.andl:9:1: warning: unknown inline-ini key 'record-eventlog' (kept as extra)",
           code=0, id="ini-unknown-key-at-block"),
+    _case([("record-eventlog = false", "port.en1.en2.idleSlopeA = 10Mb/s")],
+          "small.andl:9:1: warning: unknown inline-ini key 'port.en1.en2.idleSlopeA' (kept as extra)",
+          code=0, id="ini-idle-slope-without-link"),
     _case([("record-eventlog = false", "port.en1.s1.idleSlopeA = 99Mb/s")],
           "small.andl: error: AVB reservation on en1->s1 is 99000000 b/s, above 75% of 100000000 b/s",
           id="reservation-cap-without-position"),

@@ -125,6 +125,17 @@ def test_idle_slope_override_is_held_to_the_reservation_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair", ["port.nope.s1.idleSlopeA=10Mb/s", "port.en1.en2.idleSlopeB=1Mb/s"])
+def test_idle_slope_override_needs_a_link_between_its_ends(tmp_path, capsys, pair):
+    out = tmp_path / "o"
+    assert main(["run", str(SCENARIO), "--horizon", "10ms", "--out", str(out), "--set", pair]) == 1
+    assert f"unknown override key {pair.partition('=')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+    # Either direction of a link names a port.
+    assert main(["run", str(SCENARIO), "--horizon", "10ms", "--out", str(out),
+                 "--set", "port.s1.en1.idleSlopeA=10Mb/s"]) == 0
+
+
 @pytest.mark.parametrize("pair", [
     "link2.bandwidth=10Mb/s", "eth1.bandwidth=1Gb/s", "s1.hardwareDelay=1us",
     "port.en1.s1.idleSlopeA=1Mb/s", "port.s1.en2.idleSlopeB=1Mb/s",

@@ -162,8 +162,20 @@ def test_credit_vector_piecewise_linear():
     for (t0, c0), (t1, c1) in zip(points, points[1:]):
         if t1 == t0:
             continue  # reset discontinuity
-        slope = (c1 - c0) * 10**12 / (t1 - t0)
+        slope = Fraction(c1 - c0, t1 - t0)  # scaled bits per tick = bits per second
         assert slope in (idle, send, Fraction(0))
+
+
+@pytest.mark.xfail(strict=True, reason="credit below zero is held while the queue is empty; "
+                   "802.1Q-2018 8.6.8.2 raises it at idleSlope whenever nothing is sent")
+def test_negative_credit_recovers_while_the_queue_is_empty():
+    sim, store, port, peer = make_port(idle_a=25_000_000)
+    port.enqueue(frame(AVB(1, "A"), payload=500), 0)   # leaves credit at -3228 bits
+    sim.run_until(10 * MS)
+    port.enqueue(frame(AVB(1, "A"), payload=500), sim.now)
+    sim.run_until(20 * MS)
+    # 10 ms at 25 Mb/s is far more than the 129.12 us the deficit needs: no wait.
+    assert [t for _, t in peer.got] == [43_040_000, 10 * MS + 43_040_000]
 
 
 def test_bag_spacing_enforced():

@@ -192,6 +192,8 @@ def _reference_series(store):
     series = {(f"{sink}.app[{message}]", "rxLatency"): [(s.arrival, s.latency) for s in samples]
               for (message, sink), samples in store.latencies.items()}
     series.update(store.vectors)
+    for key in store.scaled:  # integer points in 10^-12 units, rendered as the Fractions they stand for
+        series[key] = [(t, Fraction(n, 10**12)) for t, n in series[key]]
     return [(f"{key[0]}.{key[1]}", series[key]) for key in sorted(series)]
 
 
@@ -234,12 +236,16 @@ _timed = st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 10**6)), max_s
 _store_spec = st.fixed_dictionaries({
     "vectors": st.dictionaries(st.tuples(_names, _names),
                                st.lists(st.tuples(st.integers(0, 10**9), _values), max_size=4)),
+    # Credit-like series: bits x 10^12 as plain ints.
+    "scaled": st.dictionaries(st.tuples(_names, _names),
+                              st.lists(st.tuples(st.integers(0, 10**9), st.integers(-10**18, 10**18)),
+                                       max_size=4)),
     "latencies": st.dictionaries(st.tuples(_names, _names), _timed),
     "scalars": st.dictionaries(st.tuples(_names, _names), st.tuples(_values, _names)),
     "links": st.dictionaries(_names, _timed),
     "horizon": st.none() | st.integers(1, 10**12),
 })
-_EMPTY_SPEC = {"vectors": {}, "latencies": {}, "scalars": {}, "links": {}, "horizon": None}
+_EMPTY_SPEC = {"vectors": {}, "scaled": {}, "latencies": {}, "scalars": {}, "links": {}, "horizon": None}
 
 
 def _build_store(spec) -> MetricStore:
@@ -248,6 +254,9 @@ def _build_store(spec) -> MetricStore:
         store.vectors.setdefault((module, name), [])  # a series may stay empty
         for t, value in sorted(points, key=lambda p: p[0]):
             store.vec(module, name, t, value)
+    for (module, name), points in spec["scaled"].items():
+        if (module, name) not in spec["vectors"]:  # a key holds one kind of series
+            store.scaled_vec(module, name).extend(sorted(points, key=lambda p: p[0]))
     for (message, sink), deliveries in spec["latencies"].items():
         for arrival, latency in deliveries:
             store.add_latency(message, sink, arrival - latency, arrival)
@@ -267,6 +276,9 @@ def _build_store(spec) -> MetricStore:
 @example({
     "vectors": {("a", "z"): [(1, True), (2, Fraction(-3, 4))], ("a.b", "x"): [],
                 ('q"é', "v"): [(5, 0.25)]},
+    # ("a", "b.x") shares the name a.b.x with the plain ("a.b", "x"), which sorts later and wins.
+    "scaled": {("a.b", "z"): [(0, 0), (3, -3228 * 10**12), (3, 1), (4, -10**18)], ("a", "c"): [],
+               ("a", "b.x"): [(9, 5)]},
     "latencies": {("m", "a.b"): [(7, 3)]},
     "scalars": {("a", "z"): (False, "bit/s"), ("a.b", "x"): (-1.5, '"'),
                 ("a.b", "c"): (Fraction(-1, 10**12), "bits"), ("a", "b.c"): (3, "later wins")},
