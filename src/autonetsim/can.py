@@ -137,9 +137,9 @@ class CanBus:
     the subscriptions: per id, the receiving controllers in attachment
     order.
 
-    Arbitration that falls due at the current tick runs inline when the
-    kernel has nothing else queued at that tick (``Simulator.idle_at``);
-    otherwise it is a CAN_ARBITRATE event behind everything already queued.
+    Arbitration that falls due at the current tick is a deferred call
+    (``Simulator.defer``), behind everything already due at that tick; one
+    due later is a CAN_ARBITRATE event.
     """
 
     def __init__(
@@ -185,22 +185,18 @@ class CanBus:
             self._receivers[can_id] = tuple(sorted(receivers + (port,), key=lambda p: p._index))
 
     def notify(self, now: int) -> None:
-        """A controller gained a pending frame; arbitrate once the bus idles.
-
-        Callers call this last, so arbitration due now runs inline when the
-        kernel has nothing else queued at now."""
+        """A controller gained a pending frame; arbitrate once the bus idles."""
         if self._sending is None and not self._arb_scheduled:
-            t = max(now, self.busy_until)
-            if t == now and self.sim.idle_at(now):
-                self._arbitrate(now)
-                return
             self._arb_scheduled = True
-            self.sim.schedule(t, self.name, EventKind.CAN_ARBITRATE)
+            t = max(now, self.busy_until)
+            if t == self.sim.now:
+                self.sim.defer(self._arbitrate)
+            else:
+                self.sim.schedule(t, self.name, EventKind.CAN_ARBITRATE)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind is EventKind.CAN_ARBITRATE:
-            self._arb_scheduled = False
-            self._arbitrate(ev.time)
+            self._arbitrate()
         elif ev.kind is EventKind.CAN_TX_DONE:
             self._complete(ev.time)
 
@@ -220,7 +216,9 @@ class CanBus:
             heappop(pending)
         return None
 
-    def _arbitrate(self, now: int) -> None:
+    def _arbitrate(self) -> None:
+        self._arb_scheduled = False
+        now = self.sim.now
         if self._sending is not None or now < self.busy_until or self._top() is None:
             return
         can_id, index, _, frame, gw_port = heappop(self.pending)
@@ -249,10 +247,9 @@ class CanBus:
                 on_rx = port.on_rx
                 if on_rx is not None:
                     on_rx(frame, now)
-        # Anything still pending re-arbitrates immediately; the 3-bit
-        # interframe space is already part of the frame duration.
-        if self.sim.idle_at(now):
-            self._arbitrate(now)
-        elif self._top() is not None:
+        # Anything still pending re-arbitrates at this tick, after the work
+        # already due at it; the 3-bit interframe space is already part of
+        # the frame duration.
+        if self._top() is not None:
             self._arb_scheduled = True
-            self.sim.schedule(now, self.name, EventKind.CAN_ARBITRATE)
+            self.sim.defer(self._arbitrate)

@@ -229,10 +229,24 @@ def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
 
 
 def derives_tables(cfg: NetworkConfig, key: str) -> bool:
-    """Whether the compiler derived TDMA windows or the reservation check from ``key``."""
-    target, _, param = key.strip().rpartition(".")
-    return param in ("hardwareDelay", "idleSlopeA", "idleSlopeB") or (
-        param == "bandwidth" and any(link.name == target for link in cfg.links))
+    """Whether the compiler derived TDMA windows or the reservation check from
+    ``key``: a known key (as ``_apply_override`` tells them) for a link's
+    bandwidth, a device's hardwareDelay or a port's idle slope."""
+    parts = key.strip().split(".")
+    if len(parts) == 4 and parts[0] == "port" and parts[3] in ("idleSlopeA", "idleSlopeB"):
+        return _links_join(cfg, parts[1], parts[2])
+    if len(parts) == 2:
+        target, param = parts
+        if param == "hardwareDelay":
+            return cfg.device(target) is not None
+        if param == "bandwidth":
+            return any(link.name == target for link in cfg.links)
+    return False
+
+
+def _links_join(cfg: NetworkConfig, a: str, b: str) -> bool:
+    """Whether an Ethernet link joins devices ``a`` and ``b``: a port between them."""
+    return any({ln.a, ln.b} == {a, b} for ln in cfg.links)
 
 
 def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
@@ -257,9 +271,8 @@ def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
             return True
         return False
     if parts[0] == "port" and len(parts) == 4 and parts[3] in ("idleSlopeA", "idleSlopeB"):
-        ends = {parts[1], parts[2]}
-        if not any({ln.a, ln.b} == ends for ln in cfg.links):
-            return False  # no Ethernet link joins the two devices: no such port
+        if not _links_join(cfg, parts[1], parts[2]):
+            return False
         link = f"{parts[1]}->{parts[2]}"
         cls = parts[3][-1]
         cfg.slopes.setdefault(link, {})[cls] = parse_rate(value)

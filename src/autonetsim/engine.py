@@ -90,8 +90,6 @@ class CanSource:
         nxt = now + self.period
         if self.rt.stop_time is None or nxt <= self.rt.stop_time:
             self.rt.sim.schedule(nxt, self.path, EventKind.FIRE_SOURCE)
-        # Last, so that an arbitration run inline schedules its CAN_TX_DONE
-        # after the next FIRE_SOURCE, as the deferred arbitration would.
         self.bus.notify(now)
 
 

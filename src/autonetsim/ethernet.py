@@ -416,14 +416,18 @@ class EthPort:
         # While a transmission runs past this tick a kick would find the port
         # busy and do nothing; _complete kicks when the transmission ends.
         if self._tx_end <= now:
-            self._kick(now)
+            self._kick()
 
-    def _kick(self, now: int) -> None:
-        """Defer selection to a same-tick event so simultaneous arrivals
+    def _kick(self) -> None:
+        """Defer selection to the end of the tick so simultaneous arrivals
         compete as one batch instead of first-caller-wins."""
         if not self._kick_pending:
             self._kick_pending = True
-            self.sim.schedule(now, self.path, EventKind.PORT_TRY_SEND, "kick")
+            self.sim.defer(self._kicked)
+
+    def _kicked(self) -> None:
+        self._kick_pending = False
+        self.try_send(self.sim.now)
 
     # -- credit bookkeeping ----------------------------------------------
 
@@ -432,17 +436,18 @@ class EthPort:
         for label, state, queue in self._shapers:
             state.advance(now, bool(queue), label == sending)
 
-    def _credit_reset_check(self, now: int) -> None:
-        sending = self._tx[1] if self._tx is not None else None
+    def _credit_settle(self, now: int, sent: str | None) -> None:
+        """Advance every shaper to now, class ``sent`` having transmitted
+        since its last update, and zero the positive credit of each shaper
+        with nothing queued; the port is idle from now on."""
         for label, state, queue in self._shapers:
-            if not queue and label != sending:
+            state.advance(now, bool(queue), label == sent)
+            if not queue:
                 state.reset_if_positive(now)
 
     # -- transmission selection --------------------------------------------
 
     def _fits_guard_band(self, duration: int, now: int) -> bool:
-        if self.schedule is None:
-            return True
         begin = self.schedule.next_begin(self.link, now)
         return begin is None or now + duration <= begin
 
@@ -460,21 +465,23 @@ class EthPort:
                     if cyc + dur <= w.offset + w.duration:
                         return q.popleft(), f"TT[{w.ct_id}]", dur, q
         # RC: oldest frame whose BAG gate is open, ties by lowest vl id.
-        best = None
-        for entry in self.rc_queue:
-            enq_t, vl, order, frame = entry
-            if bag_gate(self.bags[vl], now) > now:
-                continue
-            dur = self._duration(frame.payload_len)
-            if not self._fits_guard_band(dur, now):
-                continue
-            key = (enq_t, vl, order)
-            if best is None or key < best[0]:
-                best = (key, entry, dur)
-        if best is not None:
-            _, entry, dur = best
-            self.rc_queue.remove(entry)
-            return entry[3], "RC", dur, self.rc_queue
+        rc_queue = self.rc_queue
+        if rc_queue:
+            best = None
+            for entry in rc_queue:
+                enq_t, vl, order, frame = entry
+                if bag_gate(self.bags[vl], now) > now:
+                    continue
+                dur = self._duration(frame.payload_len)
+                if sched is not None and not self._fits_guard_band(dur, now):
+                    continue
+                key = (enq_t, vl, order)
+                if best is None or key < best[0]:
+                    best = (key, entry, dur)
+            if best is not None:
+                _, entry, dur = best
+                rc_queue.remove(entry)
+                return entry[3], "RC", dur, rc_queue
         # AVB A then B: gate open when credit >= 0.
         for cls, q in self.avb_queues.items():
             if not q:
@@ -485,7 +492,7 @@ class EthPort:
             if state.scaled < 0:
                 continue
             dur = self._duration(q[0].payload_len)
-            if self._fits_guard_band(dur, now):
+            if sched is None or self._fits_guard_band(dur, now):
                 return q.popleft(), AVB_LABELS[cls], dur, q
         # Best effort, highest 802.1Q priority first.
         for prio, label in BE_PRECEDENCE:
@@ -493,7 +500,7 @@ class EthPort:
             if not q:
                 continue
             dur = self._duration(q[0].payload_len)
-            if self._fits_guard_band(dur, now):
+            if sched is None or self._fits_guard_band(dur, now):
                 return q.popleft(), label, dur, q
         return None
 
@@ -501,8 +508,7 @@ class EthPort:
         if self._tx is not None:
             return
         if self._shapers:
-            self._credit_advance(now)
-            self._credit_reset_check(now)
+            self._credit_settle(now, None)
         picked = self._select(now)
         if picked is None:
             self._plan_wakeup(now)
@@ -566,10 +572,8 @@ class EthPort:
 
     def _handle(self, ev: Event) -> None:
         kind = ev.kind
-        if kind is EventKind.PORT_TRY_SEND:
-            if ev.payload == "kick":
-                self._kick_pending = False
-            elif self._wakeup_at is not None and ev.time >= self._wakeup_at:
+        if kind is EventKind.PORT_TRY_SEND:  # a wakeup
+            if self._wakeup_at is not None and ev.time >= self._wakeup_at:
                 self._wakeup_at = None
             self.try_send(ev.time)
         elif kind is EventKind.PORT_TX_DONE:
@@ -578,20 +582,13 @@ class EthPort:
     def _complete(self, ev: Event) -> None:
         frame = ev.payload
         now = ev.time
-        shapers = self._shapers
-        if shapers:
-            self._credit_advance(now)
+        if self._shapers:
+            self._credit_settle(now, self._tx[1])
         self._tx = None
-        if shapers:
-            self._credit_reset_check(now)
         self.store.link_completed(self.link, eth_wire_bits(frame.payload_len))
         if self.peer is not None:
             self.peer.receive(frame, now, self)
-        # The kick would be the next event when nothing else is due now.
-        if self.sim.idle_at(now):
-            self.try_send(now)
-        else:
-            self._kick(now)
+        self._kick()
 
 
 # --------------------------------------------------------------------------
@@ -624,8 +621,6 @@ class Switch:
         self.sim.schedule(now + self.hw_delay, self.name, EventKind.SWITCH_FORWARD, frame)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind is not EventKind.SWITCH_FORWARD:
-            return
         frame: EthFrame = ev.payload
         ports = self.table.get(route_key(frame))
         if ports is None and type(frame.tag) is not BE:

@@ -10,18 +10,22 @@ insertion counter; two runs over the same configuration therefore produce
 identical event traces.  Randomness, when a model asks for it, comes from
 a single seeded generator owned by the simulator.
 
-An event scheduled at the current time gets a higher seq than everything
-already queued.  So while a handler runs at time t and nothing else is
-queued at t (``Simulator.idle_at``), a same-tick event that the handler
-would schedule as its last act would be the very next one dispatched.
-Models do that follow-up work inline instead, which leaves the order of
-every other event unchanged; the deferred event stays their fallback.
+Work due at the current tick waits in a same-tick queue, the delta cycle
+of SystemC (IEEE 1666).  While the kernel dispatches, an event scheduled at
+``now`` and a call handed to ``Simulator.defer`` are appended to the queue
+instead of the heap.  Every heap entry at ``now`` is older than anything in
+the queue, so the kernel drains those first and then the queue: dispatch
+stays in exact (time, seq) order.  A deferred call is a bound method run
+with no ``Event``, no handler lookup and no count in ``events_dispatched``
+or the trace; models use it for their same-tick follow-ups (an egress
+port's selection, a CAN bus's arbitration).
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
@@ -157,7 +161,8 @@ class Simulator:
     def __init__(self, seed: int = 0, trace: bool = False):
         self.now: int = 0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Event | Callable[[], None]]] = []
+        self._ready: deque[Event | Callable[[], None]] = deque()  # due at now, in seq order
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._dispatching = False
@@ -178,43 +183,67 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         ev = Event(time, seq, target, kind, payload)
-        heappush(self._heap, (time, seq, ev))
+        if time == self.now and self._dispatching:
+            self._ready.append(ev)
+        else:
+            heappush(self._heap, (time, seq, ev))
         return ev
+
+    def defer(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` at the current tick, after everything already due at it.
+
+        Outside dispatch (set-up code) the call is a heap entry at ``now``
+        and keeps its insertion order against events at that tick.
+        """
+        if self._dispatching:
+            self._ready.append(fn)
+        else:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (self.now, seq, fn))
 
     def cancel(self, event: Event) -> None:
         """Mark an event dead; it is skipped (not counted) at dispatch time."""
         event.cancelled = True
 
-    def idle_at(self, t: int) -> bool:
-        """True while a handler runs at time t and no entry, live or
-        cancelled, is queued at t: an event the handler schedules at t as
-        its last act would be dispatched next, so its work may run inline."""
-        heap = self._heap
-        return self._dispatching and t == self.now and not (heap and heap[0][0] == t)
-
     def _dispatch_through(self, t_end: int) -> int:
-        """Dispatch every live event with time <= t_end; return how many ran."""
+        """Dispatch every live event with time <= t_end, and every deferred
+        call due by then; return how many events ran."""
         heap = self._heap
+        ready = self._ready
         pop = heappop
+        popleft = ready.popleft
         handlers = self._handlers
         trace = self.trace
+        now = self.now
         dispatched = 0
         self._dispatching = True
         try:
-            while heap and heap[0][0] <= t_end:
-                time, seq, ev = pop(heap)
-                if ev.cancelled:
+            while True:
+                if ready and not (heap and heap[0][0] == now):
+                    item = popleft()
+                elif heap and heap[0][0] <= t_end:
+                    now, _, item = pop(heap)
+                else:
+                    break
+                if item.__class__ is not Event:
+                    self.now = now
+                    item()
                     continue
-                self.now = time
-                handler = handlers.get(ev.target)
+                if item.cancelled:
+                    continue
+                self.now = now
+                handler = handlers.get(item.target)
                 if handler is None:
-                    raise SimulationError(f"event targets unregistered module {ev.target!r}")
+                    raise SimulationError(f"event targets unregistered module {item.target!r}")
                 if trace is not None:
-                    trace.append((time, seq, ev.target, ev.kind.name))
-                handler(ev)
+                    trace.append((now, item.seq, item.target, item.kind.name))
+                handler(item)
                 dispatched += 1
         finally:
             self._dispatching = False
+            while ready:  # a handler raised: the rest of the tick keeps its order
+                self._seq = seq = self._seq + 1
+                heappush(heap, (self.now, seq, popleft()))
         return dispatched
 
     def run_until(self, t_end: int) -> RunSummary:
@@ -235,7 +264,10 @@ class Simulator:
         return RunSummary(self._dispatch_through(MAX_TICKS), self.now)
 
     def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        """Events not cancelled, and deferred calls, still to run."""
+        items = [entry[2] for entry in self._heap]
+        items.extend(self._ready)
+        return sum(1 for item in items if item.__class__ is not Event or not item.cancelled)
 
 
 def _round_half_away(x: Fraction) -> int:

@@ -151,9 +151,10 @@ def test_gateway_port_batch_overwrite():
     assert len(port.slots[10]) == 1
     assert store.scalar("gw1.canif[cb2]", "overwrites") == 2
     assert [v for _, v in store.vectors[("gw1.canif[cb2]", "QueueLength[txObjects]")]] == [3, 2]
-    bus.notify(5)
+    bus.notify(5)  # at set-up: arbitration stays an event at 5
     sim.run_until(10_000 * US)
     assert [can_id for can_id, _ in sink.got] == [10, 20]
+    assert sink.got[0][1] == 5 + can_frame_duration(2, 500_000)
     assert port.occupancy == 0 and store.link_frames[bus.name] == 2
 
 

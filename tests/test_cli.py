@@ -150,6 +150,18 @@ def test_compiled_document_refuses_keys_its_tables_derive_from(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair", ["port.nope.s1.idleSlopeA=10Mb/s", "nope.hardwareDelay=1us"])
+def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_path, capsys, pair):
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    capsys.readouterr()
+    for src in (SCENARIO, cfgp):
+        out = tmp_path / "o"
+        assert main(["run", str(src), "--horizon", "10ms", "--out", str(out), "--set", pair]) == 1
+        assert f"unknown override key {pair.partition('=')[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_compiled_document_takes_other_keys_as_the_source_does(tmp_path):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0

@@ -256,17 +256,39 @@ def test_switch_forwarding():
     assert all(t >= 8 * US for _, t in peer_a.got)
 
 
+def log_selections(sim):
+    """The event trace, with each deferred call logged as it is made and as
+    it runs: (tick, "defer" or "run", function name)."""
+    log = sim.trace = []
+    defer = sim.defer
+
+    def logged(fn):
+        log.append((sim.now, "defer", fn.__name__))
+
+        def run():
+            log.append((sim.now, "run", fn.__name__))
+            fn()
+
+        defer(run)
+
+    sim.defer = logged
+    return log
+
+
 def test_enqueue_while_transmission_runs_on_schedules_no_kick():
     sim, store, port, peer = make_port()
-    sim.trace = []
+    log = log_selections(sim)
     dur = eth_frame_duration(46, RATE)
     port.enqueue(frame(BE(0)), 0)
     sim.run_until(1 * US)  # the first frame is on the wire until dur
     port.enqueue(frame(BE(0)), sim.now)
     sim.run_until(1 * MS)
-    # The enqueue at 1 us kicks nothing; the completions at dur and 2*dur
-    # find nothing else due and select inline, so no kick event follows.
-    assert [t for t, _, _, kind in sim.trace if kind == "PORT_TRY_SEND" and t > 0] == []
+    # The enqueue at 1 us kicks nothing; each completion kicks one selection.
+    deferred = [(t, what) for t, what, *_ in log if what in ("defer", "run")]
+    assert deferred == [(0, "defer"), (0, "run"), (dur, "defer"), (dur, "run"),
+                        (2 * dur, "defer"), (2 * dur, "run")]
+    events = [entry[-1] for entry in log if entry[1] not in ("defer", "run")]
+    assert events == ["PORT_TX_DONE", "PORT_TX_DONE"]  # and no wakeup
     assert [t for _, t in peer.got] == [dur, 2 * dur]
 
 
@@ -276,14 +298,16 @@ def test_enqueue_at_transmission_end_keeps_its_kick():
     # Scheduled before the port's PORT_TX_DONE, so it runs first at that tick.
     sim.register("probe", lambda ev: port.enqueue(frame(BE(0)), ev.time))
     sim.schedule(dur, "probe", EventKind.TIMER)
-    sim.trace = []
+    log = log_selections(sim)
     port.enqueue(frame(BE(0)), 0)
     sim.run_until(1 * MS)
-    at_end = [(target, kind) for t, _, target, kind in sim.trace if t == dur]
-    assert at_end == [
+    # The enqueue's kick is kept; the completion finds it pending and adds
+    # none, and the one selection runs after the completion.
+    assert [entry[-2:] for entry in log if entry[0] == dur] == [
         ("probe", "TIMER"),
+        ("defer", "_kicked"),
         ("s1.port.en2", "PORT_TX_DONE"),
-        ("s1.port.en2", "PORT_TRY_SEND"),
+        ("run", "_kicked"),
     ]
     assert [t for _, t in peer.got] == [dur, 2 * dur]
 

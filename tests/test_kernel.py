@@ -85,40 +85,166 @@ def test_cancellation():
     assert summary.events_dispatched == 0 and not log
 
 
-def test_idle_at_is_false_outside_dispatch():
+def test_cancelled_event_does_not_move_the_clock():
     sim, _ = make_sim()
-    assert not sim.idle_at(0)  # set-up code keeps its deferred events
     sim.schedule(5, "probe", EventKind.TIMER)
+    sim.cancel(sim.schedule(9, "probe", EventKind.TIMER))
+    assert sim.run_to_completion().final_time == 5
+
+
+def test_same_tick_events_and_deferred_calls_run_in_call_order():
+    sim = Simulator()
+    log = []
+
+    def probe(ev):
+        log.append(ev.payload)
+        if ev.payload == "first":
+            sim.schedule(5, "probe", EventKind.TIMER, "event a")
+            sim.defer(lambda: (log.append("call b"), sim.defer(lambda: log.append("call e"))))
+            sim.schedule(5, "probe", EventKind.TIMER, "event c")
+            sim.defer(lambda: log.append("call d"))
+            sim.schedule(6, "probe", EventKind.TIMER, "at 6")
+
+    sim.register("probe", probe)
+    sim.schedule(5, "probe", EventKind.TIMER, "first")
+    sim.schedule(5, "probe", EventKind.TIMER, "queued before")
     sim.run_until(10)
-    assert not sim.idle_at(10)
+    assert log == ["first", "queued before", "event a", "call b", "event c", "call d",
+                   "call e", "at 6"]
 
 
-def test_idle_at_holds_only_when_nothing_else_is_queued_at_the_tick():
+def test_defer_at_set_up_keeps_its_place_among_events_at_the_tick():
+    sim, log = make_sim()
+    sim.schedule(0, "probe", EventKind.TIMER, "before")
+    sim.defer(lambda: log.append((sim.now, "deferred")))
+    sim.schedule(0, "probe", EventKind.TIMER, "after")
+    sim.run_until(3)
+    sim.schedule(3, "probe", EventKind.TIMER, "before at 3")
+    sim.defer(lambda: log.append((sim.now, "deferred at 3")))
+    sim.schedule(3, "probe", EventKind.TIMER, "after at 3")
+    summary = sim.run_until(3)
+    assert log == [(0, "before"), (0, "deferred"), (0, "after"),
+                   (3, "before at 3"), (3, "deferred at 3"), (3, "after at 3")]
+    assert summary.events_dispatched == 2
+
+
+def test_cancelled_same_tick_event_is_skipped():
+    sim = Simulator()
+    log = []
+
+    def probe(ev):
+        log.append(ev.payload)
+        if ev.payload == "first":
+            doomed = sim.schedule(ev.time, "probe", EventKind.TIMER, "cancelled")
+            sim.schedule(ev.time, "probe", EventKind.TIMER, "kept")
+            sim.cancel(doomed)
+
+    sim.register("probe", probe)
+    sim.schedule(5, "probe", EventKind.TIMER, "first")
+    summary = sim.run_until(10)
+    assert log == ["first", "kept"]
+    assert summary.events_dispatched == 2
+
+
+def test_pending_counts_the_same_tick_queue():
     sim = Simulator()
     seen = []
-    sim.register("probe", lambda ev: seen.append(
-        (ev.payload, sim.idle_at(ev.time), sim.idle_at(ev.time + 1))))
-    sim.schedule(3, "probe", EventKind.TIMER, "alone")
-    sim.schedule(5, "probe", EventKind.TIMER, "before a live one")
-    sim.schedule(5, "probe", EventKind.TIMER, "last at 5")
-    sim.schedule(6, "probe", EventKind.TIMER, "at 6")
+
+    def probe(ev):
+        if ev.payload == "first":
+            seen.append(sim.pending())  # "later" only
+            sim.schedule(ev.time, "probe", EventKind.TIMER)
+            sim.defer(lambda: seen.append(sim.pending()))
+            sim.cancel(sim.schedule(ev.time, "probe", EventKind.TIMER))
+            seen.append(sim.pending())
+
+    sim.register("probe", probe)
+    sim.schedule(5, "probe", EventKind.TIMER, "first")
+    sim.schedule(7, "probe", EventKind.TIMER, "later")
+    sim.defer(lambda: None)
+    assert sim.pending() == 3
     sim.run_until(10)
-    assert seen == [
-        ("alone", True, False),
-        ("before a live one", False, False),
-        ("last at 5", True, False),
-        ("at 6", True, False),
-    ]
+    assert seen == [1, 3, 1]
+    assert sim.pending() == 0
 
 
-def test_idle_at_is_false_with_a_cancelled_entry_at_the_tick():
+def test_deferred_calls_are_not_events():
+    sim = Simulator(trace=True)
+    calls = []
+    sim.register("probe", lambda ev: sim.defer(lambda: calls.append(sim.now)))
+    sim.schedule(4, "probe", EventKind.TIMER)
+    sim.defer(lambda: calls.append(sim.now))
+    summary = sim.run_until(10)
+    assert calls == [0, 4]
+    assert summary.events_dispatched == 1
+    assert [(t, target) for t, _, target, _ in sim.trace] == [(4, "probe")]
+
+
+_ENTRY_LIMIT = 60
+
+# What the n-th entry does when it runs: ("event", offset) schedules an event
+# `offset` ticks ahead, ("call", 0) defers a call.
+_actions = st.lists(
+    st.one_of(st.tuples(st.just("event"), st.sampled_from([0, 0, 1, 3])),
+              st.just(("call", 0))),
+    max_size=3)
+
+
+def _dispatch_order(plan, initial):
+    """Entry ids in the order the simulator runs them."""
     sim = Simulator()
-    seen = []
-    sim.register("probe", lambda ev: seen.append(sim.idle_at(ev.time)))
-    sim.schedule(5, "probe", EventKind.TIMER)
-    sim.cancel(sim.schedule(5, "probe", EventKind.TIMER))
-    sim.run_until(10)
-    assert seen == [False]
+    order = []
+    created = [0]
+
+    def add(kind, offset):
+        entry = created[0]
+        created[0] += 1
+        if kind == "call":
+            sim.defer(lambda: act(entry))
+        else:
+            sim.schedule(sim.now + offset, "probe", EventKind.TIMER, entry)
+
+    def act(entry):
+        order.append(entry)
+        for kind, offset in plan[entry % len(plan)]:
+            if created[0] < _ENTRY_LIMIT:
+                add(kind, offset)
+
+    sim.register("probe", lambda ev: act(ev.payload))
+    for kind, offset in initial:
+        add(kind, offset)
+    sim.run_to_completion()
+    return order
+
+
+def _reference_order(plan, initial):
+    """The same entries, each given (time, seq) at creation and run in that order."""
+    entries = []
+    order = []
+    now = 0
+
+    def add(kind, offset):
+        seq = len(entries)
+        entries.append((now + (offset if kind == "event" else 0), seq))
+
+    for kind, offset in initial:
+        add(kind, offset)
+    done = set()
+    while len(done) < len(entries):
+        now, entry = min(e for e in entries if e[1] not in done)
+        done.add(entry)
+        order.append(entry)
+        for kind, offset in plan[entry % len(plan)]:
+            if len(entries) < _ENTRY_LIMIT:
+                add(kind, offset)
+    return order
+
+
+@given(plan=st.lists(_actions, min_size=1, max_size=6),
+       initial=st.lists(st.one_of(st.tuples(st.just("event"), st.integers(0, 4)),
+                                  st.just(("call", 0))), min_size=1, max_size=5))
+def test_dispatch_equals_time_then_insertion_order(plan, initial):
+    assert _dispatch_order(plan, initial) == _reference_order(plan, initial)
 
 
 def test_time_never_decreases_and_trace_is_ordered():

@@ -1,21 +1,22 @@
-"""Same-tick follow-ups run inline only where that changes no event order.
+"""The same-tick queue changes no event order.
 
-A handler that would schedule an event at the current tick as its last act
-does that work inline when the kernel has nothing else queued at the tick
-(``Simulator.idle_at``): the CAN re-arbitration after a completion, the
-arbitration a source or gateway notifies, and the egress port's
-post-completion selection.  With ``idle_at`` patched to answer False,
-every such follow-up is a heap event again, which is the event structure
-of a kernel without the rule.  Both runs must export the same bytes.
+While the kernel dispatches, an event scheduled at the current tick and a
+deferred call (``Simulator.defer``: the egress port's selection, the CAN
+bus's arbitration at the current tick) wait in the same-tick queue instead
+of the heap.  With ``schedule`` and ``defer`` patched to push every entry
+onto the heap, each deferred call becomes an ordinary event, which is the
+event structure of a kernel without the queue.  Both runs must export the
+same bytes.
 """
 
+from heapq import heappush
 from pathlib import Path
 
 import pytest
 
 from autonetsim.andl import compile_network, parse
 from autonetsim.engine import Runtime
-from autonetsim.kernel import MS, Simulator
+from autonetsim.kernel import MS, Event, EventKind, Simulator
 
 from test_acceptance import _avb_random_text, _can_matrix_text, _rc_random_text, _twobus_text
 
@@ -50,15 +51,32 @@ def _outcome(text, horizon, out):
     return result, files, samples
 
 
+def _heap_schedule(sim, time, target, kind, payload=None):
+    """``Simulator.schedule`` without the same-tick queue; its range checks
+    are left out, since the queued run made the same calls and passed them."""
+    sim._seq += 1
+    ev = Event(time, sim._seq, target, kind, payload)
+    heappush(sim._heap, (time, sim._seq, ev))
+    return ev
+
+
+def _heap_defer(sim, fn):
+    """A deferred call as an ordinary event at the current tick."""
+    if "deferred" not in sim._handlers:
+        sim.register("deferred", lambda ev: ev.payload())
+    _heap_schedule(sim, sim.now, "deferred", EventKind.TIMER, fn)
+
+
 @pytest.mark.parametrize("text, horizon", CASES)
 def test_inline_follow_ups_change_no_outcome(tmp_path, monkeypatch, text, horizon):
-    inline, files, samples = _outcome(text, horizon, tmp_path / "inline")
-    monkeypatch.setattr(Simulator, "idle_at", lambda self, t: False)
-    deferred, deferred_files, deferred_samples = _outcome(text, horizon, tmp_path / "deferred")
-    assert files == deferred_files
-    assert samples == deferred_samples
-    assert (inline.final_time, inline.deliveries, inline.link_frames, inline.drops) == (
-        deferred.final_time, deferred.deliveries, deferred.link_frames, deferred.drops)
-    assert sum(inline.deliveries.values()) > 0
+    queued, files, samples = _outcome(text, horizon, tmp_path / "queued")
+    monkeypatch.setattr(Simulator, "schedule", _heap_schedule)
+    monkeypatch.setattr(Simulator, "defer", _heap_defer)
+    heap, heap_files, heap_samples = _outcome(text, horizon, tmp_path / "heap")
+    assert files == heap_files
+    assert samples == heap_samples
+    assert (queued.final_time, queued.deliveries, queued.link_frames, queued.drops) == (
+        heap.final_time, heap.deliveries, heap.link_frames, heap.drops)
+    assert sum(queued.deliveries.values()) > 0
     # The two runs differ in event structure, or the comparison shows nothing.
-    assert inline.events < deferred.events
+    assert queued.events < heap.events
