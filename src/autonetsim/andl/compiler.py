@@ -3,8 +3,9 @@
 The compiler resolves type inheritance, checks device parameters, builds
 the topology graph and applies the inline-ini and command-line overrides;
 only then does it compute shortest-hop message paths, derive gateway
-routing rules, pools, switch forwarding tables and AVB reservations, and
-generate the TDMA schedule, so each is computed once, from final values.
+routing rules, pools, switch forwarding tables, AVB reservations and TT
+flows in one walk per message, and generate the TDMA schedule, so each is
+computed once, from final values.
 """
 
 from __future__ import annotations
@@ -265,30 +266,8 @@ class _Builder:
         info = self._edge(u, v)
         return info[2] if info else ""
 
-    def _eth_runs(self, path: list[str]) -> list[list[str]]:
-        """Maximal sub-paths whose edges are Ethernet; switches interior only."""
-        runs = []
-        i = 0
-        while i < len(path) - 1:
-            info = self._edge(path[i], path[i + 1])
-            if info and info[0] == "eth":
-                j = i + 1
-                while (
-                    j < len(path) - 1
-                    and self.devices[path[j]].kind == "switch"
-                    and (e := self._edge(path[j], path[j + 1])) is not None
-                    and e[0] == "eth"
-                ):
-                    j += 1
-                runs.append(path[i : j + 1])
-                i = j
-            else:
-                i += 1
-        return runs
-
     def _add_rule(self, gateway: str, segment: str, *, can_id=None, key=None) -> list[dict]:
-        k = (gateway, segment, can_id, tuple(key) if key else None)
-        return self.rules.setdefault(k, [])
+        return self.rules.setdefault((gateway, segment, can_id, key), [])
 
     def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, dst: str, pool: str | None,
                         key: tuple) -> None:
@@ -447,100 +426,116 @@ class _Builder:
 
     # -- derived tables ----------------------------------------------------------
 
-    def _next_stop(self, path: list[str], i: int) -> str:
-        """Where a frame sent by path[i] onto Ethernet is addressed: the
-        following gateway, else the receiver."""
-        return next((w for w in path[i + 1 : -1] if self.devices[w].kind == "gateway"), path[-1])
+    def _derive_tables(self, msg: MessageCfg, multicast: bool, line: int) -> None:
+        """Every table entry of ``msg``, in one walk over its receivers' paths.
 
-    def _derive_endpoints(self, msg: MessageCfg, multicast: bool) -> None:
-        """What the sender emits and where each receiver subscribes on CAN."""
+        A frame is known by its forwarding key and the vertex that sends it.
+        Whatever receivers share is derived once per message: the sender's
+        frame and a TT flow per frame, an AVB reservation per frame and
+        directed link, and a pool member per gateway.
+        """
+        derived: set[tuple] = set()
         first = msg.paths[msg.receivers[0]]
         kind, bus, seg = self._edge(first[0], first[1])
         if kind == "can":
             msg.can_talker = {"bus": bus, "id": msg.bindings[seg]["id"]}
-        else:
-            binding = msg.bindings[seg]
-            keys = set()
-            for receiver in msg.receivers:
-                dst = self._next_stop(msg.paths[receiver], 0)
-                key = self._forward_key(binding, msg, multicast, frame_dst=dst)
-                if key in keys:
-                    continue
-                keys.add(key)
-                frame = {"dst": dst, "binding": binding}
-                if binding["kind"] == "tt":
-                    frame["release"] = f"{msg.name}:{receiver}"
-                msg.eth_talker.append(frame)
         for receiver in msg.receivers:
             path = msg.paths[receiver]
-            kind, bus, seg = self._edge(path[-2], path[-1])
+            hops = [self._edge(u, v) for u, v in zip(path, path[1:])]
+            kind, bus, seg = hops[-1]
             if kind == "can":
                 msg.can_receivers[receiver] = {"bus": bus, "id": msg.bindings[seg]["id"]}
+            gateways = [i for i in range(1, len(path) - 1) if self.devices[path[i]].kind == "gateway"]
 
-    def _derive_tables(self, msg: MessageCfg, multicast: bool, line: int) -> None:
-        self._derive_endpoints(msg, multicast)
-        for receiver in msg.receivers:
-            path = msg.paths[receiver]
-            for i, vertex in enumerate(path[1:-1], start=1):
-                if self.devices[vertex].kind != "gateway":
-                    continue
-                gw = vertex
-                seg_in = self._segment_of(path[i - 1], path[i])
-                seg_out = self._segment_of(path[i], path[i + 1])
-                in_info = self._edge(path[i - 1], path[i])
-                out_info = self._edge(path[i], path[i + 1])
-                if in_info[0] == "can":
-                    can_id = msg.bindings[seg_in]["id"]
-                    dests = self._add_rule(gw, seg_in, can_id=can_id)
-                    if out_info[0] == "eth":
-                        tag = msg.bindings[seg_out]
-                        next_stop = self._next_stop(path, i)
-                        key = self._forward_key(tag, msg, multicast, frame_dst=next_stop)
-                        pool = msg.pools.get(gw, {}).get("pool")
-                        if pool is not None:
-                            self._merge_eth_dest(dests, "pool", tag, next_stop, pool, key)
-                            members = self.pool_members.setdefault((gw, pool), [])
-                            members.append({
-                                "message": msg.name, "can_id": can_id,
-                                "payload": msg.payload, "period": msg.period,
-                                "holdup": msg.pools[gw]["holdUp"], "tag": tag,
-                            })
-                        else:
-                            self._merge_eth_dest(dests, "eth", tag, next_stop, None, key)
-                    else:
-                        if gw in msg.pools:
-                            self.error(line, f"message {msg.name}: pool at {gw} needs an Ethernet egress")
-                        self._merge_can_dest(dests, out_info[1], msg.bindings[seg_out]["id"])
+            def stop(i: int) -> str:
+                """Where a frame sent by path[i] onto Ethernet is addressed:
+                the following gateway, else the receiver."""
+                return next((path[g] for g in gateways if g > i), path[-1])
+
+            for i in gateways:
+                gw = path[i]
+                (in_kind, _, seg_in), (out_kind, out_bus, seg_out) = hops[i - 1], hops[i]
+                if in_kind == "can":
+                    dests = self._add_rule(gw, seg_in, can_id=msg.bindings[seg_in]["id"])
                 else:
                     # Ethernet ingress: the egress is CAN, since a gateway has
                     # one Ethernet link and a shortest path never reuses it.
-                    origin_seg = next((self._segment_of(u, v) for u, v in zip(path[:i], path[1 : i + 1])
-                                       if self._edge(u, v)[0] == "can"), None)
-                    if origin_seg is not None:
-                        # records tunneled from an upstream CAN segment
-                        dests = self._add_rule(gw, seg_in, can_id=msg.bindings[origin_seg]["id"])
+                    origin = next((h[2] for h in hops[:i] if h[0] == "can"), None)
+                    if origin is not None:  # records tunneled from an upstream CAN segment
+                        dests = self._add_rule(gw, seg_in, can_id=msg.bindings[origin]["id"])
                     else:
                         key = self._forward_key(msg.bindings[seg_in], msg, multicast, frame_dst=gw)
-                        dests = self._add_rule(gw, seg_in, key=list(key))
-                    self._merge_can_dest(dests, out_info[1], msg.bindings[seg_out]["id"])
-                    if gw in msg.pools:
+                        dests = self._add_rule(gw, seg_in, key=key)
+                pool = msg.pools.get(gw, {}).get("pool")
+                if out_kind == "can":
+                    if pool is not None:
                         self.error(line, f"message {msg.name}: pool at {gw} needs an Ethernet egress")
+                    self._merge_can_dest(dests, out_bus, msg.bindings[seg_out]["id"])
+                    continue
+                tag, dst = msg.bindings[seg_out], stop(i)
+                key = self._forward_key(tag, msg, multicast, frame_dst=dst)
+                self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, dst, pool, key)
+                if pool is not None and ("member", gw) not in derived:
+                    derived.add(("member", gw))
+                    self.pool_members.setdefault((gw, pool), []).append({
+                        "message": msg.name, "can_id": msg.bindings[seg_in]["id"],
+                        "payload": msg.payload, "period": msg.period,
+                        "holdup": msg.pools[gw]["holdUp"], "tag": tag,
+                    })
 
-            # switch forwarding along Ethernet runs
-            for run in self._eth_runs(path):
-                end = run[-1]
-                seg = self._segment_of(run[0], run[1])
-                tag = msg.bindings[seg]
-                key = self._forward_key(tag, msg, multicast, frame_dst=end)
-                for sw, nxt in zip(run[1:-1], run[2:]):  # a run's interior vertices are switches
-                    ports = self.forwarding.setdefault((sw, key), [])
-                    if nxt not in ports:
-                        ports.append(nxt)
-
-        # AVB reservations
-        self._reserve_avb(msg, multicast)
-        # TT flows for the schedule generator
-        self._collect_tt_flows(msg, multicast)
+            # Ethernet runs, hops i..j-1: maximal sub-paths of Ethernet hops, switches interior only.
+            j = 0
+            while j < len(hops):
+                i, j = j, j + 1
+                if hops[i][0] != "eth":
+                    continue
+                while j < len(hops) and self.devices[path[j]].kind == "switch" and hops[j][0] == "eth":
+                    j += 1
+                start, dst, tag = path[i], stop(i), msg.bindings[hops[i][2]]
+                # Switches forward by the run's end: the frame's destination,
+                # unless the run ends at a node with two Ethernet links.
+                fwd_key = self._forward_key(tag, msg, multicast, frame_dst=path[j])
+                for k in range(i + 1, j):
+                    ports = self.forwarding.setdefault((path[k], fwd_key), [])
+                    if path[k + 1] not in ports:
+                        ports.append(path[k + 1])
+                key = self._forward_key(tag, msg, multicast, frame_dst=dst)
+                links = [f"{u}->{v}" for u, v in zip(path[i:j], path[i + 1 : j + 1])]
+                payload, period = pad_payload(msg.payload), msg.period
+                pool = msg.pools.get(start, {}).get("pool")
+                if pool is None and self.devices[start].kind == "gateway":  # a one-record aggregate
+                    payload = pad_payload(COUNT_PREFIX + RECORD_HEADER + msg.payload)
+                elif pool is not None and tag["kind"] in ("avb", "tt"):  # sized where reserved or scheduled
+                    members = self.pool_members[(start, pool)]
+                    payload, period = _pool_worst_payload(members), min(m["period"] for m in members)
+                if tag["kind"] == "avb":
+                    bits_per_s = (eth_wire_bits(payload) * SEC + period - 1) // period
+                    for link in links:
+                        if ("link", key, link) not in derived:
+                            derived.add(("link", key, link))
+                            self.slopes.setdefault(link, {"A": 0, "B": 0})[tag["class"]] += bits_per_s
+                if ("frame", key, start) in derived:
+                    continue
+                derived.add(("frame", key, start))
+                if i == 0 and msg.can_talker is None:
+                    flow_id = f"{msg.name}:{receiver}"
+                    frame = {"dst": dst, "binding": tag}
+                    if tag["kind"] == "tt":
+                        frame["release"] = flow_id
+                    msg.eth_talker.append(frame)
+                elif self.devices[start].kind == "gateway":
+                    # a pool sends one aggregate per destination for all its members
+                    flow_id = (f"gw:{start}:{msg.name}:{path[j]}" if pool is None
+                               else f"pool:{start}:{pool}:{path[j]}")
+                else:  # a relaying node with two Ethernet links, or a sender whose talker is on CAN
+                    continue
+                if tag["kind"] == "tt":
+                    self.tt_flows.setdefault(flow_id, TtFlow(
+                        flow_id, tag["ct"], period,
+                        tuple((link, eth_frame_duration(payload, self.link_rate[link])) for link in links),
+                        tuple(device_value(self.devices[v].params, "hardwareDelay") for v in path[i + 1 : j]),
+                        i == 0,
+                    ))
 
     def _forward_key(self, tag: dict, msg: MessageCfg, multicast: bool, frame_dst: str) -> tuple:
         kind = tag["kind"]
@@ -551,80 +546,6 @@ class _Builder:
         if kind == "avb" and (multicast or len(msg.receivers) == 1):
             return ("avb", tag["stream"])
         return ("dst", frame_dst)
-
-    def _run_frame_payload(self, msg: MessageCfg, run_start: str) -> int:
-        """Wire payload of this message's frames on an Ethernet run."""
-        if self.devices[run_start].kind == "gateway":
-            pool = msg.pools.get(run_start)
-            if pool is not None:
-                members = self.pool_members.get((run_start, pool["pool"]), [])
-                return _pool_worst_payload(members)
-            # unpooled single-record aggregate
-            return pad_payload(COUNT_PREFIX + RECORD_HEADER + msg.payload)
-        return pad_payload(msg.payload)
-
-    def _run_period(self, msg: MessageCfg, run_start: str) -> int:
-        if self.devices[run_start].kind == "gateway":
-            pool = msg.pools.get(run_start)
-            if pool is not None:
-                members = self.pool_members.get((run_start, pool["pool"]), [])
-                return min(m["period"] for m in members)
-        return msg.period
-
-    def _reserve_avb(self, msg: MessageCfg, multicast: bool) -> None:
-        seen_links: set[str] = set()
-        for receiver in msg.receivers:
-            path = msg.paths[receiver]
-            for run in self._eth_runs(path):
-                seg = self._segment_of(run[0], run[1])
-                tag = msg.bindings[seg]
-                if tag["kind"] != "avb":
-                    continue
-                payload = self._run_frame_payload(msg, run[0])
-                period = self._run_period(msg, run[0])
-                bits_per_s = (eth_wire_bits(payload) * SEC + period - 1) // period
-                for u, v in zip(run, run[1:]):
-                    link = f"{u}->{v}"
-                    if multicast and link in seen_links:
-                        continue
-                    seen_links.add(link)
-                    slot = self.slopes.setdefault(link, {"A": 0, "B": 0})
-                    slot[tag["class"]] += bits_per_s
-
-    def _collect_tt_flows(self, msg: MessageCfg, multicast: bool) -> None:
-        for receiver in msg.receivers:
-            path = msg.paths[receiver]
-            for run in self._eth_runs(path):
-                seg = self._segment_of(run[0], run[1])
-                tag = msg.bindings[seg]
-                if tag["kind"] != "tt":
-                    continue
-                payload = self._run_frame_payload(msg, run[0])
-                period = self._run_period(msg, run[0])
-                hops = []
-                gaps = []
-                for idx, (u, v) in enumerate(zip(run, run[1:])):
-                    link = f"{u}->{v}"
-                    dur = eth_frame_duration(payload, self.link_rate[link])
-                    hops.append((link, dur))
-                    if idx < len(run) - 2:
-                        gaps.append(device_value(self.devices[run[idx + 1]].params, "hardwareDelay"))
-                if self.devices[run[0]].kind == "gateway":
-                    pool = msg.pools.get(run[0], {}).get("pool")
-                    if pool:
-                        flow_id = f"pool:{run[0]}:{pool}:{run[-1]}"
-                    else:
-                        flow_id = f"gw:{run[0]}:{msg.name}:{run[-1]}"
-                    scheduled = False
-                else:
-                    flow_id = f"{msg.name}:{receiver}"
-                    scheduled = True
-                    if not any(f.get("release") == flow_id for f in msg.eth_talker):
-                        continue  # this receiver shares another's frame
-                if flow_id not in self.tt_flows:
-                    self.tt_flows[flow_id] = TtFlow(
-                        flow_id, tag["ct"], period, tuple(hops), tuple(gaps), scheduled
-                    )
 
     # -- pools --------------------------------------------------------------------
 

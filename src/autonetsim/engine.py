@@ -187,7 +187,6 @@ class Runtime:
         self.gateways: dict[str, Gateway] = {}
         self.ports: dict[str, EthPort] = {}
         self.node_can_ports: dict[tuple[str, str], NodeCanPort] = {}
-        self.sources: list = []
         self.schedule: TdmaSchedule | None = None
         self.oscillators: dict[str, Oscillator] = {}
         self._build()
@@ -213,7 +212,7 @@ class Runtime:
                 )
             elif dev.kind == "node":
                 self.hosts[dev.name] = Host(
-                    self.sim, self.store, dev.name, None, cfg.tt_tolerance
+                    self.sim, self.store, dev.name, self.schedule, cfg.tt_tolerance
                 )
         for bus_cfg in cfg.buses:
             self.buses[bus_cfg.name] = CanBus(
@@ -235,16 +234,12 @@ class Runtime:
                 port.peer = endpoint(peer)
                 self.ports[port.link] = port
                 owner_obj = endpoint(owner)
-                if isinstance(owner_obj, Switch):
-                    owner_obj.ports.append(port)
-                elif isinstance(owner_obj, Gateway):
+                if isinstance(owner_obj, Gateway):
                     if owner_obj.eth_port is None:
                         owner_obj.eth_port = port
                         owner_obj.eth_segment = link.segment
                 elif isinstance(owner_obj, Host) and owner_obj.nic is None:
                     owner_obj.nic = port
-        for host in self.hosts.values():
-            host.schedule = self.schedule
 
         for bus_cfg in cfg.buses:
             bus = self.buses[bus_cfg.name]
@@ -283,15 +278,17 @@ class Runtime:
         )
 
     def _build_stimuli(self) -> None:
-        """Instantiate the talkers and CAN subscriptions the compiler derived."""
+        """Instantiate the talkers and CAN subscriptions the compiler derived.
+
+        A source registers its own handler, which keeps it alive."""
         for msg in self.cfg.messages:
             if msg.can_talker is not None:
                 bus = self.buses[msg.can_talker["bus"]]
                 port = self.node_can_ports[(msg.sender, bus.name)]
-                self.sources.append(CanSource(
+                CanSource(
                     self, msg.sender, port, bus, msg.name, msg.can_talker["id"],
                     msg.payload, msg.period, msg.offset,
-                ))
+                )
             else:
                 nic = self.hosts[msg.sender].nic
                 if nic is None:
@@ -304,16 +301,16 @@ class Runtime:
                     releases = (self.cfg.schedule.releases or {}).get(frame["release"])
                     if not releases:
                         raise ValueError(f"message {msg.name}: no TT releases for {frame['release']}")
-                    self.sources.append(TtSource(
+                    TtSource(
                         self, msg.sender, nic, msg.name, frame["release"], frame["dst"],
                         frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
                         releases, self.oscillators[msg.sender],
-                    ))
+                    )
                 if emissions:
-                    self.sources.append(EthSource(
+                    EthSource(
                         self, msg.sender, nic, msg.name, emissions,
                         msg.payload, msg.period, msg.offset,
-                    ))
+                    )
             for receiver in msg.receivers:
                 sub = msg.can_receivers.get(receiver)
                 if sub is not None:

@@ -604,7 +604,6 @@ class Switch:
         self.name = name
         self.hw_delay = hw_delay
         self.table: dict[tuple, list[EthPort]] = {}
-        self.ports: list[EthPort] = []
         sim.register(name, self._handle)
 
     def add_route(self, key: tuple, ports: list[EthPort]) -> None:

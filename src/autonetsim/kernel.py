@@ -11,14 +11,17 @@ identical event traces.  Randomness, when a model asks for it, comes from
 a single seeded generator owned by the simulator.
 
 Work due at the current tick waits in a same-tick queue, the delta cycle
-of SystemC (IEEE 1666).  While the kernel dispatches, an event scheduled at
-``now`` and a call handed to ``Simulator.defer`` are appended to the queue
-instead of the heap.  Every heap entry at ``now`` is older than anything in
-the queue, so the kernel drains those first and then the queue: dispatch
-stays in exact (time, seq) order.  A deferred call is a bound method run
-with no ``Event``, no handler lookup and no count in ``events_dispatched``
-or the trace; models use it for their same-tick follow-ups (an egress
-port's selection, a CAN bus's arbitration).
+of SystemC (IEEE 1666).  An event scheduled at ``now`` and a call handed to
+``Simulator.defer`` are appended to the queue instead of the heap, during
+dispatch and at set-up alike.  A heap entry at tick T was pushed while the
+clock was still before T, so every heap entry at ``now`` is older than
+anything in the queue: the kernel drains those first and then the queue,
+and dispatch stays in exact (time, seq) order.  A handler that raises
+leaves the rest of its tick where it was, and the next run goes on from
+there in the same order.  A deferred call is a bound method run with no
+``Event``, no handler lookup and no count in ``events_dispatched`` or the
+trace; models use it for their same-tick follow-ups (an egress port's
+selection, a CAN bus's arbitration).
 """
 
 from __future__ import annotations
@@ -161,11 +164,10 @@ class Simulator:
     def __init__(self, seed: int = 0, trace: bool = False):
         self.now: int = 0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[int, int, Event | Callable[[], None]]] = []
+        self._heap: list[tuple[int, int, Event]] = []
         self._ready: deque[Event | Callable[[], None]] = deque()  # due at now, in seq order
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
-        self._dispatching = False
         self.trace: list[tuple[int, int, str, str]] | None = [] if trace else None
 
     def register(self, path: str, handler: Callable[[Event], None]) -> None:
@@ -183,23 +185,15 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         ev = Event(time, seq, target, kind, payload)
-        if time == self.now and self._dispatching:
+        if time == self.now:
             self._ready.append(ev)
         else:
             heappush(self._heap, (time, seq, ev))
         return ev
 
     def defer(self, fn: Callable[[], None]) -> None:
-        """Call ``fn()`` at the current tick, after everything already due at it.
-
-        Outside dispatch (set-up code) the call is a heap entry at ``now``
-        and keeps its insertion order against events at that tick.
-        """
-        if self._dispatching:
-            self._ready.append(fn)
-        else:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self.now, seq, fn))
+        """Call ``fn()`` at the current tick, after everything already due at it."""
+        self._ready.append(fn)
 
     def cancel(self, event: Event) -> None:
         """Mark an event dead; it is skipped (not counted) at dispatch time."""
@@ -216,34 +210,27 @@ class Simulator:
         trace = self.trace
         now = self.now
         dispatched = 0
-        self._dispatching = True
-        try:
-            while True:
-                if ready and not (heap and heap[0][0] == now):
-                    item = popleft()
-                elif heap and heap[0][0] <= t_end:
-                    now, _, item = pop(heap)
-                else:
-                    break
-                if item.__class__ is not Event:
-                    self.now = now
-                    item()
-                    continue
-                if item.cancelled:
-                    continue
+        while True:
+            if ready and not (heap and heap[0][0] == now):
+                item = popleft()
+            elif heap and heap[0][0] <= t_end:
+                now, _, item = pop(heap)
+            else:
+                break
+            if item.__class__ is not Event:
                 self.now = now
-                handler = handlers.get(item.target)
-                if handler is None:
-                    raise SimulationError(f"event targets unregistered module {item.target!r}")
-                if trace is not None:
-                    trace.append((now, item.seq, item.target, item.kind.name))
-                handler(item)
-                dispatched += 1
-        finally:
-            self._dispatching = False
-            while ready:  # a handler raised: the rest of the tick keeps its order
-                self._seq = seq = self._seq + 1
-                heappush(heap, (self.now, seq, popleft()))
+                item()
+                continue
+            if item.cancelled:
+                continue
+            self.now = now
+            handler = handlers.get(item.target)
+            if handler is None:
+                raise SimulationError(f"event targets unregistered module {item.target!r}")
+            if trace is not None:
+                trace.append((now, item.seq, item.target, item.kind.name))
+            handler(item)
+            dispatched += 1
         return dispatched
 
     def run_until(self, t_end: int) -> RunSummary:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -10,7 +11,12 @@ from autonetsim.andl import (
 )
 from autonetsim.andl.parser import tokenize
 from autonetsim.cli import main
-from autonetsim.kernel import MS, US
+from autonetsim.engine import Runtime
+from autonetsim.ethernet import eth_frame_duration, eth_wire_bits, pad_payload
+from autonetsim.gateway import COUNT_PREFIX, RECORD_HEADER
+from autonetsim.kernel import MS, NS, US
+
+import conftest
 
 
 def test_parse_small_network(listing_small):
@@ -644,3 +650,137 @@ def test_lexer_matches_the_reference_lexer(scenario):
         got = ([(t.kind, t.value, t.line, t.col) for t in tokens],
                [(d.line, d.col, d.message) for d in diags])
         assert got == reference_tokenize(text), text
+
+
+# -- tables derived once per frame ------------------------------------------------
+#
+# One message sends 8 B every 1 ms from c1 on busA, through gwA and the switch
+# s, to c2 and c3 behind gwB on busB.  Both receivers share gwA's frame.
+
+def _shared_frame_text(backbone: str, receivers: str = "c2, c3", holdup: str | None = None) -> str:
+    gw_a = f"gwA: pool p{{holdUp {holdup};}};" if holdup else "gwA;"
+    return f"""
+network shared {{
+  devices {{ canLink busA; canLink busB; node c1; node c2; node c3;
+    gateway gwA {{ pool p; }} gateway gwB; switch s; }}
+  connections {{
+    segment bb {{ gwA <--> s; gwB <--> s; }}
+    segment canA {{ c1 <--> busA; gwA <--> busA; }}
+    segment canB {{ c2 <--> busB; c3 <--> busB; gwB <--> busB; }}
+  }}
+  communication {{
+    message m {{ sender c1; receivers {receivers}; payload 8B; period 1ms;
+      mapping {{ canA: can{{id 10;}}; {gw_a} gwB; bb: {backbone}; canB: can{{id 10;}}; }} }}
+  }}
+}}
+"""
+
+
+def _compiled(text):
+    ast, diags = parse(text)
+    assert not has_errors(diags)
+    return compile_network(ast)
+
+
+_AVB = "avb{id 1;}"
+_TT = "tt{ctID 1;}"
+
+
+@pytest.mark.parametrize("receivers", ["c2", "c2, c3"])
+def test_receivers_sharing_a_frame_share_its_reservation(receivers):
+    # FOUND (MENDED): a shared frame was reserved once per receiver
+    cfg = _compiled(_shared_frame_text(_AVB, receivers))
+    # 8 B in a one-record aggregate pads to 46 B, 84 B on the wire, every 1 ms
+    assert cfg.slopes == {"gwA->s": {"A": 672_000}, "s->gwB": {"A": 672_000}}
+    result = Runtime(cfg, seed=1).run(20 * MS)
+    assert result.link_frames["gwA->s"] == 21
+
+
+@pytest.mark.parametrize("receivers", ["c2", "c2, c3"])
+@pytest.mark.parametrize("backbone", [_AVB, _TT], ids=["avb", "tt"])
+def test_a_pool_member_is_counted_once_per_message(backbone, receivers):
+    # FOUND (MENDED): a pool member was recorded once per receiver
+    cfg = _compiled(_shared_frame_text(backbone, receivers, holdup="3ms"))
+    # four 11 B records and the count prefix: 46 B, 84 B on the wire
+    if backbone == _AVB:
+        assert cfg.slopes == {"gwA->s": {"A": 672_000}, "s->gwB": {"A": 672_000}}
+    else:
+        assert {(w.link, w.duration) for w in cfg.schedule.windows} == {
+            ("gwA->s", 6720 * NS), ("s->gwB", 6720 * NS)}
+
+
+def test_a_hold_up_above_the_period_is_reported_once():
+    # FOUND (MENDED): the warning came once per receiver
+    cfg = _compiled(_shared_frame_text(_AVB, holdup="5ms"))
+    assert [w for w in cfg.warnings if "exceeds its period" in w] == [
+        "4:1: warning: pool gwA.p: hold-up of id 10 exceeds its period; "
+        "aggregates may carry several instances of one id"]
+
+
+@pytest.mark.parametrize("backbone", [_TT, _AVB], ids=["tt", "avb"])
+def test_an_unpooled_gateway_aggregate_is_sized_as_one_record(backbone):
+    # ROADMAP item 4: an unpooled gateway aggregate on a TT or AVB backbone
+    cfg = _compiled(_shared_frame_text(backbone, "c2"))
+    payload = pad_payload(COUNT_PREFIX + RECORD_HEADER + 8)
+    if backbone == _AVB:
+        bits_per_s = eth_wire_bits(payload) * 1000
+        assert cfg.slopes == {"gwA->s": {"A": bits_per_s}, "s->gwB": {"A": bits_per_s}}
+    else:
+        duration = eth_frame_duration(payload, 100_000_000)
+        assert {(w.link, w.duration) for w in cfg.schedule.windows} == {
+            ("gwA->s", duration), ("s->gwB", duration)}
+        assert cfg.schedule.releases == {}  # the gateway sends when the record arrives
+
+
+def _diverging_text(multicast: bool) -> str:
+    mc = " multicast;" if multicast else ""
+    return f"""
+network diverging {{
+  devices {{ node a; node r1; node r2; node r3; switch s1; switch s2; switch s3; }}
+  connections {{ segment eth {{
+    a <--> s1; s1 <--> s2; s1 <--> s3; r1 <--> s2; r2 <--> s3; r3 <--> s3;
+  }} }}
+  communication {{
+    message m {{ sender a; receivers r1, r2, r3; payload 200B; period 1ms;{mc}
+      mapping {{ eth: avb{{id 1;}}; }} }}
+  }}
+}}
+"""
+
+
+def test_unicast_avb_reserves_each_receivers_frame_on_every_link_it_crosses():
+    # ROADMAP "Quality of design": each frame's reservation is derived once per link
+    slopes = _compiled(_diverging_text(multicast=False)).slopes
+    one = 1_904_000  # 200 B payload, 238 B on the wire, every 1 ms
+    assert slopes == {"a->s1": {"A": 3 * one}, "s1->s2": {"A": one}, "s2->r1": {"A": one},
+                      "s1->s3": {"A": 2 * one}, "s3->r2": {"A": one}, "s3->r3": {"A": one}}
+
+
+def test_multicast_avb_reserves_its_one_frame_once_per_link():
+    # ROADMAP "Quality of design": each frame's reservation is derived once per link
+    slopes = _compiled(_diverging_text(multicast=True)).slopes
+    assert set(slopes) == {"a->s1", "s1->s2", "s2->r1", "s1->s3", "s3->r2", "s3->r3"}
+    assert all(slot == {"A": 1_904_000} for slot in slopes.values())
+
+
+# sha256 of ``compile_network(...).to_json()``: a change to how tables are
+# derived must leave these documents byte for byte as they are.
+COMPILED_DIGESTS = {
+    "small_network": "bbf6290e39c8954b3060f8cf342e355f912d7541f146d49983b7abdc922469f1",
+    "two_pools": "54dc66210ea6b438571c833d16cab6a7e95c4f1c0ac85e17e9c4b5785df424ed",
+    "LISTING_SMALL_NETWORK": "c401c4cde1e3964d5315e6584315e7de583cfa685ef25dac96bde5855f8bd526",
+    "LISTING_BACKBONE_EXTENSION": "cd2ff61b22c5a91166f9529782fb49a8c05fa84e395910062b602021de31acbc",
+}
+SCENARIO_TEXTS = {p.stem: p.read_text() for p in sorted(SMALL_NETWORK.parent.glob("*.andl"))}
+
+
+def test_every_scenario_has_a_pinned_compiled_digest():
+    assert set(SCENARIO_TEXTS) <= set(COMPILED_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_DIGESTS))
+def test_compiled_document_matches_its_digest(name):
+    # ROADMAP "Quality of design": the one-walk derivation changes no compiled document
+    text = SCENARIO_TEXTS[name] if name in SCENARIO_TEXTS else getattr(conftest, name)
+    digest = hashlib.sha256(_compiled(text).to_json().encode()).hexdigest()
+    assert digest == COMPILED_DIGESTS[name]

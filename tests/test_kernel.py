@@ -128,6 +128,30 @@ def test_defer_at_set_up_keeps_its_place_among_events_at_the_tick():
     assert summary.events_dispatched == 2
 
 
+def test_a_raising_handler_leaves_the_rest_of_its_tick_in_order():
+    sim = Simulator()
+    log = []
+
+    def probe(ev):
+        log.append(ev.payload)
+        if ev.payload == "first":
+            sim.schedule(5, "probe", EventKind.TIMER, "queued at 5")
+            sim.defer(lambda: log.append("deferred at 5"))
+            raise RuntimeError("handler fault")
+
+    sim.register("probe", probe)
+    sim.schedule(5, "probe", EventKind.TIMER, "first")
+    sim.schedule(5, "probe", EventKind.TIMER, "heap at 5")
+    sim.schedule(6, "probe", EventKind.TIMER, "at 6")
+    with pytest.raises(RuntimeError):
+        sim.run_until(10)
+    assert sim.now == 5 and sim.pending() == 4
+    summary = sim.run_until(10)
+    # (time, seq): the heap entry at 5 predates the queued one, the deferred call comes last at 5
+    assert log == ["first", "heap at 5", "queued at 5", "deferred at 5", "at 6"]
+    assert summary.events_dispatched == 3
+
+
 def test_cancelled_same_tick_event_is_skipped():
     sim = Simulator()
     log = []
