@@ -224,20 +224,22 @@ class _Builder:
                 self.cfg.segments[seg.name] = sorted(kinds)[0]
 
         self.cfg.buses = list(self.buses.values())
-        eth_degree: dict[str, int] = {}
+        # A node is an end station with one interface; only switches, gateways
+        # and buses carry traffic onward, so no path passes through a node.
+        eth_links: dict[str, int] = {}
         for link in self.cfg.links:
             for end in (link.a, link.b):
-                eth_degree[end] = eth_degree.get(end, 0) + 1
-        for name, count in eth_degree.items():
-            if count <= 1:
-                continue
-            kind = self.devices[name].kind
-            if kind == "gateway":
-                self.error(self.device_line[name],
-                           f"gateway {name} has {count} Ethernet links; one uplink is supported")
-            elif kind == "node":
-                self.warn(self.device_line[name],
-                          f"node {name} has {count} Ethernet links; the first is its interface")
+                eth_links[end] = eth_links.get(end, 0) + 1
+        for dev in self.cfg.devices:
+            count = eth_links.get(dev.name, 0)
+            if dev.kind == "gateway" and count > 1:
+                self.error(self.device_line[dev.name],
+                           f"gateway {dev.name} has {count} Ethernet links; one uplink is supported")
+            elif dev.kind == "node":
+                count += sum(dev.name in bus.attached for bus in self.cfg.buses)
+                if count > 1:
+                    self.error(self.device_line[dev.name], f"node {dev.name} has {count} links; "
+                               "a node has one Ethernet link or one CAN bus")
 
     def _edge(self, u: str, v: str) -> tuple | None:
         return self.adj.get(u, {}).get(v)
@@ -261,10 +263,6 @@ class _Builder:
         return None
 
     # -- messages -------------------------------------------------------------
-
-    def _segment_of(self, u: str, v: str) -> str:
-        info = self._edge(u, v)
-        return info[2] if info else ""
 
     def _add_rule(self, gateway: str, segment: str, *, can_id=None, key=None) -> list[dict]:
         return self.rules.setdefault((gateway, segment, can_id, key), [])
@@ -346,6 +344,7 @@ class _Builder:
                 bindings[target] = b
 
         paths: dict[str, list[str]] = {}
+        hops: dict[str, list[tuple]] = {}  # receiver -> (kind, link or bus, segment) per hop
         gateways: list[str] = []
         needed_segments: list[str] = []
         for receiver in msg.receivers:
@@ -354,8 +353,8 @@ class _Builder:
                 self.error(line, f"message {msg.name}: receiver {receiver!r} is unreachable")
                 return None
             paths[receiver] = path
-            for u, v in zip(path, path[1:]):
-                seg = self._segment_of(u, v)
+            hops[receiver] = [self._edge(u, v) for u, v in zip(path, path[1:])]
+            for _, _, seg in hops[receiver]:
                 if seg not in needed_segments:
                     needed_segments.append(seg)
             for vertex in path[1:-1]:
@@ -388,17 +387,14 @@ class _Builder:
                 return None
 
         # id claims
-        for receiver, path in paths.items():
-            for u, v in zip(path, path[1:]):
-                info = self._edge(u, v)
-                if info and info[0] == "can":
-                    seg_binding = bindings.get(info[2])
-                    if seg_binding:
-                        claim = (info[1], seg_binding["id"])
-                        owner = claimed_can.setdefault(claim, msg.name)
-                        if owner != msg.name:
-                            self.error(line, f"duplicate CAN id {claim[1]} on bus {claim[0]} ({owner} vs {msg.name})")
-                            return None
+        for receiver_hops in hops.values():
+            for kind, bus, seg in receiver_hops:
+                if kind == "can":
+                    claim = (bus, bindings[seg]["id"])
+                    owner = claimed_can.setdefault(claim, msg.name)
+                    if owner != msg.name:
+                        self.error(line, f"duplicate CAN id {claim[1]} on bus {claim[0]} ({owner} vs {msg.name})")
+                        return None
         for seg, b in bindings.items():
             if b["kind"] in ("tt", "avb", "rc"):
                 sid = b.get("ct") or b.get("stream") or b.get("vl")
@@ -421,93 +417,82 @@ class _Builder:
             pools={gw: {"pool": pb.pool, "holdUp": pb.holdup} for gw, pb in pool_binds.items()},
             paths=paths,
         )
-        self._derive_tables(cfg_msg, msg.multicast, line)
+        self._derive_tables(cfg_msg, hops, msg.multicast, line)
         return cfg_msg
 
     # -- derived tables ----------------------------------------------------------
 
-    def _derive_tables(self, msg: MessageCfg, multicast: bool, line: int) -> None:
+    def _derive_tables(self, msg: MessageCfg, hops: dict[str, list[tuple]], multicast: bool,
+                       line: int) -> None:
         """Every table entry of ``msg``, in one walk over its receivers' paths.
 
         A frame is known by its forwarding key and the vertex that sends it.
         Whatever receivers share is derived once per message: the sender's
         frame and a TT flow per frame, an AVB reservation per frame and
-        directed link, and a pool member per gateway.
+        directed link, and a pool member and its diagnostics per gateway.
         """
         derived: set[tuple] = set()
-        first = msg.paths[msg.receivers[0]]
-        kind, bus, seg = self._edge(first[0], first[1])
-        if kind == "can":
+        kind, bus, seg = hops[msg.receivers[0]][0]
+        if kind == "can":  # the sender's one interface: every path leaves on it
             msg.can_talker = {"bus": bus, "id": msg.bindings[seg]["id"]}
         for receiver in msg.receivers:
-            path = msg.paths[receiver]
-            hops = [self._edge(u, v) for u, v in zip(path, path[1:])]
-            kind, bus, seg = hops[-1]
+            path, receiver_hops = msg.paths[receiver], hops[receiver]
+            kind, bus, seg = receiver_hops[-1]
             if kind == "can":
                 msg.can_receivers[receiver] = {"bus": bus, "id": msg.bindings[seg]["id"]}
-            gateways = [i for i in range(1, len(path) - 1) if self.devices[path[i]].kind == "gateway"]
-
-            def stop(i: int) -> str:
-                """Where a frame sent by path[i] onto Ethernet is addressed:
-                the following gateway, else the receiver."""
-                return next((path[g] for g in gateways if g > i), path[-1])
-
-            for i in gateways:
-                gw = path[i]
-                (in_kind, _, seg_in), (out_kind, out_bus, seg_out) = hops[i - 1], hops[i]
-                if in_kind == "can":
-                    dests = self._add_rule(gw, seg_in, can_id=msg.bindings[seg_in]["id"])
-                else:
-                    # Ethernet ingress: the egress is CAN, since a gateway has
-                    # one Ethernet link and a shortest path never reuses it.
-                    origin = next((h[2] for h in hops[:i] if h[0] == "can"), None)
-                    if origin is not None:  # records tunneled from an upstream CAN segment
-                        dests = self._add_rule(gw, seg_in, can_id=msg.bindings[origin]["id"])
+            for i, (kind, bus, seg) in enumerate(receiver_hops):
+                start, role = path[i], self.devices[path[i]].kind
+                if role == "gateway":
+                    in_kind, _, seg_in = receiver_hops[i - 1]
+                    if in_kind == "can":
+                        dests = self._add_rule(start, seg_in, can_id=msg.bindings[seg_in]["id"])
                     else:
-                        key = self._forward_key(msg.bindings[seg_in], msg, multicast, frame_dst=gw)
-                        dests = self._add_rule(gw, seg_in, key=key)
-                pool = msg.pools.get(gw, {}).get("pool")
-                if out_kind == "can":
-                    if pool is not None:
-                        self.error(line, f"message {msg.name}: pool at {gw} needs an Ethernet egress")
-                    self._merge_can_dest(dests, out_bus, msg.bindings[seg_out]["id"])
+                        # Ethernet ingress: the egress is CAN, since a gateway has
+                        # one Ethernet link and a shortest path never reuses it.
+                        origin = next((h[2] for h in receiver_hops[:i] if h[0] == "can"), None)
+                        if origin is not None:  # records tunneled from an upstream CAN segment
+                            dests = self._add_rule(start, seg_in, can_id=msg.bindings[origin]["id"])
+                        else:
+                            key = self._forward_key(msg.bindings[seg_in], msg, multicast, frame_dst=start)
+                            dests = self._add_rule(start, seg_in, key=key)
+                    pool = msg.pools.get(start, {}).get("pool")
+                    if kind == "can":
+                        if pool is not None and ("no egress", start) not in derived:
+                            derived.add(("no egress", start))
+                            self.error(line, f"message {msg.name}: pool at {start} needs an Ethernet egress")
+                        self._merge_can_dest(dests, bus, msg.bindings[seg]["id"])
+                        continue
+                elif i > 0 or kind == "can":  # an Ethernet run starts at the sender or at a gateway
                     continue
-                tag, dst = msg.bindings[seg_out], stop(i)
-                key = self._forward_key(tag, msg, multicast, frame_dst=dst)
-                self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, dst, pool, key)
-                if pool is not None and ("member", gw) not in derived:
-                    derived.add(("member", gw))
-                    self.pool_members.setdefault((gw, pool), []).append({
-                        "message": msg.name, "can_id": msg.bindings[seg_in]["id"],
-                        "payload": msg.payload, "period": msg.period,
-                        "holdup": msg.pools[gw]["holdUp"], "tag": tag,
-                    })
 
-            # Ethernet runs, hops i..j-1: maximal sub-paths of Ethernet hops, switches interior only.
-            j = 0
-            while j < len(hops):
-                i, j = j, j + 1
-                if hops[i][0] != "eth":
-                    continue
-                while j < len(hops) and self.devices[path[j]].kind == "switch" and hops[j][0] == "eth":
+                # The Ethernet run, hops i..j-1, crosses switches only and ends at
+                # a gateway or at the receiver, the frame's destination.
+                j = i + 1
+                while self.devices[path[j]].kind == "switch":
                     j += 1
-                start, dst, tag = path[i], stop(i), msg.bindings[hops[i][2]]
-                # Switches forward by the run's end: the frame's destination,
-                # unless the run ends at a node with two Ethernet links.
-                fwd_key = self._forward_key(tag, msg, multicast, frame_dst=path[j])
+                dst, tag = path[j], msg.bindings[seg]
+                key = self._forward_key(tag, msg, multicast, frame_dst=dst)
+                payload, period = pad_payload(msg.payload), msg.period
+                if role == "gateway":
+                    self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, dst, pool, key)
+                    if pool is None:  # a one-record aggregate
+                        payload = pad_payload(COUNT_PREFIX + RECORD_HEADER + msg.payload)
+                    else:
+                        if ("member", start) not in derived:
+                            derived.add(("member", start))
+                            self.pool_members.setdefault((start, pool), []).append({
+                                "message": msg.name, "can_id": msg.bindings[seg_in]["id"],
+                                "payload": msg.payload, "period": msg.period,
+                                "holdup": msg.pools[start]["holdUp"], "tag": tag,
+                            })
+                        if tag["kind"] in ("avb", "tt"):  # sized where reserved or scheduled
+                            members = self.pool_members[(start, pool)]
+                            payload, period = _pool_worst_payload(members), min(m["period"] for m in members)
                 for k in range(i + 1, j):
-                    ports = self.forwarding.setdefault((path[k], fwd_key), [])
+                    ports = self.forwarding.setdefault((path[k], key), [])
                     if path[k + 1] not in ports:
                         ports.append(path[k + 1])
-                key = self._forward_key(tag, msg, multicast, frame_dst=dst)
                 links = [f"{u}->{v}" for u, v in zip(path[i:j], path[i + 1 : j + 1])]
-                payload, period = pad_payload(msg.payload), msg.period
-                pool = msg.pools.get(start, {}).get("pool")
-                if pool is None and self.devices[start].kind == "gateway":  # a one-record aggregate
-                    payload = pad_payload(COUNT_PREFIX + RECORD_HEADER + msg.payload)
-                elif pool is not None and tag["kind"] in ("avb", "tt"):  # sized where reserved or scheduled
-                    members = self.pool_members[(start, pool)]
-                    payload, period = _pool_worst_payload(members), min(m["period"] for m in members)
                 if tag["kind"] == "avb":
                     bits_per_s = (eth_wire_bits(payload) * SEC + period - 1) // period
                     for link in links:
@@ -517,18 +502,15 @@ class _Builder:
                 if ("frame", key, start) in derived:
                     continue
                 derived.add(("frame", key, start))
-                if i == 0 and msg.can_talker is None:
+                if i == 0:
                     flow_id = f"{msg.name}:{receiver}"
                     frame = {"dst": dst, "binding": tag}
                     if tag["kind"] == "tt":
                         frame["release"] = flow_id
                     msg.eth_talker.append(frame)
-                elif self.devices[start].kind == "gateway":
-                    # a pool sends one aggregate per destination for all its members
-                    flow_id = (f"gw:{start}:{msg.name}:{path[j]}" if pool is None
-                               else f"pool:{start}:{pool}:{path[j]}")
-                else:  # a relaying node with two Ethernet links, or a sender whose talker is on CAN
-                    continue
+                else:  # a pool sends one aggregate per destination for all its members
+                    flow_id = (f"gw:{start}:{msg.name}:{dst}" if pool is None
+                               else f"pool:{start}:{pool}:{dst}")
                 if tag["kind"] == "tt":
                     self.tt_flows.setdefault(flow_id, TtFlow(
                         flow_id, tag["ct"], period,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .can import CanBus, CanFrame, NodeCanPort
-from .config import NetworkConfig, device_value
+from .config import ConfigError, NetworkConfig, device_value
 from .ethernet import (
     AVB, BE, RC, TT, EthFrame, EthPort, Switch,
     TdmaSchedule, TdmaWindow, pad_payload, tt_receive_check,
@@ -46,7 +46,7 @@ class Host:
         self.schedule = schedule
         self.tolerance = tolerance
         self.subs: set[str] = set()
-        self.nic: EthPort | None = None
+        self.port: EthPort | NodeCanPort | None = None  # the node's one interface
 
     def receive(self, frame: EthFrame, now: int, port: EthPort) -> None:
         if isinstance(frame.tag, TT) and self.schedule is not None:
@@ -186,7 +186,6 @@ class Runtime:
         self.switches: dict[str, Switch] = {}
         self.gateways: dict[str, Gateway] = {}
         self.ports: dict[str, EthPort] = {}
-        self.node_can_ports: dict[tuple[str, str], NodeCanPort] = {}
         self.schedule: TdmaSchedule | None = None
         self.oscillators: dict[str, Oscillator] = {}
         self._build()
@@ -223,6 +222,11 @@ class Runtime:
         def endpoint(name: str):
             return self.hosts.get(name) or self.switches.get(name) or self.gateways.get(name)
 
+        def set_interface(host: Host, port: EthPort | NodeCanPort) -> None:
+            if host.port is not None:
+                raise ConfigError(f"node {host.name} has a second link; a node has one interface")
+            host.port = port
+
         for link in cfg.links:
             for owner, peer in ((link.a, link.b), (link.b, link.a)):
                 slopes = cfg.slopes.get(f"{owner}->{peer}", {})
@@ -235,11 +239,12 @@ class Runtime:
                 self.ports[port.link] = port
                 owner_obj = endpoint(owner)
                 if isinstance(owner_obj, Gateway):
-                    if owner_obj.eth_port is None:
-                        owner_obj.eth_port = port
-                        owner_obj.eth_segment = link.segment
-                elif isinstance(owner_obj, Host) and owner_obj.nic is None:
-                    owner_obj.nic = port
+                    if owner_obj.eth_port is not None:
+                        raise ConfigError(f"gateway {owner} has a second Ethernet link; one uplink is supported")
+                    owner_obj.eth_port = port
+                    owner_obj.eth_segment = link.segment
+                elif isinstance(owner_obj, Host):
+                    set_interface(owner_obj, port)
 
         for bus_cfg in cfg.buses:
             bus = self.buses[bus_cfg.name]
@@ -250,7 +255,7 @@ class Runtime:
                     port = NodeCanPort(name)
                     port.on_rx = self.hosts[name].on_can_rx
                     bus.attach(port)
-                    self.node_can_ports[(name, bus.name)] = port
+                    set_interface(self.hosts[name], port)
 
         for pool_cfg in cfg.pools:
             self.gateways[pool_cfg.gateway].add_pool(pool_cfg.name, pool_cfg.holdup_by_id)
@@ -284,14 +289,13 @@ class Runtime:
         for msg in self.cfg.messages:
             if msg.can_talker is not None:
                 bus = self.buses[msg.can_talker["bus"]]
-                port = self.node_can_ports[(msg.sender, bus.name)]
                 CanSource(
-                    self, msg.sender, port, bus, msg.name, msg.can_talker["id"],
-                    msg.payload, msg.period, msg.offset,
+                    self, msg.sender, self._can_port(msg.sender, bus), bus, msg.name,
+                    msg.can_talker["id"], msg.payload, msg.period, msg.offset,
                 )
             else:
-                nic = self.hosts[msg.sender].nic
-                if nic is None:
+                port = self.hosts[msg.sender].port
+                if not isinstance(port, EthPort):
                     raise ValueError(f"message {msg.name}: sender {msg.sender} has no Ethernet port")
                 emissions = []
                 for frame in msg.eth_talker:
@@ -302,21 +306,27 @@ class Runtime:
                     if not releases:
                         raise ValueError(f"message {msg.name}: no TT releases for {frame['release']}")
                     TtSource(
-                        self, msg.sender, nic, msg.name, frame["release"], frame["dst"],
+                        self, msg.sender, port, msg.name, frame["release"], frame["dst"],
                         frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
                         releases, self.oscillators[msg.sender],
                     )
                 if emissions:
                     EthSource(
-                        self, msg.sender, nic, msg.name, emissions,
+                        self, msg.sender, port, msg.name, emissions,
                         msg.payload, msg.period, msg.offset,
                     )
             for receiver in msg.receivers:
                 sub = msg.can_receivers.get(receiver)
                 if sub is not None:
-                    bus = sub["bus"]
-                    self.buses[bus].subscribe(self.node_can_ports[(receiver, bus)], sub["id"])
+                    bus = self.buses[sub["bus"]]
+                    bus.subscribe(self._can_port(receiver, bus), sub["id"])
                 self.hosts[receiver].subs.add(msg.name)
+
+    def _can_port(self, node: str, bus: CanBus) -> NodeCanPort:
+        port = self.hosts[node].port
+        if port not in bus.ports:
+            raise ConfigError(f"node {node} is not attached to bus {bus.name}")
+        return port
 
     # -- execution ------------------------------------------------------------
 

@@ -112,6 +112,16 @@ def pad_payload(logical_len: int) -> int:
     return max(ETH_MIN_PAYLOAD, logical_len)
 
 
+def record_station_latency(store: MetricStore, station: str, frame: EthFrame, now: int) -> None:
+    """At ``station``, the latency of ``frame``'s message and of each record it carries."""
+    if store.flags.stations:
+        if frame.message is not None:
+            store.station_latency(station, frame.message, frame.creation_time, now)
+        for record in frame.records or ():
+            if record.message is not None:
+                store.station_latency(station, record.message, record.creation, now)
+
+
 def route_key(frame: EthFrame) -> tuple:
     tag = frame.tag
     kind = type(tag)
@@ -610,13 +620,7 @@ class Switch:
         self.table[key] = ports
 
     def receive(self, frame: EthFrame, now: int, in_port=None) -> None:
-        store = self.store
-        if store.flags.stations:
-            if frame.message is not None:
-                store.station_latency(self.name, frame.message, frame.creation_time, now)
-            for record in frame.records or ():
-                if record.message is not None:
-                    store.station_latency(self.name, record.message, record.creation, now)
+        record_station_latency(self.store, self.name, frame, now)
         self.sim.schedule(now + self.hw_delay, self.name, EventKind.SWITCH_FORWARD, frame)
 
     def _handle(self, ev: Event) -> None:

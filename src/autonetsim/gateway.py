@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .can import CanFrame, GatewayCanPort
-from .ethernet import BE, ETH_MAX_PAYLOAD, EthFrame, pad_payload, route_key
+from .ethernet import BE, ETH_MAX_PAYLOAD, EthFrame, pad_payload, record_station_latency, route_key
 from .kernel import MS, US, Event, EventKind, Simulator
 from .metrics import MetricStore
 
@@ -181,8 +181,6 @@ class Pool:
             self.store.record_queue(self.path, "pool", now, len(self.buffered))
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind is not EventKind.POOL_FLUSH:
-            return
         if ev.payload is False:
             # Re-arm once behind any same-tick arrivals so a frame landing
             # exactly at the deadline is still included (FIFO order).
@@ -304,13 +302,7 @@ class Gateway:
     # -- Ethernet ingress ----------------------------------------------------
 
     def receive(self, frame: EthFrame, now: int, port=None) -> None:
-        store = self.store
-        if store.flags.stations:
-            if frame.message is not None:
-                store.station_latency(self.name, frame.message, frame.creation_time, now)
-            for record in frame.records or ():
-                if record.message is not None:
-                    store.station_latency(self.name, record.message, record.creation, now)
+        record_station_latency(self.store, self.name, frame, now)
         # Every rule for Ethernet ingress leads to CAN: a gateway has one Ethernet link.
         segment = self.eth_segment
         if frame.records:

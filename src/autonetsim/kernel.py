@@ -273,19 +273,18 @@ class Oscillator:
     |drift_ppm| < 10^6, and drift 0 is the identity.
     """
 
-    def __init__(self, drift_ppm: int | Fraction = 0, reference_offset: int = 0):
+    def __init__(self, drift_ppm: int | Fraction = 0):
         drift = Fraction(drift_ppm)
         if abs(drift) >= 10**6:
             raise ValueError("|drift_ppm| must be < 10^6")
         self.drift_ppm = drift
-        self.reference_offset = reference_offset
 
     def local_to_ideal(self, local: int) -> int:
         if local < 0:
             raise ValueError("local time must be >= 0")
         ideal = Fraction(local) * 10**6 / (10**6 + self.drift_ppm)
-        return self.reference_offset + _round_half_away(ideal)
+        return _round_half_away(ideal)
 
     def ideal_to_local(self, ideal: int) -> int:
-        local = Fraction(ideal - self.reference_offset) * (10**6 + self.drift_ppm) / 10**6
+        local = Fraction(ideal) * (10**6 + self.drift_ppm) / 10**6
         return _round_half_away(local)

@@ -157,7 +157,8 @@ def _case(edits, needle, *, id, code=1, args=()):
     _case([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> {new std.NOPE} <--> s1;")],
           "'std.NOPE' is not an ethernetLink type", id="new-not-a-link-type"),
     _case([("en2 <--> {new std.ETH} <--> s1;", "en2 <--> {new std.ETH} <--> s1; en1 <--> en2;")],
-          "node en1 has 2 Ethernet links; the first is its interface", code=0, id="node-two-links"),
+          "small.andl:21:1: error: node en1 has 2 links; a node has one Ethernet link or one CAN bus",
+          id="node-two-links"),
     _case([("sender cn1;", "sender gw1;")], "message msg1: 'gw1' is not a node", id="sender-not-a-node"),
     _case([("period 1ms;", "period 0ms;")], "message msg1: period must be positive", id="zero-period"),
     _case([("receivers cn2;", "")], "message msg1: needs at least one receiver", id="no-receiver"),
@@ -717,6 +718,24 @@ def test_a_hold_up_above_the_period_is_reported_once():
         "aggregates may carry several instances of one id"]
 
 
+def test_a_pool_without_an_ethernet_egress_is_reported_once():
+    # FOUND (MENDED): the error came once per receiver
+    text = """
+network canonly {
+  devices { canLink b1; canLink b2; canLink b3; node c1; node c2; node c3; gateway gw { pool p; } }
+  connections { segment s1 { c1 <--> b1; gw <--> b1; } segment s2 { c2 <--> b2; gw <--> b2; }
+                segment s3 { c3 <--> b3; gw <--> b3; } }
+  communication {
+    message m { sender c1; receivers c2, c3; payload 8B; period 1ms;
+      mapping { s1: can{id 10;}; gw: pool p{holdUp 1ms;}; s2: can{id 10;}; s3: can{id 10;}; } }
+  }
+}
+"""
+    ast, _ = parse(text)
+    assert [str(d) for d in validate(ast) if d.severity == "error"] == [
+        "7:1: error: message m: pool at gw needs an Ethernet egress"]
+
+
 @pytest.mark.parametrize("backbone", [_TT, _AVB], ids=["tt", "avb"])
 def test_an_unpooled_gateway_aggregate_is_sized_as_one_record(backbone):
     # ROADMAP item 4: an unpooled gateway aggregate on a TT or AVB backbone
@@ -784,3 +803,69 @@ def test_compiled_document_matches_its_digest(name):
     text = SCENARIO_TEXTS[name] if name in SCENARIO_TEXTS else getattr(conftest, name)
     digest = hashlib.sha256(_compiled(text).to_json().encode()).hexdigest()
     assert digest == COMPILED_DIGESTS[name]
+
+
+# -- one interface per node ---------------------------------------------------------
+#
+# A node is an end station: only switches, gateways and CAN buses carry traffic
+# onward.  Each network below gave a node a second link; the compiler took it,
+# and the run lost frames without an error.
+
+ONE_INTERFACE_CASES = {
+    # a -> s -> relay -> cb -> r: all 11 frames of a 10 ms run were dropped at s
+    "relay-through-a-node": ("relay", """
+network relay {
+  devices { canLink cb; node a; node r; switch s;
+    node relay; }
+  connections { segment bb { a <--> s; relay <--> s; } segment can { relay <--> cb; r <--> cb; } }
+  communication {
+    message m { sender a; receivers r; payload 4B; period 1ms;
+      mapping { bb: be{priority 1;}; can: can{id 5;}; } }
+  }
+}
+"""),
+    # the path a -> t0 -> c, but every frame left on a->s0 and was dropped there
+    "receiver-behind-the-second-link": ("a", """
+network second {
+  devices { node b; node c; switch s0; switch t0;
+    node a; }
+  connections { segment bb { a <--> s0; b <--> s0; } segment bb2 { a <--> t0; c <--> t0; } }
+  communication {
+    message m { sender a; receivers c; payload 4B; period 1ms; mapping { bb2: be{priority 1;}; } }
+  }
+}
+"""),
+    # b received every frame on Ethernet, c on the bus none
+    "can-and-ethernet": ("a", """
+network caneth {
+  devices { canLink cb; node b; node c; switch s;
+    node a; }
+  connections { segment bb { a <--> s; b <--> s; } segment can { a <--> cb; c <--> cb; } }
+  communication {
+    message m { sender a; receivers b, c; payload 4B; period 1ms;
+      mapping { bb: be{priority 1;}; can: can{id 5;}; } }
+  }
+}
+"""),
+    # b on cb1 received every frame, c on cb2 none
+    "two-can-buses": ("a", """
+network twocan {
+  devices { canLink cb1; canLink cb2; node b; node c;
+    node a; }
+  connections { segment can1 { a <--> cb1; b <--> cb1; } segment can2 { a <--> cb2; c <--> cb2; } }
+  communication {
+    message m { sender a; receivers b, c; payload 4B; period 1ms;
+      mapping { can1: can{id 5;}; can2: can{id 5;}; } }
+  }
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_INTERFACE_CASES))
+def test_a_node_has_one_interface(case):
+    node, text = ONE_INTERFACE_CASES[case]
+    ast, diags = parse(text)
+    assert not has_errors(diags)
+    assert [str(d) for d in validate(ast) if d.severity == "error"] == [
+        f"4:1: error: node {node} has 2 links; a node has one Ethernet link or one CAN bus"]

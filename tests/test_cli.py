@@ -399,6 +399,20 @@ def test_run_rejects_config_without_derived_message_fields(tmp_path, listing_sma
         assert not out.exists()
 
 
+def test_run_rejects_config_with_a_node_linked_twice(tmp_path, listing_small, capsys):
+    src = write_listing(tmp_path, listing_small)
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(src), "-o", str(cfgp)]) == 0
+    doc = json.loads(cfgp.read_text())
+    doc["links"].append({"a": "en1", "b": "en2", "name": "extra", "rate": 100_000_000, "segment": "backbone"})
+    cfgp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert main(["run", str(cfgp), "--horizon", "10ms", "--out", str(out)]) == 1
+    assert "node en1 has a second link; a node has one interface" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_window_with_completions_off_matches_completions_on(tmp_path, listing_small, capsys):
     src = write_listing(tmp_path, listing_small)
 

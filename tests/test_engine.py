@@ -3,6 +3,7 @@ import json
 import pytest
 
 from autonetsim.andl import compile_network, parse
+from autonetsim.config import ConfigError, LinkCfg
 from autonetsim.engine import Runtime
 from autonetsim.kernel import MS, SEC, US
 from autonetsim.can import can_frame_duration
@@ -480,3 +481,23 @@ def test_gateway_routes_stream_keyed_by_destination(binding):
     assert result.deliveries.get("cmd@ecu", 0) == 21
     assert result.deliveries.get("cmd@ecu2", 0) == 21
     assert rt.store.scalar("gw", "drops.no_rule", 0) == 0
+
+
+@pytest.mark.parametrize("attach, needle", [
+    ("link en1 en2", "node en1 has a second link; a node has one interface"),
+    ("bus cb1 en1", "node en1 has a second link; a node has one interface"),
+    ("bus cb2 cn1", "node cn1 has a second link; a node has one interface"),
+    ("link gw1 en2", "gateway gw1 has a second Ethernet link; one uplink is supported"),
+], ids=["two-ethernet-links", "ethernet-and-can", "two-can-buses", "gateway-second-uplink"])
+def test_runtime_refuses_a_second_interface(listing_small, attach, needle):
+    # The compiler gives every node one interface and every gateway one uplink;
+    # a document edited by hand is checked again when it is built.
+    cfg = compile_network(parse(listing_small)[0])
+    kind, x, y = attach.split()
+    if kind == "link":
+        cfg.links.append(LinkCfg("extra", x, y, 100_000_000, "backbone"))
+    else:
+        next(bus for bus in cfg.buses if bus.name == x).attached.append(y)
+    with pytest.raises(ConfigError, match=needle):
+        Runtime(cfg)
+
