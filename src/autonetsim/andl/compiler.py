@@ -267,16 +267,15 @@ class _Builder:
     def _add_rule(self, gateway: str, segment: str, *, can_id=None, key=None) -> list[dict]:
         return self.rules.setdefault((gateway, segment, can_id, key), [])
 
-    def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, dst: str, pool: str | None,
-                        key: tuple) -> None:
-        """Add dst unless switches forward this frame by a key that already
-        reaches every receiver (one frame per forwarding key)."""
+    def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, pool: str | None,
+                        key: list) -> None:
+        """Add the forwarding key of one more frame, unless a frame has it already."""
         for d in dests:
             if d["kind"] == kind and d.get("pool") == pool and d["tag"] == tag:
-                if key[0] == "dst" and dst not in d["dst"]:
-                    d["dst"].append(dst)
+                if key not in d["keys"]:
+                    d["keys"].append(key)
                 return
-        entry = {"kind": kind, "tag": tag, "dst": [dst]}
+        entry = {"kind": kind, "tag": tag, "keys": [key]}
         if pool:
             entry["pool"] = pool
         dests.append(entry)
@@ -440,6 +439,7 @@ class _Builder:
             kind, bus, seg = receiver_hops[-1]
             if kind == "can":
                 msg.can_receivers[receiver] = {"bus": bus, "id": msg.bindings[seg]["id"]}
+            key = None  # the forwarding key of the last Ethernet run
             for i, (kind, bus, seg) in enumerate(receiver_hops):
                 start, role = path[i], self.devices[path[i]].kind
                 if role == "gateway":
@@ -452,8 +452,7 @@ class _Builder:
                         origin = next((h[2] for h in receiver_hops[:i] if h[0] == "can"), None)
                         if origin is not None:  # records tunneled from an upstream CAN segment
                             dests = self._add_rule(start, seg_in, can_id=msg.bindings[origin]["id"])
-                        else:
-                            key = self._forward_key(msg.bindings[seg_in], msg, multicast, frame_dst=start)
+                        else:  # frames of the run that ends here
                             dests = self._add_rule(start, seg_in, key=key)
                     pool = msg.pools.get(start, {}).get("pool")
                     if kind == "can":
@@ -471,10 +470,15 @@ class _Builder:
                 while self.devices[path[j]].kind == "switch":
                     j += 1
                 dst, tag = path[j], msg.bindings[seg]
+                if ("mixed", start, dst) not in derived and any(
+                        msg.bindings[h[2]] != tag for h in receiver_hops[i + 1 : j]):
+                    derived.add(("mixed", start, dst))  # the run's frames carry one binding
+                    self.error(line, f"message {msg.name}: the switched run from {start} to {dst} "
+                               "crosses segments with different bindings")
                 key = self._forward_key(tag, msg, multicast, frame_dst=dst)
                 payload, period = pad_payload(msg.payload), msg.period
                 if role == "gateway":
-                    self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, dst, pool, key)
+                    self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, pool, list(key))
                     if pool is None:  # a one-record aggregate
                         payload = pad_payload(COUNT_PREFIX + RECORD_HEADER + msg.payload)
                     else:
@@ -504,7 +508,7 @@ class _Builder:
                 derived.add(("frame", key, start))
                 if i == 0:
                     flow_id = f"{msg.name}:{receiver}"
-                    frame = {"dst": dst, "binding": tag}
+                    frame = {"key": list(key), "binding": tag}
                     if tag["kind"] == "tt":
                         frame["release"] = flow_id
                     msg.eth_talker.append(frame)

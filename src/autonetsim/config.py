@@ -64,7 +64,7 @@ class MessageCfg:
     paths: dict[str, list[str]] = field(default_factory=dict)  # receiver -> vertices
     # What the sender emits and where receivers listen, derived by the compiler:
     can_talker: dict | None = None                             # {"bus", "id"} of a CAN sender
-    eth_talker: list[dict] = field(default_factory=list)       # per forwarding key: {"dst", "binding"[, "release"]}
+    eth_talker: list[dict] = field(default_factory=list)       # one frame per forwarding key: {"key", "binding"[, "release"]}
     can_receivers: dict[str, dict] = field(default_factory=dict)  # receiver -> {"bus", "id"}
 
 @dataclass
@@ -146,12 +146,16 @@ class NetworkConfig:
             missing = [k for k in ("can_talker", "eth_talker", "can_receivers") if k not in d]
             if missing:
                 raise ConfigError(f"message {d.get('name')!r} lacks field {missing[0]!r}; recompile it")
+            if any("key" not in frame for frame in d["eth_talker"]):
+                raise ConfigError(f"message {d.get('name')!r}: an eth_talker entry lacks field 'key'; recompile it")
             cfg.messages.append(MessageCfg(**d))
         cfg.pools = [
             PoolCfg(p["gateway"], p["name"], {int(k): v for k, v in p["holdup_by_id"].items()})
             for p in doc.get("pools", [])
         ]
         cfg.rules = [RuleCfg(**d) for d in doc.get("rules", [])]
+        if any(d["kind"] != "can" and "keys" not in d for rule in cfg.rules for d in rule.dests):
+            raise ConfigError("an Ethernet destination of a gateway rule lacks field 'keys'; recompile it")
         cfg.forwarding = [ForwardCfg(**d) for d in doc.get("forwarding", [])]
         sched = doc.get("schedule")
         if sched:

@@ -97,12 +97,11 @@ class EthSource:
     """Periodic Ethernet stimulus (RC, AVB, or best effort)."""
 
     def __init__(self, rt: "Runtime", node: str, port: EthPort, message: str,
-                 emissions: list[tuple[str, object]], payload: int, period: int, offset: int):
+                 emissions: list[tuple[tuple, object]], payload: int, period: int, offset: int):
         self.rt = rt
         self.port = port
-        self.node = node
         self.message = message
-        self.emissions = emissions  # (dst, tag) per frame each period
+        self.emissions = emissions  # (forwarding key, tag) per frame each period
         self.payload = payload
         self.period = period
         self.path = f"{node}.src[{message}]"
@@ -111,9 +110,9 @@ class EthSource:
 
     def _fire(self, ev: Event) -> None:
         now = ev.time
-        for dst, tag in self.emissions:
+        for key, tag in self.emissions:
             frame = EthFrame(
-                src=self.node, dst=dst, payload_len=pad_payload(self.payload),
+                key=key, payload_len=pad_payload(self.payload),
                 tag=tag, creation_time=now, message=self.message,
                 logical_len=self.payload,
             )
@@ -127,13 +126,12 @@ class TtSource:
     """Time-triggered talker releasing at its scheduled window offsets."""
 
     def __init__(self, rt: "Runtime", node: str, port: EthPort, message: str,
-                 release: str, dst: str, ct_id: int, payload: int,
+                 release: str, key: tuple, ct_id: int, payload: int,
                  cycle: int, releases: list[int], osc: Oscillator):
         self.rt = rt
         self.port = port
-        self.node = node
         self.message = message
-        self.dst = dst
+        self.key = key
         self.ct_id = ct_id
         self.payload = payload
         self.cycle = cycle
@@ -147,7 +145,7 @@ class TtSource:
     def _fire(self, ev: Event) -> None:
         now = ev.time
         frame = EthFrame(
-            src=self.node, dst=self.dst, payload_len=pad_payload(self.payload),
+            key=self.key, payload_len=pad_payload(self.payload),
             tag=TT(self.ct_id), creation_time=now, message=self.message,
             logical_len=self.payload,
         )
@@ -276,10 +274,11 @@ class Runtime:
         self._build_stimuli()
 
     def _dest_from_dict(self, d: dict) -> RouteDest:
-        tag = _tag_from_dict(d["tag"]) if d.get("tag") else None
+        if d["kind"] == "can":
+            return RouteDest(kind="can", bus=d["bus"], can_id=d["can_id"])
         return RouteDest(
-            kind=d["kind"], pool=d.get("pool"), tag=tag,
-            dst=tuple(d.get("dst", ())), bus=d.get("bus"), can_id=d.get("can_id"),
+            kind=d["kind"], pool=d.get("pool"), tag=_tag_from_dict(d["tag"]),
+            keys=tuple(tuple(k) for k in d["keys"]),
         )
 
     def _build_stimuli(self) -> None:
@@ -300,13 +299,13 @@ class Runtime:
                 emissions = []
                 for frame in msg.eth_talker:
                     if "release" not in frame:
-                        emissions.append((frame["dst"], _tag_from_dict(frame["binding"])))
+                        emissions.append((tuple(frame["key"]), _tag_from_dict(frame["binding"])))
                         continue
                     releases = (self.cfg.schedule.releases or {}).get(frame["release"])
                     if not releases:
                         raise ValueError(f"message {msg.name}: no TT releases for {frame['release']}")
                     TtSource(
-                        self, msg.sender, port, msg.name, frame["release"], frame["dst"],
+                        self, msg.sender, port, msg.name, frame["release"], tuple(frame["key"]),
                         frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
                         releases, self.oscillators[msg.sender],
                     )

@@ -86,8 +86,7 @@ class BE:
 
 @dataclass
 class EthFrame:
-    src: str
-    dst: str
+    key: tuple  # the forwarding key the compiler gave this frame's run
     payload_len: int
     tag: TT | RC | AVB | BE
     creation_time: int
@@ -120,18 +119,6 @@ def record_station_latency(store: MetricStore, station: str, frame: EthFrame, no
         for record in frame.records or ():
             if record.message is not None:
                 store.station_latency(station, record.message, record.creation, now)
-
-
-def route_key(frame: EthFrame) -> tuple:
-    tag = frame.tag
-    kind = type(tag)
-    if kind is BE:
-        return ("dst", frame.dst)
-    if kind is AVB:
-        return ("avb", tag.stream_id)
-    if kind is RC:
-        return ("rc", tag.vl_id)
-    return ("tt", tag.ct_id)
 
 
 # --------------------------------------------------------------------------
@@ -625,9 +612,7 @@ class Switch:
 
     def _handle(self, ev: Event) -> None:
         frame: EthFrame = ev.payload
-        ports = self.table.get(route_key(frame))
-        if ports is None and type(frame.tag) is not BE:
-            ports = self.table.get(("dst", frame.dst))
+        ports = self.table.get(frame.key)
         if not ports:
             self.store.count_drop(self.name, "forwarding", reason="unknown_destination")
             return

@@ -4,8 +4,8 @@ A gateway routes by a static table; frames without a matching rule are
 dropped and counted.  CAN records bound for Ethernet are buffered in pools:
 every record carries a hold-up time, the pool deadline is the minimum of
 ``arrival + hold-up`` over its content, and expiry releases everything that
-has arrived so far, one Ethernet frame per destination holding the records
-bound there (split only when the encoding would exceed the maximum
+has arrived so far, one Ethernet frame per forwarding key holding the
+records bound there (split only when the encoding would exceed the maximum
 payload).  The aggregate payload layout is fixed:
 
     [record count: 2 bytes BE] then per record
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .can import CanFrame, GatewayCanPort
-from .ethernet import BE, ETH_MAX_PAYLOAD, EthFrame, pad_payload, record_station_latency, route_key
+from .ethernet import ETH_MAX_PAYLOAD, EthFrame, pad_payload, record_station_latency
 from .kernel import MS, US, Event, EventKind, Simulator
 from .metrics import MetricStore
 
@@ -130,7 +130,7 @@ class RouteDest:
     kind: str                 # "pool" | "eth" | "can"
     pool: str | None = None   # pool id for kind == "pool"
     tag: object | None = None  # egress traffic-class tag for Ethernet emission
-    dst: tuple[str, ...] = ()  # destination node(s) for Ethernet emission
+    keys: tuple[tuple, ...] = ()  # forwarding keys for Ethernet emission, one frame each
     bus: str | None = None    # destination bus for CAN emission
     can_id: int | None = None  # id on the destination bus
 
@@ -139,7 +139,7 @@ class RouteDest:
 class PoolEntry:
     record: CanRecord
     arrival: int
-    dests: tuple[str, ...]
+    keys: tuple[tuple, ...]
     tag: object
 
 
@@ -170,8 +170,8 @@ class Pool:
         """When the armed flush timer fires; None while the pool is idle."""
         return None if self._timer is None else self._timer.time
 
-    def insert(self, record: CanRecord, now: int, dests: tuple[str, ...], tag) -> None:
-        self.buffered.append(PoolEntry(record, now, dests, tag))
+    def insert(self, record: CanRecord, now: int, keys: tuple[tuple, ...], tag) -> None:
+        self.buffered.append(PoolEntry(record, now, keys, tag))
         candidate = now + self.holdup_by_id[record.can_id]
         if self.deadline is None or candidate < self.deadline:
             if self._timer is not None:
@@ -264,9 +264,9 @@ class Gateway:
         record = CanRecord(frame.can_id, frame.payload, frame.message, frame.creation_time)
         for d in dests:
             if d.kind == "pool":
-                self.pools[d.pool].insert(record, now, d.dst, d.tag)
+                self.pools[d.pool].insert(record, now, d.keys, d.tag)
             elif d.kind == "eth":
-                self._emit_aggregates([PoolEntry(record, now, d.dst, d.tag)], now)
+                self._emit_aggregates([PoolEntry(record, now, d.keys, d.tag)], now)
             elif d.kind == "can":
                 out = CanFrame(d.can_id, frame.payload, d.bus, frame.creation_time, frame.message)
                 self.sim.schedule(
@@ -277,20 +277,18 @@ class Gateway:
     # -- pool flush / Ethernet egress -------------------------------------------
 
     def _emit_aggregates(self, entries: list[PoolEntry], now: int) -> None:
-        """One aggregate per destination, carrying only the records bound there."""
-        dests: list[str] = []
+        """One aggregate per forwarding key, carrying only the records bound there."""
+        by_key: dict[tuple, list[CanRecord]] = {}
         for e in entries:
-            for d in e.dests:
-                if d not in dests:
-                    dests.append(d)
+            for key in e.keys:
+                by_key.setdefault(key, []).append(e.record)
         tag = entries[0].tag
         frames = []
-        for dst in dests:
-            records = [e.record for e in entries if dst in e.dests]
+        for key, records in by_key.items():
             for chunk in split_records(records):
                 payload = encode_records(chunk)
                 frame = EthFrame(
-                    src=self.name, dst=dst, payload_len=pad_payload(len(payload)),
+                    key=key, payload_len=pad_payload(len(payload)),
                     tag=tag, creation_time=now, message=None, records=chunk,
                 )
                 frames.append(frame)
@@ -322,10 +320,7 @@ class Gateway:
                     EventKind.GW_CAN_EGRESS, (bus_name, batch),
                 )
             return
-        dests = self.key_rules.get((segment, route_key(frame)))
-        if dests is None and type(frame.tag) is not BE:
-            # Streams with several receivers are keyed by their destination.
-            dests = self.key_rules.get((segment, ("dst", frame.dst)))
+        dests = self.key_rules.get((segment, frame.key))
         if not dests:
             self.store.count_drop(self.name, "router", reason="no_rule")
             return

@@ -100,6 +100,18 @@ def _case(edits, needle, *, id, code=1, args=()):
     return pytest.param(edits, needle, code, args, id=id)
 
 
+_TWO_BINDINGS = """network n {
+  devices { canLink cb1; node telem; node ecu; gateway gw; switch s; switch s2; }
+  connections { segment backA { telem <--> s; s <--> s2; } segment backB { s2 <--> gw; }
+    segment canside { ecu <--> cb1; gw <--> cb1; } }
+  communication {
+    message cmd { sender telem; receivers ecu; payload 4B; period 1ms;
+      mapping { backA: avb{id 3;}; backB: %s; gw; canside: can{id 55;}; } }
+  }
+}
+"""
+
+
 @pytest.mark.parametrize("edits, needle, code, args", [
     _case([("ethernetLink ETH {", "ethernetLink ETH extends ETH {")],
           "inheritance cycle through ETH", id="inheritance-cycle"),
@@ -222,6 +234,13 @@ def _case(edits, needle, *, id, code=1, args=()):
                   "      mapping { e: tt{ctID 2;}; } }\n"
                   "  }\n}\n")],
           "small.andl: error: TDMA schedule: ", id="tdma-without-position"),
+    # One switched run, telem -> s -> s2 -> gw, crosses backA and backB, but its frames
+    # carry one binding: gw had no rule for them (avb), or matched them only by the
+    # destination (be).
+    *(_case([(None, _TWO_BINDINGS % back_b)],
+            "small.andl:6:1: error: message cmd: the switched run from telem to gw crosses segments "
+            "with different bindings", id=f"run-with-two-bindings-{name}")
+      for name, back_b in [("avb", "avb{id 4;}"), ("be", "be{priority 1;}")]),
 ])
 def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle, code, args):
     text = listing_small
@@ -345,7 +364,7 @@ def test_compile_small_network(listing_small):
     (dest,) = rule.dests
     assert dest["kind"] == "pool" and dest["pool"] == "gw1_1"
     assert dest["tag"] == {"kind": "tt", "ct": 102}
-    assert dest["dst"] == ["gw2"]
+    assert dest["keys"] == [["tt", 102]]
     # the pool carries the 2 ms hold-up for id 37
     pool = next(p for p in cfg.pools if p.gateway == "gw1")
     assert pool.holdup_by_id == {37: 2 * MS}
@@ -785,10 +804,10 @@ def test_multicast_avb_reserves_its_one_frame_once_per_link():
 # sha256 of ``compile_network(...).to_json()``: a change to how tables are
 # derived must leave these documents byte for byte as they are.
 COMPILED_DIGESTS = {
-    "small_network": "bbf6290e39c8954b3060f8cf342e355f912d7541f146d49983b7abdc922469f1",
-    "two_pools": "54dc66210ea6b438571c833d16cab6a7e95c4f1c0ac85e17e9c4b5785df424ed",
-    "LISTING_SMALL_NETWORK": "c401c4cde1e3964d5315e6584315e7de583cfa685ef25dac96bde5855f8bd526",
-    "LISTING_BACKBONE_EXTENSION": "cd2ff61b22c5a91166f9529782fb49a8c05fa84e395910062b602021de31acbc",
+    "small_network": "5f53d4f268c6965b51b8aed524cd10b6721fda3ed759c0b1e979a37375a0c63b",
+    "two_pools": "b6de5f97d029bad3302608259bd540b833fb9cad1e9c2432fcce2d80d0e4eeee",
+    "LISTING_SMALL_NETWORK": "e5e97784eed5977e8df7dcedaed172660f42fdb84f43e2097e354164efbca829",
+    "LISTING_BACKBONE_EXTENSION": "f6caa719f9fbf706bfb2e0bc91a46968eaa733802345d42df903aeccbfb4c18d",
 }
 SCENARIO_TEXTS = {p.stem: p.read_text() for p in sorted(SMALL_NETWORK.parent.glob("*.andl"))}
 
@@ -803,6 +822,76 @@ def test_compiled_document_matches_its_digest(name):
     text = SCENARIO_TEXTS[name] if name in SCENARIO_TEXTS else getattr(conftest, name)
     digest = hashlib.sha256(_compiled(text).to_json().encode()).hexdigest()
     assert digest == COMPILED_DIGESTS[name]
+
+
+# -- forwarding keys ---------------------------------------------------------------
+#
+# A frame carries the key the compiler gave it, and a switch or gateway makes one
+# lookup by that key, with no fallback: every key a frame carries must be in the
+# tables along its run.  A ("dst", x) key names the end of its run; a frame with
+# any other key travels every run that leaves its sender or gateway.
+
+def _eth_to_can_text(receivers: str) -> str:
+    return f"""
+network ethtocan {{
+  devices {{ canLink cb; node telem; node ecu; node ecu2; gateway gw; switch s; }}
+  connections {{ segment bb {{ telem <--> s; gw <--> s; }} segment can {{ ecu <--> cb; ecu2 <--> cb; gw <--> cb; }} }}
+  communication {{
+    message cmd {{ sender telem; receivers {receivers}; payload 4B; period 1ms;
+      mapping {{ bb: avb{{id 3;}}; gw; can: can{{id 55;}}; }} }}
+  }}
+}}
+"""
+
+
+KEYED_TEXTS = {
+    **{name: SCENARIO_TEXTS.get(name) or getattr(conftest, name) for name in COMPILED_DIGESTS},
+    "diverging-unicast": _diverging_text(multicast=False),
+    "diverging-multicast": _diverging_text(multicast=True),
+    "eth-to-can-one-receiver": _eth_to_can_text("ecu"),  # keyed ("avb", 3)
+    "eth-to-can-two-receivers": _eth_to_can_text("ecu, ecu2"),  # keyed ("dst", "gw")
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_TEXTS))
+def test_every_frame_key_is_in_the_tables_along_its_run(name):
+    cfg = _compiled(KEYED_TEXTS[name])
+    kinds = {d.name: d.kind for d in cfg.devices}
+    link_segment = {frozenset((ln.a, ln.b)): ln.segment for ln in cfg.links}
+    bus_segment = {b.name: b.segment for b in cfg.buses}
+    forwarding = {(f.switch, tuple(f.key)): f.ports for f in cfg.forwarding}
+    key_rules = {(r.gateway, r.segment, tuple(r.key)) for r in cfg.rules if r.key}
+    for msg in cfg.messages:
+        runs: dict[str, set] = {}  # sender or gateway -> (its run to a gateway or receiver, ...)
+        before: dict[str, str] = {}  # gateway -> the bus its records come from
+        for path in msg.paths.values():
+            for i in range(len(path) - 1):
+                if kinds[path[i]] != "switch" and frozenset(path[i : i + 2]) in link_segment:
+                    j = i + 1
+                    while kinds[path[j]] == "switch":
+                        j += 1
+                    runs.setdefault(path[i], set()).add(tuple(path[i : j + 1]))
+                    before[path[i]] = path[i - 1]
+        for start, start_runs in runs.items():
+            if start == msg.sender:
+                keys = [tuple(f["key"]) for f in msg.eth_talker]
+            else:  # the gateway's aggregates of the records from its CAN bus
+                segment = bus_segment[before[start]]
+                (rule,) = [r for r in cfg.rules if (r.gateway, r.segment, r.can_id)
+                           == (start, segment, msg.bindings[segment]["id"])]
+                keys = [tuple(k) for d in rule.dests if d["kind"] != "can" for k in d["keys"]]
+            assert keys, (msg.name, start)
+            for key in keys:
+                key_runs = [run for run in start_runs if key[0] != "dst" or key[1] == run[-1]]
+                assert key_runs, (msg.name, start, key)
+                for run in key_runs:
+                    for switch, peer in zip(run[1:-1], run[2:]):
+                        assert peer in forwarding.get((switch, key), ()), (msg.name, switch, key)
+                    if start == msg.sender and kinds[run[-1]] == "gateway":
+                        segment = link_segment[frozenset(run[-2:])]
+                        assert (run[-1], segment, key) in key_rules, (msg.name, run[-1], key)
+            for run in start_runs:  # every run carries some frame
+                assert any(key[0] != "dst" or key[1] == run[-1] for key in keys), (msg.name, run)
 
 
 # -- one interface per node ---------------------------------------------------------

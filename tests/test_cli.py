@@ -382,20 +382,32 @@ def test_bad_values_are_diagnosed_before_running(
     assert not out.exists()
 
 
+def _strip(doc: dict, field: str) -> int:
+    """Delete ``field`` from every message, talker entry and rule destination; how many went."""
+    entries = [*doc["messages"], *(f for m in doc["messages"] for f in m["eth_talker"]),
+               *(d for r in doc["rules"] for d in r["dests"])]
+    hits = [entry for entry in entries if field in entry]
+    for entry in hits:
+        del entry[field]
+    return len(hits)
+
+
 def test_run_rejects_config_without_derived_message_fields(tmp_path, listing_small, capsys):
     src = write_listing(tmp_path, listing_small)
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(src), "-o", str(cfgp)]) == 0
-    for field in ("can_talker", "eth_talker", "can_receivers"):
+    # "key" of each eth_talker entry and "keys" of each Ethernet destination
+    # replaced a "dst"; a document without them would send its frames nowhere.
+    for field in ("can_talker", "eth_talker", "can_receivers", "key", "keys"):
         doc = json.loads(cfgp.read_text())
-        for msg in doc["messages"]:
-            del msg[field]
+        assert _strip(doc, field)
         old = tmp_path / f"old_{field}.json"
         old.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / f"r_{field}"
         assert main(["run", str(old), "--horizon", "10ms", "--out", str(out)]) == 1
-        assert repr(field) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(field) in err and "recompile it" in err
         assert not out.exists()
 
 

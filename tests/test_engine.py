@@ -288,7 +288,7 @@ def test_rc_from_gateway_sends_one_frame_per_can_frame():
     assert result.deliveries["speed@fusi"] == 11
     assert result.link_frames["gw->s1"] == 11
     rule = next(r for r in rt.cfg.rules if r.gateway == "gw")
-    assert [d["dst"] for d in rule.dests] == [["log"]]
+    assert [d["keys"] for d in rule.dests] == [[["rc", 4]]]
 
 
 SHARED_POOL = """
@@ -431,7 +431,7 @@ def test_out_of_window_tt_arrival_is_dropped():
     rt.run(10 * MS)
     listener = rt.hosts["listener"]
     port = rt.ports["s->listener"]
-    frame = EthFrame("talker", "listener", 46, TT(7), 0, message="beat")
+    frame = EthFrame(("tt", 7), 46, TT(7), 0, message="beat")
     before = len(rt.store.latencies[("beat", "listener")])
     # arrival halfway through the cycle falls inside no ct-7 window
     listener.receive(frame, 10 * MS + 500 * US, port)
@@ -474,8 +474,8 @@ network ethtwocan {
 
 @pytest.mark.parametrize("binding", ["tt{ctID 5;}", "avb{id 3;}"], ids=["tt", "avb"])
 def test_gateway_routes_stream_keyed_by_destination(binding):
-    # With several receivers the gateway's rule is keyed by ("dst", gw),
-    # not by the stream's class key; ingress must fall back to it.
+    # With several receivers the frame carries ("dst", gw), not the stream's
+    # class key, and the gateway's rule has that key; nothing falls back.
     rt = build(ETH_TO_TWO_CAN_RECEIVERS % binding)
     result = rt.run(20 * MS)
     assert result.deliveries.get("cmd@ecu", 0) == 21

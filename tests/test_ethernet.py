@@ -26,7 +26,7 @@ def test_payload_bounds():
     with pytest.raises(PayloadOutOfRange):
         eth_frame_duration(1501, RATE)
     with pytest.raises(PayloadOutOfRange):
-        EthFrame("a", "b", 12, BE(0), 0)
+        EthFrame(("dst", "b"), 12, BE(0), 0)
 
 
 def test_credit_drain_during_transmission():
@@ -105,7 +105,7 @@ def make_port(schedule=None, idle_a=0, idle_b=0, capacity=512):
 
 
 def frame(tag, payload=46, message=None):
-    return EthFrame("src", "dst", payload, tag, 0, message=message)
+    return EthFrame(("dst", "en2"), payload, tag, 0, message=message)
 
 
 def test_selection_tt_wins_inside_window():
@@ -243,11 +243,11 @@ def test_switch_forwarding():
     pa.peer, pb.peer = peer_a, peer_b
     sw.add_route(("rc", 4), [pa, pb])
     sw.add_route(("dst", "log"), [pa])
-    multicast = EthFrame("lid1", "log", 1024, RC(4, 1 * MS), 0)
+    multicast = EthFrame(("rc", 4), 1024, RC(4, 1 * MS), 0)
     sw.receive(multicast, 0)
-    unicast = EthFrame("x", "log", 46, BE(0), 0)
+    unicast = EthFrame(("dst", "log"), 46, BE(0), 0)
     sw.receive(unicast, 0)
-    unknown = EthFrame("x", "nowhere", 46, BE(0), 0)
+    unknown = EthFrame(("dst", "nowhere"), 46, BE(0), 0)
     sw.receive(unknown, 0)
     sim.run_until(5 * MS)
     assert len(peer_a.got) == 2 and len(peer_b.got) == 1

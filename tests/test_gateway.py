@@ -153,7 +153,7 @@ def test_transform_aggregate_to_can_burst_after_processing_delay():
     bus.attach(rx)
     bus.subscribe(rx, 37)
     records = [CanRecord(37, bytes(6), "msg1", 0) for _ in range(3)]
-    frame = EthFrame("gw1", "gw2", 46, None, 0, records=records)
+    frame = EthFrame(("dst", "gw2"), 46, None, 0, records=records)
     gw.receive(frame, 0)
     sim.run_to_completion()
     dur = can_frame_duration(6, 500_000)
