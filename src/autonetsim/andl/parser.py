@@ -9,6 +9,9 @@ verbatim between triple-backtick fences.
 from __future__ import annotations
 
 import re
+import string
+from bisect import bisect_right
+from itertools import accumulate, compress
 
 from ..ethernet import BE
 from ..kernel import parse_byte_count, parse_duration
@@ -23,66 +26,88 @@ DEVICE_KINDS = ("ethernetLink", "canLink", "node", "gateway", "switch")
 # Token kinds that keywords and punctuation can have.
 _WORD_KINDS = frozenset(("ident", "punct", "arrow"))
 
-# Whitespace and comments are unnamed groups, so ``lastgroup`` is None for them.
-# A fence is one lexeme; a bare ``` is an opening fence that is never closed.
-_TOKEN_RE = re.compile(
+# Every character belongs to exactly one lexeme: newlines are whitespace and the
+# last alternative takes any other single character.  So a lexeme starts where
+# the lengths of those before it add up to.  A fence is one lexeme; a bare ```
+# is an opening fence that is never closed.
+_LEXEME_RE = re.compile(
     r"""
-    [ \t\r]+
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}();:,.=])
-  | (?P<newline>\n)
-  | (?P<scalar>\d+(?:\.\d+)?[A-Za-z/%]*)
+    [ \t\r\n]+
+  | [A-Za-z_][A-Za-z0-9_]*
+  | \d+(?:\.\d+)?[A-Za-z/%]*
   | //[^\n]*
-  | (?P<arrow><-->)
-  | (?P<fenced>```(?s:.*?)```)
-  | (?P<unterminated>```)
-  | (?P<bad>.)
+  | <-->
+  | ```(?s:.*?)```
+  | ```
+  | .
     """,
     re.VERBOSE,
 )
 
+# A lexeme's kind by its first character; "" marks whitespace, which is dropped.
+# A first character missing here starts a comment, an arrow, a fence, a scalar
+# with a non-ASCII digit or a stray character, which ``tokenize`` sorts out.
+_KIND_OF_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    **dict.fromkeys(string.digits, "scalar"),
+    **dict.fromkeys("{}();:,.=", "punct"),
+    **dict.fromkeys(" \t\r\n", ""),
+}
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind  # ident | scalar | punct | arrow | fenced | eof
-        self.value = value
-        self.line = line
-        self.col = col
+_NEWLINE_RE = re.compile("\n")
 
 
-def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
+def line_starts(text: str) -> list[int]:
+    """Offsets at which the lines of ``text`` start."""
+    return [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+
+
+def position(lines: list[int], offset: int) -> tuple[int, int]:
+    """Line and column of ``offset`` from ``line_starts``; the column counts from
+    the last newline before it, also one inside a fence."""
+    line = bisect_right(lines, offset)
+    return line, offset - lines[line - 1] + 1
+
+
+def tokenize(text: str, lines: list[int]) -> tuple[list[str], list[str], list[int], list[Diagnostic]]:
+    """The kinds, values and start offsets of the tokens of ``text``, each list ending
+    at 'eof', and the lexer's diagnostics, placed by ``lines`` (``line_starts(text)``).
+
+    Kinds are ident | scalar | punct | arrow | fenced | eof.  A fenced token's value
+    is the text between its fences without the newlines next to them.
+    """
+    values = _LEXEME_RE.findall(text)
+    kinds = [_KIND_OF_FIRST.get(value[0]) for value in values]
+    starts = list(accumulate(map(len, values), initial=0))  # the last one is len(text)
+    kinds.append("eof")
+    values.append("")
     diags: list[Diagnostic] = []
-    line, line_start = 1, 0  # line_start: index of the current line's first character
-    end = len(text)
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-        elif kind == "fenced":
-            lexeme = m.group()
-            tokens.append(Token("fenced", lexeme[3:-3].strip("\n"), line, start - line_start + 1))
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + lexeme.rindex("\n") + 1
-        elif kind == "bad":
-            diags.append(Diagnostic("error", line, start - line_start + 1,
-                                    f"unexpected character {m.group()!r}"))
-        elif kind == "unterminated":
-            diags.append(Diagnostic("error", line, start - line_start + 1, "unterminated ``` fence"))
-            end = start
+    i = 0
+    while True:
+        try:
+            i = kinds.index(None, i)
+        except ValueError:
             break
+        value = values[i]
+        if value.startswith("//"):
+            kinds[i] = ""
+        elif value == "<-->":
+            kinds[i] = "arrow"
+        elif value == "```":
+            diags.append(Diagnostic("error", *position(lines, starts[i]), "unterminated ``` fence"))
+            kinds[i:] = ["eof"]
+            values[i:] = [""]
+            del starts[i + 1:]
+        elif value.startswith("```"):
+            kinds[i] = "fenced"
+            values[i] = value[3:-3].strip("\n")
+        elif value[0].isdecimal():  # \d takes any Unicode decimal digit
+            kinds[i] = "scalar"
         else:
-            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
-    tokens.append(Token("eof", "", line, end - line_start + 1))
-    return tokens, diags
+            diags.append(Diagnostic("error", *position(lines, starts[i]),
+                                    f"unexpected character {value!r}"))
+            kinds[i] = ""
+    return list(compress(kinds, kinds)), list(compress(values, kinds)), list(compress(starts, kinds)), diags
 
 
 class _ParseError(Exception):
@@ -90,84 +115,94 @@ class _ParseError(Exception):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
-        self.tokens = tokens
-        self.diags = diags
+    def __init__(self, text: str):
+        self.lines = line_starts(text)
+        self.kinds, self.values, self.starts, self.diags = tokenize(text, self.lines)
         self.pos = 0
 
     # -- primitives ---------------------------------------------------------
 
-    # The token list ends at 'eof' and ``advance`` never moves past it, so
-    # ``tokens[pos]`` is always valid.
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    # The token lists end at 'eof' and ``advance`` never moves past it, so
+    # index ``pos`` is always valid.
+    def peek(self) -> str:
+        return self.values[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def at_eof(self) -> bool:
+        return self.kinds[self.pos] == "eof"
+
+    def line(self, i: int) -> int:
+        """Source line of token ``i``."""
+        return bisect_right(self.lines, self.starts[i])
+
+    def advance(self) -> str:
+        pos = self.pos
+        if self.kinds[pos] != "eof":
+            self.pos = pos + 1
+        return self.values[pos]
 
     def at(self, value: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.value == value and tok.kind in _WORD_KINDS
+        pos = self.pos
+        return self.values[pos] == value and self.kinds[pos] in _WORD_KINDS
 
     def accept(self, value: str) -> bool:
-        tok = self.tokens[self.pos]
-        if tok.value == value and tok.kind in _WORD_KINDS:
-            self.pos += 1
+        pos = self.pos
+        if self.values[pos] == value and self.kinds[pos] in _WORD_KINDS:
+            self.pos = pos + 1
             return True
         return False
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.tokens[self.pos]
-        self.diags.append(Diagnostic("error", tok.line, tok.col, message))
+    def report(self, message: str, at: int) -> None:
+        """Record an error at token ``at`` without leaving the item."""
+        self.diags.append(Diagnostic("error", *position(self.lines, self.starts[at]), message))
+
+    def error(self, message: str, at: int | None = None):
+        self.report(message, self.pos if at is None else at)
         raise _ParseError()
 
-    def expect(self, value: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.value == value and tok.kind in _WORD_KINDS:
-            self.pos += 1
-            return tok
-        self.error(f"expected {value!r}, found {tok.value!r}")
+    def expect(self, value: str) -> None:
+        pos = self.pos
+        if self.values[pos] == value and self.kinds[pos] in _WORD_KINDS:
+            self.pos = pos + 1
+            return
+        self.error(f"expected {value!r}, found {self.values[pos]!r}")
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            self.error(f"expected {what}, found {tok.value!r}")
-        self.pos += 1
-        return tok
+    def expect_ident(self, what: str = "identifier") -> str:
+        pos = self.pos
+        if self.kinds[pos] != "ident":
+            self.error(f"expected {what}, found {self.values[pos]!r}")
+        self.pos = pos + 1
+        return self.values[pos]
 
-    def expect_scalar(self, what: str = "value") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "scalar":
-            self.error(f"expected {what}, found {tok.value!r}")
-        self.pos += 1
-        return tok
+    def expect_scalar(self, what: str = "value") -> str:
+        pos = self.pos
+        if self.kinds[pos] != "scalar":
+            self.error(f"expected {what}, found {self.values[pos]!r}")
+        self.pos = pos + 1
+        return self.values[pos]
 
     def qname(self) -> str:
-        parts = [self.expect_ident("type name").value]
+        parts = [self.expect_ident("type name")]
         while self.accept("."):
-            parts.append(self.expect_ident("type name").value)
+            parts.append(self.expect_ident("type name"))
         return ".".join(parts)
 
     def sync(self, depth: int = 0) -> None:
         """Skip past the next ';', or to a block boundary ``depth`` levels out (the braces
         the faulty item opened), or past the '}' closing them when the next item follows."""
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            if self.at_eof():
                 return
-            if tok.value == ";" and depth == 0:
+            value = self.peek()
+            if value == ";" and depth == 0:
                 self.advance()
                 return
-            if tok.value == "{":
+            if value == "{":
                 depth += 1
-            elif tok.value == "}":
+            elif value == "}":
                 if depth == 0:
                     return
                 depth -= 1
-                if depth == 0 and self.tokens[self.pos + 1].kind == "ident":
+                if depth == 0 and self.kinds[self.pos + 1] == "ident":
                     self.advance()
                     return
             self.advance()
@@ -183,40 +218,44 @@ class Parser:
     def recover(self, start: int) -> None:
         """Skip the rest of a faulty item that began at token ``start``, at the item's
         own brace depth, so a '}' inside the item does not close the enclosing block."""
-        self.sync(sum((t.value == "{") - (t.value == "}") for t in self.tokens[start:self.pos]))
+        skipped = self.values[start:self.pos]
+        self.sync(skipped.count("{") - skipped.count("}"))
 
     def duration(self, what: str) -> int:
-        tok = self.expect_scalar(what)
+        at = self.pos
+        value = self.expect_scalar(what)
         try:
-            return parse_duration(tok.value)
+            return parse_duration(value)
         except ValueError as exc:
-            self.error(str(exc), tok)
+            self.error(str(exc), at)
 
     def byte_count(self, what: str) -> int:
-        tok = self.expect_scalar(what)
+        at = self.pos
+        value = self.expect_scalar(what)
         try:
-            return parse_byte_count(tok.value)
+            return parse_byte_count(value)
         except ValueError as exc:
-            self.error(str(exc), tok)
+            self.error(str(exc), at)
 
     def integer(self, what: str) -> int:
-        tok = self.expect_scalar(what)
-        if not tok.value.isdigit():
-            self.error(f"expected integer {what}, found {tok.value!r}", tok)
-        return int(tok.value)
+        at = self.pos
+        value = self.expect_scalar(what)
+        if not value.isdigit():
+            self.error(f"expected integer {what}, found {value!r}", at)
+        return int(value)
 
     # -- grammar ------------------------------------------------------------
 
     def file(self) -> AndlFile:
         ast = AndlFile()
-        while self.peek().kind != "eof":
+        while not self.at_eof():
             try:
                 if self.at("types"):
                     ast.types.append(self.types_block())
                 elif self.at("network"):
                     ast.networks.append(self.network())
                 else:
-                    self.error(f"expected 'types' or 'network', found {self.peek().value!r}")
+                    self.error(f"expected 'types' or 'network', found {self.peek()!r}")
             except _ParseError:
                 self.sync()
                 if self.at("}"):
@@ -224,38 +263,40 @@ class Parser:
         return ast
 
     def types_block(self) -> TypesBlock:
-        tok = self.expect("types")
-        block = TypesBlock(self.expect_ident("types block name").value, line=tok.line)
+        start = self.pos
+        self.expect("types")
+        block = TypesBlock(self.expect_ident("types block name"), line=self.line(start))
         self.expect("{")
         while not self.accept("}"):
-            if self.peek().kind == "eof":
+            if self.at_eof():
                 self.error("unterminated types block")
             self.item(block.decls, self.typed_decl, TypeDecl)
         return block
 
     def typed_decl(self, ctor):
-        tok = self.peek()
-        if tok.value not in DEVICE_KINDS:
-            self.error(f"expected a device kind, found {tok.value!r}")
-        kind = self.advance().value
-        name = self.expect_ident("device name").value
-        decl = ctor(kind=kind, name=name, line=tok.line)
+        start = self.pos
+        if self.peek() not in DEVICE_KINDS:
+            self.error(f"expected a device kind, found {self.peek()!r}")
+        kind = self.advance()
+        name = self.expect_ident("device name")
+        decl = ctor(kind=kind, name=name, line=self.line(start))
         if self.accept("extends"):
             decl.extends = self.qname()
         if self.accept("{"):
             while not self.accept("}"):
-                if self.peek().kind == "eof":
+                if self.at_eof():
                     self.error("unterminated device body")
                 if self.at("pool"):
                     self.advance()
-                    decl.pools.append(self.expect_ident("pool name").value)
+                    decl.pools.append(self.expect_ident("pool name"))
                     self.expect(";")
                 else:
-                    key = self.expect_ident("parameter name").value
-                    val = self.advance()
-                    if val.kind not in ("scalar", "ident"):
-                        self.error(f"expected parameter value, found {val.value!r}", val)
-                    decl.params[key] = val.value
+                    key = self.expect_ident("parameter name")
+                    at = self.pos
+                    value = self.advance()
+                    if self.kinds[at] not in ("scalar", "ident"):
+                        self.error(f"expected parameter value, found {value!r}", at)
+                    decl.params[key] = value
                     self.expect(";")
             self.accept(";")
         else:
@@ -263,67 +304,68 @@ class Parser:
         return decl
 
     def network(self) -> NetworkDecl:
-        tok = self.expect("network")
-        net = NetworkDecl(self.expect_ident("network name").value, line=tok.line)
+        start = self.pos
+        self.expect("network")
+        net = NetworkDecl(self.expect_ident("network name"), line=self.line(start))
         self.expect("{")
         while not self.accept("}"):
-            if self.peek().kind == "eof":
+            if self.at_eof():
                 self.error("unterminated network block")
             start = self.pos
             try:
                 if self.at("inline"):
-                    line = self.advance().line
+                    self.advance()
                     self.expect("ini")
                     self.expect("{")
-                    body = self.peek()
-                    if body.kind != "fenced":
+                    if self.kinds[self.pos] != "fenced":
                         self.error("inline ini payload must be fenced with ```")
-                    net.inline_ini.append(self.advance().value)
-                    net.inline_ini_lines.append(line)
+                    net.inline_ini.append(self.advance())
+                    net.inline_ini_lines.append(self.line(start))
                     self.expect("}")
                 elif self.at("devices"):
                     self.advance()
                     self.expect("{")
                     while not self.accept("}"):
-                        if self.peek().kind == "eof":
+                        if self.at_eof():
                             self.error("unterminated devices block")
                         self.item(net.devices, self.typed_decl, DeviceDecl)
                 elif self.at("connections"):
                     self.advance()
                     self.expect("{")
                     while not self.accept("}"):
-                        if self.peek().kind == "eof":
+                        if self.at_eof():
                             self.error("unterminated connections block")
                         self.item(net.segments, self.segment)
                 elif self.at("communication"):
                     self.advance()
                     self.expect("{")
                     while not self.accept("}"):
-                        if self.peek().kind == "eof":
+                        if self.at_eof():
                             self.error("unterminated communication block")
                         self.item(net.messages, self.message)
                 else:
                     self.error(
                         "expected 'inline', 'devices', 'connections' or "
-                        f"'communication', found {self.peek().value!r}"
+                        f"'communication', found {self.peek()!r}"
                     )
             except _ParseError:
                 self.recover(start)
         return net
 
     def segment(self) -> SegmentDecl:
-        tok = self.expect("segment")
-        seg = SegmentDecl(self.expect_ident("segment name").value, line=tok.line)
+        start = self.pos
+        self.expect("segment")
+        seg = SegmentDecl(self.expect_ident("segment name"), line=self.line(start))
         self.expect("{")
         while not self.accept("}"):
-            if self.peek().kind == "eof":
+            if self.at_eof():
                 self.error("unterminated segment block")
             self.item(seg.conns, self.connection)
         return seg
 
     def connection(self) -> ConnDecl:
-        tok = self.peek()
-        a = self.expect_ident("endpoint").value
+        start = self.pos
+        a = self.expect_ident("endpoint")
         self.expect("<-->")
         link = None
         new_type = None
@@ -333,31 +375,32 @@ class Parser:
             new_type = self.qname()
             self.expect("}")
             self.expect("<-->")
-            b = self.expect_ident("endpoint").value
+            b = self.expect_ident("endpoint")
         else:
-            middle = self.expect_ident("endpoint or link").value
+            middle = self.expect_ident("endpoint or link")
             if self.accept("<-->"):
                 link = middle
-                b = self.expect_ident("endpoint").value
+                b = self.expect_ident("endpoint")
             else:
                 b = middle
         self.expect(";")
-        return ConnDecl(a=a, b=b, link=link, new_type=new_type, line=tok.line)
+        return ConnDecl(a=a, b=b, link=link, new_type=new_type, line=self.line(start))
 
     def message(self) -> MessageDecl:
-        tok = self.expect("message")
-        msg = MessageDecl(self.expect_ident("message name").value, sender="", line=tok.line)
+        start = self.pos
+        self.expect("message")
+        msg = MessageDecl(self.expect_ident("message name"), sender="", line=self.line(start))
         self.expect("{")
         while not self.accept("}"):
-            if self.peek().kind == "eof":
+            if self.at_eof():
                 self.error("unterminated message block")
             if self.accept("sender"):
-                msg.sender = self.expect_ident("sender").value
+                msg.sender = self.expect_ident("sender")
                 self.expect(";")
             elif self.accept("receivers"):
-                msg.receivers.append(self.expect_ident("receiver").value)
+                msg.receivers.append(self.expect_ident("receiver"))
                 while self.accept(","):
-                    msg.receivers.append(self.expect_ident("receiver").value)
+                    msg.receivers.append(self.expect_ident("receiver"))
                 self.expect(";")
             elif self.accept("payload"):
                 msg.payload = self.byte_count("payload (e.g. 6B)")
@@ -374,24 +417,24 @@ class Parser:
             elif self.accept("mapping"):
                 self.expect("{")
                 while not self.accept("}"):
-                    if self.peek().kind == "eof":
+                    if self.at_eof():
                         self.error("unterminated mapping block")
                     self.item(msg.entries, self.map_entry)
             else:
-                self.error(f"unexpected token {self.peek().value!r} in message")
+                self.error(f"unexpected token {self.peek()!r} in message")
         return msg
 
     def map_entry(self) -> MapEntry:
-        tok = self.peek()
-        target = self.expect_ident("mapping target").value
-        entry = MapEntry(target=target, line=tok.line)
+        start = self.pos
+        target = self.expect_ident("mapping target")
+        entry = MapEntry(target=target, line=self.line(start))
         if self.accept(":"):
             entry.binding = self.class_binding()
         self.expect(";")
         return entry
 
     def class_binding(self):
-        kind = self.expect_ident("traffic class").value
+        kind = self.expect_ident("traffic class")
         if kind == "can":
             self.expect("{")
             self.expect("id")
@@ -413,10 +456,10 @@ class Parser:
             self.expect(";")
             cls = "A"
             if self.accept("class"):
-                cls_tok = self.expect_ident("AVB class")
-                if cls_tok.value not in ("A", "B"):
-                    self.error("AVB class must be A or B", cls_tok)
-                cls = cls_tok.value
+                at = self.pos
+                cls = self.expect_ident("AVB class")
+                if cls not in ("A", "B"):
+                    self.error("AVB class must be A or B", at)
                 self.expect(";")
             self.expect("}")
             return AvbBind(stream, cls)
@@ -433,17 +476,17 @@ class Parser:
         if kind == "be":
             self.expect("{")
             self.expect("priority")
-            prio_tok = self.peek()
+            at = self.pos
             prio = self.integer("priority")
             try:
                 BE(prio)
             except ValueError as exc:  # well-formed, so parsing goes on
-                self.diags.append(Diagnostic("error", prio_tok.line, prio_tok.col, str(exc)))
+                self.report(str(exc), at)
             self.expect(";")
             self.expect("}")
             return BeBind(prio)
         if kind == "pool":
-            pool = self.expect_ident("pool name").value
+            pool = self.expect_ident("pool name")
             self.expect("{")
             self.expect("holdUp")
             holdup = self.duration("holdUp")
@@ -455,7 +498,5 @@ class Parser:
 
 def parse(text: str) -> tuple[AndlFile, list[Diagnostic]]:
     """Parse ANDL source; diagnostics carry line/column positions."""
-    tokens, diags = tokenize(text)
-    parser = Parser(tokens, diags)
-    ast = parser.file()
-    return ast, diags
+    parser = Parser(text)
+    return parser.file(), parser.diags

@@ -10,7 +10,7 @@ schema) so identical sources compile to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .ethernet import DEFAULT_HW_DELAY
@@ -136,6 +136,15 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
+        _check_fields(cls, [doc], "the document")
+        for section, record in (("devices", DeviceCfg), ("links", LinkCfg), ("buses", BusCfg),
+                                ("messages", MessageCfg), ("pools", PoolCfg), ("rules", RuleCfg),
+                                ("forwarding", ForwardCfg)):
+            _check_fields(record, doc.get(section, []), section + "[{}]")
+        sched = doc.get("schedule")
+        if sched:
+            _check_fields(ScheduleCfg, [sched], "schedule")
+            _check_fields(WindowCfg, sched["windows"], "schedule.windows[{}]")
         cfg = cls(name=doc["name"])
         cfg.devices = [DeviceCfg(**d) for d in doc.get("devices", [])]
         cfg.links = [LinkCfg(**d) for d in doc.get("links", [])]
@@ -157,7 +166,6 @@ class NetworkConfig:
         if any(d["kind"] != "can" and "keys" not in d for rule in cfg.rules for d in rule.dests):
             raise ConfigError("an Ethernet destination of a gateway rule lacks field 'keys'; recompile it")
         cfg.forwarding = [ForwardCfg(**d) for d in doc.get("forwarding", [])]
-        sched = doc.get("schedule")
         if sched:
             cfg.schedule = ScheduleCfg(
                 sched["cycle"],
@@ -188,6 +196,23 @@ class NetworkConfig:
             if d.name == name:
                 return d
         return None
+
+
+def _check_fields(record: type, entries: list, where: str) -> None:
+    """Refuse an entry that is not a JSON object, names a field ``record`` does not
+    declare, or lacks one that has no default.  ``where.format(i)`` names entry i."""
+    declared = {f.name for f in fields(record)}
+    required = [f.name for f in fields(record) if f.default is MISSING and f.default_factory is MISSING]
+    for i, d in enumerate(entries):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{where.format(i)}: expected a JSON object")
+        unknown = d.keys() - declared
+        if unknown:
+            raise ConfigError(f"{where.format(i)}: unknown field {min(unknown)!r}; "
+                              f"a {record.__name__} has no such field")
+        for name in required:
+            if name not in d:
+                raise ConfigError(f"{where.format(i)}: lacks field {name!r}")
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from autonetsim.andl import (
     CompileError, compile_network, has_errors, parse, print_file, validate,
 )
-from autonetsim.andl.parser import tokenize
+from autonetsim.andl.parser import line_starts, position, tokenize
 from autonetsim.cli import main
 from autonetsim.engine import Runtime
 from autonetsim.ethernet import eth_frame_duration, eth_wire_bits, pad_payload
@@ -576,14 +576,35 @@ def test_zero_rate_is_a_compile_error(old, new):
         compile_network(ast)
 
 
+def lexed(text):
+    """The lexer's tokens as (kind, value, line, col) and its diagnostics as (line, col, message)."""
+    lines = line_starts(text)
+    kinds, values, starts, diags = tokenize(text, lines)
+    return ([(kind, value, *position(lines, start)) for kind, value, start in zip(kinds, values, starts)],
+            [(d.line, d.col, d.message) for d in diags])
+
+
 def test_column_after_a_fence_counts_from_the_fences_last_line():
-    tokens, diags = tokenize("inline ini ```a=1``` ; @")
-    assert [(t.kind, t.value, t.line, t.col) for t in tokens] == [
+    tokens, diags = lexed("inline ini ```a=1``` ; @")
+    assert tokens == [
         ("ident", "inline", 1, 1), ("ident", "ini", 1, 8), ("fenced", "a=1", 1, 12),
         ("punct", ";", 1, 22), ("eof", "", 1, 25)]
-    assert [(d.line, d.col, d.message) for d in diags] == [(1, 24, "unexpected character '@'")]
-    tokens, _ = tokenize("x ```\na\n  b``` ;")
-    assert [(t.value, t.line, t.col) for t in tokens][-2:] == [(";", 3, 8), ("", 3, 9)]
+    assert diags == [(1, 24, "unexpected character '@'")]
+    tokens, _ = lexed("x ```\na\n  b``` ;")
+    assert [(value, line, col) for _, value, line, col in tokens][-2:] == [(";", 3, 8), ("", 3, 9)]
+
+
+@pytest.mark.parametrize("text, tokens, diags", [
+    ("x;\n# // last",
+     [("ident", "x", 1, 1), ("punct", ";", 1, 2), ("eof", "", 2, 10)],
+     [(2, 1, "unexpected character '#'")]),
+    ("inline ini ```\na=1\nb=2\n```@ ;",
+     [("ident", "inline", 1, 1), ("ident", "ini", 1, 8), ("fenced", "a=1\nb=2", 1, 12),
+      ("punct", ";", 4, 6), ("eof", "", 4, 7)],
+     [(4, 4, "unexpected character '@'")]),
+], ids=["comment-on-the-last-line", "stray-character-after-a-fence"])
+def test_lexer_positions_at_the_end_of_a_text_and_of_a_fence(text, tokens, diags):
+    assert lexed(text) == (tokens, diags) == reference_tokenize(text)
 
 
 # The lexer as it was before the single-pass rewrite: one anchored match per lexeme.
@@ -666,10 +687,7 @@ def test_lexer_matches_the_reference_lexer(scenario):
                 text = text[:i] + rng.choice(LEXER_FRAGMENTS) + text[i + 1:]
         texts.append(text)
     for text in texts:
-        tokens, diags = tokenize(text)
-        got = ([(t.kind, t.value, t.line, t.col) for t in tokens],
-               [(d.line, d.col, d.message) for d in diags])
-        assert got == reference_tokenize(text), text
+        assert lexed(text) == reference_tokenize(text), text
 
 
 # -- tables derived once per frame ------------------------------------------------

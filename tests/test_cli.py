@@ -162,6 +162,23 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
         assert not out.exists()
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("messages", "dst", ["x"]),
+    ("rules", "extra", 1),
+])
+def test_compiled_document_with_an_unknown_field_is_refused(tmp_path, capsys, section, field, value):
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    doc = json.loads(cfgp.read_text())
+    doc[section][0][field] = value
+    cfgp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", str(cfgp), "--horizon", "1ms", "--out", str(out)]) == 1
+    assert f"{section}[0]: unknown field {field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compiled_document_takes_other_keys_as_the_source_does(tmp_path):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
