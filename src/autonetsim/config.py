@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from fractions import Fraction
 
 from .ethernet import DEFAULT_HW_DELAY
@@ -136,15 +137,15 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
-        _check_fields(cls, [doc], "the document")
+        _check_fields(cls, doc, "the document")
         for section, record in (("devices", DeviceCfg), ("links", LinkCfg), ("buses", BusCfg),
                                 ("messages", MessageCfg), ("pools", PoolCfg), ("rules", RuleCfg),
                                 ("forwarding", ForwardCfg)):
-            _check_fields(record, doc.get(section, []), section + "[{}]")
+            _check_list(record, doc.get(section, []), section)
         sched = doc.get("schedule")
         if sched:
-            _check_fields(ScheduleCfg, [sched], "schedule")
-            _check_fields(WindowCfg, sched["windows"], "schedule.windows[{}]")
+            _check_fields(ScheduleCfg, sched, "schedule")
+            _check_list(WindowCfg, sched["windows"], "schedule.windows")
         cfg = cls(name=doc["name"])
         cfg.devices = [DeviceCfg(**d) for d in doc.get("devices", [])]
         cfg.links = [LinkCfg(**d) for d in doc.get("links", [])]
@@ -198,21 +199,35 @@ class NetworkConfig:
         return None
 
 
-def _check_fields(record: type, entries: list, where: str) -> None:
-    """Refuse an entry that is not a JSON object, names a field ``record`` does not
-    declare, or lacks one that has no default.  ``where.format(i)`` names entry i."""
-    declared = {f.name for f in fields(record)}
-    required = [f.name for f in fields(record) if f.default is MISSING and f.default_factory is MISSING]
+@cache
+def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str]]:
+    """The fields ``record`` declares, and those of them that have no default."""
+    return (frozenset(f.name for f in fields(record)),
+            frozenset(f.name for f in fields(record)
+                      if f.default is MISSING and f.default_factory is MISSING))
+
+
+def _check_fields(record: type, d, where: str, index: int | None = None) -> None:
+    """Refuse a JSON entry that is not an object, names a field ``record`` does not
+    declare, or lacks one that has no default; ``where[index]`` names the entry."""
+    declared, required = _fields_of(record)
+    if isinstance(d, dict) and declared.issuperset(d) and d.keys() >= required:
+        return
+    if index is not None:
+        where = f"{where}[{index}]"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = d.keys() - declared
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {min(unknown)!r}; a {record.__name__} has no such field")
+    raise ConfigError(f"{where}: lacks field {min(required - d.keys())!r}")
+
+
+def _check_list(record: type, entries, section: str) -> None:
+    if not isinstance(entries, list):
+        raise ConfigError(f"{section}: expected a JSON list")
     for i, d in enumerate(entries):
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where.format(i)}: expected a JSON object")
-        unknown = d.keys() - declared
-        if unknown:
-            raise ConfigError(f"{where.format(i)}: unknown field {min(unknown)!r}; "
-                              f"a {record.__name__} has no such field")
-        for name in required:
-            if name not in d:
-                raise ConfigError(f"{where.format(i)}: lacks field {name!r}")
+        _check_fields(record, d, section, i)
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

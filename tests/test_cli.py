@@ -162,20 +162,23 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
         assert not out.exists()
 
 
-@pytest.mark.parametrize("section, field, value", [
-    ("messages", "dst", ["x"]),
-    ("rules", "extra", 1),
-])
-def test_compiled_document_with_an_unknown_field_is_refused(tmp_path, capsys, section, field, value):
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: doc["messages"][0].update(dst=["x"]), "messages[0]: unknown field 'dst'"),
+    (lambda doc: doc["rules"][0].update(extra=1), "rules[0]: unknown field 'extra'"),
+    (lambda doc: doc["links"][0].pop("rate"), "links[0]: lacks field 'rate'"),
+    (lambda doc: doc["forwarding"].__setitem__(0, 3), "forwarding[0]: expected a JSON object"),
+    (lambda doc: doc.update(messages=3), "messages: expected a JSON list"),
+], ids=["message-field", "rule-field", "missing-field", "not-an-object", "not-a-list"])
+def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
     doc = json.loads(cfgp.read_text())
-    doc[section][0][field] = value
+    edit(doc)
     cfgp.write_text(json.dumps(doc))
     capsys.readouterr()
     out = tmp_path / "o"
     assert main(["run", str(cfgp), "--horizon", "1ms", "--out", str(out)]) == 1
-    assert f"{section}[0]: unknown field {field!r}" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
     assert not out.exists()
 
 
