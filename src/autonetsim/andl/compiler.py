@@ -15,7 +15,7 @@ from itertools import zip_longest
 
 from ..config import (
     _DEVICE_VALUES, BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
-    OverrideError, PoolCfg, RuleCfg, ScheduleCfg, WindowCfg, apply_override, device_value,
+    OverrideError, PoolCfg, RuleCfg, ScheduleCfg, apply_override, device_value,
 )
 from ..ethernet import (ETH_MAX_PAYLOAD, check_reservation_cap,
                         eth_frame_duration, eth_wire_bits, pad_payload)
@@ -609,7 +609,7 @@ class _Builder:
                 schedule, releases = generate_tdma_schedule(flows)
                 self.cfg.schedule = ScheduleCfg(
                     schedule.cycle_length,
-                    [WindowCfg(w.ct_id, w.link, w.offset, w.duration) for w in schedule.windows],
+                    schedule.windows,
                     {fid: offs for fid, offs in releases.items() if self.tt_flows[fid].scheduled_release},
                 )
             except (ScheduleInfeasible, CycleTooLong) as exc:

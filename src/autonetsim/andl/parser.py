@@ -188,11 +188,12 @@ class Parser:
 
     def sync(self, depth: int = 0) -> None:
         """Skip past the next ';', or to a block boundary ``depth`` levels out (the braces
-        the faulty item opened), or past the '}' closing them when the next item follows."""
+        the faulty item opened), or past the '}' closing them when the next item follows.
+        Only punctuation counts: a fence whose body is '{' is no brace."""
         while True:
             if self.at_eof():
                 return
-            value = self.peek()
+            value = self.peek() if self.kinds[self.pos] == "punct" else None
             if value == ";" and depth == 0:
                 self.advance()
                 return
@@ -218,8 +219,9 @@ class Parser:
     def recover(self, start: int) -> None:
         """Skip the rest of a faulty item that began at token ``start``, at the item's
         own brace depth, so a '}' inside the item does not close the enclosing block."""
-        skipped = self.values[start:self.pos]
-        self.sync(skipped.count("{") - skipped.count("}"))
+        braces = [v for k, v in zip(self.kinds[start:self.pos], self.values[start:self.pos])
+                  if k == "punct"]
+        self.sync(braces.count("{") - braces.count("}"))
 
     def duration(self, what: str) -> int:
         at = self.pos
@@ -275,7 +277,7 @@ class Parser:
 
     def typed_decl(self, ctor):
         start = self.pos
-        if self.peek() not in DEVICE_KINDS:
+        if self.kinds[start] != "ident" or self.peek() not in DEVICE_KINDS:
             self.error(f"expected a device kind, found {self.peek()!r}")
         kind = self.advance()
         name = self.expect_ident("device name")

@@ -4,12 +4,16 @@ First-fit heuristic: flows are placed in ascending period order; each
 flow's per-link windows are offset by the cumulative upstream transmission
 durations plus switch processing delays, and the whole pattern is shifted
 to the earliest phase that avoids overlap on every link it touches.  The
+candidate shifts are 0 and, for each hop, the shifts that start it at the
+end of a window already on its link, start it at the cycle start, or end
+it at the cycle end, all modulo the period; the smallest one whose
+half-open windows fit inside the cycle and meet no placed window wins.  The
 result is a valid starting point, not an optimum.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -43,12 +47,24 @@ def _lcm(values) -> int:
 
 
 def _overlaps(intervals: list[tuple[int, int]], start: int, end: int) -> bool:
+    """Whether [start, end) meets one of ``intervals``, sorted and disjoint."""
     idx = bisect_left(intervals, (end, end))
-    if idx > 0 and intervals[idx - 1][1] > start:
-        return True
-    if idx < len(intervals) and intervals[idx][0] < end:
-        return True
-    return False
+    return idx > 0 and intervals[idx - 1][1] > start
+
+
+def _fits(hops: list[tuple[str, int, int, list]], shift: int, period: int, cycle: int) -> bool:
+    """Whether every instance of every hop, shifted by ``shift``, ends inside
+    the cycle and meets no window already placed on its link."""
+    for _, upstream, dur, busy in hops:
+        # A hop's instances start at its phase plus multiples of the period,
+        # so the last one ends inside the cycle iff the first ends inside the period.
+        phase = (shift + upstream) % period
+        if phase + dur > period:
+            return False
+        for start in range(phase, cycle, period):
+            if _overlaps(busy, start, start + dur):
+                return False
+    return True
 
 
 def generate_tdma_schedule(
@@ -67,60 +83,36 @@ def generate_tdma_schedule(
 
     for flow in sorted(flows, key=lambda f: (f.period, f.ct_id, f.flow_id)):
         period = flow.period
-        instances = cycle // period
-        upstream = [0]
-        for k in range(1, len(flow.hops)):
-            prev_link, prev_dur = flow.hops[k - 1]
-            upstream.append(upstream[k - 1] + prev_dur + flow.gaps[k - 1])
+        # A path is simple, so a flow's windows on one link are those of one
+        # hop, one per period, and cannot overlap once they fit in the period.
+        assert len({link for link, _ in flow.hops}) == len(flow.hops), "a flow crosses a link twice"
+        hops = []  # (link, upstream offset, duration, windows already on the link)
+        upstream = 0
+        for k, (link, dur) in enumerate(flow.hops):
+            if k:
+                upstream += flow.hops[k - 1][1] + flow.gaps[k - 1]
+            hops.append((link, upstream, dur, placed.setdefault(link, [])))
 
         candidates = {0}
-        for k, (link, dur) in enumerate(flow.hops):
-            for start, end in placed.get(link, ()):
-                candidates.add((end - upstream[k]) % period)
-            candidates.add((-upstream[k]) % period)
-            candidates.add((cycle - dur - upstream[k]) % period)
-
-        chosen = None
+        for _, up, dur, busy in hops:
+            candidates.update({(end - up) % period for _, end in busy})
+            candidates.add((-up) % period)
+            candidates.add((cycle - dur - up) % period)
         for shift in sorted(candidates):
-            tentative: dict[str, list[tuple[int, int]]] = {}
-            ok = True
-            for j in range(instances):
-                for k, (link, dur) in enumerate(flow.hops):
-                    start = (j * period + shift + upstream[k]) % cycle
-                    end = start + dur
-                    if end > cycle:
-                        ok = False
-                        break
-                    existing = placed.get(link, [])
-                    if _overlaps(existing, start, end):
-                        ok = False
-                        break
-                    mine = tentative.setdefault(link, [])
-                    if _overlaps(mine, start, end):
-                        ok = False
-                        break
-                    insort(mine, (start, end))
-                if not ok:
-                    break
-            if ok:
-                chosen = (shift, tentative)
+            if _fits(hops, shift, period, cycle):
                 break
-        if chosen is None:
+        else:
             raise ScheduleInfeasible(
                 f"no feasible offset for flow {flow.flow_id} (ct {flow.ct_id})"
             )
-        shift, tentative = chosen
-        for link, intervals in tentative.items():
-            dest = placed.setdefault(link, [])
-            for iv in intervals:
-                insort(dest, iv)
-        for j in range(instances):
-            for k, (link, dur) in enumerate(flow.hops):
-                start = (j * period + shift + upstream[k]) % cycle
-                windows.append(TdmaWindow(flow.ct_id, link, start, dur))
-        releases[flow.flow_id] = sorted(
-            (j * period + shift) % cycle for j in range(instances)
-        )
+
+        for _, up, dur, busy in hops:
+            busy.extend((start, start + dur) for start in range((shift + up) % period, cycle, period))
+            busy.sort()
+        for j in range(cycle // period):
+            for link, up, dur, _ in hops:
+                windows.append(TdmaWindow(flow.ct_id, link, (j * period + shift + up) % cycle, dur))
+        releases[flow.flow_id] = list(range(shift, cycle, period))
 
     schedule = TdmaSchedule(cycle, windows)
     assert not schedule.violations(), "generated schedule violates its own invariants"

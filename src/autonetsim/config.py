@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 from fractions import Fraction
 
-from .ethernet import DEFAULT_HW_DELAY
+from .ethernet import DEFAULT_HW_DELAY, TdmaWindow
 from .gateway import DEFAULT_PROCESSING_DELAY
 from .kernel import Oscillator, parse_duration, parse_rate
 
@@ -92,17 +92,9 @@ class ForwardCfg:
 
 
 @dataclass
-class WindowCfg:
-    ct_id: int
-    link: str
-    offset: int
-    duration: int
-
-
-@dataclass
 class ScheduleCfg:
     cycle: int
-    windows: list[WindowCfg] = field(default_factory=list)
+    windows: list[TdmaWindow] = field(default_factory=list)
     releases: dict[str, list[int]] = field(default_factory=dict)  # "msg:receiver" -> offsets
 
 
@@ -145,7 +137,7 @@ class NetworkConfig:
         sched = doc.get("schedule")
         if sched:
             _check_fields(ScheduleCfg, sched, "schedule")
-            _check_list(WindowCfg, sched["windows"], "schedule.windows")
+            _check_list(TdmaWindow, sched["windows"], "schedule.windows")
         cfg = cls(name=doc["name"])
         cfg.devices = [DeviceCfg(**d) for d in doc.get("devices", [])]
         cfg.links = [LinkCfg(**d) for d in doc.get("links", [])]
@@ -170,7 +162,7 @@ class NetworkConfig:
         if sched:
             cfg.schedule = ScheduleCfg(
                 sched["cycle"],
-                [WindowCfg(**w) for w in sched["windows"]],
+                [TdmaWindow(**w) for w in sched["windows"]],
                 dict(sched.get("releases", {})),
             )
         cfg.slopes = {k: dict(v) for k, v in doc.get("slopes", {}).items()}
@@ -199,20 +191,34 @@ class NetworkConfig:
         return None
 
 
+# The JSON value of a scalar field, by the field's annotation: ``true`` is no integer.
+_SCALARS = {"int": (int, "an integer"), "str": (str, "a string"), "bool": (bool, "true or false")}
+
+
 @cache
-def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str]]:
-    """The fields ``record`` declares, and those of them that have no default."""
+def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str], tuple]:
+    """The fields ``record`` declares, those of them that have no default, and
+    its scalar fields as (name, type, description, whether null is allowed)."""
+    scalars = tuple(
+        (f.name, *_SCALARS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+        for f in fields(record) if f.type.removesuffix(" | None") in _SCALARS
+    )
     return (frozenset(f.name for f in fields(record)),
             frozenset(f.name for f in fields(record)
-                      if f.default is MISSING and f.default_factory is MISSING))
+                      if f.default is MISSING and f.default_factory is MISSING),
+            scalars)
 
 
 def _check_fields(record: type, d, where: str, index: int | None = None) -> None:
     """Refuse a JSON entry that is not an object, names a field ``record`` does not
-    declare, or lacks one that has no default; ``where[index]`` names the entry."""
-    declared, required = _fields_of(record)
+    declare, lacks one that has no default, or gives a scalar field a value of
+    another JSON type; ``where[index]`` names the entry."""
+    declared, required, scalars = _fields_of(record)
     if isinstance(d, dict) and declared.issuperset(d) and d.keys() >= required:
-        return
+        wrong = [(name, expected) for name, kind, expected, nullable in scalars
+                 if name in d and type(d[name]) is not kind and not (nullable and d[name] is None)]
+        if not wrong:
+            return
     if index is not None:
         where = f"{where}[{index}]"
     if not isinstance(d, dict):
@@ -220,7 +226,11 @@ def _check_fields(record: type, d, where: str, index: int | None = None) -> None
     unknown = d.keys() - declared
     if unknown:
         raise ConfigError(f"{where}: unknown field {min(unknown)!r}; a {record.__name__} has no such field")
-    raise ConfigError(f"{where}: lacks field {min(required - d.keys())!r}")
+    if not d.keys() >= required:
+        raise ConfigError(f"{where}: lacks field {min(required - d.keys())!r}")
+    name, expected = wrong[0]
+    raise ConfigError(f"{where}: field {name!r} of a {record.__name__} must be {expected}, "
+                      f"not {json.dumps(d[name])}")
 
 
 def _check_list(record: type, entries, section: str) -> None:

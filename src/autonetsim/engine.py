@@ -15,7 +15,7 @@ from .can import CanBus, CanFrame, NodeCanPort
 from .config import ConfigError, NetworkConfig, device_value
 from .ethernet import (
     AVB, BE, RC, TT, EthFrame, EthPort, Switch,
-    TdmaSchedule, TdmaWindow, pad_payload, tt_receive_check,
+    TdmaSchedule, pad_payload, tt_receive_check,
 )
 from .gateway import Gateway, RouteDest
 from .kernel import Event, EventKind, Oscillator, Simulator
@@ -138,9 +138,9 @@ class TtSource:
         self.osc = osc
         self.path = f"{node}.src[{release}]"
         rt.sim.register(self.path, self._fire)
+        # The oscillator is monotone, so each release is due no earlier than the last.
         for offset in releases:
-            rt.sim.schedule(max(0, osc.local_to_ideal(offset)), self.path,
-                            EventKind.TT_RELEASE, offset)
+            rt.sim.schedule(osc.local_to_ideal(offset), self.path, EventKind.TT_RELEASE, offset)
 
     def _fire(self, ev: Event) -> None:
         now = ev.time
@@ -153,8 +153,7 @@ class TtSource:
         nominal = ev.payload + self.cycle
         if self.rt.stop_time is None or nominal <= self.rt.stop_time:
             self.rt.sim.schedule(
-                max(now, self.osc.local_to_ideal(nominal)), self.path,
-                EventKind.TT_RELEASE, nominal,
+                self.osc.local_to_ideal(nominal), self.path, EventKind.TT_RELEASE, nominal,
             )
 
 
@@ -193,10 +192,7 @@ class Runtime:
     def _build(self) -> None:
         cfg = self.cfg
         if cfg.schedule and cfg.schedule.windows:
-            self.schedule = TdmaSchedule(
-                cfg.schedule.cycle,
-                [TdmaWindow(w.ct_id, w.link, w.offset, w.duration) for w in cfg.schedule.windows],
-            )
+            self.schedule = TdmaSchedule(cfg.schedule.cycle, cfg.schedule.windows)
         for dev in cfg.devices:
             self.oscillators[dev.name] = Oscillator(device_value(dev.params, "driftPpm"))
             if dev.kind == "switch":

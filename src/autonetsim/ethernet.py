@@ -215,7 +215,7 @@ class TdmaSchedule:
 
     def __init__(self, cycle_length: int, windows: list[TdmaWindow]):
         self.cycle_length = cycle_length
-        self.windows = list(windows)
+        self.windows = windows
         self._by_link: dict[str, list[TdmaWindow]] = {}
         for w in self.windows:
             self._by_link.setdefault(w.link, []).append(w)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 from typing import Any, Callable
 
 # Tick multipliers (1 tick = 1 ps).
@@ -257,34 +258,33 @@ class Simulator:
         return sum(1 for item in items if item.__class__ is not Event or not item.cancelled)
 
 
-def _round_half_away(x: Fraction) -> int:
-    """Round to the nearest integer, ties away from zero."""
-    if x >= 0:
-        return int((2 * x + 1) // 2)
-    return -int((-2 * x + 1) // 2)
-
-
 class Oscillator:
     """Constant-rate inaccurate clock.
 
     A local clock running fast by ``drift_ppm`` parts per million sees
     ``(10^6 + drift_ppm)`` of its own ticks per ``10^6`` ideal ticks.  The
     mapping between local and ideal time is monotone and bijective for any
-    |drift_ppm| < 10^6, and drift 0 is the identity.
+    |drift_ppm| < 10^6, and drift 0 is the identity.  Both directions are
+    exact integer arithmetic and round half away from zero.
     """
 
     def __init__(self, drift_ppm: int | Fraction = 0):
-        drift = Fraction(drift_ppm)
-        if abs(drift) >= 10**6:
+        if abs(drift_ppm) >= 10**6:
             raise ValueError("|drift_ppm| must be < 10^6")
-        self.drift_ppm = drift
+        self.drift_ppm = drift_ppm
+        p, q = drift_ppm.as_integer_ratio()
+        ideal, local = 10**6 * q, 10**6 * q + p  # ideal ticks per local ticks
+        g = gcd(ideal, local)
+        self._ideal, self._local = ideal // g, local // g
 
     def local_to_ideal(self, local: int) -> int:
         if local < 0:
             raise ValueError("local time must be >= 0")
-        ideal = Fraction(local) * 10**6 / (10**6 + self.drift_ppm)
-        return _round_half_away(ideal)
+        m = self._local
+        return (2 * local * self._ideal + m) // (2 * m)
 
     def ideal_to_local(self, ideal: int) -> int:
-        local = Fraction(ideal) * (10**6 + self.drift_ppm) / 10**6
-        return _round_half_away(local)
+        m = self._ideal
+        if ideal >= 0:
+            return (2 * ideal * self._local + m) // (2 * m)
+        return -((-2 * ideal * self._local + m) // (2 * m))

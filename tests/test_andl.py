@@ -79,7 +79,12 @@ def test_fault_inside_class_binding_is_reported_once():
     (("pool gw1_1;", "pool 5;"), (24, 12), "expected pool name, found '5'"),
     (("en2 <--> {new std.ETH}", "en2 <--> {new 5}"), (33, 21), "expected type name, found '5'"),
     (("```\nrecord-eventlog = false\n```", "eventlog"), (10, 1), "inline ini payload must be fenced with ```"),
-], ids=["device-body", "connection-link-type", "inline-ini"])
+    # A fence whose body is a brace is no brace, skipped or consumed by the item.
+    (("pool gw1_1;", "pool 5 ```{```;"), (24, 12), "expected pool name, found '5'"),
+    (("pool gw1_1;", "pool 5 ```}```;"), (24, 12), "expected pool name, found '5'"),
+    (("pool gw1_1;", "delay ```{```;"), (24, 13), "expected parameter value, found '{'"),
+], ids=["device-body", "connection-link-type", "inline-ini",
+        "fenced-open-brace-skipped", "fenced-close-brace-skipped", "fenced-open-brace-consumed"])
 def test_fault_inside_a_braced_item_is_reported_once(listing_small, edit, position, message):
     ast, diags = parse(listing_small.replace(*edit))
     assert [(d.line, d.col, d.message) for d in diags] == [(*position, message)]
@@ -87,6 +92,17 @@ def test_fault_inside_a_braced_item_is_reported_once(listing_small, edit, positi
     assert [m.name for m in net.messages] == ["msg1", "msg2"]
     assert [s.name for s in net.segments] == ["backbone", "canbus"]
     assert [d.name for d in net.devices][-2:] == ["gw2", "s1"]
+
+
+@pytest.mark.parametrize("text, position, names", [
+    ("network n { devices { ```node``` a; node b; } }", (1, 23), ["b"]),
+    (None, (19, 5), ["eth1", "cb1", "cb2", "cn2", "en1", "en2", "gw1", "gw2", "s1"]),
+], ids=["reproducer", "small-network"])
+def test_a_fenced_keyword_is_no_keyword(listing_small, text, position, names):
+    text = text or listing_small.replace("node cn1;", "```node``` cn1;")
+    ast, diags = parse(text)
+    assert [(d.line, d.col, d.message) for d in diags] == [(*position, "expected a device kind, found 'node'")]
+    assert [d.name for d in ast.networks[0].devices] == names
 
 
 _COMM = "  communication {      //Communication in the network\n"

@@ -168,7 +168,16 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
     (lambda doc: doc["links"][0].pop("rate"), "links[0]: lacks field 'rate'"),
     (lambda doc: doc["forwarding"].__setitem__(0, 3), "forwarding[0]: expected a JSON object"),
     (lambda doc: doc.update(messages=3), "messages: expected a JSON list"),
-], ids=["message-field", "rule-field", "missing-field", "not-an-object", "not-a-list"])
+    (lambda doc: doc["links"][0].update(rate="fast"),
+     "links[0]: field 'rate' of a LinkCfg must be an integer, not \"fast\""),
+    (lambda doc: doc["schedule"]["windows"][0].update(offset="0"),
+     "schedule.windows[0]: field 'offset' of a TdmaWindow must be an integer, not \"0\""),
+    (lambda doc: doc["messages"][0].update(period=True),
+     "messages[0]: field 'period' of a MessageCfg must be an integer, not true"),
+    (lambda doc: doc["devices"][0].update(name=3), "devices[0]: field 'name' of a DeviceCfg must be a string, not 3"),
+    (lambda doc: doc.update(can_stuffing=0), "the document: field 'can_stuffing' of a NetworkConfig must be true or false, not 0"),
+], ids=["message-field", "rule-field", "missing-field", "not-an-object", "not-a-list",
+        "int-field-a-string", "window-field-a-string", "int-field-a-bool", "str-field-an-int", "bool-field-an-int"])
 def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -422,6 +423,20 @@ def test_drifting_talker_shifts_latency():
     assert len({s.latency for s in samples}) > 1
     assert rt.store.jitter("beat", "listener") > 0
     assert rt.store.scalar("listener", "ttViolations[7]", 0) == 0
+
+
+# sha256 of ``export_json`` after a 1 s run of DRIFTING_TT with the talker's
+# driftPpm overridden: no workload drifts, so these pin a non-zero oscillator.
+@pytest.mark.parametrize("drift, digest", [
+    ("400", "18af2902e1c69c0c2df79a5e3fc551feaa4625b0382564192dfc0dabeaa89ee4"),
+    ("-0.5", "5c78c407df25e3e368f2c2e2ade4a89226d837286ba003b4adeac06b79593ef9"),
+], ids=["400ppm", "-0.5ppm"])
+def test_drifting_tt_export_is_pinned(tmp_path, drift, digest):
+    ast, _ = parse(DRIFTING_TT)
+    rt = Runtime(compile_network(ast, overrides=[("talker.driftPpm", drift)]))
+    rt.run(1 * SEC)
+    path = rt.store.export_json(tmp_path / "results.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_out_of_window_tt_arrival_is_dropped():

@@ -343,6 +343,94 @@ def test_oscillator_monotone(drift, a, b):
         assert osc.local_to_ideal(a) <= osc.local_to_ideal(b)
 
 
+# The oscillator as it was before the integer rewrite: Fraction arithmetic per call.
+def _reference_round_half_away(x: Fraction) -> int:
+    """Round to the nearest integer, ties away from zero."""
+    if x >= 0:
+        return int((2 * x + 1) // 2)
+    return -int((-2 * x + 1) // 2)
+
+
+class ReferenceOscillator:
+    """Constant-rate inaccurate clock.
+
+    A local clock running fast by ``drift_ppm`` parts per million sees
+    ``(10^6 + drift_ppm)`` of its own ticks per ``10^6`` ideal ticks.  The
+    mapping between local and ideal time is monotone and bijective for any
+    |drift_ppm| < 10^6, and drift 0 is the identity.
+    """
+
+    def __init__(self, drift_ppm: int | Fraction = 0):
+        drift = Fraction(drift_ppm)
+        if abs(drift) >= 10**6:
+            raise ValueError("|drift_ppm| must be < 10^6")
+        self.drift_ppm = drift
+
+    def local_to_ideal(self, local: int) -> int:
+        if local < 0:
+            raise ValueError("local time must be >= 0")
+        ideal = Fraction(local) * 10**6 / (10**6 + self.drift_ppm)
+        return _reference_round_half_away(ideal)
+
+    def ideal_to_local(self, ideal: int) -> int:
+        local = Fraction(ideal) * (10**6 + self.drift_ppm) / 10**6
+        return _reference_round_half_away(local)
+
+
+
+drifts = st.one_of(
+    st.integers(-999_999, 999_999),
+    st.fractions(-999_999, 999_999, max_denominator=10**6),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(999_999_999, 1000)]),
+)
+
+
+@given(drift=drifts, local=st.integers(0, 2**62), ideal=st.integers(-(2**62), 2**62))
+def test_oscillator_matches_the_reference_oscillator(drift, local, ideal):
+    osc, ref = Oscillator(drift), ReferenceOscillator(drift)
+    assert osc.drift_ppm == ref.drift_ppm
+    assert osc.local_to_ideal(local) == ref.local_to_ideal(local)
+    assert osc.ideal_to_local(ideal) == ref.ideal_to_local(ideal)
+
+
+# 10^6 / (10^6 + drift) is 5/2, 25/2, ..., 15625/2: an odd local time is a tie.
+@given(drift=st.sampled_from([-600_000, -920_000, -984_000, -996_800, -999_360, -999_872]),
+       k=st.integers(0, 2**40))
+def test_oscillator_rounds_local_ties_like_the_reference(drift, k):
+    local = 2 * k + 1
+    exact = Fraction(local * 10**6, 10**6 + drift)
+    assert exact.denominator == 2
+    ideal = Oscillator(drift).local_to_ideal(local)
+    assert ideal == exact + Fraction(1, 2) == ReferenceOscillator(drift).local_to_ideal(local)
+
+
+# (10^6 + a/2) / 10^6 with a odd: an odd multiple of 10^6, of either sign, is a tie.
+@given(a=st.integers(-999_999, 999_998).map(lambda n: 2 * n + 1), k=st.integers(-(2**30), 2**30))
+def test_oscillator_rounds_ideal_ties_like_the_reference(a, k):
+    drift, ideal = Fraction(a, 2), 10**6 * (2 * k + 1)
+    exact = ideal * (10**6 + drift) / 10**6
+    assert exact.denominator == 2
+    local = Oscillator(drift).ideal_to_local(ideal)
+    away = Fraction(1 if ideal > 0 else -1, 2)
+    assert local == exact + away == ReferenceOscillator(drift).ideal_to_local(ideal)
+
+
+@pytest.mark.parametrize("drift, local, ideal", [
+    (-200_000, 2, 3), (-200_000, 10, 13), (-600_000, 1, 3), (-600_000, 7, 18),
+])
+def test_oscillator_rounds_a_local_tie_up(drift, local, ideal):
+    assert Oscillator(drift).local_to_ideal(local) == ideal == ReferenceOscillator(drift).local_to_ideal(local)
+
+
+@pytest.mark.parametrize("drift, ideal, local", [
+    (Fraction(1, 2), 10**6, 1_000_001), (Fraction(1, 2), -(10**6), -1_000_001),
+    (Fraction(-1, 2), 10**6, 1_000_000), (Fraction(-1, 2), -(10**6), -1_000_000),
+    (500_000, 1, 2), (500_000, -1, -2), (500_000, 3, 5), (500_000, -3, -5),
+])
+def test_oscillator_rounds_an_ideal_tie_away_from_zero(drift, ideal, local):
+    assert Oscillator(drift).ideal_to_local(ideal) == local == ReferenceOscillator(drift).ideal_to_local(ideal)
+
+
 def test_parse_helpers():
     assert parse_duration("2ms") == 2 * MS
     assert parse_duration("125us") == 125 * US
