@@ -13,7 +13,7 @@ result is a valid starting point, not an optimum.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import gcd
 
@@ -95,7 +95,8 @@ def generate_tdma_schedule(
 
         candidates = {0}
         for _, up, dur, busy in hops:
-            candidates.update({(end - up) % period for _, end in busy})
+            for _, end in busy:
+                candidates.add((end - up) % period)
             candidates.add((-up) % period)
             candidates.add((cycle - dur - up) % period)
         for shift in sorted(candidates):
@@ -107,8 +108,8 @@ def generate_tdma_schedule(
             )
 
         for _, up, dur, busy in hops:
-            busy.extend((start, start + dur) for start in range((shift + up) % period, cycle, period))
-            busy.sort()
+            for start in range((shift + up) % period, cycle, period):
+                insort(busy, (start, start + dur))
         for j in range(cycle // period):
             for link, up, dur, _ in hops:
                 windows.append(TdmaWindow(flow.ct_id, link, (j * period + shift + up) % cycle, dur))
