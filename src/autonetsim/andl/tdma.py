@@ -5,10 +5,11 @@ flow's per-link windows are offset by the cumulative upstream transmission
 durations plus switch processing delays, and the whole pattern is shifted
 to the earliest phase that avoids overlap on every link it touches.  The
 candidate shifts are 0 and, for each hop, the shifts that start it at the
-end of a window already on its link, start it at the cycle start, or end
-it at the cycle end, all modulo the period; the smallest one whose
-half-open windows fit inside the cycle and meet no placed window wins.  The
-result is a valid starting point, not an optimum.
+end of a window already on its link or at the cycle start, both modulo the
+period; the smallest one whose half-open windows fit inside the cycle and
+meet no placed window wins.  That is the least feasible shift: one tick
+less makes a hop's phase wrap from 0 or an instance meet a window that
+ends at its start.  The result is a valid starting point, not an optimum.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def generate_tdma_schedule(
             for _, end in busy:
                 candidates.add((end - up) % period)
             candidates.add((-up) % period)
-            candidates.add((cycle - dur - up) % period)
         for shift in sorted(candidates):
             if _fits(hops, shift, period, cycle):
                 break

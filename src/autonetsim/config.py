@@ -195,10 +195,32 @@ class NetworkConfig:
 _SCALARS = {"int": (int, "an integer"), "str": (str, "a string"), "bool": (bool, "true or false")}
 
 
+def _names(value) -> bool:
+    """Whether a JSON value is a list of strings."""
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def _names_by_key(value) -> bool:
+    """Whether a JSON value is an object of lists of strings."""
+    return type(value) is dict and all(map(_names, value.values()))
+
+
+# How to check a field of names, by the field's annotation.
+_NAME_LISTS = {"list[str]": (_names, "a list of strings"),
+               "dict[str, list[str]]": (_names_by_key, "an object of lists of strings")}
+# The least value of an integer field: rates, periods, durations and the cycle are
+# positive and offsets are not negative (a zero period or rate never lets a run end).
+_MINIMUM = {
+    LinkCfg: {"rate": 1}, BusCfg: {"bitrate": 1}, MessageCfg: {"period": 1, "offset": 0},
+    ScheduleCfg: {"cycle": 1}, TdmaWindow: {"offset": 0, "duration": 1},
+}
+
+
 @cache
-def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str], tuple]:
-    """The fields ``record`` declares, those of them that have no default, and
-    its scalar fields as (name, type, description, whether null is allowed)."""
+def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str], tuple, tuple, tuple]:
+    """The fields ``record`` declares, those of them that have no default, its
+    scalar fields as (name, type, description, whether null is allowed), its
+    fields of names as (name, check, description) and its least values as (name, minimum)."""
     scalars = tuple(
         (f.name, *_SCALARS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
         for f in fields(record) if f.type.removesuffix(" | None") in _SCALARS
@@ -206,19 +228,26 @@ def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str], tuple]:
     return (frozenset(f.name for f in fields(record)),
             frozenset(f.name for f in fields(record)
                       if f.default is MISSING and f.default_factory is MISSING),
-            scalars)
+            scalars,
+            tuple((f.name, *_NAME_LISTS[f.type]) for f in fields(record) if f.type in _NAME_LISTS),
+            tuple(_MINIMUM.get(record, {}).items()))
 
 
 def _check_fields(record: type, d, where: str, index: int | None = None) -> None:
     """Refuse a JSON entry that is not an object, names a field ``record`` does not
-    declare, lacks one that has no default, or gives a scalar field a value of
-    another JSON type; ``where[index]`` names the entry."""
-    declared, required, scalars = _fields_of(record)
+    declare, lacks one that has no default, gives a scalar field a value of another
+    JSON type or out of its range, or a field of names a member that is no string;
+    ``where[index]`` names the entry."""
+    declared, required, scalars, name_lists, minimum = _fields_of(record)
     if isinstance(d, dict) and declared.issuperset(d) and d.keys() >= required:
         wrong = [(name, expected) for name, kind, expected, nullable in scalars
                  if name in d and type(d[name]) is not kind and not (nullable and d[name] is None)]
+        wrong += [(name, expected) for name, check, expected in name_lists if name in d and not check(d[name])]
         if not wrong:
-            return
+            wrong = [(name, "positive" if low > 0 else "at least 0")
+                     for name, low in minimum if name in d and d[name] < low]
+            if not wrong:
+                return
     if index is not None:
         where = f"{where}[{index}]"
     if not isinstance(d, dict):

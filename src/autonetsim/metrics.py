@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
 
 from .kernel import SEC
@@ -64,9 +66,53 @@ def _fmt_value(value) -> str:
     return repr(value)
 
 
-def _fmt_point(value) -> str:
-    """_fmt_value's text for a series point; ints skip its type tests (bools still render 1/0)."""
-    return str(value) if type(value) is int else _fmt_value(value)
+# Row templates of a series point per export format: (int time and value, int time
+# and scaled value text, any other time and value text).
+_JSON_ROWS = ('   [\n    %d,\n    "%d"\n   ]', '   [\n    %d,\n    "%s"\n   ]', "   [\n    %s,\n    %s\n   ]")
+_CSV_ROWS = ("%d,%d", "%d,%s", "%s,%s")
+_INT = {int}
+_INT_OR_BOOL = {int, bool}
+_arrival, _latency = attrgetter("arrival"), attrgetter("latency")
+
+
+def _sample_points(samples: list[LatencySample]) -> list[int]:
+    """(arrival, latency) of every delivery, flat."""
+    flat = [0] * (2 * len(samples))
+    flat[::2] = map(_arrival, samples)
+    flat[1::2] = map(_latency, samples)
+    return flat
+
+
+def _scaled_texts(values: tuple) -> list[str]:
+    """``_fmt_scaled``'s text of each int in ``values``, without a division per value:
+    each is rendered with at least 13 digits, right-aligned in fields of one width,
+    so the decimal point goes in at the same column of every field."""
+    n = len(values)
+    width = max(len("%d" % max(map(abs, values))), 13) + 2  # a sign and a blank that ends the previous field
+    fields = (f"%{width}.13d" * n % values).encode()
+    point = width - 12
+    text = bytearray(n * (width + 1))
+    for col in range(width):
+        text[col + (col >= point)::width + 1] = fields[col::width]
+    text[point::width + 1] = b"." * n
+    return text.decode().split()
+
+
+def _rows(flat: tuple, scaled: bool, rows: tuple[str, str, str], sep: str, quote) -> str:
+    """The points ``flat`` = (t0, v0, t1, v1, ...) of one series: one ``%`` over a row
+    template repeated per point, joined by ``sep``.  With int times and int (or bool)
+    values a series takes the int row, or the scaled row if it is scaled; any other
+    series takes ``_fmt_value``'s (``_fmt_scaled``'s) text through ``quote``."""
+    n = len(flat) // 2
+    if not n:
+        return ""
+    types = set(map(type, flat))
+    if types <= _INT or types <= _INT_OR_BOOL and bool not in set(map(type, flat[::2])):
+        if not scaled:
+            return sep.join([rows[0]] * n) % flat
+        return sep.join([rows[1]] * n) % tuple(chain.from_iterable(zip(flat[::2], _scaled_texts(flat[1::2]))))
+    texts = map(quote, map(_fmt_scaled if scaled else _fmt_value, flat[1::2]))
+    return sep.join([rows[2]] * n) % tuple(chain.from_iterable(zip(flat[::2], texts)))
 
 
 def _json_block(items: list[str], indent: str, brackets: str = "{}") -> str:
@@ -189,27 +235,27 @@ class MetricStore:
     # -- export ----------------------------------------------------------
 
     def _series(self):
-        """(exported name ``module.name``, (time, value) points, value formatter) of
+        """(exported name ``module.name``, flat points (t0, v0, t1, v1, ...), scaled?) of
         every series in name order, the later key winning a shared name; end-to-end
         ``rxLatency`` points come straight from the delivery samples."""
-        series = {(f"{sink}.app[{message}]", "rxLatency"): ((s.arrival, s.latency) for s in samples)
+        series = {(f"{sink}.app[{message}]", "rxLatency"): (_sample_points, samples)
                   for (message, sink), samples in self.latencies.items()}
-        series.update(self.vectors)
-        named = {f"{key[0]}.{key[1]}": (series[key], _fmt_scaled if key in self.scaled else _fmt_point)
-                 for key in sorted(series)}
+        series.update({key: (chain.from_iterable, points) for key, points in self.vectors.items()})
+        named = {f"{key[0]}.{key[1]}": key for key in sorted(series)}
         for name in sorted(named):
-            yield name, *named[name]
+            key = named[name]
+            flatten, points = series[key]
+            yield name, tuple(flatten(points)), key in self.scaled
 
     def export_csv(self, outdir: str | Path) -> list[Path]:
         """One CSV per vector plus a scalars.csv; returns written paths."""
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, points, fmt in self._series():
+        for name, flat, scaled in self._series():
             path = out / f"{name}.csv"
-            lines = ["time_ps,value"]
-            lines += [f"{t},{fmt(v)}" for t, v in points]
-            path.write_text("\n".join(lines) + "\n")
+            rows = _rows(flat, scaled, _CSV_ROWS, "\n", str)
+            path.write_text(f"time_ps,value\n{rows}\n" if rows else "time_ps,value\n")
             written.append(path)
         path = out / "scalars.csv"
         lines = ["module,name,value,unit"]
@@ -232,9 +278,9 @@ class MetricStore:
             f.write(f'{{\n "links": {_json_block(links, " ")},\n')
             f.write(f' "scalars": {_json_block(scalars, " ")},\n "vectors": {{')
             sep = "\n"
-            for name, points, fmt in self._series():
-                rows = [f"   [\n    {t},\n    {_quote(fmt(v))}\n   ]" for t, v in points]
-                f.write(f"{sep}  {_quote(name)}: {_json_block(rows, '  ', '[]')}")
+            for name, flat, scaled in self._series():
+                rows = _rows(flat, scaled, _JSON_ROWS, ",\n", _quote)
+                f.write(f"{sep}  {_quote(name)}: " + (f"[\n{rows}\n  ]" if rows else "[]"))
                 sep = ",\n"
             window = ',\n "window": [\n  %d,\n  %d\n ]' % self.run_window if self.run_window else ""
             f.write(("}" if sep == "\n" else "\n }") + window + "\n}\n")

@@ -191,6 +191,32 @@ def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: doc["messages"][0].update(period=0),
+     "messages[0]: field 'period' of a MessageCfg must be positive, not 0"),
+    (lambda doc: doc["schedule"]["windows"][0].update(offset=-5),
+     "schedule.windows[0]: field 'offset' of a TdmaWindow must be at least 0, not -5"),
+    (lambda doc: doc["links"][0].update(rate=0), "links[0]: field 'rate' of a LinkCfg must be positive, not 0"),
+    (lambda doc: doc["messages"][0].update(receivers=["cn2", 3]),
+     "messages[0]: field 'receivers' of a MessageCfg must be a list of strings, not [\"cn2\", 3]"),
+    (lambda doc: doc["messages"][0]["paths"].update(cn2=["cn1", None]),
+     "messages[0]: field 'paths' of a MessageCfg must be an object of lists of strings, not"),
+], ids=["zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null"])
+def test_out_of_range_or_mistyped_member_in_a_compiled_document_is_refused(tmp_path, capsys, edit, needle):
+    """Before the check a zero period or a negative window offset never let the run end,
+    a zero rate divided by zero and a receiver that is no string was a bare KeyError."""
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    doc = json.loads(cfgp.read_text())
+    edit(doc)
+    cfgp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", str(cfgp), "--horizon", "1ms", "--out", str(out)]) == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compiled_document_takes_other_keys_as_the_source_does(tmp_path):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0

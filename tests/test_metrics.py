@@ -293,3 +293,42 @@ def test_exports_match_the_reference_exporters(spec):
         assert (out / "json" / "results.json").read_text() == _reference_json(store)
         store.export_csv(out / "csv")
         assert {p.name: p.read_text() for p in (out / "csv").iterdir()} == _reference_csv(store)
+
+
+# -- the row-template paths: long int series, scaled edges, a mixed series ----
+
+_SCALE_EDGES = [0, 1, 10**12 - 1, 10**12, 10**12 + 1, 10**18, 10**30]
+_SCALE_EDGES += [-v for v in _SCALE_EDGES[1:]]
+
+
+def _series_of(values, max_size=80):
+    """Timed points of ``values``, times non-decreasing and repeating."""
+    return st.lists(st.tuples(st.integers(0, 10**12), values), min_size=1, max_size=max_size).map(sorted)
+
+
+_int_values = st.one_of(st.booleans(), st.integers(-10**6, 10**6),
+                        st.integers(2**64, 2**80), st.integers(-2**80, -2**64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ints=st.dictionaries(st.tuples(_names, _names), _series_of(_int_values), max_size=4),
+    scaled=st.dictionaries(st.tuples(_names, _names),
+                           _series_of(st.one_of(st.sampled_from(_SCALE_EDGES), st.integers(-10**31, 10**31))),
+                           max_size=3),
+    edges=st.permutations(_SCALE_EDGES),
+    mixed=_series_of(st.integers(-10**6, 10**6), max_size=20),
+    fraction_at=st.integers(0, 19),
+)
+def test_template_paths_match_the_reference_exporters(ints, scaled, edges, mixed, fraction_at):
+    mixed[fraction_at % len(mixed)] = (mixed[fraction_at % len(mixed)][0], Fraction(-7, 3))
+    spec = dict(_EMPTY_SPEC, vectors={**ints, ("mixed", "v"): mixed},
+                scaled={**scaled, ("credit", "edges"): list(enumerate(edges))}, horizon=10**12)
+    store = _build_store(spec)
+    assert ("credit", "edges") in store.scaled and ("mixed", "v") not in store.scaled
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        store.export_json(out / "results.json")
+        assert (out / "results.json").read_text() == _reference_json(store)
+        store.export_csv(out / "csv")
+        assert {p.name: p.read_text() for p in (out / "csv").iterdir()} == _reference_csv(store)
