@@ -209,7 +209,8 @@ def _names_by_key(value) -> bool:
 _NAME_LISTS = {"list[str]": (_names, "a list of strings"),
                "dict[str, list[str]]": (_names_by_key, "an object of lists of strings")}
 # The least value of an integer field: rates, periods, durations and the cycle are
-# positive and offsets are not negative (a zero period or rate never lets a run end).
+# positive and offsets are not negative (a zero period or a negative window offset
+# never lets a run end, and a zero rate divides by zero).
 _MINIMUM = {
     LinkCfg: {"rate": 1}, BusCfg: {"bitrate": 1}, MessageCfg: {"period": 1, "offset": 0},
     ScheduleCfg: {"cycle": 1}, TdmaWindow: {"offset": 0, "duration": 1},
