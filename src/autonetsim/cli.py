@@ -25,7 +25,11 @@ EXIT_IO = 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    """The text of ``path``; a file that is not UTF-8 is an unreadable file (OSError)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _diag_lines(diags: list[Diagnostic], path: str) -> list[str]:
@@ -205,7 +209,16 @@ def cmd_run(args) -> int:
         return EXIT_IO
 
 
+def _rows(csv_path: Path, width: int) -> list[list[str]]:
+    """The rows below the header of an exported CSV file, each split into ``width`` values."""
+    rows = [line.split(",", width - 1) for line in csv_path.read_text().splitlines()[1:]]
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{csv_path.name}: a row has fewer than {width} comma-separated values")
+    return rows
+
+
 def _load_results(results_dir: Path) -> dict:
+    """The exported results in ``results_dir``; ValueError for a file that does not parse."""
     doc_path = results_dir / "results.json"
     if doc_path.exists():
         return json.loads(doc_path.read_text())
@@ -214,16 +227,10 @@ def _load_results(results_dir: Path) -> dict:
         if csv_path.name.startswith("analysis_"):
             continue
         if csv_path.name == "scalars.csv":
-            for line in csv_path.read_text().splitlines()[1:]:
-                module, name, value, unit = line.split(",", 3)
+            for module, name, value, unit in _rows(csv_path, 4):
                 doc["scalars"][f"{module}.{name}"] = {"value": value, "unit": unit}
             continue
-        series = csv_path.name[: -len(".csv")]
-        points = []
-        for line in csv_path.read_text().splitlines()[1:]:
-            t, value = line.split(",", 1)
-            points.append([int(t), value])
-        doc["vectors"][series] = points
+        doc["vectors"][csv_path.stem] = [[int(t), value] for t, value in _rows(csv_path, 2)]
     return doc
 
 
@@ -236,7 +243,11 @@ def cmd_analyze(args) -> int:
     if not results_dir.exists():
         print(f"no such results directory: {results_dir}", file=sys.stderr)
         return EXIT_IO
-    doc = _load_results(results_dir)
+    try:
+        doc = _load_results(results_dir)
+    except (OSError, ValueError) as exc:  # e.g. a truncated export
+        print(f"{results_dir}: unreadable results: {exc}", file=sys.stderr)
+        return EXIT_IO
     pattern = args.filter or ""
     rows: list[tuple[str, str]] = []
     plot: list[tuple[str, int, str]] = []

@@ -10,13 +10,16 @@ schema) so identical sources compile to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import cache
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache, partial
 from fractions import Fraction
+from types import NoneType, UnionType
+from typing import Annotated, Literal, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
-from .ethernet import DEFAULT_HW_DELAY, TdmaWindow
+from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, TdmaWindow
 from .gateway import DEFAULT_PROCESSING_DELAY
-from .kernel import Oscillator, parse_duration, parse_rate
+from .kernel import Oscillator, Positive, Range, Ticks, parse_duration, parse_rate
 
 
 class ConfigError(Exception):
@@ -27,75 +30,162 @@ class OverrideError(ValueError):
     """An override value that does not parse; the message names the key."""
 
 
+# -- the values of a document -------------------------------------------------
+#
+# Every value has a declared type.  An integer may carry its Range, and a name
+# the kinds of thing it may name: device kinds, "bus", "segment", "port" (a
+# directed link "owner->peer") or "TT release" (a key of the schedule's
+# releases with at least one offset).
+
+CanId = Annotated[int, Range(0, 0x7FF)]
+Payload = Annotated[int, Range(1, ETH_MAX_PAYLOAD)]  # bytes
+NodeName = Annotated[str, ("node",)]
+GatewayName = Annotated[str, ("gateway",)]
+SegmentName = Annotated[str, ("segment",)]
+BusName = Annotated[str, ("bus",)]
+
+
+class CanBinding(TypedDict):
+    kind: Literal["can"]
+    id: CanId
+
+
+class TtBinding(TypedDict):
+    kind: Literal["tt"]
+    ct: int
+
+
+AvbBinding = TypedDict("AvbBinding", {"kind": Literal["avb"], "stream": int, "class": Literal["A", "B"]})
+
+
+class RcBinding(TypedDict):
+    kind: Literal["rc"]
+    vl: int
+    bag: Positive
+
+
+class BeBinding(TypedDict):
+    kind: Literal["be"]
+    priority: Annotated[int, Range(0, 7)]
+
+
+EthBinding = Union[TtBinding, AvbBinding, RcBinding, BeBinding]
+# The one address a frame carries (see README): ["rc", vl], ["tt", ct], ["avb", stream] or ["dst", x].
+ForwardKey = Union[tuple[Literal["rc", "tt", "avb"], int], tuple[Literal["dst"], str]]
+
+
+class CanAddress(TypedDict):
+    bus: BusName
+    id: CanId
+
+
+class PoolRef(TypedDict):
+    pool: str  # a pool of the gateway that holds this reference
+    holdUp: Ticks
+
+
+# ``release`` is optional (TT frames only): a base with total=False, as Python 3.10 has no NotRequired.
+class _Release(TypedDict, total=False):
+    release: Annotated[str, ("TT release",)]
+
+
+class TalkerFrame(_Release):
+    key: ForwardKey
+    binding: EthBinding
+
+
+class CanDest(TypedDict):
+    kind: Literal["can"]
+    bus: BusName
+    can_id: CanId
+
+
+class EthDest(TypedDict):
+    kind: Literal["eth"]
+    tag: EthBinding
+    keys: list[ForwardKey]  # one frame each
+
+
+class PoolDest(TypedDict):
+    kind: Literal["pool"]
+    tag: EthBinding
+    keys: list[ForwardKey]
+    pool: str  # a pool of the rule's gateway
+
+
+Slopes = TypedDict("Slopes", {"A": Positive, "B": Positive}, total=False)  # b/s per AVB class
+
+
 @dataclass
 class DeviceCfg:
     name: str
-    kind: str  # node | switch | gateway | canLink | ethernetLink
+    kind: Literal["node", "switch", "gateway", "canLink", "ethernetLink"]
     params: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
 class LinkCfg:
     name: str
-    a: str
-    b: str
-    rate: int  # bits/s
-    segment: str
+    a: Annotated[str, ("node", "switch", "gateway")]
+    b: Annotated[str, ("node", "switch", "gateway")]
+    rate: Positive  # bits/s
+    segment: SegmentName
 
 
 @dataclass
 class BusCfg:
     name: str
-    bitrate: int
-    segment: str
-    attached: list[str] = field(default_factory=list)  # order = arbitration tie index
+    bitrate: Positive
+    segment: SegmentName
+    attached: list[Annotated[str, ("node", "gateway")]] = field(default_factory=list)  # order = arbitration tie index
 
 
 @dataclass
 class MessageCfg:
     name: str
-    sender: str
-    receivers: list[str]
-    payload: int  # bytes
-    period: int   # ticks
-    offset: int = 0
-    bindings: dict[str, dict] = field(default_factory=dict)   # segment -> binding
-    gateways: list[str] = field(default_factory=list)
-    pools: dict[str, dict] = field(default_factory=dict)      # gateway -> {pool, holdUp}
-    paths: dict[str, list[str]] = field(default_factory=dict)  # receiver -> vertices
+    sender: NodeName
+    receivers: list[NodeName]
+    payload: Payload
+    period: Positive  # ticks
+    offset: Ticks = 0
+    bindings: dict[SegmentName, CanBinding | EthBinding] = field(default_factory=dict)
+    gateways: list[GatewayName] = field(default_factory=list)
+    pools: dict[GatewayName, PoolRef] = field(default_factory=dict)
+    paths: dict[NodeName, list[Annotated[str, ("node", "switch", "gateway", "bus")]]] = field(default_factory=dict)
     # What the sender emits and where receivers listen, derived by the compiler:
-    can_talker: dict | None = None                             # {"bus", "id"} of a CAN sender
-    eth_talker: list[dict] = field(default_factory=list)       # one frame per forwarding key: {"key", "binding"[, "release"]}
-    can_receivers: dict[str, dict] = field(default_factory=dict)  # receiver -> {"bus", "id"}
+    can_talker: CanAddress | None = None                        # of a CAN sender
+    eth_talker: list[TalkerFrame] = field(default_factory=list)  # one frame per forwarding key
+    can_receivers: dict[NodeName, CanAddress] = field(default_factory=dict)
+
 
 @dataclass
 class PoolCfg:
-    gateway: str
+    gateway: GatewayName
     name: str
-    holdup_by_id: dict[int, int] = field(default_factory=dict)
+    holdup_by_id: dict[CanId, Ticks] = field(default_factory=dict)
 
 
 @dataclass
 class RuleCfg:
-    gateway: str
-    segment: str
-    can_id: int | None = None
-    key: list | None = None          # e.g. ["tt", 102]
-    dests: list[dict] = field(default_factory=list)
+    gateway: GatewayName
+    segment: SegmentName
+    can_id: CanId | None = None
+    key: ForwardKey | None = None
+    dests: list[CanDest | EthDest | PoolDest] = field(default_factory=list)
 
 
 @dataclass
 class ForwardCfg:
-    switch: str
-    key: list = field(default_factory=list)
+    switch: Annotated[str, ("switch",)]
+    key: ForwardKey
     ports: list[str] = field(default_factory=list)  # egress peers
 
 
 @dataclass
 class ScheduleCfg:
-    cycle: int
+    cycle: Positive
     windows: list[TdmaWindow] = field(default_factory=list)
-    releases: dict[str, list[int]] = field(default_factory=dict)  # "msg:receiver" -> offsets
+    releases: dict[str, list[Ticks]] = field(default_factory=dict)  # "msg:receiver" -> offsets
 
 
 @dataclass
@@ -104,18 +194,18 @@ class NetworkConfig:
     devices: list[DeviceCfg] = field(default_factory=list)
     links: list[LinkCfg] = field(default_factory=list)
     buses: list[BusCfg] = field(default_factory=list)
-    segments: dict[str, str] = field(default_factory=dict)  # segment -> can|ethernet
+    segments: dict[str, Literal["can", "ethernet"]] = field(default_factory=dict)
     messages: list[MessageCfg] = field(default_factory=list)
     pools: list[PoolCfg] = field(default_factory=list)
     rules: list[RuleCfg] = field(default_factory=list)
     forwarding: list[ForwardCfg] = field(default_factory=list)
     schedule: ScheduleCfg | None = None
-    slopes: dict[str, dict] = field(default_factory=dict)  # link -> {"A": b/s, "B": b/s}
+    slopes: dict[Annotated[str, ("port",)], Slopes] = field(default_factory=dict)
     extras: dict[str, str] = field(default_factory=dict)   # unknown override keys
     warnings: list[str] = field(default_factory=list)
     seed: int = 0
-    queue_capacity: int = 512
-    tt_tolerance: int = 0
+    queue_capacity: Positive = 512
+    tt_tolerance: Ticks = 0
     can_stuffing: bool = False
     metric_flags: dict[str, bool] = field(default_factory=dict)
 
@@ -123,56 +213,15 @@ class NetworkConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        for pool in doc["pools"]:
+        for pool in doc["pools"]:  # so that the ids sort as text, as they always have
             pool["holdup_by_id"] = {str(k): v for k, v in pool["holdup_by_id"].items()}
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
-        _check_fields(cls, doc, "the document")
-        for section, record in (("devices", DeviceCfg), ("links", LinkCfg), ("buses", BusCfg),
-                                ("messages", MessageCfg), ("pools", PoolCfg), ("rules", RuleCfg),
-                                ("forwarding", ForwardCfg)):
-            _check_list(record, doc.get(section, []), section)
-        sched = doc.get("schedule")
-        if sched:
-            _check_fields(ScheduleCfg, sched, "schedule")
-            _check_list(TdmaWindow, sched["windows"], "schedule.windows")
-        cfg = cls(name=doc["name"])
-        cfg.devices = [DeviceCfg(**d) for d in doc.get("devices", [])]
-        cfg.links = [LinkCfg(**d) for d in doc.get("links", [])]
-        cfg.buses = [BusCfg(**d) for d in doc.get("buses", [])]
-        cfg.segments = dict(doc.get("segments", {}))
-        for d in doc.get("messages", []):
-            # A document from before these fields existed would run with no traffic.
-            missing = [k for k in ("can_talker", "eth_talker", "can_receivers") if k not in d]
-            if missing:
-                raise ConfigError(f"message {d.get('name')!r} lacks field {missing[0]!r}; recompile it")
-            if any("key" not in frame for frame in d["eth_talker"]):
-                raise ConfigError(f"message {d.get('name')!r}: an eth_talker entry lacks field 'key'; recompile it")
-            cfg.messages.append(MessageCfg(**d))
-        cfg.pools = [
-            PoolCfg(p["gateway"], p["name"], {int(k): v for k, v in p["holdup_by_id"].items()})
-            for p in doc.get("pools", [])
-        ]
-        cfg.rules = [RuleCfg(**d) for d in doc.get("rules", [])]
-        if any(d["kind"] != "can" and "keys" not in d for rule in cfg.rules for d in rule.dests):
-            raise ConfigError("an Ethernet destination of a gateway rule lacks field 'keys'; recompile it")
-        cfg.forwarding = [ForwardCfg(**d) for d in doc.get("forwarding", [])]
-        if sched:
-            cfg.schedule = ScheduleCfg(
-                sched["cycle"],
-                [TdmaWindow(**w) for w in sched["windows"]],
-                dict(sched.get("releases", {})),
-            )
-        cfg.slopes = {k: dict(v) for k, v in doc.get("slopes", {}).items()}
-        cfg.extras = dict(doc.get("extras", {}))
-        cfg.warnings = list(doc.get("warnings", []))
-        cfg.seed = doc.get("seed", 0)
-        cfg.queue_capacity = doc.get("queue_capacity", 512)
-        cfg.tt_tolerance = doc.get("tt_tolerance", 0)
-        cfg.can_stuffing = doc.get("can_stuffing", False)
-        cfg.metric_flags = dict(doc.get("metric_flags", {}))
+        """The config of a document; ConfigError names the first fault found in it."""
+        cfg = _load(doc, cls, "the document", names := [])
+        _check_names(cfg, names)
         return cfg
 
     def to_json(self) -> str:
@@ -191,83 +240,124 @@ class NetworkConfig:
         return None
 
 
-# The JSON value of a scalar field, by the field's annotation: ``true`` is no integer.
-_SCALARS = {"int": (int, "an integer"), "str": (str, "a string"), "bool": (bool, "true or false")}
+# -- checking a document ------------------------------------------------------
+
+_NOUNS = {int: "an integer", str: "a string", bool: "true or false", NoneType: "null"}
+_hints = cache(partial(get_type_hints, include_extras=True))  # the type of each field of a record
 
 
-def _names(value) -> bool:
-    """Whether a JSON value is a list of strings."""
-    return type(value) is list and all(type(v) is str for v in value)
+def _describe(tp) -> str:
+    """``tp`` in words, e.g. "an object of lists of strings"."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (list, dict):
+        words = _describe(args[-1]).split(" ")  # "a list of strings" -> "lists of strings"
+        noun = " ".join([words[1] + "s", *words[2:]] if words[0] in ("a", "an") else words)
+        return f"{'a list' if origin is list else 'an object'} of {noun}"
+    if origin in (tuple, Annotated):
+        return f"[{', '.join(map(_describe, args))}]" if origin is tuple else _describe(args[0])
+    return " or ".join(map(json.dumps if origin is Literal else _describe, args)) if args else _NOUNS[tp]
 
 
-def _names_by_key(value) -> bool:
-    """Whether a JSON value is an object of lists of strings."""
-    return type(value) is dict and all(map(_names, value.values()))
-
-
-# How to check a field of names, by the field's annotation.
-_NAME_LISTS = {"list[str]": (_names, "a list of strings"),
-               "dict[str, list[str]]": (_names_by_key, "an object of lists of strings")}
-# The least value of an integer field: rates, periods, durations and the cycle are
-# positive and offsets are not negative (a zero period or a negative window offset
-# never lets a run end, and a zero rate divides by zero).
-_MINIMUM = {
-    LinkCfg: {"rate": 1}, BusCfg: {"bitrate": 1}, MessageCfg: {"period": 1, "offset": 0},
-    ScheduleCfg: {"cycle": 1}, TdmaWindow: {"offset": 0, "duration": 1},
-}
-
-
-@cache
-def _fields_of(record: type) -> tuple[frozenset[str], frozenset[str], tuple, tuple, tuple]:
-    """The fields ``record`` declares, those of them that have no default, its
-    scalar fields as (name, type, description, whether null is allowed), its
-    fields of names as (name, check, description) and its least values as (name, minimum)."""
-    scalars = tuple(
-        (f.name, *_SCALARS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
-        for f in fields(record) if f.type.removesuffix(" | None") in _SCALARS
-    )
-    return (frozenset(f.name for f in fields(record)),
-            frozenset(f.name for f in fields(record)
-                      if f.default is MISSING and f.default_factory is MISSING),
-            scalars,
-            tuple((f.name, *_NAME_LISTS[f.type]) for f in fields(record) if f.type in _NAME_LISTS),
-            tuple(_MINIMUM.get(record, {}).items()))
-
-
-def _check_fields(record: type, d, where: str, index: int | None = None) -> None:
-    """Refuse a JSON entry that is not an object, names a field ``record`` does not
-    declare, lacks one that has no default, gives a scalar field a value of another
-    JSON type or out of its range, or a field of names a member that is no string;
-    ``where[index]`` names the entry."""
-    declared, required, scalars, name_lists, minimum = _fields_of(record)
-    if isinstance(d, dict) and declared.issuperset(d) and d.keys() >= required:
-        wrong = [(name, expected) for name, kind, expected, nullable in scalars
-                 if name in d and type(d[name]) is not kind and not (nullable and d[name] is None)]
-        wrong += [(name, expected) for name, check, expected in name_lists if name in d and not check(d[name])]
-        if not wrong:
-            wrong = [(name, "positive" if low > 0 else "at least 0")
-                     for name, low in minimum if name in d and d[name] < low]
-            if not wrong:
-                return
-    if index is not None:
-        where = f"{where}[{index}]"
-    if not isinstance(d, dict):
+def _load(value, tp, where: str, names: list):
+    """``value`` checked against ``tp``, at ``where``, with dataclasses built and ``dict[int, …]``
+    keys made integers; each name in it goes to ``names`` with the kinds of thing it may name."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _NOUNS or origin is Literal:
+        if type(value) is (str if args else tp) and (not args or value in args):  # ``true`` is no integer
+            return value
+        raise ValueError()
+    if origin is Annotated:
+        value, rule = _load(value, args[0], where, names), args[1]
+        if isinstance(rule, tuple):
+            names.append((where, value, rule))
+        elif not rule.low <= value <= rule.high:
+            low = "positive" if rule.low == 1 else f"at least {rule.low}"
+            raise ValueError(low if value < rule.low else f"at most {rule.high}", value)
+        return value
+    if origin in (Union, UnionType):
+        if value is None and NoneType in args:
+            return None
+        if all(map(is_typeddict, args)):  # records told apart by their "kind"
+            kinds = [get_args(_hints(a)["kind"])[0] for a in args]
+            kind = value.get("kind") if isinstance(value, dict) else kinds[0]
+            if kind not in kinds:
+                raise ConfigError(f"{where}: field 'kind' must be {' or '.join(map(json.dumps, kinds))}, not {json.dumps(kind)}")
+            args = [args[kinds.index(kind)]]
+        for option in args:
+            with suppress(ValueError):
+                return _load(value, option, where, names)
+        raise ValueError()
+    if origin in (list, tuple, dict):
+        if type(value) is not (dict if origin is dict else list):
+            raise ConfigError(f"{where}: expected a JSON {'object' if origin is dict else 'list'}")
+        if origin is dict:
+            return {_load(int(k) if int in get_args(args[0]) and k.isdecimal() else k, args[0],
+                          (at := f'{where}["{k}"]'), names): _load(v, args[1], at, names) for k, v in value.items()}
+        if origin is tuple and len(value) != len(args):
+            raise ValueError()
+        return [_load(v, args[i] if origin is tuple else args[0], f"{where}[{i}]", names) for i, v in enumerate(value)]
+    if not isinstance(value, dict):  # a record
         raise ConfigError(f"{where}: expected a JSON object")
-    unknown = d.keys() - declared
-    if unknown:
-        raise ConfigError(f"{where}: unknown field {min(unknown)!r}; a {record.__name__} has no such field")
-    if not d.keys() >= required:
-        raise ConfigError(f"{where}: lacks field {min(required - d.keys())!r}")
-    name, expected = wrong[0]
-    raise ConfigError(f"{where}: field {name!r} of a {record.__name__} must be {expected}, "
-                      f"not {json.dumps(d[name])}")
+    hints, record = _hints(tp), ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
+    required = tp.__required_keys__ if is_typeddict(tp) else hints.keys()  # a document is what to_json writes
+    if value.keys() - hints:
+        raise ConfigError(f"{where}: unknown field {min(value.keys() - hints)!r}; {record} has no such field")
+    if not value.keys() >= required:
+        raise ConfigError(f"{where}: lacks field {min(required - value.keys())!r}; recompile it")
+    out = {}
+    for key, v in value.items():
+        try:
+            out[key] = _load(v, hints[key], key if where == "the document" else f"{where}.{key}", names)
+        except ValueError as misfit:  # its args: the range an integer left, and that integer
+            expected, shown = misfit.args or (_describe(hints[key]), v)
+            raise ConfigError(f"{where}: field {key!r} of {record} must be {expected}, "
+                              f"not {json.dumps(shown)}") from None
+    return tp(**out) if is_dataclass(tp) else out
 
 
-def _check_list(record: type, entries, section: str) -> None:
-    if not isinstance(entries, list):
-        raise ConfigError(f"{section}: expected a JSON list")
-    for i, d in enumerate(entries):
-        _check_fields(record, d, section, i)
+def _check_names(cfg: NetworkConfig, names: list) -> None:
+    """Refuse a name of nothing declared or of nothing where the engine looks it up, a device parameter
+    that does not parse, a rule the gateway cannot route and an AVB frame leaving an unreserved port."""
+    peer = {a: b for ln in reversed(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))}  # of a device's first link
+    declared = {*((d.kind, d.name) for d in cfg.devices), *(("segment", s) for s in cfg.segments),
+                *(("bus", b.name) for b in cfg.buses), *(("bus member", f"{b.name}.{n}") for b in cfg.buses for n in b.attached),
+                *(("TT release", r) for r, offsets in (cfg.schedule.releases if cfg.schedule else {}).items() if offsets),
+                *(("pool", f"{p.gateway}.{p.name}") for p in cfg.pools),
+                *(("pool id", f"{p.gateway}.{p.name}[{i}]") for p in cfg.pools for i in p.holdup_by_id),
+                *(("device with a link", a) for a in peer),
+                *(("port", f"{a}->{b}") for ln in cfg.links for a, b in ((ln.a, ln.b), (ln.b, ln.a)))}
+    for i, d in enumerate(cfg.devices):
+        for key in d.params.keys() & _DEVICE_VALUES:
+            try:
+                device_value(d.params, key)
+            except ValueError as exc:
+                raise ConfigError(f"devices[{i}].params: {exc}") from None
+    for i, m in enumerate(cfg.messages):
+        listens = list(m.can_receivers.items()) + ([(m.sender, m.can_talker)] if m.can_talker else [])
+        names += [(f"messages[{i}]", f"{g}.{p['pool']}", ("pool",)) for g, p in m.pools.items()]
+        names += [(f"messages[{i}]", f"{a['bus']}.{n}", ("bus member",)) for n, a in listens]
+        if not m.can_talker:
+            names.append((f"messages[{i}].sender", m.sender, ("device with a link",)))
+    for i, r in enumerate(cfg.rules):
+        if (r.can_id is None) == (r.key is None) or r.key and any(d["kind"] != "can" for d in r.dests):
+            raise ConfigError(f"rules[{i}]: a rule matches a CAN id, or a forwarding key and then sends to CAN only")
+        names += [(f"rules[{i}]", f"{d['bus']}.{r.gateway}", ("bus member",)) for d in r.dests if d["kind"] == "can"]
+        names += [(f"rules[{i}]", f"{r.gateway}.{d['pool']}[{r.can_id}]", ("pool id",)) for d in r.dests if "pool" in d]
+        if any(d["kind"] != "can" for d in r.dests):
+            names.append((f"rules[{i}]", r.gateway, ("device with a link",)))
+    names += [(f"forwarding[{i}]", f"{f.switch}->{p}", ("port",)) for i, f in enumerate(cfg.forwarding) for p in f.ports]
+    for where, name, what in names:
+        if not any((kind, name) in declared for kind in what):
+            raise ConfigError(f"{where}: {json.dumps(name)} names no {' or '.join(what)}")
+    # An AVB frame leaves its talker or gateway by its one port, then each port a switch forwards its key to.
+    forward = {(f.switch, tuple(f.key), cls): f.ports for f in cfg.forwarding for cls in "AB"}
+    sent = [(m.sender, f["key"], f["binding"]) for m in cfg.messages if not m.can_talker for f in m.eth_talker]
+    sent += [(r.gateway, key, d["tag"]) for r in cfg.rules for d in r.dests if d["kind"] != "can" for key in d["keys"]]
+    hops = [(owner, peer[owner], tuple(key), b["class"]) for owner, key, b in sent if b["kind"] == "avb"]
+    for owner, to, key, cls in hops:  # grows as it goes; a switch forwards each key and class once
+        if cls not in cfg.slopes.get(f"{owner}->{to}", {}):
+            raise ConfigError(f"slopes: port {owner}->{to} sends AVB class {cls} frames but reserves nothing for them")
+        hops += [(to, p, key, cls) for p in forward.pop((to, key, cls), ())]
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -308,6 +398,8 @@ def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
     """
     try:
         return _apply_override(cfg, key.strip().split("."), value.strip())
+    except OverrideError:
+        raise
     except (KeyError, ValueError):
         raise OverrideError(f"override {key.strip()!r}: cannot parse {value.strip()!r}") from None
 
@@ -339,6 +431,8 @@ def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
             cfg.seed = int(value)
             return True
         if parts[1] == "queueCapacity":
+            if int(value) < 1:  # a port that holds no frame drops every frame
+                raise OverrideError(f"override 'sim.queueCapacity': {value!r} is not at least 1")
             cfg.queue_capacity = int(value)
             return True
         if parts[1] == "ttTolerance":

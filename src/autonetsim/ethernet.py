@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from collections import deque
 from fractions import Fraction
 
-from .kernel import SEC, US, Event, EventKind, Simulator
+from .kernel import SEC, US, Event, EventKind, Positive, Simulator, Ticks
 from .metrics import SCALE, MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
@@ -206,8 +206,8 @@ def check_reservation_cap(idle_slope_a: int, idle_slope_b: int, port_rate: int) 
 class TdmaWindow:
     ct_id: int
     link: str  # directed link "owner->peer"
-    offset: int
-    duration: int
+    offset: Ticks
+    duration: Positive
 
 
 class TdmaSchedule:

@@ -34,7 +34,7 @@ from enum import Enum, auto
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-from typing import Any, Callable
+from typing import Annotated, Any, Callable
 
 # Tick multipliers (1 tick = 1 ps).
 PS = 1
@@ -45,6 +45,18 @@ SEC = 1_000_000_000_000
 
 # Scheduled times must stay inside a signed 64-bit tick counter.
 MAX_TICKS = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class Range:
+    """The bounds of an integer field of a config document, checked when it is loaded."""
+
+    low: int
+    high: int = MAX_TICKS
+
+
+Ticks = Annotated[int, Range(0)]     # a time or an offset
+Positive = Annotated[int, Range(1)]  # a rate, a period, a duration or a count
 
 
 class SimulationError(Exception):

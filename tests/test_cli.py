@@ -46,6 +46,18 @@ def test_compile_missing_file(tmp_path):
     assert main(["compile", str(tmp_path / "nope.andl"), "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "compile", "run"])
+def test_input_that_is_not_utf8_is_an_unreadable_file(tmp_path, capsys, command):
+    src = tmp_path / "utf16.andl"
+    src.write_bytes(b"\xff\xfen\x00e\x00t\x00")
+    out = tmp_path / "out"
+    args = {"validate": [], "compile": ["-o", str(out)], "run": ["--horizon", "1ms", "--out", str(out)]}[command]
+    assert main([command, str(src), *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{src}: not UTF-8 text")
+    assert not out.exists()
+
+
 def test_validate(tmp_path, listing_small, capsys):
     src = write_listing(tmp_path, listing_small)
     assert main(["validate", str(src)]) == 0
@@ -187,9 +199,35 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
      "messages[0]: field 'receivers' of a MessageCfg must be a list of strings, not [\"cn2\", 3]"),
     (lambda doc: doc["messages"][0]["paths"].update(cn2=["cn1", None]),
      "messages[0]: field 'paths' of a MessageCfg must be an object of lists of strings, not"),
+    # Nested values have types, and names point to what the document declares.
+    (lambda doc: doc["messages"][1]["eth_talker"][0].update(key=5), "messages[1].eth_talker[0].key: expected a JSON list"),
+    (lambda doc: doc["messages"][1]["eth_talker"][0].update(key=["avb", "1"]),
+     "messages[1].eth_talker[0]: field 'key' of a TalkerFrame must be "
+     "[\"rc\" or \"tt\" or \"avb\", an integer] or [\"dst\", a string], not [\"avb\", \"1\"]"),
+    (lambda doc: doc["messages"][0]["bindings"]["backbone"].update(kind="x"),
+     "messages[0].bindings[\"backbone\"]: field 'kind' must be \"can\" or \"tt\" or \"avb\" or \"rc\" or \"be\", not \"x\""),
+    (lambda doc: doc["messages"][1]["bindings"]["backbone"].update({"class": "C"}),
+     "messages[1].bindings[\"backbone\"]: field 'class' of an AvbBinding must be \"A\" or \"B\", not \"C\""),
+    (lambda doc: doc["pools"][0]["holdup_by_id"].update({"37": -1}),
+     "pools[0]: field 'holdup_by_id' of a PoolCfg must be at least 0, not -1"),
+    (lambda doc: doc["messages"][0]["can_talker"].update(id=2048),
+     "messages[0].can_talker: field 'id' of a CanAddress must be at most 2047, not 2048"),
+    (lambda doc: doc["messages"][0].update(receivers=["nobody"]), "messages[0].receivers[0]: \"nobody\" names no node"),
+    (lambda doc: doc["messages"][0]["can_talker"].update(bus="cb2"), "messages[0]: \"cb2.cn1\" names no bus member"),
+    (lambda doc: doc["pools"][0].update(holdup_by_id={}), "rules[0]: \"gw1.gw1_1[37]\" names no pool id"),
+    (lambda doc: doc["forwarding"][0].update(ports=["cn1"]), "forwarding[0]: \"s1->cn1\" names no port"),
+    (lambda doc: doc["rules"][0].update(can_id=None),
+     "rules[0]: a rule matches a CAN id, or a forwarding key and then sends to CAN only"),
+    (lambda doc: doc["devices"][3]["params"].update(driftPpm="fast"), "devices[3].params: not a drift in ppm: 'fast'"),
+    (lambda doc: doc["slopes"].pop("s1->en2"),
+     "slopes: port s1->en2 sends AVB class A frames but reserves nothing for them"),
 ], ids=["message-field", "rule-field", "missing-field", "not-an-object", "not-a-list",
         "int-field-a-string", "window-field-a-string", "int-field-a-bool", "str-field-an-int", "bool-field-an-int",
-        "zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null"])
+        "zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null",
+        "talker-key-an-int", "talker-key-of-strings", "binding-kind-unknown", "avb-class-unknown",
+        "negative-hold-up", "can-id-over-11-bits", "receiver-undeclared", "talker-off-its-bus",
+        "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "drift-not-a-number",
+        "avb-port-without-reservation"])
 def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
@@ -305,6 +343,22 @@ def test_analyze_missing_dir(tmp_path):
     assert main(["analyze", str(tmp_path / "void"), "latency"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["structured", "csv"])
+def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt):
+    out = tmp_path / "res"
+    assert main(["run", str(SCENARIO), "--horizon", "10ms", "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "structured":  # a truncated export
+        export = out / "results.json"
+        export.write_text(export.read_text()[:100])
+    else:  # a row without a comma
+        export = next(p for p in sorted(out.glob("*.csv")) if p.name != "scalars.csv")
+        export.write_text(export.read_text() + "12345\n")
+    capsys.readouterr()
+    assert main(["analyze", str(out), "series"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{out}: unreadable results: ")
+
+
 def test_run_window_bandwidth(tmp_path, listing_small, capsys):
     src = write_listing(tmp_path, listing_small)
     out = tmp_path / "w"
@@ -386,6 +440,10 @@ BE9_DIAG = "small.andl:64:31: error: 802.1Q priority must be 0..7"
     ((INI, "sim.queueCapacity = lots"), ["compile"], 1, "sim.queueCapacity"),
     (None, ["run", "--set", "metrics.stations=maybe"], 2, "metrics.stations"),
     (None, ["run", "--set", "sim.queueCapacity=lots"], 2, "sim.queueCapacity"),
+    # A port that holds no frame drops every frame.
+    (None, ["run", "--set", "sim.queueCapacity=0"], 2, "'sim.queueCapacity': '0' is not at least 1"),
+    (None, ["run", "--set", "sim.queueCapacity=-5"], 2, "'sim.queueCapacity': '-5' is not at least 1"),
+    ((INI, "sim.queueCapacity = 0"), ["compile"], 1, "'sim.queueCapacity': '0' is not at least 1"),
     (None, ["run", "--set", "gw1.processingDelay=fast"], 2, "gw1.processingDelay"),
     (None, ["run", "--horizon", "9999999s"], 2, "--horizon"),
     (None, ["run", "--window", "5ms:1ms"], 2, "--window"),
@@ -398,7 +456,8 @@ BE9_DIAG = "small.andl:64:31: error: 802.1Q priority must be 0..7"
      "26:1: error: gw2.processingDelay: not a duration: 'soon'"),
     (("node cn1;", "node cn1 { driftPpm abc; }"), ["run"], 1, "19:1: error: cn1.driftPpm: not a drift in ppm"),
     (None, ["run", "--set", "cn1.driftPpm=1/0"], 2, "cn1.driftPpm"),
-], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-duration", "horizon", "window",
+], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-int-zero", "set-int-negative", "ini-int-zero",
+        "set-duration", "horizon", "window",
         "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run",
         "processing-delay-run", "drift-run", "set-drift"])
 def test_bad_values_are_diagnosed_before_running(

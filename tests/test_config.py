@@ -1,8 +1,26 @@
+import json
+import signal
+import sys
+from pathlib import Path
+
 import pytest
 
 from autonetsim.andl import compile_network, parse
-from autonetsim.config import apply_override
-from autonetsim.kernel import US
+from autonetsim.cli import build_parser
+from autonetsim.config import ConfigError, NetworkConfig, apply_override
+from autonetsim.engine import Runtime
+from autonetsim.kernel import MS, US
+
+ROOT = Path(__file__).resolve().parents[1]
+# A time-triggered flow whose talker's clock drifts: a schedule with releases.
+DRIFTING_TT = """
+network n {
+  devices { node talker { driftPpm 400; } node listener; switch s; }
+  connections { segment eth { talker <--> s; listener <--> s; } }
+  communication { message beat { sender talker; receivers listener; payload 46B; period 1ms;
+    mapping { eth: tt{ctID 7;}; } } }
+}
+"""
 
 
 def compiled(listing_small, overrides=()):
@@ -64,3 +82,86 @@ def test_unknown_ini_key_warns_once(listing_small):
     cfg = compiled(listing_small, [("gw1.processingDelay", "70us")])
     assert sum("record-eventlog" in w for w in cfg.warnings) == 1
     assert cfg.extras["record-eventlog"] == "false"
+
+
+def _compiled_document(name: str) -> str:
+    """The compiled document of a shipped scenario, of DRIFTING_TT or of a bench workload (seed 1)."""
+    scenario = ROOT / "scenarios" / f"{name}.andl"
+    if name == "drifting_tt":
+        text = DRIFTING_TT
+    elif scenario.exists():
+        text = scenario.read_text()
+    else:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        text = WORKLOADS[name].generate(1)
+    return compile_network(parse(text)[0]).to_json()
+
+
+def _paths(value, path=()):
+    """Every JSON path in ``value``, with the first three members of each list."""
+    members = value.items() if isinstance(value, dict) else enumerate(value[:3]) if isinstance(value, list) else ()
+    for key, member in members:
+        yield path + (key,)
+        yield from _paths(member, path + (key,))
+
+
+class _Overrun(Exception):
+    pass
+
+
+def _overrun(signum, frame):
+    raise _Overrun()
+
+
+# The values each JSON path is set to in turn.
+MUTATIONS = ["x", -1, 0, None, [], {}, [1], {"a": 1}, True, 2**70]
+
+
+@pytest.mark.parametrize("name", ["small_network", "two_pools", "drifting_tt"])
+def test_every_single_value_mutation_runs_or_is_refused(tmp_path, capsys, name):
+    # Each mutation of a compiled document either runs for 1 ms, or from_dict
+    # refuses it with a ConfigError and `run` exits 1 with one line on stderr.
+    doc = json.loads(_compiled_document(name))
+    path, faults, refused = tmp_path / "net.json", [], 0
+    run = build_parser().parse_args(["run", str(path), "--horizon", "1ms", "--out", str(tmp_path / "out")])
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    try:
+        for where in _paths(doc):
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            original = parent[where[-1]]
+            for value in MUTATIONS:
+                parent[where[-1]] = value
+                try:
+                    cfg = NetworkConfig.from_dict(doc)
+                except ConfigError:
+                    refused += 1
+                    path.write_text(json.dumps(doc))
+                    code = run.func(run)
+                    err = capsys.readouterr().err
+                    if code != 1 or len(err.splitlines()) != 1:
+                        faults.append((where, value, f"exit {code}: {err!r}"))
+                    continue
+                signal.setitimer(signal.ITIMER_REAL, 3)
+                try:
+                    Runtime(cfg).run(MS)
+                except Exception as exc:  # an overrun included: anything but a clean run is a fault
+                    faults.append((where, value, repr(exc)))
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+            parent[where[-1]] = original
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not faults, faults[:5]
+    assert refused and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["small_network", "two_pools", "avb_7hop", "vehicle_can", "mixed_recorded"])
+def test_a_compiled_document_survives_a_json_round_trip(name):
+    text = _compiled_document(name)
+    assert NetworkConfig.from_json(text).to_json() == text
