@@ -13,9 +13,8 @@ from .kernel import (
 )
 from .can import CanBus, CanFrame, arbitrate, can_frame_duration, can_wire_bits
 from .ethernet import (
-    AVB, BE, RC, TT, BagState, CreditState, EthFrame, EthPort,
-    PayloadOutOfRange, Switch, TdmaSchedule, TdmaWindow, bag_gate,
-    check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
+    AVB, BE, RC, TT, CreditState, EthFrame, EthPort, PayloadOutOfRange, Switch,
+    TdmaSchedule, TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
 )
 from .gateway import (
     CanRecord, Gateway, MalformedAggregate, Pool, RouteDest, compute_holdup,

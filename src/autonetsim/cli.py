@@ -17,7 +17,7 @@ from pathlib import Path
 from .andl import CompileError, Diagnostic, compile_with_warnings, has_errors, parse, validate
 from .config import ConfigError, NetworkConfig, OverrideError, apply_override, derives_tables
 from .engine import Runtime
-from .kernel import MAX_TICKS, US, parse_duration
+from .kernel import MAX_TICKS, US, SimTimeOverflow, parse_duration
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -133,13 +133,16 @@ def _run_one(
     path: str, args, overrides, outdir: Path, horizon: int, window
 ) -> tuple[list[str], str | None]:
     """Simulate and export one file.  Return its diagnostics as printed lines and
-    its summary, which is None when the file does not compile."""
+    its summary, which is None when the file does not compile or its times overflow."""
     try:
         cfg, warnings = _load_config(path, overrides, args.network)
     except CompileError as exc:
         return _diag_lines(exc.diagnostics, path), None
-    rt = Runtime(cfg, seed=args.seed)
-    result = rt.run(horizon, drain=not args.no_drain, window=window)
+    try:
+        rt = Runtime(cfg, seed=args.seed)
+        result = rt.run(horizon, drain=not args.no_drain, window=window)
+    except SimTimeOverflow as exc:  # e.g. an offset or hold-up that lands past 2^63-1 ps
+        return [f"{path}: error: {exc}"], None
     store = rt.store
     for link in sorted(store.link_bits):
         store.scalar_set(link, "utilizedBandwidth", store.utilized_bandwidth(link), "bit/s")
@@ -217,11 +220,29 @@ def _rows(csv_path: Path, width: int) -> list[list[str]]:
     return rows
 
 
+def _is_export(doc) -> bool:
+    """Whether ``doc`` has the shape ``analyze`` reads: vectors of [time, value] points,
+    scalars of {value, unit} and links of {frames, wire_bits}."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("vectors"), dict):
+        return False
+    scalars, links = doc.get("scalars", {}), doc.get("links", {})
+    if not isinstance(scalars, dict) or not isinstance(links, dict):
+        return False
+    return (all(isinstance(points, list) and all(isinstance(p, list) and len(p) == 2 for p in points)
+                for points in doc["vectors"].values())
+            and all(isinstance(e, dict) and e.keys() >= {"value", "unit"} for e in scalars.values())
+            and all(isinstance(e, dict) and e.keys() >= {"frames", "wire_bits"} for e in links.values()))
+
+
 def _load_results(results_dir: Path) -> dict:
-    """The exported results in ``results_dir``; ValueError for a file that does not parse."""
+    """The exported results in ``results_dir``; ValueError for a file that does not parse
+    or a ``results.json`` that is not an export."""
     doc_path = results_dir / "results.json"
     if doc_path.exists():
-        return json.loads(doc_path.read_text())
+        doc = json.loads(doc_path.read_text())
+        if not _is_export(doc):
+            raise ValueError("results.json is not an export (an object of vectors, scalars and links)")
+        return doc
     doc = {"vectors": {}, "scalars": {}, "links": {}}
     for csv_path in sorted(results_dir.glob("*.csv")):
         if csv_path.name.startswith("analysis_"):

@@ -316,8 +316,19 @@ def _load(value, tp, where: str, names: list):
 
 
 def _check_names(cfg: NetworkConfig, names: list) -> None:
-    """Refuse a name of nothing declared or of nothing where the engine looks it up, a device parameter
-    that does not parse, a rule the gateway cannot route and an AVB frame leaving an unreserved port."""
+    """Refuse a name given twice, a name of nothing declared or of nothing where the engine looks it up,
+    a device parameter that does not parse, a CAN payload over 8 bytes, a rule the gateway cannot route
+    and an AVB frame leaving an unreserved port."""
+    ports = [(f"links[{i}]", f"{a}->{b}") for i, ln in enumerate(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))]
+    for what, named in (("device", [(f"devices[{i}]", d.name) for i, d in enumerate(cfg.devices)]),
+                        ("message", [(f"messages[{i}]", m.name) for i, m in enumerate(cfg.messages)]),
+                        ("pool", [(f"pools[{i}]", f"{p.gateway}.{p.name}") for i, p in enumerate(cfg.pools)]),
+                        ("port", ports)):  # a link from a device to itself gives its port twice
+        seen = set()
+        for where, name in named:
+            if name in seen:
+                raise ConfigError(f"{where}: {what} {json.dumps(name)} given twice")
+            seen.add(name)
     peer = {a: b for ln in reversed(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))}  # of a device's first link
     declared = {*((d.kind, d.name) for d in cfg.devices), *(("segment", s) for s in cfg.segments),
                 *(("bus", b.name) for b in cfg.buses), *(("bus member", f"{b.name}.{n}") for b in cfg.buses for n in b.attached),
@@ -325,14 +336,18 @@ def _check_names(cfg: NetworkConfig, names: list) -> None:
                 *(("pool", f"{p.gateway}.{p.name}") for p in cfg.pools),
                 *(("pool id", f"{p.gateway}.{p.name}[{i}]") for p in cfg.pools for i in p.holdup_by_id),
                 *(("device with a link", a) for a in peer),
-                *(("port", f"{a}->{b}") for ln in cfg.links for a, b in ((ln.a, ln.b), (ln.b, ln.a)))}
+                *(("port", port) for _, port in ports)}
     for i, d in enumerate(cfg.devices):
         for key in d.params.keys() & _DEVICE_VALUES:
             try:
                 device_value(d.params, key)
             except ValueError as exc:
                 raise ConfigError(f"devices[{i}].params: {exc}") from None
+    names += [(f"buses[{i}]", b.name, ("canLink",)) for i, b in enumerate(cfg.buses)]
     for i, m in enumerate(cfg.messages):
+        if m.payload > 8 and any(b["kind"] == "can" for b in m.bindings.values()):
+            raise ConfigError(f"messages[{i}]: field 'payload' of a MessageCfg with a CAN binding "
+                              f"must be at most 8, not {m.payload}")
         listens = list(m.can_receivers.items()) + ([(m.sender, m.can_talker)] if m.can_talker else [])
         names += [(f"messages[{i}]", f"{g}.{p['pool']}", ("pool",)) for g, p in m.pools.items()]
         names += [(f"messages[{i}]", f"{a['bus']}.{n}", ("bus member",)) for n, a in listens]

@@ -1,11 +1,12 @@
 """Switched real-time Ethernet model.
 
-Every directed link endpoint owns an egress port with per-class FIFO queues.
-Four traffic classes coexist on a port and are served by strict precedence:
+Every directed link endpoint owns an egress port.  As in IEEE 802.1Q-2018
+§8.6.8, the port is an ordered set of traffic classes, each with its own
+queue and selection rule, served by strict precedence:
 
     TT (only inside its scheduled window) > RC (BAG gate open)
     > AVB class A (credit >= 0) > AVB class B (credit >= 0)
-    > best effort (802.1Q priority, FIFO within priority)
+    > best effort (802.1Q priority 7..0, FIFO within priority)
 
 A non-TT frame additionally starts only if it completes before the next
 scheduled window begins (guard band by lookahead; preemption is not
@@ -21,10 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from collections import deque
-from fractions import Fraction
 
 from .kernel import SEC, US, Event, EventKind, Positive, Simulator, Ticks
-from .metrics import SCALE, MetricStore
+from .metrics import MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
 ETH_OVERHEAD_BYTES = 38
@@ -102,7 +102,6 @@ class EthFrame:
 
 
 BE_LABELS = tuple(f"BE[{p}]" for p in range(8))
-BE_PRECEDENCE = tuple((p, BE_LABELS[p]) for p in range(7, -1, -1))  # highest 802.1Q first
 AVB_LABELS = {"A": "AVB_A", "B": "AVB_B"}
 
 
@@ -169,28 +168,6 @@ class CreditState:
             return now
         deficit = -self.scaled
         return now + (deficit + self.idle_slope - 1) // self.idle_slope
-
-    @property
-    def credit_bits(self) -> Fraction:
-        return Fraction(self.scaled, SCALE)
-
-
-@dataclass
-class BagState:
-    vl_id: int
-    bag: int
-    last_departure: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.bag <= 0:
-            raise ValueError("bag must be positive")
-
-
-def bag_gate(state: BagState, now: int) -> int:
-    """Earliest permitted departure for the virtual link."""
-    if state.last_departure is None or now >= state.last_departure + state.bag:
-        return now
-    return state.last_departure + state.bag
 
 
 def check_reservation_cap(idle_slope_a: int, idle_slope_b: int, port_rate: int) -> bool:
@@ -306,11 +283,99 @@ def tt_receive_check(
 
 
 # --------------------------------------------------------------------------
+# Traffic classes: one queue object each, asked two questions while it holds
+# a frame.  take(now, latest, durations) removes and returns (frame, duration,
+# txStart series or None) for the frame the class lets start at ``now`` and
+# end by ``latest`` (the next window's start, or None), else None.  wake(now)
+# is the first tick after ``now`` from which the class's own gate lets a
+# waiting frame start, or None when that gate holds nothing back.
+# --------------------------------------------------------------------------
+
+class FifoClass(deque):
+    """Frames served in arrival order: best effort at one 802.1Q priority,
+    or one TT class inside its window."""
+
+    __slots__ = ("label",)
+    series = None  # where starts are recorded; None when they are not
+
+    def take(self, now: int, latest: int | None, durations: dict):
+        dur = durations[self[0].payload_len]
+        if latest is None or now + dur <= latest:
+            return self.popleft(), dur, self.series
+        return None
+
+    def wake(self, now: int) -> int | None:
+        return None
+
+
+class ShapedClass(FifoClass):
+    """A reserved AVB class: a FIFO whose head may start at credit >= 0."""
+
+    __slots__ = ("credit", "series")
+
+    def take(self, now: int, latest: int | None, durations: dict):
+        if self.credit.scaled >= 0:
+            return FifoClass.take(self, now, latest, durations)
+        return None
+
+    def wake(self, now: int) -> int | None:
+        return self.credit.zero_crossing(now) if self.credit.scaled < 0 else None
+
+
+class RateConstrainedClass(list):
+    """(enqueue tick, vl id, frame) in arrival order.  A virtual link starts a frame
+    a BAG after its last start at the earliest; of the frames that may start, the
+    oldest goes first, ties to the lowest vl id, then to the earlier arrival."""
+
+    __slots__ = ("label", "open_at")  # open_at: vl id -> first tick its BAG lets a frame start
+
+    def take(self, now: int, latest: int | None, durations: dict):
+        open_at = self.open_at
+        best = None
+        for i, (enq_t, vl, frame) in enumerate(self):
+            if best is not None and enq_t > best_t:
+                break  # enqueue ticks never decrease along the list
+            if open_at.get(vl, now) > now:
+                continue
+            dur = durations[frame.payload_len]
+            if latest is not None and now + dur > latest:
+                continue
+            if best is None or vl < best_vl:
+                best, best_t, best_vl, best_dur = i, enq_t, vl, dur
+        if best is None:
+            return None
+        frame = self.pop(best)[2]
+        open_at[best_vl] = now + frame.tag.bag
+        return frame, best_dur, f"txStart[vl{best_vl}]"
+
+    def wake(self, now: int) -> int | None:
+        open_at = self.open_at
+        gates = [gate for _, vl, _ in self if (gate := open_at.get(vl, now)) > now]
+        return min(gates) if gates else None
+
+
+def _labelled(cls, label: str):
+    queue = cls()
+    queue.label = label
+    return queue
+
+
+class _Durations(dict):
+    """Payload length -> ticks on the wire at ``rate``, computed once per length."""
+
+    __slots__ = ("rate",)
+
+    def __missing__(self, payload_len: int) -> int:
+        dur = self[payload_len] = eth_frame_duration(payload_len, self.rate)
+        return dur
+
+
+# --------------------------------------------------------------------------
 # Egress port
 # --------------------------------------------------------------------------
 
 class EthPort:
-    """One direction of a full-duplex link with the class-based egress logic."""
+    """One direction of a full-duplex link: TT windows over a tuple of traffic classes."""
 
     def __init__(
         self,
@@ -334,82 +399,64 @@ class EthPort:
         self.schedule = schedule
         self.peer = None  # wired after construction: .receive(frame, now, port)
 
-        self.tt_queues: dict[int, deque[EthFrame]] = {}
-        self.rc_queue: list[tuple[int, int, int, EthFrame]] = []  # (enq_t, vl, order, frame)
-        self.bags: dict[int, BagState] = {}
-        self.avb_queues = {"A": deque(), "B": deque()}
+        self.tt_queues: dict[int, FifoClass] = {}
+        self.rc_queue = _labelled(RateConstrainedClass, "RC")
+        self.rc_queue.open_at = {}
+        self.avb_queues: dict[str, ShapedClass] = {}  # reserved classes only
         self.credit: dict[str, CreditState] = {}
-        if idle_slope_a:
-            self.credit["A"] = CreditState(idle_slope_a, rate, self._credit_points("A"))
-        if idle_slope_b:
-            self.credit["B"] = CreditState(idle_slope_b, rate, self._credit_points("B"))
-        # (label, shaper, queue) per reserved AVB class; empty on unreserved ports.
-        self._shapers = tuple(
-            (AVB_LABELS[cls], state, self.avb_queues[cls]) for cls, state in self.credit.items()
-        )
-        self.be_queues = [deque() for _ in range(8)]
-        self._durations: dict[int, int] = {}  # payload length -> ticks on this port
+        for cls, idle_slope in (("A", idle_slope_a), ("B", idle_slope_b)):
+            if idle_slope:
+                points = store.scaled_vec(self.path, f"credit[{cls}]") if store.flags.credit else None
+                queue = self.avb_queues[cls] = _labelled(ShapedClass, AVB_LABELS[cls])
+                queue.series = f"txStart[{queue.label}]"
+                queue.credit = self.credit[cls] = CreditState(idle_slope, rate, points)
+        self._shaped = tuple(self.avb_queues.values())
+        self.be_queues = [_labelled(FifoClass, label) for label in BE_LABELS]
+        # Precedence: RC, reserved AVB A then B, BE 7..0.
+        self.classes = (self.rc_queue, *self._shaped, *reversed(self.be_queues))
+        self._durations = _Durations()
+        self._durations.rate = rate
 
-        self._order = 0
-        self._tx: tuple[EthFrame, str] | None = None  # (frame, class label)
+        self._tx: FifoClass | RateConstrainedClass | None = None  # the class on the wire
         self._tx_end = 0  # end tick of the current (or last) transmission
         self._wakeup_at: int | None = None
         self._kick_pending = False
         self._max_gap = schedule.max_gap(self.link) if schedule else None
         sim.register(self.path, self._handle)
 
-    def _credit_points(self, cls: str) -> list | None:
-        if not self.store.flags.credit:
-            return None
-        return self.store.scaled_vec(self.path, f"credit[{cls}]")
-
-    def _duration(self, payload_len: int) -> int:
-        dur = self._durations.get(payload_len)
-        if dur is None:
-            dur = self._durations[payload_len] = eth_frame_duration(payload_len, self.rate)
-        return dur
-
     # -- queue plumbing -------------------------------------------------
-
-    def _queue_of(self, tag) -> tuple:
-        """The queue holding a tag's frames, and its label."""
-        kind = type(tag)
-        if kind is BE:
-            return self.be_queues[tag.priority], BE_LABELS[tag.priority]
-        if kind is AVB:
-            return self.avb_queues[tag.cls], AVB_LABELS[tag.cls]
-        if kind is RC:
-            return self.rc_queue, "RC"
-        queue = self.tt_queues.get(tag.ct_id)
-        if queue is None:
-            queue = self.tt_queues[tag.ct_id] = deque()
-        return queue, f"TT[{tag.ct_id}]"
 
     def enqueue(self, frame: EthFrame, now: int) -> None:
         tag = frame.tag
-        queue, label = self._queue_of(tag)
+        kind = type(tag)
+        entry = frame
+        if kind is BE:
+            queue = self.be_queues[tag.priority]
+        elif kind is AVB:
+            queue = self.avb_queues.get(tag.cls)
+            if queue is None:
+                raise RuntimeError(f"AVB class {tag.cls} frame on {self.path} without a reservation")
+        elif kind is RC:
+            queue, entry = self.rc_queue, (now, tag.vl_id, frame)
+        else:
+            queue = self.tt_queues.get(tag.ct_id)
+            if queue is None:
+                queue = self.tt_queues[tag.ct_id] = _labelled(FifoClass, f"TT[{tag.ct_id}]")
         store = self.store
         if len(queue) >= self.capacity:
-            store.count_drop(self.path, label)
+            store.count_drop(self.path, queue.label)
             if store.flags.queues:
-                store.record_queue(self.path, label, now, len(queue))
+                store.record_queue(self.path, queue.label, now, len(queue))
             return
-        kind = type(tag)
-        if kind is not TT and self._max_gap is not None:
-            # A frame longer than every window-free stretch can never start.
-            if self._duration(frame.payload_len) > self._max_gap:
-                store.count_drop(self.path, label, reason="guardband")
-                return
-        if self._shapers:
-            self._credit_advance(now)
-        if kind is RC:
-            self._order += 1
-            queue.append((now, tag.vl_id, self._order, frame))
-            self.bags.setdefault(tag.vl_id, BagState(tag.vl_id, tag.bag))
-        else:
-            queue.append(frame)
+        # A frame longer than every window-free stretch can never start.
+        if kind is not TT and self._max_gap is not None and self._durations[frame.payload_len] > self._max_gap:
+            store.count_drop(self.path, queue.label, reason="guardband")
+            return
+        if self._shaped:
+            self._credit_settle(now, idle=False)
+        queue.append(entry)
         if store.flags.queues:
-            store.record_queue(self.path, label, now, len(queue))
+            store.record_queue(self.path, queue.label, now, len(queue))
         # While a transmission runs past this tick a kick would find the port
         # busy and do nothing; _complete kicks when the transmission ends.
         if self._tx_end <= now:
@@ -426,104 +473,58 @@ class EthPort:
         self._kick_pending = False
         self.try_send(self.sim.now)
 
-    # -- credit bookkeeping ----------------------------------------------
-
-    def _credit_advance(self, now: int) -> None:
-        sending = self._tx[1] if self._tx is not None else None
-        for label, state, queue in self._shapers:
-            state.advance(now, bool(queue), label == sending)
-
-    def _credit_settle(self, now: int, sent: str | None) -> None:
-        """Advance every shaper to now, class ``sent`` having transmitted
-        since its last update, and zero the positive credit of each shaper
-        with nothing queued; the port is idle from now on."""
-        for label, state, queue in self._shapers:
-            state.advance(now, bool(queue), label == sent)
-            if not queue:
-                state.reset_if_positive(now)
+    def _credit_settle(self, now: int, idle: bool) -> None:
+        """Advance every shaper to now, the class on the wire having sent
+        since its last update; when the port goes ``idle``, also zero the
+        positive credit of each shaper with nothing queued."""
+        sending = self._tx
+        for queue in self._shaped:
+            credit = queue.credit
+            credit.advance(now, bool(queue), queue is sending)
+            if idle and not queue:
+                credit.reset_if_positive(now)
 
     # -- transmission selection --------------------------------------------
 
-    def _fits_guard_band(self, duration: int, now: int) -> bool:
-        begin = self.schedule.next_begin(self.link, now)
-        return begin is None or now + duration <= begin
-
     def _select(self, now: int):
-        """Return (frame, class label, duration, queue) or None, dequeuing the winner."""
+        """(class queue, what its take returned) for the frame that starts now, or None."""
         sched = self.schedule
-        # TT: only inside a window and only the window's ct.
+        latest = None
         if sched is not None:
+            # TT: only inside a window and only the window's ct.
             cyc = now % sched.cycle_length
             w = sched.covering(self.link, cyc)
             if w is not None:
                 q = self.tt_queues.get(w.ct_id)
                 if q:
-                    dur = self._duration(q[0].payload_len)
+                    dur = self._durations[q[0].payload_len]
                     if cyc + dur <= w.offset + w.duration:
-                        return q.popleft(), f"TT[{w.ct_id}]", dur, q
-        # RC: oldest frame whose BAG gate is open, ties by lowest vl id.
-        rc_queue = self.rc_queue
-        if rc_queue:
-            best = None
-            for entry in rc_queue:
-                enq_t, vl, order, frame = entry
-                if bag_gate(self.bags[vl], now) > now:
-                    continue
-                dur = self._duration(frame.payload_len)
-                if sched is not None and not self._fits_guard_band(dur, now):
-                    continue
-                key = (enq_t, vl, order)
-                if best is None or key < best[0]:
-                    best = (key, entry, dur)
-            if best is not None:
-                _, entry, dur = best
-                rc_queue.remove(entry)
-                return entry[3], "RC", dur, rc_queue
-        # AVB A then B: gate open when credit >= 0.
-        for cls, q in self.avb_queues.items():
-            if not q:
-                continue
-            state = self.credit.get(cls)
-            if state is None:
-                raise RuntimeError(f"AVB class {cls} frame on {self.path} without a reservation")
-            if state.scaled < 0:
-                continue
-            dur = self._duration(q[0].payload_len)
-            if sched is None or self._fits_guard_band(dur, now):
-                return q.popleft(), AVB_LABELS[cls], dur, q
-        # Best effort, highest 802.1Q priority first.
-        for prio, label in BE_PRECEDENCE:
-            q = self.be_queues[prio]
-            if not q:
-                continue
-            dur = self._duration(q[0].payload_len)
-            if sched is None or self._fits_guard_band(dur, now):
-                return q.popleft(), label, dur, q
+                        return q, (q.popleft(), dur, None)
+            latest = sched.next_begin(self.link, now)
+        for q in self.classes:
+            if q:
+                taken = q.take(now, latest, self._durations)
+                if taken is not None:
+                    return q, taken
         return None
 
     def try_send(self, now: int) -> None:
         if self._tx is not None:
             return
-        if self._shapers:
-            self._credit_settle(now, None)
+        if self._shaped:
+            self._credit_settle(now, idle=True)
         picked = self._select(now)
         if picked is None:
             self._plan_wakeup(now)
             return
-        frame, label, dur, queue = picked
-        self._tx = (frame, label)
+        queue, (frame, dur, series) = picked
+        self._tx = queue
         self._tx_end = end = now + dur
         store = self.store
         if store.flags.queues:
-            store.record_queue(self.path, label, now, len(queue))
-        tag = frame.tag
-        kind = type(tag)
-        if kind is RC:
-            self.bags[tag.vl_id].last_departure = now
-            store.vec(self.path, f"txStart[vl{tag.vl_id}]", now, eth_wire_bits(frame.payload_len))
-        elif kind is AVB:
-            assert self.credit[tag.cls].scaled >= 0, "CBS gate violated"
-            store.vec(self.path, f"txStart[{label}]", now, eth_wire_bits(frame.payload_len))
+            store.record_queue(self.path, queue.label, now, len(queue))
+        if series is not None:
+            store.vec(self.path, series, now, eth_wire_bits(frame.payload_len))
         self.sim.schedule(end, self.path, EventKind.PORT_TX_DONE, frame)
 
     def _plan_wakeup(self, now: int) -> None:
@@ -532,27 +533,23 @@ class EthPort:
         if sched is not None:
             for ct, q in self.tt_queues.items():
                 while q:
-                    dur = self._duration(q[0].payload_len)
+                    dur = self._durations[q[0].payload_len]
                     t = sched.next_open_for_ct(self.link, ct, now, dur)
                     if t is None:
                         # No window will ever fit this frame: schedule fault.
                         q.popleft()
-                        self.store.count_drop(self.path, f"TT[{ct}]", reason="unschedulable")
+                        self.store.count_drop(self.path, q.label, reason="unschedulable")
                         continue
                     candidates.append(t)
                     break
-        for enq_t, vl, order, frame in self.rc_queue:
-            gate = bag_gate(self.bags[vl], now)
-            if gate > now:
-                candidates.append(gate)
-        for _, state, q in self._shapers:
-            if q and state.scaled < 0:
-                candidates.append(state.zero_crossing(now))
-        if sched is not None and (
-            self.rc_queue
-            or any(self.avb_queues.values())
-            or any(self.be_queues)
-        ):
+        waiting = False
+        for q in self.classes:
+            if q:
+                waiting = True
+                t = q.wake(now)
+                if t is not None:
+                    candidates.append(t)
+        if waiting and sched is not None:
             begin = sched.next_begin(self.link, now)
             if begin is not None:
                 candidates.append(begin)
@@ -579,8 +576,8 @@ class EthPort:
     def _complete(self, ev: Event) -> None:
         frame = ev.payload
         now = ev.time
-        if self._shapers:
-            self._credit_settle(now, self._tx[1])
+        if self._shaped:
+            self._credit_settle(now, idle=True)
         self._tx = None
         self.store.link_completed(self.link, eth_wire_bits(frame.payload_len))
         if self.peer is not None:

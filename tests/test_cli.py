@@ -221,13 +221,26 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
     (lambda doc: doc["devices"][3]["params"].update(driftPpm="fast"), "devices[3].params: not a drift in ppm: 'fast'"),
     (lambda doc: doc["slopes"].pop("s1->en2"),
      "slopes: port s1->en2 sends AVB class A frames but reserves nothing for them"),
+    # A name given twice ran as one or failed as a registered path, and so did a
+    # bus that is no CAN link; a CAN payload over 8 bytes failed at the sender.
+    (lambda doc: doc["devices"].append(dict(doc["devices"][0])), "devices[10]: device \"eth1\" given twice"),
+    (lambda doc: doc["devices"].append(dict(doc["devices"][0], kind="node")), "devices[10]: device \"eth1\" given twice"),
+    (lambda doc: doc["messages"].append(json.loads(json.dumps(doc["messages"][0]))),
+     "messages[2]: message \"msg1\" given twice"),
+    (lambda doc: doc["messages"][1].update(name="msg1"), "messages[1]: message \"msg1\" given twice"),
+    (lambda doc: doc["pools"].append(dict(doc["pools"][0])), "pools[1]: pool \"gw1.gw1_1\" given twice"),
+    (lambda doc: doc["links"][2].update(b="gw1"), "links[2]: port \"gw1->gw1\" given twice"),
+    (lambda doc: doc["devices"][1].update(kind="gateway"), "buses[0]: \"cb1\" names no canLink"),
+    (lambda doc: doc["messages"][0].update(payload=9),
+     "messages[0]: field 'payload' of a MessageCfg with a CAN binding must be at most 8, not 9"),
 ], ids=["message-field", "rule-field", "missing-field", "not-an-object", "not-a-list",
         "int-field-a-string", "window-field-a-string", "int-field-a-bool", "str-field-an-int", "bool-field-an-int",
         "zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null",
         "talker-key-an-int", "talker-key-of-strings", "binding-kind-unknown", "avb-class-unknown",
         "negative-hold-up", "can-id-over-11-bits", "receiver-undeclared", "talker-off-its-bus",
         "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "drift-not-a-number",
-        "avb-port-without-reservation"])
+        "avb-port-without-reservation", "device-twice", "device-twice-other-kind", "message-twice",
+        "message-renamed-to-another", "pool-twice", "link-to-itself", "bus-of-another-kind", "can-payload-9"])
 def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
@@ -239,6 +252,32 @@ def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     assert main(["run", str(cfgp), "--horizon", "1ms", "--out", str(out)]) == 1
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["messages"][0].update(offset=2**63 - 1),
+    lambda doc: doc["schedule"].update(cycle=2**63 - 1),
+    lambda doc: doc["pools"][0]["holdup_by_id"].update({"37": 2**63 - 1}),
+], ids=["message-offset", "schedule-cycle", "pool-hold-up"])
+def test_a_time_past_the_tick_range_stops_the_run_with_one_line(tmp_path, capsys, edit):
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    doc = json.loads(cfgp.read_text())
+    edit(doc)
+    cfgp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", str(cfgp), "--horizon", "1ms", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{cfgp}: error: time ") and err[0].endswith("outside [0, 2^63-1] ticks")
+    assert not out.exists()
+
+
+def test_the_seed_changes_no_output(tmp_path):
+    # No model draws from the simulator's generator.
+    for seed in ("1", "99"):
+        assert main(["run", str(SCENARIO), "--horizon", "50ms", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    assert _tree(tmp_path / "1") == _tree(tmp_path / "99")
 
 
 def test_compiled_document_takes_other_keys_as_the_source_does(tmp_path):
@@ -343,16 +382,20 @@ def test_analyze_missing_dir(tmp_path):
     assert main(["analyze", str(tmp_path / "void"), "latency"]) == 2
 
 
-@pytest.mark.parametrize("fmt", ["structured", "csv"])
-def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt):
+@pytest.mark.parametrize("fmt, damage", [
+    ("structured", lambda text: text[:100]),
+    ("csv", lambda text: text + "12345\n"),
+    ("structured", lambda text: "[]"),
+    ("structured", lambda text: '{"vectors": []}'),
+], ids=["structured", "csv", "a-list", "vectors-a-list"])  # truncated; a row without a comma; not exports
+def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt, damage):
     out = tmp_path / "res"
     assert main(["run", str(SCENARIO), "--horizon", "10ms", "--format", fmt, "--out", str(out)]) == 0
-    if fmt == "structured":  # a truncated export
+    if fmt == "structured":
         export = out / "results.json"
-        export.write_text(export.read_text()[:100])
-    else:  # a row without a comma
+    else:
         export = next(p for p in sorted(out.glob("*.csv")) if p.name != "scalars.csv")
-        export.write_text(export.read_text() + "12345\n")
+    export.write_text(damage(export.read_text()))
     capsys.readouterr()
     assert main(["analyze", str(out), "series"]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from autonetsim.ethernet import (
-    AVB, BE, RC, TT, BagState, CreditState, EthFrame, EthPort,
-    PayloadOutOfRange, Switch, TdmaSchedule, TdmaWindow, bag_gate,
-    check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
+    AVB, BE, RC, TT, CreditState, EthFrame, EthPort, PayloadOutOfRange, Switch,
+    TdmaSchedule, TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
 )
 from autonetsim.kernel import MS, US, EventKind, Simulator
-from autonetsim.metrics import MetricStore
+from autonetsim.metrics import SCALE, MetricStore
 
 RATE = 100_000_000
 
@@ -32,7 +31,7 @@ def test_payload_bounds():
 def test_credit_drain_during_transmission():
     st = CreditState(25_000_000, RATE)
     st.advance(6_720_000, waiting=True, transmitting=True)
-    assert st.credit_bits == Fraction(-504)  # -75 Mb/s for 6.72 us
+    assert st.scaled == -504 * SCALE  # -75 Mb/s for 6.72 us
 
 
 def test_credit_recovery_time():
@@ -40,7 +39,7 @@ def test_credit_recovery_time():
     st.scaled = -504 * 10**12
     assert st.zero_crossing(0) == 20_160_000  # 20.16 us at 25 Mb/s
     st.advance(20_160_000, waiting=True, transmitting=False)
-    assert st.credit_bits == 0
+    assert st.scaled == 0
 
 
 def test_credit_reset_when_queue_empties_positive():
@@ -48,13 +47,6 @@ def test_credit_reset_when_queue_empties_positive():
     st.scaled = 300 * 10**12
     st.reset_if_positive(7)
     assert st.scaled == 0
-
-
-def test_bag_gate_examples():
-    state = BagState(7, 500 * US, last_departure=0)
-    assert bag_gate(state, 100 * US) == 500 * US
-    assert bag_gate(state, 600 * US) == 600 * US
-    assert bag_gate(BagState(7, 500 * US), 42) == 42  # first frame ever
 
 
 def test_reservation_cap():
