@@ -17,8 +17,7 @@ from .ethernet import (
     TdmaSchedule, TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
 )
 from .gateway import (
-    CanRecord, Gateway, MalformedAggregate, Pool, RouteDest, compute_holdup,
-    decode_records, encode_records, split_records,
+    CanRecord, Gateway, Pool, RouteDest, aggregate_len, compute_holdup, split_records,
 )
 from .metrics import LatencySample, MetricStore, RecordingFlags
 from .config import NetworkConfig, apply_override

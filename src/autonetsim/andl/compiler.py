@@ -19,7 +19,7 @@ from ..config import (
 )
 from ..ethernet import (ETH_MAX_PAYLOAD, check_reservation_cap,
                         eth_frame_duration, eth_wire_bits, pad_payload)
-from ..gateway import COUNT_PREFIX, RECORD_HEADER
+from ..gateway import aggregate_len
 from ..kernel import SEC
 from .nodes import (
     AndlFile, AvbBind, CanBind, Diagnostic, MessageDecl, NetworkDecl,
@@ -28,6 +28,7 @@ from .nodes import (
 from .tdma import CycleTooLong, ScheduleInfeasible, TtFlow, generate_tdma_schedule
 
 NODE_KINDS = ("node", "gateway", "switch")
+STREAM_ID_FIELD = {"tt": "ct", "avb": "stream", "rc": "vl"}  # the binding field a stream id is in
 
 
 class CompileError(Exception):
@@ -69,6 +70,7 @@ class _Builder:
         self._anon = 0
         self.pool_members: dict[tuple[str, str], list[dict]] = {}
         self.rules: dict[tuple, list[dict]] = {}
+        self.rule_owner: dict[tuple, str] = {}  # rule -> the one message it routes
         self.forwarding: dict[tuple[str, tuple], list[str]] = {}
         self.slopes: dict[str, dict[str, int]] = {}
         self.tt_flows: dict[str, TtFlow] = {}
@@ -264,9 +266,6 @@ class _Builder:
 
     # -- messages -------------------------------------------------------------
 
-    def _add_rule(self, gateway: str, segment: str, *, can_id=None, key=None) -> list[dict]:
-        return self.rules.setdefault((gateway, segment, can_id, key), [])
-
     def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, pool: str | None,
                         key: list) -> None:
         """Add the forwarding key of one more frame, unless a frame has it already."""
@@ -395,8 +394,8 @@ class _Builder:
                         self.error(line, f"duplicate CAN id {claim[1]} on bus {claim[0]} ({owner} vs {msg.name})")
                         return None
         for seg, b in bindings.items():
-            if b["kind"] in ("tt", "avb", "rc"):
-                sid = b.get("ct") or b.get("stream") or b.get("vl")
+            if b["kind"] in STREAM_ID_FIELD:
+                sid = b[STREAM_ID_FIELD[b["kind"]]]
                 claim = (b["kind"], sid)
                 owner = claimed_stream.setdefault(claim, msg.name)
                 if owner != msg.name:
@@ -445,15 +444,24 @@ class _Builder:
                 if role == "gateway":
                     in_kind, _, seg_in = receiver_hops[i - 1]
                     if in_kind == "can":
-                        dests = self._add_rule(start, seg_in, can_id=msg.bindings[seg_in]["id"])
+                        rule = (start, seg_in, msg.bindings[seg_in]["id"], None)
                     else:
                         # Ethernet ingress: the egress is CAN, since a gateway has
                         # one Ethernet link and a shortest path never reuses it.
                         origin = next((h[2] for h in receiver_hops[:i] if h[0] == "can"), None)
                         if origin is not None:  # records tunneled from an upstream CAN segment
-                            dests = self._add_rule(start, seg_in, can_id=msg.bindings[origin]["id"])
+                            rule = (start, seg_in, msg.bindings[origin]["id"], None)
                         else:  # frames of the run that ends here
-                            dests = self._add_rule(start, seg_in, key=key)
+                            rule = (start, seg_in, None, key)
+                    dests = self.rules.setdefault(rule, [])
+                    owner = self.rule_owner.setdefault(rule, msg.name)
+                    if owner != msg.name and ("rule", rule) not in derived:
+                        # A gateway tells frames apart by the rule alone: it would route
+                        # each frame for both messages.
+                        derived.add(("rule", rule))
+                        what = f"CAN id {rule[2]}" if rule[3] is None else f"the key {rule[3]}"
+                        self.error(line, f"gateway {start}: {what} from segment {seg_in} "
+                                   f"is routed for {owner} and {msg.name}")
                     pool = msg.pools.get(start, {}).get("pool")
                     if kind == "can":
                         if pool is not None and ("no egress", start) not in derived:
@@ -480,7 +488,7 @@ class _Builder:
                 if role == "gateway":
                     self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, pool, list(key))
                     if pool is None:  # a one-record aggregate
-                        payload = pad_payload(COUNT_PREFIX + RECORD_HEADER + msg.payload)
+                        payload = aggregate_len(1, msg.payload)
                     else:
                         if ("member", start) not in derived:
                             derived.add(("member", start))
@@ -629,11 +637,12 @@ class _Builder:
 
 
 def _pool_worst_payload(members: list[dict]) -> int:
-    total = COUNT_PREFIX
+    records = payload_bytes = 0
     for m in members:
         per_flush = m["holdup"] // m["period"] + 1
-        total += (RECORD_HEADER + m["payload"]) * per_flush
-    return min(ETH_MAX_PAYLOAD, pad_payload(total))
+        records += per_flush
+        payload_bytes += m["payload"] * per_flush
+    return min(ETH_MAX_PAYLOAD, aggregate_len(records, payload_bytes))
 
 
 def validate(ast: AndlFile, network: str | None = None) -> list[Diagnostic]:

@@ -47,20 +47,15 @@ def can_wire_bits(payload_len: int, stuffing: bool = False) -> int:
 @dataclass
 class CanFrame:
     can_id: int
-    payload: bytes
-    origin_bus: str
+    payload_len: int
     creation_time: int
     message: str | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.can_id <= CAN_MAX_ID:
             raise ValueError(f"CAN id must fit 11 bits, got {self.can_id}")
-        if len(self.payload) > CAN_MAX_PAYLOAD:
-            raise ValueError(f"CAN payload limited to 8 bytes, got {len(self.payload)}")
-
-    @property
-    def payload_len(self) -> int:
-        return len(self.payload)
+        if not 0 <= self.payload_len <= CAN_MAX_PAYLOAD:
+            raise ValueError(f"CAN payload limited to 8 bytes, got {self.payload_len}")
 
 
 def arbitrate(pending: list[tuple[int, int, CanFrame]]) -> CanFrame | None:

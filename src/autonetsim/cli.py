@@ -220,15 +220,25 @@ def _rows(csv_path: Path, width: int) -> list[list[str]]:
     return rows
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a point value: a number, or the decimal text exports write."""
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def _is_export(doc) -> bool:
-    """Whether ``doc`` has the shape ``analyze`` reads: vectors of [time, value] points,
-    scalars of {value, unit} and links of {frames, wire_bits}."""
+    """Whether ``doc`` has the shape ``analyze`` reads: vectors of [time, value] points
+    with numeric values, scalars of {value, unit} and links of {frames, wire_bits}."""
     if not isinstance(doc, dict) or not isinstance(doc.get("vectors"), dict):
         return False
     scalars, links = doc.get("scalars", {}), doc.get("links", {})
     if not isinstance(scalars, dict) or not isinstance(links, dict):
         return False
-    return (all(isinstance(points, list) and all(isinstance(p, list) and len(p) == 2 for p in points)
+    return (all(isinstance(points, list)
+                and all(isinstance(p, list) and len(p) == 2 and _is_number(p[1]) for p in points)
                 for points in doc["vectors"].values())
             and all(isinstance(e, dict) and e.keys() >= {"value", "unit"} for e in scalars.values())
             and all(isinstance(e, dict) and e.keys() >= {"frames", "wire_bits"} for e in links.values()))
@@ -251,7 +261,10 @@ def _load_results(results_dir: Path) -> dict:
             for module, name, value, unit in _rows(csv_path, 4):
                 doc["scalars"][f"{module}.{name}"] = {"value": value, "unit": unit}
             continue
-        doc["vectors"][csv_path.stem] = [[int(t), value] for t, value in _rows(csv_path, 2)]
+        points = [[int(t), value] for t, value in _rows(csv_path, 2)]
+        if not all(_is_number(value) for _, value in points):
+            raise ValueError(f"{csv_path.name}: a point's value is not a number")
+        doc["vectors"][csv_path.stem] = points
     return doc
 
 

@@ -77,7 +77,7 @@ class CanSource:
         self.bus = bus
         self.message = message
         self.can_id = can_id
-        self.payload = bytes(payload)
+        self.payload = payload
         self.period = period
         self.path = f"{node}.src[{message}]"
         rt.sim.register(self.path, self._fire)
@@ -85,7 +85,7 @@ class CanSource:
 
     def _fire(self, ev: Event) -> None:
         now = ev.time
-        frame = CanFrame(self.can_id, self.payload, self.bus.name, now, self.message)
+        frame = CanFrame(self.can_id, self.payload, now, self.message)
         self.port.submit(frame)
         nxt = now + self.period
         if self.rt.stop_time is None or nxt <= self.rt.stop_time:

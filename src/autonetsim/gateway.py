@@ -5,8 +5,9 @@ dropped and counted.  CAN records bound for Ethernet are buffered in pools:
 every record carries a hold-up time, the pool deadline is the minimum of
 ``arrival + hold-up`` over its content, and expiry releases everything that
 has arrived so far, one Ethernet frame per forwarding key holding the
-records bound there (split only when the encoding would exceed the maximum
-payload).  The aggregate payload layout is fixed:
+records bound there (split only when an aggregate would exceed the maximum
+payload).  The model carries payload lengths, not bytes; an aggregate is as
+long as its fixed layout (``aggregate_len``):
 
     [record count: 2 bytes BE] then per record
     [id: 2 bytes BE (11 bits used)] [dlc: 1 byte] [payload: dlc bytes]
@@ -30,60 +31,27 @@ RECORD_HEADER = 3   # 2-byte id + 1-byte dlc
 COUNT_PREFIX = 2
 
 
-class MalformedAggregate(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CanRecord:
     can_id: int
-    payload: bytes
+    payload_len: int
     message: str | None = None
     creation: int = 0
 
 
-def encode_records(records: list[CanRecord]) -> bytes:
-    """Encode records into one aggregate payload (caller checks the size)."""
-    out = bytearray(len(records).to_bytes(COUNT_PREFIX, "big"))
-    for r in records:
-        out += r.can_id.to_bytes(2, "big")
-        out.append(len(r.payload))
-        out += r.payload
-    if len(out) < 46:
-        out += bytes(46 - len(out))
-    return bytes(out)
-
-
-def decode_records(payload: bytes) -> list[tuple[int, bytes]]:
-    """Inverse of encode_records; padding is skipped by dlc accounting."""
-    if len(payload) < COUNT_PREFIX:
-        raise MalformedAggregate("payload shorter than the record count prefix")
-    count = int.from_bytes(payload[:COUNT_PREFIX], "big")
-    pos = COUNT_PREFIX
-    out = []
-    for _ in range(count):
-        if pos + RECORD_HEADER > len(payload):
-            raise MalformedAggregate("truncated record header")
-        can_id = int.from_bytes(payload[pos : pos + 2], "big")
-        if can_id > 2047:
-            raise MalformedAggregate(f"record id {can_id} exceeds 11 bits")
-        dlc = payload[pos + 2]
-        if dlc > 8:
-            raise MalformedAggregate(f"record dlc {dlc} exceeds 8 bytes")
-        if pos + RECORD_HEADER + dlc > len(payload):
-            raise MalformedAggregate("record payload does not tile the frame")
-        out.append((can_id, payload[pos + RECORD_HEADER : pos + RECORD_HEADER + dlc]))
-        pos += RECORD_HEADER + dlc
-    return out
+def aggregate_len(records: int, payload_bytes: int) -> int:
+    """Ethernet payload length of an aggregate of ``records`` records that carry
+    ``payload_bytes`` CAN payload bytes in all."""
+    return pad_payload(COUNT_PREFIX + records * RECORD_HEADER + payload_bytes)
 
 
 def split_records(records: list[CanRecord]) -> list[list[CanRecord]]:
-    """Greedy FIFO split so every chunk encodes within the maximum payload."""
+    """Greedy FIFO split so every chunk's aggregate fits the maximum payload."""
     chunks: list[list[CanRecord]] = []
     current: list[CanRecord] = []
     size = COUNT_PREFIX
     for r in records:
-        need = RECORD_HEADER + len(r.payload)
+        need = RECORD_HEADER + r.payload_len
         if current and size + need > ETH_MAX_PAYLOAD:
             chunks.append(current)
             current, size = [], COUNT_PREFIX
@@ -261,14 +229,14 @@ class Gateway:
         if not dests:
             self.store.count_drop(self.name, "router", reason="no_rule")
             return
-        record = CanRecord(frame.can_id, frame.payload, frame.message, frame.creation_time)
+        record = CanRecord(frame.can_id, frame.payload_len, frame.message, frame.creation_time)
         for d in dests:
             if d.kind == "pool":
                 self.pools[d.pool].insert(record, now, d.keys, d.tag)
             elif d.kind == "eth":
                 self._emit_aggregates([PoolEntry(record, now, d.keys, d.tag)], now)
             elif d.kind == "can":
-                out = CanFrame(d.can_id, frame.payload, d.bus, frame.creation_time, frame.message)
+                out = CanFrame(d.can_id, frame.payload_len, frame.creation_time, frame.message)
                 self.sim.schedule(
                     now + self.processing_delay, self.name,
                     EventKind.GW_CAN_EGRESS, (d.bus, [out]),
@@ -286,10 +254,9 @@ class Gateway:
         frames = []
         for key, records in by_key.items():
             for chunk in split_records(records):
-                payload = encode_records(chunk)
+                size = aggregate_len(len(chunk), sum(r.payload_len for r in chunk))
                 frame = EthFrame(
-                    key=key, payload_len=pad_payload(len(payload)),
-                    tag=tag, creation_time=now, message=None, records=chunk,
+                    key=key, payload_len=size, tag=tag, creation_time=now, message=None, records=chunk,
                 )
                 frames.append(frame)
                 self.store.vec(self.name, "aggregateCount", now, len(chunk))
@@ -312,7 +279,7 @@ class Gateway:
                     self.store.count_drop(self.name, "router", reason="no_rule")
                     continue
                 for d in dests:
-                    out = CanFrame(d.can_id, record.payload, d.bus, record.creation, record.message)
+                    out = CanFrame(d.can_id, record.payload_len, record.creation, record.message)
                     batches.setdefault(d.bus, []).append(out)
             for bus_name, batch in batches.items():
                 self.sim.schedule(
@@ -325,8 +292,7 @@ class Gateway:
             self.store.count_drop(self.name, "router", reason="no_rule")
             return
         for d in dests:
-            payload = bytes(min(8, frame.logical_len or 8))
-            out = CanFrame(d.can_id, payload, d.bus, frame.creation_time, frame.message)
+            out = CanFrame(d.can_id, min(8, frame.logical_len), frame.creation_time, frame.message)
             self.sim.schedule(
                 now + self.processing_delay, self.name,
                 EventKind.GW_CAN_EGRESS, (d.bus, [out]),

@@ -401,7 +401,7 @@ def test_criterion_06_pool_oracle():
 
         def do_insert(ev):
             t, can_id = ev.payload
-            pool.insert(CanRecord(can_id, b""), t, ("x",), None)
+            pool.insert(CanRecord(can_id, 0), t, ("x",), None)
 
         sim.register("driver", do_insert)
         for t, can_id in driver:

@@ -127,6 +127,50 @@ _TWO_BINDINGS = """network n {
 }
 """
 
+# Two messages whose frames a gateway cannot tell apart: it would route each frame
+# for both. Id 37 on two buses of one segment, id 37 tunneled from two segments to
+# one gateway, and frames of two runs that end at one gateway, keyed by it.
+_ONE_RULE_TWO_MESSAGES = {
+    "two-buses": """network n {
+  devices { canLink cb1; canLink cb2; node a; node b; node e1; node e2; gateway gw; switch s; }
+  connections { segment can { a <--> cb1; gw <--> cb1; b <--> cb2; gw <--> cb2; }
+    segment eth { gw <--> s; e1 <--> s; e2 <--> s; } }
+  communication {
+    message m1 { sender a; receivers e1, e2; payload 4B; period 1ms;
+      mapping { can: can{id 37;}; gw; eth: be{priority 1;}; } }
+    message m2 { sender b; receivers e1, e2; payload 4B; period 1ms;
+      mapping { can: can{id 37;}; gw; eth: be{priority 1;}; } }
+  }
+}
+""",
+    "tunneled": """network n {
+  devices { canLink ca; canLink cb; canLink cx; canLink cy; node a; node b; node x; node y;
+    gateway ga; gateway gb; gateway gx; switch s; }
+  connections { segment sa { a <--> ca; ga <--> ca; } segment sb { b <--> cb; gb <--> cb; }
+    segment out { x <--> cx; gx <--> cx; y <--> cy; gx <--> cy; }
+    segment eth { ga <--> s; gb <--> s; gx <--> s; } }
+  communication {
+    message m1 { sender a; receivers x; payload 4B; period 1ms;
+      mapping { sa: can{id 37;}; ga; eth: be{priority 1;}; gx; out: can{id 37;}; } }
+    message m2 { sender b; receivers y; payload 4B; period 1ms;
+      mapping { sb: can{id 37;}; gb; eth: be{priority 1;}; gx; out: can{id 37;}; } }
+  }
+}
+""",
+    "keyed": """network n {
+  devices { canLink cb; node a; node b; node x; node y; gateway gw; switch s; }
+  connections { segment eth { a <--> s; b <--> s; gw <--> s; }
+    segment can { x <--> cb; y <--> cb; gw <--> cb; } }
+  communication {
+    message m1 { sender a; receivers x; payload 4B; period 1ms;
+      mapping { eth: be{priority 1;}; gw; can: can{id 37;}; } }
+    message m2 { sender b; receivers y; payload 4B; period 1ms;
+      mapping { eth: be{priority 1;}; gw; can: can{id 38;}; } }
+  }
+}
+""",
+}
+
 
 @pytest.mark.parametrize("edits, needle, code, args", [
     _case([("ethernetLink ETH {", "ethernetLink ETH extends ETH {")],
@@ -162,6 +206,9 @@ _TWO_BINDINGS = """network n {
           "message msg2: bag must be positive", id="zero-bag"),
     _case([_add_message("sender en1; receivers en2; payload 4B; period 1ms; mapping { backbone: avb{id 1;}; }")],
           "duplicate avb id 1 (m3 vs msg2)", id="duplicate-stream-id"),
+    _case([("backbone: avb{id 1;};", "backbone: avb{id 0;};"),
+           _add_message("sender en1; receivers en2; payload 4B; period 1ms; mapping { backbone: avb{id 0;}; }")],
+          "duplicate avb id 0 (m3 vs msg2)", id="duplicate-stream-id-0"),
     # Device parameters are parsed once, against one table, at the device's line.
     _case([("switch s1;", "switch s1 { hardwareDelay fast; }")],
           "small.andl:27:1: error: s1.hardwareDelay: not a duration: 'fast'", id="hardware-delay"),
@@ -257,6 +304,15 @@ _TWO_BINDINGS = """network n {
             "small.andl:6:1: error: message cmd: the switched run from telem to gw crosses segments "
             "with different bindings", id=f"run-with-two-bindings-{name}")
       for name, back_b in [("avb", "avb{id 4;}"), ("be", "be{priority 1;}")]),
+    _case([(None, _ONE_RULE_TWO_MESSAGES["two-buses"])],
+          "small.andl:8:1: error: gateway gw: CAN id 37 from segment can is routed for m1 and m2",
+          id="one-rule-two-messages-two-buses"),
+    _case([(None, _ONE_RULE_TWO_MESSAGES["tunneled"])],
+          "small.andl:10:1: error: gateway gx: CAN id 37 from segment eth is routed for m1 and m2",
+          id="one-rule-two-messages-tunneled"),
+    _case([(None, _ONE_RULE_TWO_MESSAGES["keyed"])],
+          "small.andl:8:1: error: gateway gw: the key ('dst', 'gw') from segment eth is routed for m1 and m2",
+          id="one-rule-two-messages-keyed"),
 ])
 def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle, code, args):
     text = listing_small

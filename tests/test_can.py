@@ -24,16 +24,18 @@ def test_wire_bits_and_stuffing():
 
 def test_frame_invariants():
     with pytest.raises(ValueError):
-        CanFrame(4096, b"", "cb1", 0)
+        CanFrame(4096, 0, 0)
     with pytest.raises(ValueError):
-        CanFrame(1, bytes(9), "cb1", 0)
+        CanFrame(1, 9, 0)
+    with pytest.raises(ValueError):
+        CanFrame(1, -1, 0)
 
 
 def test_arbitrate_lowest_id():
     frames = [
-        (331, 0, CanFrame(331, b"x", "cb1", 0)),
-        (17, 1, CanFrame(17, b"y", "cb1", 0)),
-        (510, 2, CanFrame(510, b"z", "cb1", 0)),
+        (331, 0, CanFrame(331, 1, 0)),
+        (17, 1, CanFrame(17, 1, 0)),
+        (510, 2, CanFrame(510, 1, 0)),
     ]
     assert arbitrate(frames).can_id == 17
     assert arbitrate([frames[2]]).can_id == 510
@@ -64,8 +66,8 @@ def test_same_instant_release_serializes_by_priority():
         bus.attach(p)
     for can_id in (100, 200):
         bus.subscribe(rx, can_id)
-    p2.submit(CanFrame(200, bytes(8), "cb1", 0))
-    p1.submit(CanFrame(100, bytes(8), "cb1", 0))
+    p2.submit(CanFrame(200, 8, 0))
+    p1.submit(CanFrame(100, 8, 0))
     bus.notify(0)
     sim.run_until(10_000 * US)
     dur = can_frame_duration(8, 500_000)
@@ -81,11 +83,11 @@ def test_frame_arriving_mid_transmission_waits():
         bus.attach(p)
     for can_id in (5, 900):
         bus.subscribe(rx, can_id)
-    p1.submit(CanFrame(900, bytes(8), "cb1", 0))
+    p1.submit(CanFrame(900, 8, 0))
     bus.notify(0)
     sim.run_until(10 * US)
     # higher-priority frame shows up mid-transmission; no preemption
-    p2.submit(CanFrame(5, bytes(8), "cb1", sim.now))
+    p2.submit(CanFrame(5, 8, sim.now))
     bus.notify(sim.now)
     sim.run_until(10_000 * US)
     dur = can_frame_duration(8, 500_000)
@@ -100,8 +102,8 @@ def test_equal_id_tie_broken_by_node_index():
     for p in (p1, p2, rx):
         bus.attach(p)
     bus.subscribe(rx, 50)
-    p2.submit(CanFrame(50, b"b", "cb1", 0, message="from_n2"))
-    p1.submit(CanFrame(50, b"a", "cb1", 0, message="from_n1"))
+    p2.submit(CanFrame(50, 1, 0, message="from_n2"))
+    p1.submit(CanFrame(50, 1, 0, message="from_n1"))
     bus.notify(0)
     sim.run_until(10_000 * US)
     assert len(sink.got) == 2  # nothing lost, deterministic order
@@ -124,7 +126,7 @@ def test_conservation_on_error_free_bus():
         bus.subscribe(p, 10)
     n = 25
     for k in range(n):
-        tx.submit(CanFrame(10, bytes(4), "cb1", 0))
+        tx.submit(CanFrame(10, 4, 0))
     bus.notify(0)
     sim.run_until(10**12)
     assert store.link_frames[bus.name] == n
@@ -142,7 +144,7 @@ def test_gateway_port_batch_overwrite():
     bus.attach(rx)
     for can_id in (10, 20):
         bus.subscribe(rx, can_id)
-    f = lambda i: CanFrame(i, bytes(2), "cb2", 0)
+    f = lambda i: CanFrame(i, 2, 0)
     port.place_batch([f(10), f(10), f(20)], 0)
     # same-batch records of one id stay queued in order
     assert len(port.slots[10]) == 2 and len(port.slots[20]) == 1
@@ -166,7 +168,7 @@ def test_subscription_added_after_attach_is_honoured():
     bus.attach(tx)
     bus.attach(rx)
     bus.subscribe(rx, 42)
-    tx.submit(CanFrame(42, bytes(1), "cb1", 0))
+    tx.submit(CanFrame(42, 1, 0))
     bus.notify(0)
     sim.run_until(10_000 * US)
     assert sink.got == [(42, can_frame_duration(1, 500_000))]
@@ -181,14 +183,14 @@ def test_frame_queued_at_a_completion_tick_joins_the_re_arbitration():
         bus.attach(p)
     for can_id in (5, 100, 300):
         bus.subscribe(rx, can_id)
-    tx.submit(CanFrame(100, bytes(8), "cb1", 0))
-    tx.submit(CanFrame(300, bytes(8), "cb1", 0))
+    tx.submit(CanFrame(100, 8, 0))
+    tx.submit(CanFrame(300, 8, 0))
     bus.notify(0)
     sim.run_until(0)  # id 100 is on the wire; its CAN_TX_DONE is queued
     dur = can_frame_duration(8, 500_000)
 
     def submit(ev):
-        late.submit(CanFrame(5, bytes(8), "cb1", ev.time))
+        late.submit(CanFrame(5, 8, ev.time))
         bus.notify(ev.time)
 
     sim.register("late", submit)
@@ -211,7 +213,7 @@ def test_subscribe_needs_an_attached_port_and_keeps_attachment_order():
     bus.subscribe(b, 7)
     bus.subscribe(a, 7)
     bus.subscribe(b, 7)  # a second subscription delivers once
-    tx.submit(CanFrame(7, b"", "cb1", 0))
+    tx.submit(CanFrame(7, 0, 0))
     bus.notify(0)
     sim.run_until(10_000 * US)
     assert order == ["a", "b"] and bus.delivered == 2
@@ -226,12 +228,12 @@ def test_overwritten_gateway_frame_is_never_transmitted():
         bus.attach(p)
     for can_id in (1, 10, 20):
         bus.subscribe(rx, can_id)
-    node.submit(CanFrame(1, bytes(8), "cb1", 0, message="busy"))
+    node.submit(CanFrame(1, 8, 0, message="busy"))
     bus.notify(0)
-    gw.place_batch([CanFrame(10, b"", "cb1", 0, message="stale"),
-                    CanFrame(20, b"", "cb1", 0, message="kept")], 0)
+    gw.place_batch([CanFrame(10, 0, 0, message="stale"),
+                    CanFrame(20, 0, 0, message="kept")], 0)
     sim.run_until(10 * US)  # the bus is sending "busy"
-    gw.place_batch([CanFrame(10, b"", "cb1", 0, message="fresh")], sim.now)
+    gw.place_batch([CanFrame(10, 0, 0, message="fresh")], sim.now)
     bus.notify(sim.now)
     sim.run_until(10_000 * US)
     assert got == ["busy", "fresh", "kept"]
@@ -292,7 +294,7 @@ def reference_transmissions(order, actions):
             nodes[sender] = [e for e in nodes[sender] if e[2] is not frame]
         else:
             slots[sender][frame.can_id].pop(0)
-        t += can_frame_duration(len(frame.payload), 500_000)
+        t += can_frame_duration(frame.payload_len, 500_000)
         out.append((t, frame.can_id, frame.message))
 
 
@@ -314,7 +316,7 @@ def test_bus_heap_matches_reference_arbitration(order, timed):
     for k, (slot, (kind, which, spec)) in enumerate(sorted(timed, key=lambda a: a[0])):
         name = f"{kind[0]}{which}"
         specs = [spec] if kind == "node" else spec
-        frames = [CanFrame(can_id, bytes(n), "cb1", 0, message=f"{name}#{k}.{j}")
+        frames = [CanFrame(can_id, n, 0, message=f"{name}#{k}.{j}")
                   for j, (can_id, n) in enumerate(specs)]
         actions.append((slot * SLOT, name, frames))
 

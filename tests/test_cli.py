@@ -387,7 +387,10 @@ def test_analyze_missing_dir(tmp_path):
     ("csv", lambda text: text + "12345\n"),
     ("structured", lambda text: "[]"),
     ("structured", lambda text: '{"vectors": []}'),
-], ids=["structured", "csv", "a-list", "vectors-a-list"])  # truncated; a row without a comma; not exports
+    ("structured", lambda text: '{"vectors": {"n.app[m].rxLatency": [[0, "abc"]]}, "scalars": {}, "links": {}}'),
+    ("csv", lambda text: text + "0,abc\n"),
+], ids=["structured", "csv", "a-list", "vectors-a-list", "value-not-a-number", "csv-value-not-a-number"])
+# truncated; a row without a comma; not exports; a point value that is not a number
 def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt, damage):
     out = tmp_path / "res"
     assert main(["run", str(SCENARIO), "--horizon", "10ms", "--format", fmt, "--out", str(out)]) == 0
@@ -397,7 +400,7 @@ def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt, damage):
         export = next(p for p in sorted(out.glob("*.csv")) if p.name != "scalars.csv")
     export.write_text(damage(export.read_text()))
     capsys.readouterr()
-    assert main(["analyze", str(out), "series"]) == 2
+    assert main(["analyze", str(out), "latency"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{out}: unreadable results: ")
 

@@ -1,38 +1,46 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from autonetsim.ethernet import TT
+from autonetsim.ethernet import ETH_MAX_PAYLOAD, TT
 from autonetsim.gateway import (
-    COUNT_PREFIX, RECORD_HEADER, CanRecord, MalformedAggregate, Pool,
-    compute_holdup, decode_records, encode_records, split_records,
+    COUNT_PREFIX, RECORD_HEADER, CanRecord, Pool, aggregate_len, compute_holdup, split_records,
 )
 from autonetsim.kernel import MS, US, EventKind, Simulator
 from autonetsim.metrics import MetricStore
 
 
 def rec(i, n=8):
-    return CanRecord(i, bytes(range(n % 256))[:n])
+    return CanRecord(i, n)
 
 
-def test_encode_single_record_padded_to_minimum():
-    payload = encode_records([CanRecord(37, b"\x01\x02\x03\x04\x05\x06")])
-    assert len(payload) == 46
-    assert decode_records(payload) == [(37, b"\x01\x02\x03\x04\x05\x06")]
+def encode_records(records: list[CanRecord]) -> bytes:
+    """Reference encoding of the documented aggregate layout, with zero payload bytes:
+    [count:2][id:2][dlc:1][payload:dlc]..., zero-padded to 46 bytes."""
+    out = bytearray(len(records).to_bytes(COUNT_PREFIX, "big"))
+    for r in records:
+        out += r.can_id.to_bytes(2, "big")
+        out.append(r.payload_len)
+        out += bytes(r.payload_len)
+    if len(out) < 46:
+        out += bytes(46 - len(out))
+    return bytes(out)
 
 
-def test_encode_23_full_records_single_frame():
+def test_aggregate_len_single_record_padded_to_minimum():
+    assert aggregate_len(1, 6) == len(encode_records([CanRecord(37, 6)])) == 46
+
+
+def test_aggregate_len_23_full_records_single_frame():
     # the largest observed aggregation (23 full records) still fits one frame
-    records = [CanRecord(100 + i, bytes(8)) for i in range(23)]
+    records = [CanRecord(100 + i, 8) for i in range(23)]
     chunks = split_records(records)
     assert len(chunks) == 1
-    payload = encode_records(chunks[0])
-    assert len(payload) == COUNT_PREFIX + 23 * (RECORD_HEADER + 8) == 255
-    assert len(payload) <= 1500
-    assert decode_records(payload) == [(r.can_id, r.payload) for r in records]
+    assert aggregate_len(23, 23 * 8) == len(encode_records(chunks[0]))
+    assert aggregate_len(23, 23 * 8) == COUNT_PREFIX + 23 * (RECORD_HEADER + 8) == 255
 
 
 def test_split_preserves_fifo_order():
-    records = [CanRecord(i % 2048, bytes(8)) for i in range(200)]  # 200*13+2 > 1500
+    records = [CanRecord(i % 2048, 8) for i in range(200)]  # 200*13+2 > 1500
     chunks = split_records(records)
     assert len(chunks) == 2
     flat = [r for chunk in chunks for r in chunk]
@@ -41,35 +49,14 @@ def test_split_preserves_fifo_order():
         assert len(encode_records(chunk)) <= 1500
 
 
-def test_decode_truncated_header():
-    good = encode_records([rec(5), rec(6)])
-    with pytest.raises(MalformedAggregate):
-        decode_records(good[:4])
-    with pytest.raises(MalformedAggregate):
-        decode_records(b"\x00")
-
-
-def test_decode_bad_fields():
-    bad_id = bytearray(encode_records([rec(5)]))
-    bad_id[2] = 0xFF  # id high byte -> > 2047
-    with pytest.raises(MalformedAggregate):
-        decode_records(bytes(bad_id))
-    bad_dlc = bytearray(encode_records([rec(5)]))
-    bad_dlc[4] = 9
-    with pytest.raises(MalformedAggregate):
-        decode_records(bytes(bad_dlc))
-
-
-@given(st.lists(
-    st.tuples(st.integers(0, 2047), st.binary(min_size=0, max_size=8)),
-    min_size=0, max_size=40,
-))
-def test_encode_decode_roundtrip(items):
-    records = [CanRecord(i, p) for i, p in items]
-    decoded = []
-    for chunk in split_records(records) or [[]]:
-        decoded.extend(decode_records(encode_records(chunk)))
-    assert decoded == [(r.can_id, r.payload) for r in records]
+@given(st.lists(st.tuples(st.integers(0, 2047), st.integers(0, 8)), max_size=300))
+def test_split_chunks_are_fifo_and_sized_as_the_layout(items):
+    records = [CanRecord(i, n) for i, n in items]
+    chunks = split_records(records)
+    assert [r for chunk in chunks for r in chunk] == records
+    for chunk in chunks:
+        size = aggregate_len(len(chunk), sum(r.payload_len for r in chunk))
+        assert size == len(encode_records(chunk)) <= ETH_MAX_PAYLOAD
 
 
 def test_holdup_policy_bands():
@@ -152,7 +139,7 @@ def test_transform_aggregate_to_can_burst_after_processing_delay():
     rx.on_rx = lambda frame, now: got.append(now)
     bus.attach(rx)
     bus.subscribe(rx, 37)
-    records = [CanRecord(37, bytes(6), "msg1", 0) for _ in range(3)]
+    records = [CanRecord(37, 6, "msg1", 0) for _ in range(3)]
     frame = EthFrame(("dst", "gw2"), 46, None, 0, records=records)
     gw.receive(frame, 0)
     sim.run_to_completion()
