@@ -14,17 +14,14 @@ from collections import deque
 from itertools import zip_longest
 
 from ..config import (
-    _DEVICE_VALUES, BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
+    _DEVICE_VALUES, PAYLOAD, BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
     OverrideError, PoolCfg, RuleCfg, ScheduleCfg, apply_override, device_value,
 )
 from ..ethernet import (ETH_MAX_PAYLOAD, check_reservation_cap,
                         eth_frame_duration, eth_wire_bits, pad_payload)
 from ..gateway import aggregate_len
 from ..kernel import SEC
-from .nodes import (
-    AndlFile, AvbBind, CanBind, Diagnostic, MessageDecl, NetworkDecl,
-    PoolBind, RcBind, TtBind, has_errors,
-)
+from .nodes import AndlFile, Diagnostic, MessageDecl, NetworkDecl, PoolBind, has_errors
 from .tdma import CycleTooLong, ScheduleInfeasible, TtFlow, generate_tdma_schedule
 
 NODE_KINDS = ("node", "gateway", "switch")
@@ -39,18 +36,6 @@ class CompileError(Exception):
     def __reduce__(self):
         # Rebuilt from the diagnostics, so it survives the trip back from `run --jobs` workers.
         return (CompileError, (self.diagnostics,))
-
-
-def _binding_dict(binding) -> dict:
-    if isinstance(binding, CanBind):
-        return {"kind": "can", "id": binding.can_id}
-    if isinstance(binding, TtBind):
-        return {"kind": "tt", "ct": binding.ct_id}
-    if isinstance(binding, AvbBind):
-        return {"kind": "avb", "stream": binding.stream_id, "class": binding.cls}
-    if isinstance(binding, RcBind):
-        return {"kind": "rc", "vl": binding.vl_id, "bag": binding.bag}
-    return {"kind": "be", "priority": binding.priority}  # BeBind, the last segment binding
 
 
 class _Builder:
@@ -331,15 +316,14 @@ class _Builder:
                 if target not in self.cfg.segments:
                     self.error(entry.line, f"message {msg.name}: unknown segment {target!r}")
                     continue
-                b = _binding_dict(entry.binding)
-                seg_kind = self.cfg.segments[target]
-                if seg_kind == "can" and b["kind"] != "can":
+                seg_kind, b_kind = self.cfg.segments[target], entry.binding["kind"]
+                if seg_kind == "can" and b_kind != "can":
                     self.error(entry.line, f"segment {target} is CAN; use a can binding")
                     continue
-                if seg_kind == "ethernet" and b["kind"] == "can":
+                if seg_kind == "ethernet" and b_kind == "can":
                     self.error(entry.line, f"segment {target} is Ethernet; can binding not allowed")
                     continue
-                bindings[target] = b
+                bindings[target] = dict(entry.binding)  # the config's own, not the AST's
 
         paths: dict[str, list[str]] = {}
         hops: dict[str, list[tuple]] = {}  # receiver -> (kind, link or bus, segment) per hop
@@ -373,15 +357,15 @@ class _Builder:
                 return None
 
         # payload limits per binding
+        if msg.payload < PAYLOAD.low:  # 0B, or no payload line
+            self.error(line, f"message {msg.name}: payload must be at least {PAYLOAD.low} byte")
+            return None
         for seg, b in bindings.items():
             if b["kind"] == "can" and msg.payload > 8:
                 self.error(line, f"message {msg.name}: CAN payload exceeds 8 bytes")
                 return None
             if b["kind"] != "can" and msg.payload > ETH_MAX_PAYLOAD:
                 self.error(line, f"message {msg.name}: payload exceeds 1500 bytes")
-                return None
-            if b["kind"] == "rc" and b["bag"] <= 0:
-                self.error(line, f"message {msg.name}: bag must be positive")
                 return None
 
         # id claims

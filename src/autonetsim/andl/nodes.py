@@ -74,45 +74,18 @@ class SegmentDecl:
 
 
 @dataclass
-class CanBind:
-    can_id: int
-
-
-@dataclass
-class TtBind:
-    ct_id: int
-
-
-@dataclass
-class AvbBind:
-    stream_id: int
-    cls: str = "A"
-
-
-@dataclass
-class RcBind:
-    vl_id: int
-    bag: int
-
-
-@dataclass
-class BeBind:
-    priority: int
-
-
-@dataclass
 class PoolBind:
     pool: str
     holdup: int
 
 
-Binding = CanBind | TtBind | AvbBind | RcBind | BeBind | PoolBind
-
-
 @dataclass
 class MapEntry:
     target: str
-    binding: Binding | None = None  # bare entry: gateway on the message path
+    # A segment's binding, the document's record (a config.CanBinding or EthBinding,
+    # e.g. {"kind": "avb", "stream": 3, "class": "B"}); a gateway's PoolBind; or
+    # None, a bare entry: a gateway on the message path.
+    binding: dict | PoolBind | None = None
     line: int = field(default=0, compare=False)
 
 
@@ -169,20 +142,19 @@ def _print_decl(decl, indent: str) -> list[str]:
     return [head + ";"]
 
 
-def _print_binding(binding: Binding) -> str:
-    if isinstance(binding, CanBind):
-        return f"can{{id {binding.can_id};}}"
-    if isinstance(binding, TtBind):
-        return f"tt{{ctID {binding.ct_id};}}"
-    if isinstance(binding, AvbBind):
-        return f"avb{{id {binding.stream_id}; class {binding.cls};}}"
-    if isinstance(binding, RcBind):
-        return f"rc{{vlID {binding.vl_id}; bag {fmt_duration(binding.bag)};}}"
-    if isinstance(binding, BeBind):
-        return f"be{{priority {binding.priority};}}"
+def _print_binding(binding: dict | PoolBind) -> str:
     if isinstance(binding, PoolBind):
         return f"pool {binding.pool}{{holdUp {fmt_duration(binding.holdup)};}}"
-    raise TypeError(f"unknown binding {binding!r}")
+    kind = binding["kind"]
+    if kind == "can":
+        return f"can{{id {binding['id']};}}"
+    if kind == "tt":
+        return f"tt{{ctID {binding['ct']};}}"
+    if kind == "avb":
+        return f"avb{{id {binding['stream']}; class {binding['class']};}}"
+    if kind == "rc":
+        return f"rc{{vlID {binding['vl']}; bag {fmt_duration(binding['bag'])};}}"
+    return f"be{{priority {binding['priority']};}}"
 
 
 def print_file(ast: AndlFile) -> str:

@@ -13,12 +13,11 @@ import string
 from bisect import bisect_right
 from itertools import accumulate, compress
 
-from ..ethernet import BE
-from ..kernel import parse_byte_count, parse_duration
+from ..config import CAN_ID, PRIORITY
+from ..kernel import POSITIVE, TICKS, Range, parse_byte_count, parse_duration
 from .nodes import (
-    AndlFile, AvbBind, BeBind, CanBind, ConnDecl, DeviceDecl, Diagnostic,
-    MapEntry, MessageDecl, NetworkDecl, PoolBind, RcBind, SegmentDecl,
-    TtBind, TypeDecl, TypesBlock,
+    AndlFile, ConnDecl, DeviceDecl, Diagnostic, MapEntry, MessageDecl,
+    NetworkDecl, PoolBind, SegmentDecl, TypeDecl, TypesBlock,
 )
 
 DEVICE_KINDS = ("ethernetLink", "canLink", "node", "gateway", "switch")
@@ -223,13 +222,23 @@ class Parser:
                   if k == "punct"]
         self.sync(braces.count("{") - braces.count("}"))
 
-    def duration(self, what: str) -> int:
+    def bounded(self, value: int, bound: Range, at: int, unit: str = "") -> int:
+        """``value``, read at token ``at``; an error there when it leaves ``bound``,
+        named by the keyword before it.  The item is well-formed, so parsing goes on."""
+        try:
+            return bound.check(value)
+        except ValueError as exc:
+            self.report(f"{self.values[at - 1]} must be {exc.args[0]}, not {value}{unit}", at)
+            return value
+
+    def duration(self, what: str, bound: Range = TICKS) -> int:
         at = self.pos
         value = self.expect_scalar(what)
         try:
-            return parse_duration(value)
+            ticks = parse_duration(value)
         except ValueError as exc:
             self.error(str(exc), at)
+        return self.bounded(ticks, bound, at, " ps")
 
     def byte_count(self, what: str) -> int:
         at = self.pos
@@ -239,12 +248,12 @@ class Parser:
         except ValueError as exc:
             self.error(str(exc), at)
 
-    def integer(self, what: str) -> int:
+    def integer(self, what: str, bound: Range | None = None) -> int:
         at = self.pos
         value = self.expect_scalar(what)
         if not value.isdigit():
             self.error(f"expected integer {what}, found {value!r}", at)
-        return int(value)
+        return int(value) if bound is None else self.bounded(int(value), bound, at)
 
     # -- grammar ------------------------------------------------------------
 
@@ -435,67 +444,53 @@ class Parser:
         self.expect(";")
         return entry
 
-    def class_binding(self):
+    def class_binding(self) -> dict | PoolBind:
+        """A segment's binding, the document's record (see ``MapEntry``), or a gateway's pool."""
         kind = self.expect_ident("traffic class")
         if kind == "can":
             self.expect("{")
             self.expect("id")
-            can_id = self.integer("CAN id")
+            binding = {"kind": "can", "id": self.integer("CAN id", CAN_ID)}
             self.expect(";")
-            self.expect("}")
-            return CanBind(can_id)
-        if kind == "tt":
+        elif kind == "tt":
             self.expect("{")
             self.expect("ctID")
-            ct = self.integer("ctID")
+            binding = {"kind": "tt", "ct": self.integer("ctID")}
             self.expect(";")
-            self.expect("}")
-            return TtBind(ct)
-        if kind == "avb":
+        elif kind == "avb":
             self.expect("{")
             self.expect("id")
-            stream = self.integer("stream id")
+            binding = {"kind": "avb", "stream": self.integer("stream id"), "class": "A"}
             self.expect(";")
-            cls = "A"
             if self.accept("class"):
                 at = self.pos
-                cls = self.expect_ident("AVB class")
-                if cls not in ("A", "B"):
+                binding["class"] = self.expect_ident("AVB class")
+                if binding["class"] not in ("A", "B"):
                     self.error("AVB class must be A or B", at)
                 self.expect(";")
-            self.expect("}")
-            return AvbBind(stream, cls)
-        if kind == "rc":
+        elif kind == "rc":
             self.expect("{")
             self.expect("vlID")
-            vl = self.integer("vlID")
+            binding = {"kind": "rc", "vl": self.integer("vlID")}
             self.expect(";")
             self.expect("bag")
-            bag = self.duration("bag")
+            binding["bag"] = self.duration("bag", POSITIVE)
             self.expect(";")
-            self.expect("}")
-            return RcBind(vl, bag)
-        if kind == "be":
+        elif kind == "be":
             self.expect("{")
             self.expect("priority")
-            at = self.pos
-            prio = self.integer("priority")
-            try:
-                BE(prio)
-            except ValueError as exc:  # well-formed, so parsing goes on
-                self.report(str(exc), at)
+            binding = {"kind": "be", "priority": self.integer("priority", PRIORITY)}
             self.expect(";")
-            self.expect("}")
-            return BeBind(prio)
-        if kind == "pool":
+        elif kind == "pool":
             pool = self.expect_ident("pool name")
             self.expect("{")
             self.expect("holdUp")
-            holdup = self.duration("holdUp")
+            binding = PoolBind(pool, self.duration("holdUp"))
             self.expect(";")
-            self.expect("}")
-            return PoolBind(pool, holdup)
-        self.error(f"unknown traffic class {kind!r}")
+        else:
+            self.error(f"unknown traffic class {kind!r}")
+        self.expect("}")
+        return binding
 
 
 def parse(text: str) -> tuple[AndlFile, list[Diagnostic]]:

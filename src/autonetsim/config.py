@@ -17,7 +17,8 @@ from fractions import Fraction
 from types import NoneType, UnionType
 from typing import Annotated, Literal, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
-from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, TdmaWindow
+from .can import CAN_MAX_ID
+from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, PRIORITY, TdmaWindow
 from .gateway import DEFAULT_PROCESSING_DELAY
 from .kernel import Oscillator, Positive, Range, Ticks, parse_duration, parse_rate
 
@@ -35,10 +36,13 @@ class OverrideError(ValueError):
 # Every value has a declared type.  An integer may carry its Range, and a name
 # the kinds of thing it may name: device kinds, "bus", "segment", "port" (a
 # directed link "owner->peer") or "TT release" (a key of the schedule's
-# releases with at least one offset).
+# releases with at least one offset).  The ANDL parser checks a listing's
+# values against the same ranges.
 
-CanId = Annotated[int, Range(0, 0x7FF)]
-Payload = Annotated[int, Range(1, ETH_MAX_PAYLOAD)]  # bytes
+CAN_ID = Range(0, CAN_MAX_ID)
+PAYLOAD = Range(1, ETH_MAX_PAYLOAD)  # bytes
+CanId = Annotated[int, CAN_ID]
+Payload = Annotated[int, PAYLOAD]
 NodeName = Annotated[str, ("node",)]
 GatewayName = Annotated[str, ("gateway",)]
 SegmentName = Annotated[str, ("segment",)]
@@ -66,7 +70,7 @@ class RcBinding(TypedDict):
 
 class BeBinding(TypedDict):
     kind: Literal["be"]
-    priority: Annotated[int, Range(0, 7)]
+    priority: Annotated[int, PRIORITY]
 
 
 EthBinding = Union[TtBinding, AvbBinding, RcBinding, BeBinding]
@@ -270,10 +274,8 @@ def _load(value, tp, where: str, names: list):
         value, rule = _load(value, args[0], where, names), args[1]
         if isinstance(rule, tuple):
             names.append((where, value, rule))
-        elif not rule.low <= value <= rule.high:
-            low = "positive" if rule.low == 1 else f"at least {rule.low}"
-            raise ValueError(low if value < rule.low else f"at most {rule.high}", value)
-        return value
+            return value
+        return rule.check(value)
     if origin in (Union, UnionType):
         if value is None and NoneType in args:
             return None

@@ -29,10 +29,8 @@ def _tag_from_dict(b: dict):
     if kind == "rc":
         return RC(b["vl"], b["bag"])
     if kind == "avb":
-        return AVB(b["stream"], b.get("class", "A"))
-    if kind == "be":
-        return BE(b.get("priority", 0))
-    raise ValueError(f"not an Ethernet binding: {b!r}")
+        return AVB(b["stream"], b["class"])
+    return BE(b["priority"])  # the last kind of a config.EthBinding
 
 
 class Host:
@@ -285,25 +283,20 @@ class Runtime:
             if msg.can_talker is not None:
                 bus = self.buses[msg.can_talker["bus"]]
                 CanSource(
-                    self, msg.sender, self._can_port(msg.sender, bus), bus, msg.name,
+                    self, msg.sender, self.hosts[msg.sender].port, bus, msg.name,
                     msg.can_talker["id"], msg.payload, msg.period, msg.offset,
                 )
             else:
                 port = self.hosts[msg.sender].port
-                if not isinstance(port, EthPort):
-                    raise ValueError(f"message {msg.name}: sender {msg.sender} has no Ethernet port")
                 emissions = []
                 for frame in msg.eth_talker:
                     if "release" not in frame:
                         emissions.append((tuple(frame["key"]), _tag_from_dict(frame["binding"])))
                         continue
-                    releases = (self.cfg.schedule.releases or {}).get(frame["release"])
-                    if not releases:
-                        raise ValueError(f"message {msg.name}: no TT releases for {frame['release']}")
                     TtSource(
                         self, msg.sender, port, msg.name, frame["release"], tuple(frame["key"]),
                         frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
-                        releases, self.oscillators[msg.sender],
+                        self.cfg.schedule.releases[frame["release"]], self.oscillators[msg.sender],
                     )
                 if emissions:
                     EthSource(
@@ -313,15 +306,8 @@ class Runtime:
             for receiver in msg.receivers:
                 sub = msg.can_receivers.get(receiver)
                 if sub is not None:
-                    bus = self.buses[sub["bus"]]
-                    bus.subscribe(self._can_port(receiver, bus), sub["id"])
+                    self.buses[sub["bus"]].subscribe(self.hosts[receiver].port, sub["id"])
                 self.hosts[receiver].subs.add(msg.name)
-
-    def _can_port(self, node: str, bus: CanBus) -> NodeCanPort:
-        port = self.hosts[node].port
-        if port not in bus.ports:
-            raise ConfigError(f"node {node} is not attached to bus {bus.name}")
-        return port
 
     # -- execution ------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from collections import deque
 
-from .kernel import SEC, US, Event, EventKind, Positive, Simulator, Ticks
+from .kernel import SEC, US, Event, EventKind, Positive, Range, Simulator, Ticks
 from .metrics import MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
@@ -75,13 +75,16 @@ class AVB:
             raise ValueError("AVB class must be A or B")
 
 
+PRIORITY = Range(0, 7)  # of a best-effort frame, IEEE 802.1Q
+
+
 @dataclass(frozen=True)
 class BE:
     priority: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.priority <= 7:
-            raise ValueError("802.1Q priority must be 0..7")
+        if not PRIORITY.low <= self.priority <= PRIORITY.high:
+            raise ValueError(f"802.1Q priority must be {PRIORITY.low}..{PRIORITY.high}")
 
 
 @dataclass

@@ -49,14 +49,25 @@ MAX_TICKS = 2**63 - 1
 
 @dataclass(frozen=True)
 class Range:
-    """The bounds of an integer field of a config document, checked when it is loaded."""
+    """The bounds of an integer field of a config document, checked when a
+    document is loaded and where an ANDL listing gives the value."""
 
     low: int
     high: int = MAX_TICKS
 
+    def check(self, value: int) -> int:
+        """``value``; ValueError(the bound it leaves in words, ``value``) when it is out of range."""
+        if value < self.low:
+            raise ValueError("positive" if self.low == 1 else f"at least {self.low}", value)
+        if value > self.high:
+            raise ValueError(f"at most {self.high}", value)
+        return value
 
-Ticks = Annotated[int, Range(0)]     # a time or an offset
-Positive = Annotated[int, Range(1)]  # a rate, a period, a duration or a count
+
+TICKS = Range(0)
+POSITIVE = Range(1)
+Ticks = Annotated[int, TICKS]        # a time or an offset
+Positive = Annotated[int, POSITIVE]  # a rate, a period, a duration or a count
 
 
 class SimulationError(Exception):

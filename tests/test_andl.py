@@ -203,7 +203,7 @@ _ONE_RULE_TWO_MESSAGES = {
     _case([("sender cn1;", "sender cn1; multicast;")],
           "message msg1: multicast TT streams are not supported", id="multicast-tt"),
     _case([("backbone: avb{id 1;};", "backbone: rc{vlID 3; bag 0ms;};")],
-          "message msg2: bag must be positive", id="zero-bag"),
+          "small.andl:64:34: error: bag must be positive, not 0 ps", id="zero-bag"),
     _case([_add_message("sender en1; receivers en2; payload 4B; period 1ms; mapping { backbone: avb{id 1;}; }")],
           "duplicate avb id 1 (m3 vs msg2)", id="duplicate-stream-id"),
     _case([("backbone: avb{id 1;};", "backbone: avb{id 0;};"),
@@ -254,6 +254,19 @@ _ONE_RULE_TWO_MESSAGES = {
           "message msg2: gateway gw1 listed but not on the message path", id="gateway-off-path"),
     _case([("payload 6B;", "payload 9B;")], "message msg1: CAN payload exceeds 8 bytes", id="can-payload"),
     _case([("payload 500B;", "payload 1501B;")], "message msg2: payload exceeds 1500 bytes", id="eth-payload"),
+    # A listing's values take the document's ranges: what validates, a compiled document also holds.
+    _case([("payload 500B;", "payload 0B;")], "small.andl:58:1: error: message msg2: payload must be at least 1 byte",
+          id="zero-payload"),
+    _case([("payload 500B;", "")], "small.andl:58:1: error: message msg2: payload must be at least 1 byte",
+          id="no-payload"),
+    _case([("period 125us;", "period 125us; offset 999999999s;")],
+          "small.andl:62:28: error: offset must be at most 9223372036854775807, not 999999999000000000000 ps",
+          id="offset-past-the-tick-range"),
+    _case([("holdUp 2ms;", "holdUp 9223372036854775808ps;")],
+          "small.andl:53:32: error: holdUp must be at most 9223372036854775807, not 9223372036854775808 ps",
+          id="hold-up-past-the-tick-range"),
+    _case([("can{id 37;}", "can{id 5000;}")], "small.andl:52:24: error: id must be at most 2047, not 5000",
+          id="can-id-over-11-bits"),
     _case([], "pool gw1.gw1_1: hold-up of id 37 exceeds its period", code=0, id="hold-up-over-period"),
     _case([("record-eventlog = false", "record-eventlog")],
           "inline ini line without '=': 'record-eventlog'", code=0, id="ini-without-equals"),
@@ -564,26 +577,37 @@ def test_print_parse_roundtrip(listing_small, listing_backbone):
 
 
 _ident = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True)
+_stream = st.integers(min_value=0, max_value=10**6)
+# Each kind of segment binding as ANDL text, in the forms the printer does not always write back.
+_binding = st.one_of(
+    st.integers(min_value=0, max_value=2047).map("can{{id {};}}".format),
+    _stream.map("tt{{ctID {};}}".format),
+    st.tuples(_stream, st.sampled_from(["", " class A;", " class B;"])).map(lambda t: "avb{{id {};{}}}".format(*t)),
+    st.tuples(_stream, st.integers(min_value=1, max_value=10**6), st.sampled_from(["ps", "ns", "us", "ms"]))
+      .map(lambda t: "rc{{vlID {}; bag {}{};}}".format(*t)),
+    st.integers(min_value=0, max_value=7).map("be{{priority {};}}".format),
+)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(
     names=st.lists(_ident, min_size=2, max_size=5, unique=True),
     payload=st.integers(min_value=1, max_value=1500),
     period_us=st.integers(min_value=1, max_value=10_000),
-    prio=st.integers(min_value=0, max_value=7),
+    binding=_binding,
 )
-def test_print_parse_roundtrip_generated(names, payload, period_us, prio):
+def test_print_parse_roundtrip_generated(names, payload, period_us, binding):
     sender, receiver = names[0], names[1]
+    medium = ("canLink", "bus") if binding.startswith("can") else ("switch", "sw")  # a CAN binding on a CAN segment
     devs = "".join(f"    node {n};\n" for n in names)
-    conns = "".join(f"      {n} <--> sw;\n" for n in names)
+    conns = "".join(f"      {n} <--> {medium[1]};\n" for n in names)
     text = f"""
 network g {{
   devices {{
-{devs}    switch sw;
+{devs}    {medium[0]} {medium[1]};
   }}
   connections {{
-    segment eth {{
+    segment seg {{
 {conns}    }}
   }}
   communication {{
@@ -592,7 +616,7 @@ network g {{
       receivers {receiver};
       payload {payload}B;
       period {period_us}us;
-      mapping {{ eth: be{{priority {prio};}}; }}
+      mapping {{ seg: {binding}; }}
     }}
   }}
 }}
@@ -602,6 +626,40 @@ network g {{
     ast2, diags2 = parse(print_file(ast))
     assert not has_errors(diags2)
     assert ast2 == ast
+
+
+_BOUNDS_LISTING = """network n {
+  devices { canLink cb; node c1; node c2; node e1; node e2; switch s; }
+  connections { segment can { c1 <--> cb; c2 <--> cb; } segment eth { e1 <--> s; e2 <--> s; } }
+  communication {
+    message c { sender c1; receivers c2; payload %(payload)s; period 1ms; offset %(offset)s;
+      mapping { can: can{id %(id)s;}; } }
+    message r { sender e1; receivers e2; payload 4B; period 1ms; mapping { eth: rc{vlID 1; bag %(bag)s;}; } }
+    message b { sender e2; receivers e1; payload 4B; period 1ms; mapping { eth: be{priority %(priority)s;}; } }
+  }
+}
+"""
+_IN_RANGE = {"payload": "1B", "offset": "0ps", "id": "0", "bag": "1ps", "priority": "0"}
+
+
+@pytest.mark.parametrize("field, value, ok", [
+    ("id", "2047", True), ("id", "2048", False),
+    ("priority", "7", True), ("priority", "8", False),
+    ("bag", "1ps", True), ("bag", "0ps", False),
+    ("payload", "1B", True), ("payload", "0B", False),
+    ("offset", f"{2**63 - 1}ps", True), ("offset", f"{2**63}ps", False),
+])
+def test_a_listing_takes_the_documents_ranges(tmp_path, capsys, field, value, ok):
+    from autonetsim.config import NetworkConfig
+
+    text = _BOUNDS_LISTING % {**_IN_RANGE, field: value}
+    src = tmp_path / "bounds.andl"
+    src.write_text(text)
+    assert main(["validate", str(src)]) == (0 if ok else 1)
+    assert "Traceback" not in capsys.readouterr().err
+    if ok:
+        cfg = compile_network(parse(text)[0])
+        assert NetworkConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
 
 
 SMALL_NETWORK = Path(__file__).resolve().parents[1] / "scenarios" / "small_network.andl"

@@ -214,6 +214,11 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
      "messages[0].can_talker: field 'id' of a CanAddress must be at most 2047, not 2048"),
     (lambda doc: doc["messages"][0].update(receivers=["nobody"]), "messages[0].receivers[0]: \"nobody\" names no node"),
     (lambda doc: doc["messages"][0]["can_talker"].update(bus="cb2"), "messages[0]: \"cb2.cn1\" names no bus member"),
+    (lambda doc: doc["messages"][0]["can_receivers"]["cn2"].update(bus="cb1"),
+     "messages[0]: \"cb1.cn2\" names no bus member"),
+    (lambda doc: doc["messages"][1].update(sender="cn1"), "messages[1].sender: \"cn1\" names no device with a link"),
+    (lambda doc: doc["messages"][1]["eth_talker"][0].update(release="msg2:en2"),
+     "messages[1].eth_talker[0].release: \"msg2:en2\" names no TT release"),
     (lambda doc: doc["pools"][0].update(holdup_by_id={}), "rules[0]: \"gw1.gw1_1[37]\" names no pool id"),
     (lambda doc: doc["forwarding"][0].update(ports=["cn1"]), "forwarding[0]: \"s1->cn1\" names no port"),
     (lambda doc: doc["rules"][0].update(can_id=None),
@@ -238,6 +243,7 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
         "zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null",
         "talker-key-an-int", "talker-key-of-strings", "binding-kind-unknown", "avb-class-unknown",
         "negative-hold-up", "can-id-over-11-bits", "receiver-undeclared", "talker-off-its-bus",
+        "listener-off-its-bus", "talker-without-a-link", "talker-without-tt-releases",
         "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "drift-not-a-number",
         "avb-port-without-reservation", "device-twice", "device-twice-other-kind", "message-twice",
         "message-renamed-to-another", "pool-twice", "link-to-itself", "bus-of-another-kind", "can-payload-9"])
@@ -478,7 +484,7 @@ def test_shipped_scenarios_compile_and_run(tmp_path, capsys):
 
 INI = "record-eventlog = false"
 BE9 = ("avb{id 1;}", "be{priority 9;}")
-BE9_DIAG = "small.andl:64:31: error: 802.1Q priority must be 0..7"
+BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
 
 
 @pytest.mark.parametrize("edit, argv, code, needle", [
