@@ -14,7 +14,7 @@ from collections import deque
 from itertools import zip_longest
 
 from ..config import (
-    _DEVICE_VALUES, PAYLOAD, BusCfg, DeviceCfg, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
+    DEVICE_RULES, PAYLOAD, BusCfg, DeviceCfg, DeviceParams, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
     OverrideError, PoolCfg, RuleCfg, ScheduleCfg, apply_override, device_value,
 )
 from ..ethernet import (ETH_MAX_PAYLOAD, check_reservation_cap,
@@ -76,16 +76,16 @@ class _Builder:
                 index.setdefault(decl.name, decl)
         return index
 
-    def _resolve(self, decl, types: dict) -> tuple[dict[str, str], list[str]]:
+    def _resolve(self, decl, types: dict) -> tuple[DeviceParams, list[str]]:
         """The params and pools ``decl`` declares or inherits, leaving it as parsed.
 
-        Each declaration is resolved once, so a faulty chain, or a known
-        parameter that does not parse, is reported once, at its own line.
+        Each declaration is resolved once, so a faulty chain, or a parameter
+        that is unknown or out of range, is reported once, at its own line.
         """
         key = id(decl)
         if key in self.resolved:
             return self.resolved[key]
-        params: dict[str, str] = {}
+        params: DeviceParams = {}
         pools: list[str] = []
         if decl.extends is not None:
             base = types.get(decl.extends)
@@ -108,15 +108,20 @@ class _Builder:
         self.resolved[key] = params, pools
         return params, pools
 
-    def _checked(self, label: str, params: dict[str, str], line: int) -> dict[str, str]:
-        """``params`` less each known value that does not parse, an error at ``line``."""
-        for key in [k for k in params if k in _DEVICE_VALUES]:
+    def _checked(self, label: str, params: dict[str, str], line: int) -> DeviceParams:
+        """``params`` less each one DeviceParams does not declare, a warning at ``line``,
+        and each value its rule refuses, an error there."""
+        checked = {}
+        for key, text in params.items():
             try:
-                device_value(params, key)
-            except ValueError as exc:
-                self.error(line, f"{label}.{key}: {exc}")
-                params = {k: v for k, v in params.items() if k != key}
-        return params
+                checked[key] = DEVICE_RULES[key].check(text)
+            except KeyError:
+                self.warn(line, f"{label}: unknown parameter {key!r} (ignored)")
+            except ValueError as exc:  # a Range's args: the bound left and the value
+                why = f" must be {exc.args[0]}, not {exc.args[1]}" if len(exc.args) == 2 else f": {exc}"
+                self.error(line, f"{label}.{key}{why}")
+        return checked
+
     def _pick_network(self) -> NetworkDecl | None:
         if not self.ast.networks:
             self.error(1, "no network declared")

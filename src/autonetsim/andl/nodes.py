@@ -31,7 +31,7 @@ def has_errors(diags: list[Diagnostic]) -> bool:
 
 
 @dataclass
-class TypeDecl:
+class DeviceDecl:  # a device, or a type in a types block
     kind: str
     name: str
     extends: str | None = None
@@ -43,17 +43,7 @@ class TypeDecl:
 @dataclass
 class TypesBlock:
     name: str
-    decls: list[TypeDecl] = field(default_factory=list)
-    line: int = field(default=0, compare=False)
-
-
-@dataclass
-class DeviceDecl:
-    kind: str
-    name: str
-    extends: str | None = None
-    params: dict[str, str] = field(default_factory=dict)
-    pools: list[str] = field(default_factory=list)
+    decls: list[DeviceDecl] = field(default_factory=list)
     line: int = field(default=0, compare=False)
 
 

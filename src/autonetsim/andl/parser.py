@@ -17,7 +17,7 @@ from ..config import CAN_ID, PRIORITY
 from ..kernel import POSITIVE, TICKS, Range, parse_byte_count, parse_duration
 from .nodes import (
     AndlFile, ConnDecl, DeviceDecl, Diagnostic, MapEntry, MessageDecl,
-    NetworkDecl, PoolBind, SegmentDecl, TypeDecl, TypesBlock,
+    NetworkDecl, PoolBind, SegmentDecl, TypesBlock,
 )
 
 DEVICE_KINDS = ("ethernetLink", "canLink", "node", "gateway", "switch")
@@ -281,16 +281,16 @@ class Parser:
         while not self.accept("}"):
             if self.at_eof():
                 self.error("unterminated types block")
-            self.item(block.decls, self.typed_decl, TypeDecl)
+            self.item(block.decls, self.typed_decl)
         return block
 
-    def typed_decl(self, ctor):
+    def typed_decl(self) -> DeviceDecl:
         start = self.pos
         if self.kinds[start] != "ident" or self.peek() not in DEVICE_KINDS:
             self.error(f"expected a device kind, found {self.peek()!r}")
         kind = self.advance()
         name = self.expect_ident("device name")
-        decl = ctor(kind=kind, name=name, line=self.line(start))
+        decl = DeviceDecl(kind, name, line=self.line(start))
         if self.accept("extends"):
             decl.extends = self.qname()
         if self.accept("{"):
@@ -339,7 +339,7 @@ class Parser:
                     while not self.accept("}"):
                         if self.at_eof():
                             self.error("unterminated devices block")
-                        self.item(net.devices, self.typed_decl, DeviceDecl)
+                        self.item(net.devices, self.typed_decl)
                 elif self.at("connections"):
                     self.advance()
                     self.expect("{")

@@ -10,6 +10,7 @@ schema) so identical sources compile to identical bytes.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache, partial
@@ -18,9 +19,9 @@ from types import NoneType, UnionType
 from typing import Annotated, Literal, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
 from .can import CAN_MAX_ID
-from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, PRIORITY, TdmaWindow
+from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, PRIORITY, TdmaSchedule, TdmaWindow
 from .gateway import DEFAULT_PROCESSING_DELAY
-from .kernel import Oscillator, Positive, Range, Ticks, parse_duration, parse_rate
+from .kernel import POSITIVE, TICKS, Oscillator, Positive, Range, Ticks, parse_duration, parse_rate
 
 
 class ConfigError(Exception):
@@ -36,8 +37,8 @@ class OverrideError(ValueError):
 # Every value has a declared type.  An integer may carry its Range, and a name
 # the kinds of thing it may name: device kinds, "bus", "segment", "port" (a
 # directed link "owner->peer") or "TT release" (a key of the schedule's
-# releases with at least one offset).  The ANDL parser checks a listing's
-# values against the same ranges.
+# releases with at least one offset).  The ANDL parser and compiler check a
+# listing's values against the same ranges.
 
 CAN_ID = Range(0, CAN_MAX_ID)
 PAYLOAD = Range(1, ETH_MAX_PAYLOAD)  # bytes
@@ -120,11 +121,42 @@ class PoolDest(TypedDict):
 Slopes = TypedDict("Slopes", {"A": Positive, "B": Positive}, total=False)  # b/s per AVB class
 
 
+@dataclass(frozen=True)
+class Parsed:
+    """The rule of a value a document keeps as text, such as ``"4us"``: ``parse`` reads it, and
+    ``bound``, the range of the field the value lands in, checks it (None: ``parse`` does)."""
+    parse: Callable[[str], int | Fraction]
+    bound: Range | None = None
+
+    def value(self, text: str) -> int | Fraction:
+        return self.parse(text) if self.bound is None else self.bound.check(self.parse(text))
+
+    def check(self, text: str) -> str:
+        self.value(text)
+        return text
+
+
+def _parse_drift(text: str) -> Fraction:
+    try:
+        drift = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a drift in ppm: {text!r}") from None
+    return Oscillator(drift).drift_ppm  # Oscillator checks the range
+
+
+class DeviceParams(TypedDict, total=False):  # as a listing gives them; an unset one takes its default
+    processingDelay: Annotated[str, Parsed(parse_duration, TICKS)]
+    hardwareDelay: Annotated[str, Parsed(parse_duration, TICKS)]
+    driftPpm: Annotated[str, Parsed(_parse_drift)]
+    bandwidth: Annotated[str, Parsed(parse_rate, POSITIVE)]  # as LinkCfg.rate
+    bitrate: Annotated[str, Parsed(parse_rate, POSITIVE)]  # as BusCfg.bitrate
+
+
 @dataclass
 class DeviceCfg:
     name: str
     kind: Literal["node", "switch", "gateway", "canLink", "ethernetLink"]
-    params: dict[str, str] = field(default_factory=dict)
+    params: DeviceParams = field(default_factory=dict)
 
 
 @dataclass
@@ -310,7 +342,9 @@ def _load(value, tp, where: str, names: list):
     for key, v in value.items():
         try:
             out[key] = _load(v, hints[key], key if where == "the document" else f"{where}.{key}", names)
-        except ValueError as misfit:  # its args: the range an integer left, and that integer
+        except ValueError as misfit:  # its args: a parser's message, or the range a value left and that value
+            if len(misfit.args) == 1:
+                raise ConfigError(f"{where}: {misfit}") from None
             expected, shown = misfit.args or (_describe(hints[key]), v)
             raise ConfigError(f"{where}: field {key!r} of {record} must be {expected}, "
                               f"not {json.dumps(shown)}") from None
@@ -319,8 +353,8 @@ def _load(value, tp, where: str, names: list):
 
 def _check_names(cfg: NetworkConfig, names: list) -> None:
     """Refuse a name given twice, a name of nothing declared or of nothing where the engine looks it up,
-    a device parameter that does not parse, a CAN payload over 8 bytes, a rule the gateway cannot route
-    and an AVB frame leaving an unreserved port."""
+    overlapping TDMA windows or one leaving the cycle, a CAN payload over 8 bytes, a rule the gateway
+    cannot route and an AVB frame leaving an unreserved port."""
     ports = [(f"links[{i}]", f"{a}->{b}") for i, ln in enumerate(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))]
     for what, named in (("device", [(f"devices[{i}]", d.name) for i, d in enumerate(cfg.devices)]),
                         ("message", [(f"messages[{i}]", m.name) for i, m in enumerate(cfg.messages)]),
@@ -339,12 +373,8 @@ def _check_names(cfg: NetworkConfig, names: list) -> None:
                 *(("pool id", f"{p.gateway}.{p.name}[{i}]") for p in cfg.pools for i in p.holdup_by_id),
                 *(("device with a link", a) for a in peer),
                 *(("port", port) for _, port in ports)}
-    for i, d in enumerate(cfg.devices):
-        for key in d.params.keys() & _DEVICE_VALUES:
-            try:
-                device_value(d.params, key)
-            except ValueError as exc:
-                raise ConfigError(f"devices[{i}].params: {exc}") from None
+    for fault in TdmaSchedule(cfg.schedule.cycle, cfg.schedule.windows).violations() if cfg.schedule else ():
+        raise ConfigError(f"schedule: {fault}")
     names += [(f"buses[{i}]", b.name, ("canLink",)) for i, b in enumerate(cfg.buses)]
     for i, m in enumerate(cfg.messages):
         if m.payload > 8 and any(b["kind"] == "can" for b in m.bindings.values()):
@@ -377,33 +407,20 @@ def _check_names(cfg: NetworkConfig, names: list) -> None:
         hops += [(to, p, key, cls) for p in forward.pop((to, key, cls), ())]
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+def _bool(text: str) -> bool:
+    return {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}[text.lower()]
 
 
-def _parse_drift(text: str) -> Fraction:
-    try:
-        drift = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a drift in ppm: {text!r}") from None
-    return Oscillator(drift).drift_ppm  # Oscillator checks the range
+# The value of each device parameter that a device leaves unset.
+_DEVICE_DEFAULTS = {"processingDelay": DEFAULT_PROCESSING_DELAY, "hardwareDelay": DEFAULT_HW_DELAY, "driftPpm": 0,
+                    "bandwidth": 100_000_000, "bitrate": 500_000}
+DEVICE_RULES: dict[str, Parsed] = {name: get_args(tp)[1] for name, tp in _hints(DeviceParams).items()}
 
 
-# The one table of device parameters, each with its parser and the default of
-# a device that leaves it unset: for the compiler, the overrides and the engine.
-_DEVICE_VALUES = {
-    "processingDelay": (parse_duration, DEFAULT_PROCESSING_DELAY),
-    "hardwareDelay": (parse_duration, DEFAULT_HW_DELAY),
-    "driftPpm": (_parse_drift, 0),
-    "bandwidth": (parse_rate, 100_000_000),
-    "bitrate": (parse_rate, 500_000),
-}
-
-
-def device_value(params: dict[str, str], key: str):
-    """The parsed value of a known device parameter, or its default when unset."""
-    parse, default = _DEVICE_VALUES[key]
+def device_value(params: DeviceParams, key: str):
+    """The value of a device parameter, or its default when unset."""
     raw = params.get(key)
-    return default if raw is None else parse(raw)
+    return _DEVICE_DEFAULTS[key] if raw is None else DEVICE_RULES[key].value(raw)
 
 
 def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
@@ -411,80 +428,67 @@ def apply_override(cfg: NetworkConfig, key: str, value: str) -> bool:
 
     The compiler applies the inline-ini pairs and then the command-line
     pairs before it derives anything, so the later pair wins.  A value that
-    does not parse raises OverrideError naming the key.
+    does not parse into its field's range raises OverrideError naming the key.
     """
+    key, value = key.strip(), value.strip()
+    if (target := _override_target(cfg, key)) is None:
+        return False
+    assign, read, _ = target
     try:
-        return _apply_override(cfg, key.strip().split("."), value.strip())
-    except OverrideError:
-        raise
-    except (KeyError, ValueError):
-        raise OverrideError(f"override {key.strip()!r}: cannot parse {value.strip()!r}") from None
+        assign(read(value))
+    except (KeyError, ValueError) as exc:  # a Range's args: the bound left and the value
+        why = f" must be {exc.args[0]}, not {exc.args[1]}" if len(exc.args) == 2 else f": cannot parse {value!r}"
+        raise OverrideError(f"override {key!r}{why}") from None
+    return True
 
 
 def derives_tables(cfg: NetworkConfig, key: str) -> bool:
-    """Whether the compiler derived TDMA windows or the reservation check from
-    ``key``: a known key (as ``_apply_override`` tells them) for a link's
-    bandwidth, a device's hardwareDelay or a port's idle slope."""
-    parts = key.strip().split(".")
+    """Whether the compiler derived TDMA windows or the reservation check from override
+    ``key``: a link's bandwidth, a device's hardwareDelay or a port's idle slope."""
+    return (_override_target(cfg, key.strip()) or (None, None, False))[2]
+
+
+# The run knobs: the override key, the field it sets and how its text parses.
+_KNOBS = {"sim.seed": ("seed", int), "sim.queueCapacity": ("queue_capacity", int),
+          "sim.ttTolerance": ("tt_tolerance", parse_duration), "sim.canStuffing": ("can_stuffing", _bool)}
+
+
+@cache
+def _declared(record, name: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse``, then the Range that field ``name`` of ``record`` declares, if it declares one."""
+    return Parsed(parse, *get_args(_hints(record)[name])[1:]).value
+
+
+def _override_target(cfg: NetworkConfig, key: str) -> tuple[Callable, Callable[[str], object], bool] | None:
+    """What override ``key`` sets, how its value is read (parsed, then checked against the declared type
+    of the field it lands in) and whether the compiler derived tables from it; None for an unknown key."""
+    parts = key.split(".")
+    if key in _KNOBS:
+        name, parse = _KNOBS[key]
+        return partial(setattr, cfg, name), _declared(NetworkConfig, name, parse), False
+    # "metrics.completions" is still accepted but switches nothing (windows come from checkpoints).
+    if len(parts) == 2 and parts[0] == "metrics" and parts[1] in ("queues", "credit", "completions", "stations"):
+        return partial(cfg.metric_flags.__setitem__, parts[1]), _bool, False
     if len(parts) == 4 and parts[0] == "port" and parts[3] in ("idleSlopeA", "idleSlopeB"):
-        return _links_join(cfg, parts[1], parts[2])
-    if len(parts) == 2:
-        target, param = parts
-        if param == "hardwareDelay":
-            return cfg.device(target) is not None
-        if param == "bandwidth":
-            return any(link.name == target for link in cfg.links)
-    return False
+        a, b, cls = parts[1], parts[2], parts[3][-1]
+        if not any({ln.a, ln.b} == {a, b} for ln in cfg.links):  # no port between them
+            return None
+        return (lambda rate: cfg.slopes.setdefault(f"{a}->{b}", {}).__setitem__(cls, rate),
+                _declared(Slopes, cls, parse_rate), True)
+    if len(parts) != 2 or parts[1] not in DEVICE_RULES:
+        return None
+    name, param = parts
+    device, rule = cfg.device(name), DEVICE_RULES[param]
+    links = [ln for ln in cfg.links if ln.name == name and param == "bandwidth"]  # an unnamed link is no device
+    if device is None and not links:
+        return None
 
+    def assign(text: str) -> None:
+        if device is not None:
+            device.params[param] = text
+        for ln in links:
+            ln.rate = rule.value(text)
+        for bus in [b for b in cfg.buses if b.name == name and param == "bitrate"]:
+            bus.bitrate = rule.value(text)
 
-def _links_join(cfg: NetworkConfig, a: str, b: str) -> bool:
-    """Whether an Ethernet link joins devices ``a`` and ``b``: a port between them."""
-    return any({ln.a, ln.b} == {a, b} for ln in cfg.links)
-
-
-def _apply_override(cfg: NetworkConfig, parts: list[str], value: str) -> bool:
-    if parts[0] == "sim" and len(parts) == 2:
-        if parts[1] == "seed":
-            cfg.seed = int(value)
-            return True
-        if parts[1] == "queueCapacity":
-            if int(value) < 1:  # a port that holds no frame drops every frame
-                raise OverrideError(f"override 'sim.queueCapacity': {value!r} is not at least 1")
-            cfg.queue_capacity = int(value)
-            return True
-        if parts[1] == "ttTolerance":
-            cfg.tt_tolerance = parse_duration(value)
-            return True
-        if parts[1] == "canStuffing":
-            cfg.can_stuffing = _BOOL[value.lower()]
-            return True
-        return False
-    if parts[0] == "metrics" and len(parts) == 2:
-        # "completions" is still accepted but switches nothing (windows come from checkpoints).
-        if parts[1] in ("queues", "credit", "completions", "stations"):
-            cfg.metric_flags[parts[1]] = _BOOL[value.lower()]
-            return True
-        return False
-    if parts[0] == "port" and len(parts) == 4 and parts[3] in ("idleSlopeA", "idleSlopeB"):
-        if not _links_join(cfg, parts[1], parts[2]):
-            return False
-        link = f"{parts[1]}->{parts[2]}"
-        cls = parts[3][-1]
-        cfg.slopes.setdefault(link, {})[cls] = parse_rate(value)
-        return True
-    if len(parts) == 2:
-        target, param = parts
-        dev = cfg.device(target)
-        links = [link for link in cfg.links if link.name == target and param == "bandwidth"]
-        if dev is None and not links:  # an unnamed link is no device
-            return False
-        parsed = _DEVICE_VALUES[param][0](value) if param in _DEVICE_VALUES else value
-        if dev is not None:
-            dev.params[param] = value
-        for link in links:
-            link.rate = parsed
-        for bus in cfg.buses:
-            if bus.name == target and param == "bitrate":
-                bus.bitrate = parsed
-        return True
-    return False
+    return assign, rule.check, param == "hardwareDelay" or bool(links)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from collections import deque
+from typing import Annotated
 
 from .kernel import SEC, US, Event, EventKind, Positive, Range, Simulator, Ticks
 from .metrics import MetricStore
@@ -185,7 +186,7 @@ def check_reservation_cap(idle_slope_a: int, idle_slope_b: int, port_rate: int) 
 @dataclass(frozen=True)
 class TdmaWindow:
     ct_id: int
-    link: str  # directed link "owner->peer"
+    link: Annotated[str, ("port",)]  # directed link "owner->peer"
     offset: Ticks
     duration: Positive
 

@@ -220,6 +220,8 @@ _ONE_RULE_TWO_MESSAGES = {
           "small.andl:19:1: error: cn1.driftPpm: |drift_ppm| must be < 10^6", id="drift-out-of-range"),
     _case([("    bandwidth 100Mb/s;", "    bandwidth fast;")],
           "small.andl:3:1: error: ETH.bandwidth: not a rate: 'fast'", id="link-type-bandwidth"),
+    _case([("switch s1;", "switch s1 { speed 9; }")],
+          "small.andl:27:1: warning: s1: unknown parameter 'speed' (ignored)", code=0, id="unknown-parameter"),
     # Diagnostics no other test reaches.
     _case([(None, "types std { node N; }\n")], "no network declared", id="no-network"),
     _case([], "network 'nope' not found", args=("--network", "nope"), id="network-not-found"),
@@ -629,8 +631,10 @@ network g {{
 
 
 _BOUNDS_LISTING = """network n {
-  devices { canLink cb; node c1; node c2; node e1; node e2; switch s; }
-  connections { segment can { c1 <--> cb; c2 <--> cb; } segment eth { e1 <--> s; e2 <--> s; } }
+  devices { canLink cb { bitrate %(bitrate)s; } node c1; node c2; node e1; node e2;
+    ethernetLink el { bandwidth %(bandwidth)s; } gateway g { processingDelay %(processingDelay)s; }
+    switch s { hardwareDelay %(hardwareDelay)s; } }
+  connections { segment can { c1 <--> cb; c2 <--> cb; g <--> cb; } segment eth { e1 <--> el <--> s; e2 <--> s; } }
   communication {
     message c { sender c1; receivers c2; payload %(payload)s; period 1ms; offset %(offset)s;
       mapping { can: can{id %(id)s;}; } }
@@ -639,7 +643,8 @@ _BOUNDS_LISTING = """network n {
   }
 }
 """
-_IN_RANGE = {"payload": "1B", "offset": "0ps", "id": "0", "bag": "1ps", "priority": "0"}
+_IN_RANGE = {"payload": "1B", "offset": "0ps", "id": "0", "bag": "1ps", "priority": "0", "bitrate": "1b/s",
+             "bandwidth": "1b/s", "processingDelay": "0ps", "hardwareDelay": "0ps"}
 
 
 @pytest.mark.parametrize("field, value, ok", [
@@ -648,6 +653,10 @@ _IN_RANGE = {"payload": "1B", "offset": "0ps", "id": "0", "bag": "1ps", "priorit
     ("bag", "1ps", True), ("bag", "0ps", False),
     ("payload", "1B", True), ("payload", "0B", False),
     ("offset", f"{2**63 - 1}ps", True), ("offset", f"{2**63}ps", False),
+    ("bandwidth", f"{2**63 - 1}b/s", True), ("bandwidth", f"{2**63}b/s", False),
+    ("bitrate", f"{2**63 - 1}b/s", True), ("bitrate", f"{2**63}b/s", False),
+    ("hardwareDelay", f"{2**63 - 1}ps", True), ("hardwareDelay", f"{2**63}ps", False),
+    ("processingDelay", f"{2**63 - 1}ps", True), ("processingDelay", f"{2**63}ps", False),
 ])
 def test_a_listing_takes_the_documents_ranges(tmp_path, capsys, field, value, ok):
     from autonetsim.config import NetworkConfig

@@ -224,6 +224,18 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
     (lambda doc: doc["rules"][0].update(can_id=None),
      "rules[0]: a rule matches a CAN id, or a forwarding key and then sends to CAN only"),
     (lambda doc: doc["devices"][3]["params"].update(driftPpm="fast"), "devices[3].params: not a drift in ppm: 'fast'"),
+    (lambda doc: doc["devices"][3]["params"].update(speed="9"),
+     "devices[3].params: unknown field 'speed'; a DeviceParams has no such field"),
+    (lambda doc: doc["devices"][0]["params"].update(bandwidth="100000000000Gb/s"),
+     "devices[0].params: field 'bandwidth' of a DeviceParams must be at most 9223372036854775807, "
+     "not 100000000000000000000"),
+    # A TDMA window overlapping another on its port, leaving the cycle or on no port ran as given.
+    (lambda doc: doc["schedule"]["windows"].append(dict(doc["schedule"]["windows"][0], offset=1)),
+     "schedule: windows 102 and 102 overlap on gw1->s1"),
+    (lambda doc: doc["schedule"]["windows"][1].update(offset=doc["schedule"]["cycle"] - 1),
+     "schedule: window 102 on s1->gw2 leaves the cycle"),
+    (lambda doc: doc["schedule"]["windows"][0].update(link="nowhere"),
+     "schedule.windows[0].link: \"nowhere\" names no port"),
     (lambda doc: doc["slopes"].pop("s1->en2"),
      "slopes: port s1->en2 sends AVB class A frames but reserves nothing for them"),
     # A name given twice ran as one or failed as a registered path, and so did a
@@ -245,6 +257,8 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
         "negative-hold-up", "can-id-over-11-bits", "receiver-undeclared", "talker-off-its-bus",
         "listener-off-its-bus", "talker-without-a-link", "talker-without-tt-releases",
         "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "drift-not-a-number",
+        "unknown-device-parameter", "bandwidth-past-the-range", "windows-overlap", "window-past-the-cycle",
+        "window-on-no-port",
         "avb-port-without-reservation", "device-twice", "device-twice-other-kind", "message-twice",
         "message-renamed-to-another", "pool-twice", "link-to-itself", "bus-of-another-kind", "can-payload-9"])
 def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
@@ -493,9 +507,15 @@ BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
     (None, ["run", "--set", "metrics.stations=maybe"], 2, "metrics.stations"),
     (None, ["run", "--set", "sim.queueCapacity=lots"], 2, "sim.queueCapacity"),
     # A port that holds no frame drops every frame.
-    (None, ["run", "--set", "sim.queueCapacity=0"], 2, "'sim.queueCapacity': '0' is not at least 1"),
-    (None, ["run", "--set", "sim.queueCapacity=-5"], 2, "'sim.queueCapacity': '-5' is not at least 1"),
-    ((INI, "sim.queueCapacity = 0"), ["compile"], 1, "'sim.queueCapacity': '0' is not at least 1"),
+    (None, ["run", "--set", "sim.queueCapacity=0"], 2, "override 'sim.queueCapacity' must be positive, not 0"),
+    (None, ["run", "--set", "sim.queueCapacity=-5"], 2, "override 'sim.queueCapacity' must be positive, not -5"),
+    ((INI, "sim.queueCapacity = 0"), ["compile"], 1, "override 'sim.queueCapacity' must be positive, not 0"),
+    # An override value takes the range of the document field it lands in.
+    ((INI, "sim.ttTolerance = 99999999s"), ["compile"], 1,
+     "override 'sim.ttTolerance' must be at most 9223372036854775807, not 99999999000000000000"),
+    (None, ["run", "--set", "eth1.bandwidth=100000000000Gb/s"], 2,
+     "override 'eth1.bandwidth' must be at most 9223372036854775807, not 100000000000000000000"),
+    (None, ["run", "--set", "s1.hardwareDlay=1us"], 1, "unknown override key 's1.hardwareDlay'"),
     (None, ["run", "--set", "gw1.processingDelay=fast"], 2, "gw1.processingDelay"),
     (None, ["run", "--horizon", "9999999s"], 2, "--horizon"),
     (None, ["run", "--window", "5ms:1ms"], 2, "--window"),
@@ -509,6 +529,7 @@ BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
     (("node cn1;", "node cn1 { driftPpm abc; }"), ["run"], 1, "19:1: error: cn1.driftPpm: not a drift in ppm"),
     (None, ["run", "--set", "cn1.driftPpm=1/0"], 2, "cn1.driftPpm"),
 ], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-int-zero", "set-int-negative", "ini-int-zero",
+        "ini-tolerance-past-the-tick-range", "set-bandwidth-past-the-range", "set-unknown-device-parameter",
         "set-duration", "horizon", "window",
         "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run",
         "processing-delay-run", "drift-run", "set-drift"])
