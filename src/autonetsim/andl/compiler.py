@@ -14,8 +14,8 @@ from collections import deque
 from itertools import zip_longest
 
 from ..config import (
-    DEVICE_RULES, PAYLOAD, BusCfg, DeviceCfg, DeviceParams, ForwardCfg, LinkCfg, MessageCfg, NetworkConfig,
-    OverrideError, PoolCfg, RuleCfg, ScheduleCfg, apply_override, device_value,
+    DEVICE_RULES, PAYLOAD, BusCfg, ConfigError, DeviceCfg, DeviceParams, ForwardCfg, LinkCfg, MessageCfg,
+    NetworkConfig, OverrideError, PoolCfg, RuleCfg, ScheduleCfg, apply_override, device_value,
 )
 from ..ethernet import (ETH_MAX_PAYLOAD, check_reservation_cap,
                         eth_frame_duration, eth_wire_bits, pad_payload)
@@ -257,7 +257,7 @@ class _Builder:
     # -- messages -------------------------------------------------------------
 
     def _merge_eth_dest(self, dests: list[dict], kind: str, tag: dict, pool: str | None,
-                        key: list) -> None:
+                        key: tuple) -> None:
         """Add the forwarding key of one more frame, unless a frame has it already."""
         for d in dests:
             if d["kind"] == kind and d.get("pool") == pool and d["tag"] == tag:
@@ -475,7 +475,7 @@ class _Builder:
                 key = self._forward_key(tag, msg, multicast, frame_dst=dst)
                 payload, period = pad_payload(msg.payload), msg.period
                 if role == "gateway":
-                    self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, pool, list(key))
+                    self._merge_eth_dest(dests, "eth" if pool is None else "pool", tag, pool, key)
                     if pool is None:  # a one-record aggregate
                         payload = aggregate_len(1, msg.payload)
                     else:
@@ -505,7 +505,7 @@ class _Builder:
                 derived.add(("frame", key, start))
                 if i == 0:
                     flow_id = f"{msg.name}:{receiver}"
-                    frame = {"key": list(key), "binding": tag}
+                    frame = {"key": key, "binding": tag}
                     if tag["kind"] == "tt":
                         frame["release"] = flow_id
                     msg.eth_talker.append(frame)
@@ -573,7 +573,7 @@ class _Builder:
                     self.warn(line, f"unknown inline-ini key {key.strip()!r} (kept as extra)")
         for key, value in overrides:
             if not apply_override(self.cfg, key, value):
-                raise KeyError(f"unknown override key {key!r}")
+                raise ConfigError(f"unknown override key {key!r}")
 
     def build(self, overrides=()) -> tuple[NetworkConfig, list[Diagnostic]]:
         net = self._pick_network()
@@ -590,11 +590,9 @@ class _Builder:
         self._build_pools()
 
         for (gw, seg, can_id, key), dests in self.rules.items():
-            self.cfg.rules.append(
-                RuleCfg(gw, seg, can_id=can_id, key=list(key) if key else None, dests=dests)
-            )
+            self.cfg.rules.append(RuleCfg(gw, seg, can_id=can_id, key=key, dests=dests))
         for (sw, key), ports in self.forwarding.items():
-            self.cfg.forwarding.append(ForwardCfg(sw, list(key), ports))
+            self.cfg.forwarding.append(ForwardCfg(sw, key, ports))
         for link, slot in self.slopes.items():  # an overridden (link, class) keeps its value
             for cls, v in slot.items():
                 if v:
@@ -642,7 +640,7 @@ def validate(ast: AndlFile, network: str | None = None) -> list[Diagnostic]:
 
 def compile_network(ast: AndlFile, network: str | None = None, overrides=()) -> NetworkConfig:
     """Compile a parsed description; raises CompileError on any error.  ``overrides``
-    are command-line pairs: a bad value raises OverrideError, an unknown key KeyError."""
+    are command-line pairs: a bad value raises OverrideError, an unknown key ConfigError."""
     return compile_with_warnings(ast, network, overrides)[0]
 
 

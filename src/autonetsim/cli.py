@@ -60,7 +60,7 @@ def _load_config(
             raise OverrideError(f"override {key!r}: the document's tables were derived from it; "
                                 "set it in the source and recompile")
         if not apply_override(cfg, key, value):
-            raise KeyError(f"unknown override key {key!r}")
+            raise ConfigError(f"unknown override key {key!r}")
     return cfg, []
 
 
@@ -204,7 +204,7 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_SEMANTIC
     except ValueError as exc:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache, partial
 from fractions import Fraction
+from itertools import product
 from types import NoneType, UnionType
 from typing import Annotated, Literal, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
@@ -119,6 +119,9 @@ class PoolDest(TypedDict):
 
 
 Slopes = TypedDict("Slopes", {"A": Positive, "B": Positive}, total=False)  # b/s per AVB class
+# The series that "metrics.<flag> = false" stops recording; "completions" stops none (windows come from checkpoints).
+MetricFlags = TypedDict("MetricFlags", {"queues": bool, "credit": bool, "stations": bool, "completions": bool},
+                        total=False)
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,7 @@ class NetworkConfig:
     queue_capacity: Positive = 512
     tt_tolerance: Ticks = 0
     can_stuffing: bool = False
-    metric_flags: dict[str, bool] = field(default_factory=dict)
+    metric_flags: MetricFlags = field(default_factory=dict)
 
     # -- serialization ----------------------------------------------------
 
@@ -256,7 +259,7 @@ class NetworkConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
         """The config of a document; ConfigError names the first fault found in it."""
-        cfg = _load(doc, cls, "the document", names := [])
+        cfg = _checker(cls)(doc, (), names := [])
         _check_names(cfg, names)
         return cfg
 
@@ -294,76 +297,107 @@ def _describe(tp) -> str:
     return " or ".join(map(json.dumps if origin is Literal else _describe, args)) if args else _NOUNS[tp]
 
 
-def _load(value, tp, where: str, names: list):
-    """``value`` checked against ``tp``, at ``where``, with dataclasses built and ``dict[int, …]``
-    keys made integers; each name in it goes to ``names`` with the kinds of thing it may name."""
+def _where(path: tuple) -> str:
+    """The place ``path`` leads to, in words; its steps are field names, list indices and 1-tuples of keys."""
+    return "".join(f"[{s}]" if type(s) is int else f".{s}" if type(s) is str else f'["{s[0]}"]'
+                   for s in path)[1:] or "the document"
+
+
+@cache
+def _checker(tp) -> Callable[[object, tuple, list], object]:
+    """``check(value, path, names)``, built once per type: ``value`` checked against ``tp``, with records
+    built, ``dict[int, …]`` keys made integers and ``tuple[…]`` values tuples; each name in it goes to
+    ``names`` with its path and the kinds of thing it may name."""
     origin, args = get_origin(tp), get_args(tp)
     if tp in _NOUNS or origin is Literal:
-        if type(value) is (str if args else tp) and (not args or value in args):  # ``true`` is no integer
+        want = str if args else tp
+
+        def check(value, path, names):
+            if type(value) is not want or args and value not in args:  # ``true`` is no integer
+                raise ValueError()
             return value
-        raise ValueError()
-    if origin is Annotated:
-        value, rule = _load(value, args[0], where, names), args[1]
-        if isinstance(rule, tuple):
-            names.append((where, value, rule))
+    elif origin is Annotated:  # a scalar and its Range, its Parsed or the kinds of thing it may name
+        want, rule = args
+
+        def check(value, path, names):
+            if type(value) is not want:
+                raise ValueError()
+            if not isinstance(rule, tuple):
+                return rule.check(value)
+            names.append((path, value, rule))
             return value
-        return rule.check(value)
-    if origin in (Union, UnionType):
-        if value is None and NoneType in args:
-            return None
-        if all(map(is_typeddict, args)):  # records told apart by their "kind"
-            kinds = [get_args(_hints(a)["kind"])[0] for a in args]
-            kind = value.get("kind") if isinstance(value, dict) else kinds[0]
-            if kind not in kinds:
-                raise ConfigError(f"{where}: field 'kind' must be {' or '.join(map(json.dumps, kinds))}, not {json.dumps(kind)}")
-            args = [args[kinds.index(kind)]]
-        for option in args:
-            with suppress(ValueError):
-                return _load(value, option, where, names)
-        raise ValueError()
-    if origin in (list, tuple, dict):
-        if type(value) is not (dict if origin is dict else list):
-            raise ConfigError(f"{where}: expected a JSON {'object' if origin is dict else 'list'}")
-        if origin is dict:
-            return {_load(int(k) if int in get_args(args[0]) and k.isdecimal() else k, args[0],
-                          (at := f'{where}["{k}"]'), names): _load(v, args[1], at, names) for k, v in value.items()}
-        if origin is tuple and len(value) != len(args):
-            raise ValueError()
-        return [_load(v, args[i] if origin is tuple else args[0], f"{where}[{i}]", names) for i, v in enumerate(value)]
-    if not isinstance(value, dict):  # a record
-        raise ConfigError(f"{where}: expected a JSON object")
-    hints, record = _hints(tp), ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
-    required = tp.__required_keys__ if is_typeddict(tp) else hints.keys()  # a document is what to_json writes
-    if value.keys() - hints:
-        raise ConfigError(f"{where}: unknown field {min(value.keys() - hints)!r}; {record} has no such field")
-    if not value.keys() >= required:
-        raise ConfigError(f"{where}: lacks field {min(required - value.keys())!r}; recompile it")
-    out = {}
-    for key, v in value.items():
-        try:
-            out[key] = _load(v, hints[key], key if where == "the document" else f"{where}.{key}", names)
-        except ValueError as misfit:  # its args: a parser's message, or the range a value left and that value
-            if len(misfit.args) == 1:
-                raise ConfigError(f"{where}: {misfit}") from None
-            expected, shown = misfit.args or (_describe(hints[key]), v)
-            raise ConfigError(f"{where}: field {key!r} of {record} must be {expected}, "
-                              f"not {json.dumps(shown)}") from None
-    return tp(**out) if is_dataclass(tp) else out
+    elif origin in (Union, UnionType):  # null, or the option its "kind" or its first item picks
+        options, tagged = {a: _checker(a) for a in args if a is not NoneType}, all(map(is_typeddict, args))
+        first = next(iter(options.values()))
+        table = {head: option for a, option in options.items()  # the values of a Literal "kind" or first item
+                 for head in get_args(_hints(a)["kind"] if tagged else get_origin(a) is tuple and get_args(a)[0])}
+
+        def check(value, path, names):
+            if value is None and NoneType in args:
+                return None
+            if tagged and isinstance(value, dict):
+                if type(head := value.get("kind")) is not str or head not in table:
+                    raise ConfigError(f"{_where(path)}: field 'kind' must be {' or '.join(map(json.dumps, table))}, "
+                                      f"not {json.dumps(head)}")
+            else:  # a tuple by its first item; a value that no head picks is checked as the first option
+                head = value[0] if type(value) is list and value and type(value[0]) is str else None
+            try:
+                return table.get(head, first)(value, path, names)
+            except ValueError:  # the record that holds the union names the union's type, not the option's fault
+                raise ValueError() from None
+    elif origin in (list, tuple, dict):
+        want, items = dict if origin is dict else list, [_checker(a) for a in args]
+        int_keys = origin is dict and int in get_args(args[0])
+
+        def check(value, path, names):
+            if type(value) is not want:
+                raise ConfigError(f"{_where(path)}: expected a JSON {'object' if want is dict else 'list'}")
+            if origin is dict:  # an integer key is its canonical text
+                return {items[0](int(k) if int_keys and k.isdecimal() and str(int(k)) == k else k,
+                                 at := path + ((k,),), names): items[1](v, at, names) for k, v in value.items()}
+            if origin is tuple and len(value) != len(items):
+                raise ValueError()
+            out = [(items[i] if origin is tuple else items[0])(v, path + (i,), names) for i, v in enumerate(value)]
+            return tuple(out) if origin is tuple else out
+    else:  # a record
+        hints, record = _hints(tp), ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
+        fields, build = {key: _checker(hint) for key, hint in hints.items()}, is_dataclass(tp)
+        required = tp.__required_keys__ if is_typeddict(tp) else hints.keys()  # a document is what to_json writes
+
+        def check(value, path, names):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{_where(path)}: expected a JSON object")
+            if not value.keys() <= fields.keys():
+                raise ConfigError(f"{_where(path)}: unknown field {min(value.keys() - fields)!r}; {record} has no such field")
+            if not value.keys() >= required:
+                raise ConfigError(f"{_where(path)}: lacks field {min(required - value.keys())!r}; recompile it")
+            out = {}
+            for key, v in value.items():
+                try:
+                    out[key] = fields[key](v, path + (key,), names)
+                except ValueError as misfit:  # its args: a parser's message, or the range a value left and that value
+                    if len(misfit.args) == 1:
+                        raise ConfigError(f"{_where(path)}: {misfit}") from None
+                    expected, shown = misfit.args or (_describe(hints[key]), v)
+                    raise ConfigError(f"{_where(path)}: field {key!r} of {record} must be {expected}, "
+                                      f"not {json.dumps(shown)}") from None
+            return tp(**out) if build else out
+    return check
 
 
 def _check_names(cfg: NetworkConfig, names: list) -> None:
     """Refuse a name given twice, a name of nothing declared or of nothing where the engine looks it up,
     overlapping TDMA windows or one leaving the cycle, a CAN payload over 8 bytes, a rule the gateway
     cannot route and an AVB frame leaving an unreserved port."""
-    ports = [(f"links[{i}]", f"{a}->{b}") for i, ln in enumerate(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))]
-    for what, named in (("device", [(f"devices[{i}]", d.name) for i, d in enumerate(cfg.devices)]),
-                        ("message", [(f"messages[{i}]", m.name) for i, m in enumerate(cfg.messages)]),
-                        ("pool", [(f"pools[{i}]", f"{p.gateway}.{p.name}") for i, p in enumerate(cfg.pools)]),
+    ports = [(("links", i), f"{a}->{b}") for i, ln in enumerate(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))]
+    for what, named in (("device", [(("devices", i), d.name) for i, d in enumerate(cfg.devices)]),
+                        ("message", [(("messages", i), m.name) for i, m in enumerate(cfg.messages)]),
+                        ("pool", [(("pools", i), f"{p.gateway}.{p.name}") for i, p in enumerate(cfg.pools)]),
                         ("port", ports)):  # a link from a device to itself gives its port twice
         seen = set()
         for where, name in named:
             if name in seen:
-                raise ConfigError(f"{where}: {what} {json.dumps(name)} given twice")
+                raise ConfigError(f"{_where(where)}: {what} {json.dumps(name)} given twice")
             seen.add(name)
     peer = {a: b for ln in reversed(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))}  # of a device's first link
     declared = {*((d.kind, d.name) for d in cfg.devices), *(("segment", s) for s in cfg.segments),
@@ -375,32 +409,32 @@ def _check_names(cfg: NetworkConfig, names: list) -> None:
                 *(("port", port) for _, port in ports)}
     for fault in TdmaSchedule(cfg.schedule.cycle, cfg.schedule.windows).violations() if cfg.schedule else ():
         raise ConfigError(f"schedule: {fault}")
-    names += [(f"buses[{i}]", b.name, ("canLink",)) for i, b in enumerate(cfg.buses)]
+    names += [(("buses", i), b.name, ("canLink",)) for i, b in enumerate(cfg.buses)]
     for i, m in enumerate(cfg.messages):
         if m.payload > 8 and any(b["kind"] == "can" for b in m.bindings.values()):
             raise ConfigError(f"messages[{i}]: field 'payload' of a MessageCfg with a CAN binding "
                               f"must be at most 8, not {m.payload}")
         listens = list(m.can_receivers.items()) + ([(m.sender, m.can_talker)] if m.can_talker else [])
-        names += [(f"messages[{i}]", f"{g}.{p['pool']}", ("pool",)) for g, p in m.pools.items()]
-        names += [(f"messages[{i}]", f"{a['bus']}.{n}", ("bus member",)) for n, a in listens]
+        names += [(("messages", i), f"{g}.{p['pool']}", ("pool",)) for g, p in m.pools.items()]
+        names += [(("messages", i), f"{a['bus']}.{n}", ("bus member",)) for n, a in listens]
         if not m.can_talker:
-            names.append((f"messages[{i}].sender", m.sender, ("device with a link",)))
+            names.append((("messages", i, "sender"), m.sender, ("device with a link",)))
     for i, r in enumerate(cfg.rules):
         if (r.can_id is None) == (r.key is None) or r.key and any(d["kind"] != "can" for d in r.dests):
             raise ConfigError(f"rules[{i}]: a rule matches a CAN id, or a forwarding key and then sends to CAN only")
-        names += [(f"rules[{i}]", f"{d['bus']}.{r.gateway}", ("bus member",)) for d in r.dests if d["kind"] == "can"]
-        names += [(f"rules[{i}]", f"{r.gateway}.{d['pool']}[{r.can_id}]", ("pool id",)) for d in r.dests if "pool" in d]
+        names += [(("rules", i), f"{d['bus']}.{r.gateway}", ("bus member",)) for d in r.dests if d["kind"] == "can"]
+        names += [(("rules", i), f"{r.gateway}.{d['pool']}[{r.can_id}]", ("pool id",)) for d in r.dests if "pool" in d]
         if any(d["kind"] != "can" for d in r.dests):
-            names.append((f"rules[{i}]", r.gateway, ("device with a link",)))
-    names += [(f"forwarding[{i}]", f"{f.switch}->{p}", ("port",)) for i, f in enumerate(cfg.forwarding) for p in f.ports]
+            names.append((("rules", i), r.gateway, ("device with a link",)))
+    names += [(("forwarding", i), f"{f.switch}->{p}", ("port",)) for i, f in enumerate(cfg.forwarding) for p in f.ports]
     for where, name, what in names:
-        if not any((kind, name) in declared for kind in what):
-            raise ConfigError(f"{where}: {json.dumps(name)} names no {' or '.join(what)}")
+        if declared.isdisjoint(product(what, (name,))):
+            raise ConfigError(f"{_where(where)}: {json.dumps(name)} names no {' or '.join(what)}")
     # An AVB frame leaves its talker or gateway by its one port, then each port a switch forwards its key to.
-    forward = {(f.switch, tuple(f.key), cls): f.ports for f in cfg.forwarding for cls in "AB"}
+    forward = {(f.switch, f.key, cls): f.ports for f in cfg.forwarding for cls in "AB"}
     sent = [(m.sender, f["key"], f["binding"]) for m in cfg.messages if not m.can_talker for f in m.eth_talker]
     sent += [(r.gateway, key, d["tag"]) for r in cfg.rules for d in r.dests if d["kind"] != "can" for key in d["keys"]]
-    hops = [(owner, peer[owner], tuple(key), b["class"]) for owner, key, b in sent if b["kind"] == "avb"]
+    hops = [(owner, peer[owner], key, b["class"]) for owner, key, b in sent if b["kind"] == "avb"]
     for owner, to, key, cls in hops:  # grows as it goes; a switch forwards each key and class once
         if cls not in cfg.slopes.get(f"{owner}->{to}", {}):
             raise ConfigError(f"slopes: port {owner}->{to} sends AVB class {cls} frames but reserves nothing for them")
@@ -466,8 +500,7 @@ def _override_target(cfg: NetworkConfig, key: str) -> tuple[Callable, Callable[[
     if key in _KNOBS:
         name, parse = _KNOBS[key]
         return partial(setattr, cfg, name), _declared(NetworkConfig, name, parse), False
-    # "metrics.completions" is still accepted but switches nothing (windows come from checkpoints).
-    if len(parts) == 2 and parts[0] == "metrics" and parts[1] in ("queues", "credit", "completions", "stations"):
+    if len(parts) == 2 and parts[0] == "metrics" and parts[1] in _hints(MetricFlags):
         return partial(cfg.metric_flags.__setitem__, parts[1]), _bool, False
     if len(parts) == 4 and parts[0] == "port" and parts[3] in ("idleSlopeA", "idleSlopeB"):
         a, b, cls = parts[1], parts[2], parts[3][-1]

@@ -169,11 +169,8 @@ class Runtime:
 
     def __init__(self, cfg: NetworkConfig, seed: int | None = None):
         self.cfg = cfg
-        flags = RecordingFlags(**{
-            k: cfg.metric_flags.get(k, True)
-            for k in ("queues", "credit", "stations")
-        })
-        self.store = MetricStore(flags)
+        flags = {k: v for k, v in cfg.metric_flags.items() if k != "completions"}
+        self.store = MetricStore(RecordingFlags(**flags))
         self.sim = Simulator(seed if seed is not None else cfg.seed)
         self.stop_time: int | None = None
         self.hosts: dict[str, Host] = {}
@@ -258,12 +255,12 @@ class Runtime:
             if rule.can_id is not None:
                 gw.add_can_rule(rule.segment, rule.can_id, dests)
             else:
-                gw.add_key_rule(rule.segment, tuple(rule.key), dests)
+                gw.add_key_rule(rule.segment, rule.key, dests)
 
         for fwd in cfg.forwarding:
             sw = self.switches[fwd.switch]
             ports = [self.ports[f"{fwd.switch}->{peer}"] for peer in fwd.ports]
-            sw.add_route(tuple(fwd.key), ports)
+            sw.add_route(fwd.key, ports)
 
         self._build_stimuli()
 
@@ -272,7 +269,7 @@ class Runtime:
             return RouteDest(kind="can", bus=d["bus"], can_id=d["can_id"])
         return RouteDest(
             kind=d["kind"], pool=d.get("pool"), tag=_tag_from_dict(d["tag"]),
-            keys=tuple(tuple(k) for k in d["keys"]),
+            keys=tuple(d["keys"]),
         )
 
     def _build_stimuli(self) -> None:
@@ -291,10 +288,10 @@ class Runtime:
                 emissions = []
                 for frame in msg.eth_talker:
                     if "release" not in frame:
-                        emissions.append((tuple(frame["key"]), _tag_from_dict(frame["binding"])))
+                        emissions.append((frame["key"], _tag_from_dict(frame["binding"])))
                         continue
                     TtSource(
-                        self, msg.sender, port, msg.name, frame["release"], tuple(frame["key"]),
+                        self, msg.sender, port, msg.name, frame["release"], frame["key"],
                         frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
                         self.cfg.schedule.releases[frame["release"]], self.oscillators[msg.sender],
                     )

@@ -451,7 +451,7 @@ def test_compile_small_network(listing_small):
     (dest,) = rule.dests
     assert dest["kind"] == "pool" and dest["pool"] == "gw1_1"
     assert dest["tag"] == {"kind": "tt", "ct": 102}
-    assert dest["keys"] == [["tt", 102]]
+    assert dest["keys"] == [("tt", 102)]
     # the pool carries the 2 ms hold-up for id 37
     pool = next(p for p in cfg.pools if p.gateway == "gw1")
     assert pool.holdup_by_id == {37: 2 * MS}
@@ -459,7 +459,7 @@ def test_compile_small_network(listing_small):
     back = next(r for r in cfg.rules if r.gateway == "gw2" and r.can_id == 37)
     assert back.dests == [{"kind": "can", "bus": "cb2", "can_id": 37}]
     # switch forwards ct 102 toward gw2 and the AVB stream toward en2
-    keys = {tuple(f.key): f.ports for f in cfg.forwarding}
+    keys = {f.key: f.ports for f in cfg.forwarding}
     assert keys[("tt", 102)] == ["gw2"]
     assert keys[("avb", 1)] == ["en2"]
     # schedule exists with windows on both backbone hops of the aggregate
@@ -534,9 +534,9 @@ def test_compile_backbone_extension(listing_backbone):
         stack.extend(adj.get(v, ()))
     assert nodes <= seen
     # the lidar stream is one multicast virtual link across both receivers
-    fwd = {tuple(f.key): (f.switch, f.ports) for f in cfg.forwarding}
+    fwd = {f.key: (f.switch, f.ports) for f in cfg.forwarding}
     assert fwd[("rc", 11)][0] in ("switch0", "switch1", "switch2")
-    rc_entries = [f for f in cfg.forwarding if tuple(f.key) == ("rc", 11)]
+    rc_entries = [f for f in cfg.forwarding if f.key == ("rc", 11)]
     by_switch = {f.switch: f.ports for f in rc_entries}
     assert by_switch["switch2"] == ["log", "fusi"]
 
@@ -1016,8 +1016,8 @@ def test_every_frame_key_is_in_the_tables_along_its_run(name):
     kinds = {d.name: d.kind for d in cfg.devices}
     link_segment = {frozenset((ln.a, ln.b)): ln.segment for ln in cfg.links}
     bus_segment = {b.name: b.segment for b in cfg.buses}
-    forwarding = {(f.switch, tuple(f.key)): f.ports for f in cfg.forwarding}
-    key_rules = {(r.gateway, r.segment, tuple(r.key)) for r in cfg.rules if r.key}
+    forwarding = {(f.switch, f.key): f.ports for f in cfg.forwarding}
+    key_rules = {(r.gateway, r.segment, r.key) for r in cfg.rules if r.key}
     for msg in cfg.messages:
         runs: dict[str, set] = {}  # sender or gateway -> (its run to a gateway or receiver, ...)
         before: dict[str, str] = {}  # gateway -> the bus its records come from
@@ -1031,12 +1031,12 @@ def test_every_frame_key_is_in_the_tables_along_its_run(name):
                     before[path[i]] = path[i - 1]
         for start, start_runs in runs.items():
             if start == msg.sender:
-                keys = [tuple(f["key"]) for f in msg.eth_talker]
+                keys = [f["key"] for f in msg.eth_talker]
             else:  # the gateway's aggregates of the records from its CAN bus
                 segment = bus_segment[before[start]]
                 (rule,) = [r for r in cfg.rules if (r.gateway, r.segment, r.can_id)
                            == (start, segment, msg.bindings[segment]["id"])]
-                keys = [tuple(k) for d in rule.dests if d["kind"] != "can" for k in d["keys"]]
+                keys = [k for d in rule.dests if d["kind"] != "can" for k in d["keys"]]
             assert keys, (msg.name, start)
             for key in keys:
                 key_runs = [run for run in start_runs if key[0] != "dst" or key[1] == run[-1]]

@@ -174,6 +174,15 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
         assert not out.exists()
 
 
+def test_an_unknown_override_key_is_one_plain_line(tmp_path, capsys):
+    cfgp = tmp_path / "net.json"
+    assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
+    capsys.readouterr()
+    for src in (SCENARIO, cfgp):
+        assert main(["run", str(src), "--horizon", "1ms", "--out", str(tmp_path / "o"), "--set", "s1.foo=bar"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["unknown override key 's1.foo'"]
+
+
 @pytest.mark.parametrize("edit, needle", [
     (lambda doc: doc["messages"][0].update(dst=["x"]), "messages[0]: unknown field 'dst'"),
     (lambda doc: doc["rules"][0].update(extra=1), "rules[0]: unknown field 'extra'"),
@@ -210,6 +219,11 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
      "messages[1].bindings[\"backbone\"]: field 'class' of an AvbBinding must be \"A\" or \"B\", not \"C\""),
     (lambda doc: doc["pools"][0]["holdup_by_id"].update({"37": -1}),
      "pools[0]: field 'holdup_by_id' of a PoolCfg must be at least 0, not -1"),
+    # An id's key is its canonical decimal text: "037" was id 37 and overwrote the hold-up of "37".
+    (lambda doc: doc["pools"][0]["holdup_by_id"].update({"037": 1}),
+     "pools[0]: field 'holdup_by_id' of a PoolCfg must be an object of integers, not {\"37\": 2000000000, \"037\": 1}"),
+    (lambda doc: doc["metric_flags"].update(queus=False),
+     "metric_flags: unknown field 'queus'; a MetricFlags has no such field"),
     (lambda doc: doc["messages"][0]["can_talker"].update(id=2048),
      "messages[0].can_talker: field 'id' of a CanAddress must be at most 2047, not 2048"),
     (lambda doc: doc["messages"][0].update(receivers=["nobody"]), "messages[0].receivers[0]: \"nobody\" names no node"),
@@ -254,7 +268,8 @@ def test_compiled_document_calls_an_unknown_key_unknown_as_the_source_does(tmp_p
         "int-field-a-string", "window-field-a-string", "int-field-a-bool", "str-field-an-int", "bool-field-an-int",
         "zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null",
         "talker-key-an-int", "talker-key-of-strings", "binding-kind-unknown", "avb-class-unknown",
-        "negative-hold-up", "can-id-over-11-bits", "receiver-undeclared", "talker-off-its-bus",
+        "negative-hold-up", "pool-id-not-canonical", "metric-flag-unknown", "can-id-over-11-bits",
+        "receiver-undeclared", "talker-off-its-bus",
         "listener-off-its-bus", "talker-without-a-link", "talker-without-tt-releases",
         "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "drift-not-a-number",
         "unknown-device-parameter", "bandwidth-past-the-range", "windows-overlap", "window-past-the-cycle",

@@ -72,7 +72,7 @@ def test_precedence_cli_over_ini_over_generated(listing_small):
 
 
 def test_unknown_cli_override_raises(listing_small):
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="unknown override key 'bogus.key'"):
         compiled(listing_small, [("bogus.key", "1")])
 
 
@@ -84,8 +84,8 @@ def test_unknown_ini_key_warns_once(listing_small):
     assert cfg.extras["record-eventlog"] == "false"
 
 
-def _compiled_document(name: str) -> str:
-    """The compiled document of a shipped scenario, of DRIFTING_TT or of a bench workload (seed 1)."""
+def _compiled(name: str) -> NetworkConfig:
+    """The compiled config of a shipped scenario, of DRIFTING_TT or of a bench workload (seed 1)."""
     scenario = ROOT / "scenarios" / f"{name}.andl"
     if name == "drifting_tt":
         text = DRIFTING_TT
@@ -98,7 +98,7 @@ def _compiled_document(name: str) -> str:
         finally:
             sys.path.remove(str(ROOT / "perfbench"))
         text = WORKLOADS[name].generate(1)
-    return compile_network(parse(text)[0]).to_json()
+    return compile_network(parse(text)[0])
 
 
 def _paths(value, path=()):
@@ -125,7 +125,7 @@ MUTATIONS = ["x", -1, 0, None, [], {}, [1], {"a": 1}, True, 2**70]
 def test_every_single_value_mutation_runs_or_is_refused(tmp_path, capsys, name):
     # Each mutation of a compiled document either runs for 1 ms, or from_dict
     # refuses it with a ConfigError and `run` exits 1 with one line on stderr.
-    doc = json.loads(_compiled_document(name))
+    doc = json.loads(_compiled(name).to_json())
     path, faults, refused = tmp_path / "net.json", [], 0
     run = build_parser().parse_args(["run", str(path), "--horizon", "1ms", "--out", str(tmp_path / "out")])
     previous = signal.signal(signal.SIGALRM, _overrun)
@@ -163,5 +163,13 @@ def test_every_single_value_mutation_runs_or_is_refused(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", ["small_network", "two_pools", "avb_7hop", "vehicle_can", "mixed_recorded"])
 def test_a_compiled_document_survives_a_json_round_trip(name):
-    text = _compiled_document(name)
-    assert NetworkConfig.from_json(text).to_json() == text
+    cfg = _compiled(name)
+    text = cfg.to_json()
+    loaded = NetworkConfig.from_json(text)
+    assert loaded.to_json() == text
+    assert loaded == cfg
+    for side in (cfg, loaded):  # each forwarding key is one tuple from the compiler to the engine
+        keys = [f.key for f in side.forwarding] + [r.key for r in side.rules if r.key is not None]
+        keys += [f["key"] for m in side.messages for f in m.eth_talker]
+        keys += [k for r in side.rules for d in r.dests if d["kind"] != "can" for k in d["keys"]]
+        assert keys and all(type(k) is tuple for k in keys)

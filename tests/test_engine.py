@@ -289,7 +289,7 @@ def test_rc_from_gateway_sends_one_frame_per_can_frame():
     assert result.deliveries["speed@fusi"] == 11
     assert result.link_frames["gw->s1"] == 11
     rule = next(r for r in rt.cfg.rules if r.gateway == "gw")
-    assert [d["keys"] for d in rule.dests] == [[["rc", 4]]]
+    assert [d["keys"] for d in rule.dests] == [[("rc", 4)]]
 
 
 SHARED_POOL = """
