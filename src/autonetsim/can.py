@@ -95,6 +95,7 @@ class GatewayCanPort:
         self.node = gateway
         self.bus = bus
         self.store = store
+        self.lengths = store.queue_series(f"{gateway}.canif[{bus}]", "txObjects")
         self.slots: dict[int, deque[CanFrame]] = {}
         self.occupancy = 0  # frames in all slots
         self.on_rx = None
@@ -119,8 +120,8 @@ class GatewayCanPort:
             for f in batch:
                 self._order += 1
                 heappush(pending, (can_id, index, self._order, f, self))
-        if store.flags.queues:
-            store.record_queue(f"{self.node}.canif[{self.bus}]", "txObjects", now, self.occupancy)
+        if self.lengths is not None:
+            self.lengths.add(now, self.occupancy)
 
 
 class CanBus:

@@ -303,6 +303,13 @@ def _where(path: tuple) -> str:
                    for s in path)[1:] or "the document"
 
 
+def _int_key(text: str, path: tuple) -> int:
+    """The integer an object key at ``path`` gives as its canonical decimal text."""
+    if not (text.isdecimal() and str(int(text)) == text):
+        raise ConfigError(f"{_where(path)}: a key must be an integer in canonical decimal text")
+    return int(text)
+
+
 @cache
 def _checker(tp) -> Callable[[object, tuple, list], object]:
     """``check(value, path, names)``, built once per type: ``value`` checked against ``tp``, with records
@@ -343,7 +350,9 @@ def _checker(tp) -> Callable[[object, tuple, list], object]:
                 head = value[0] if type(value) is list and value and type(value[0]) is str else None
             try:
                 return table.get(head, first)(value, path, names)
-            except ValueError:  # the record that holds the union names the union's type, not the option's fault
+            except ValueError as misfit:  # the record that holds the union names the union's type,
+                if len(options) == 1 and len(misfit.args) == 2:  # or the range its one option's value left
+                    raise
                 raise ValueError() from None
     elif origin in (list, tuple, dict):
         want, items = dict if origin is dict else list, [_checker(a) for a in args]
@@ -352,9 +361,12 @@ def _checker(tp) -> Callable[[object, tuple, list], object]:
         def check(value, path, names):
             if type(value) is not want:
                 raise ConfigError(f"{_where(path)}: expected a JSON {'object' if want is dict else 'list'}")
-            if origin is dict:  # an integer key is its canonical text
-                return {items[0](int(k) if int_keys and k.isdecimal() and str(int(k)) == k else k,
-                                 at := path + ((k,),), names): items[1](v, at, names) for k, v in value.items()}
+            if origin is dict:
+                out = {}
+                for k, v in value.items():
+                    at = path + ((k,),)
+                    out[items[0](_int_key(k, at) if int_keys else k, at, names)] = items[1](v, at, names)
+                return out
             if origin is tuple and len(value) != len(items):
                 raise ValueError()
             out = [(items[i] if origin is tuple else items[0])(v, path + (i,), names) for i, v in enumerate(value)]

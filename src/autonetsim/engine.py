@@ -15,11 +15,11 @@ from .can import CanBus, CanFrame, NodeCanPort
 from .config import ConfigError, NetworkConfig, device_value
 from .ethernet import (
     AVB, BE, RC, TT, EthFrame, EthPort, Switch,
-    TdmaSchedule, pad_payload, tt_receive_check,
+    TdmaSchedule, in_tt_window, pad_payload,
 )
 from .gateway import Gateway, RouteDest
-from .kernel import Event, EventKind, Oscillator, Simulator
-from .metrics import MetricStore, RecordingFlags
+from .kernel import Event, EventKind, OnDemand, Oscillator, Simulator
+from .metrics import Latencies, MetricStore, RecordingFlags
 
 
 def _tag_from_dict(b: dict):
@@ -36,33 +36,34 @@ def _tag_from_dict(b: dict):
 class Host:
     """An end node: consumes frames, checks TT windows, records latency."""
 
-    def __init__(self, sim: Simulator, store: MetricStore, name: str,
-                 schedule: TdmaSchedule | None, tolerance: int):
+    def __init__(self, sim: Simulator, store: MetricStore, name: str, tolerance: int):
         self.sim = sim
         self.store = store
         self.name = name
-        self.schedule = schedule
         self.tolerance = tolerance
         self.subs: set[str] = set()
+        self.latencies = OnDemand(self._latency_series)  # per message received, its deliveries here
         self.port: EthPort | NodeCanPort | None = None  # the node's one interface
 
+    def _latency_series(self, message: str) -> Latencies:
+        return self.store.latency_series(message, self.name)
+
     def receive(self, frame: EthFrame, now: int, port: EthPort) -> None:
-        if isinstance(frame.tag, TT) and self.schedule is not None:
-            if self.schedule.windows_for(port.link) and not tt_receive_check(
-                self.schedule, port.link, frame.tag.ct_id, now, self.tolerance
-            ):
-                self.store.scalar_add(self.name, f"ttViolations[{frame.tag.ct_id}]", 1, "frames")
-                return
+        if isinstance(frame.tag, TT) and port.windows and not in_tt_window(
+            port.windows, port.cycle, frame.tag.ct_id, now, self.tolerance
+        ):
+            self.store.scalar_add(self.name, f"ttViolations[{frame.tag.ct_id}]", 1, "frames")
+            return
         if frame.records:
             for record in frame.records:
                 if record.message in self.subs:
-                    self.store.add_latency(record.message, self.name, record.creation, now)
+                    self.latencies[record.message].add(record.creation, now)
         elif frame.message in self.subs:
-            self.store.add_latency(frame.message, self.name, frame.creation_time, now)
+            self.latencies[frame.message].add(frame.creation_time, now)
 
     def on_can_rx(self, frame: CanFrame, now: int) -> None:
         if frame.message in self.subs:
-            self.store.add_latency(frame.message, self.name, frame.creation_time, now)
+            self.latencies[frame.message].add(frame.creation_time, now)
 
 
 class CanSource:
@@ -199,9 +200,7 @@ class Runtime:
                     self.sim, self.store, dev.name, device_value(dev.params, "processingDelay"),
                 )
             elif dev.kind == "node":
-                self.hosts[dev.name] = Host(
-                    self.sim, self.store, dev.name, self.schedule, cfg.tt_tolerance
-                )
+                self.hosts[dev.name] = Host(self.sim, self.store, dev.name, cfg.tt_tolerance)
         for bus_cfg in cfg.buses:
             self.buses[bus_cfg.name] = CanBus(
                 self.sim, self.store, bus_cfg.name, bus_cfg.bitrate,

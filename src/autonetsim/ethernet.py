@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from collections import deque
 from typing import Annotated
 
-from .kernel import SEC, US, Event, EventKind, Positive, Range, Simulator, Ticks
+from .kernel import SEC, US, Event, EventKind, OnDemand, Positive, Range, Simulator, Ticks
 from .metrics import MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
@@ -114,14 +114,15 @@ def pad_payload(logical_len: int) -> int:
     return max(ETH_MIN_PAYLOAD, logical_len)
 
 
-def record_station_latency(store: MetricStore, station: str, frame: EthFrame, now: int) -> None:
-    """At ``station``, the latency of ``frame``'s message and of each record it carries."""
-    if store.flags.stations:
+def record_station_latency(rx: OnDemand | None, frame: EthFrame, now: int) -> None:
+    """Into a station's ``rx`` series (if recorded), the latency of ``frame``'s
+    message and of each record it carries."""
+    if rx is not None:
         if frame.message is not None:
-            store.station_latency(station, frame.message, frame.creation_time, now)
+            rx[frame.message].add(now, now - frame.creation_time)
         for record in frame.records or ():
             if record.message is not None:
-                store.station_latency(station, record.message, record.creation, now)
+                rx[record.message].add(now, now - record.creation)
 
 
 # --------------------------------------------------------------------------
@@ -274,14 +275,19 @@ def tt_receive_check(
     schedule: TdmaSchedule, link: str, ct_id: int, arrival: int, tolerance: int = 0
 ) -> bool:
     """Accept a TT frame whose arrival falls inside its window (+tolerance)."""
-    cyc = arrival % schedule.cycle_length
-    for w in schedule.windows_for(link):
+    return in_tt_window(schedule.windows_for(link), schedule.cycle_length, ct_id, arrival, tolerance)
+
+
+def in_tt_window(windows: list[TdmaWindow], cycle: int, ct_id: int, arrival: int, tolerance: int) -> bool:
+    """Whether ``arrival`` falls inside a window of ``ct_id`` among ``windows`` (+tolerance)."""
+    cyc = arrival % cycle
+    for w in windows:
         if w.ct_id != ct_id:
             continue
         if w.offset <= cyc <= w.offset + w.duration + tolerance:
             return True
         # window whose tolerance band wraps past the cycle end
-        if w.offset <= cyc + schedule.cycle_length <= w.offset + w.duration + tolerance:
+        if w.offset <= cyc + cycle <= w.offset + w.duration + tolerance:
             return True
     return False
 
@@ -331,7 +337,8 @@ class RateConstrainedClass(list):
     a BAG after its last start at the earliest; of the frames that may start, the
     oldest goes first, ties to the lowest vl id, then to the earlier arrival."""
 
-    __slots__ = ("label", "open_at")  # open_at: vl id -> first tick its BAG lets a frame start
+    # open_at: vl id -> first tick its BAG lets a frame start; starts: vl id -> txStart series
+    __slots__ = ("label", "open_at", "starts")
 
     def take(self, now: int, latest: int | None, durations: dict):
         open_at = self.open_at
@@ -350,7 +357,7 @@ class RateConstrainedClass(list):
             return None
         frame = self.pop(best)[2]
         open_at[best_vl] = now + frame.tag.bag
-        return frame, best_dur, f"txStart[vl{best_vl}]"
+        return frame, best_dur, self.starts[best_vl]
 
     def wake(self, now: int) -> int | None:
         open_at = self.open_at
@@ -403,16 +410,19 @@ class EthPort:
         self.schedule = schedule
         self.peer = None  # wired after construction: .receive(frame, now, port)
 
+        # Per class label, its QueueLength series, made at the class's first point.
+        self.lengths = OnDemand(self._length_series) if store.flags.queues else None
         self.tt_queues: dict[int, FifoClass] = {}
         self.rc_queue = _labelled(RateConstrainedClass, "RC")
         self.rc_queue.open_at = {}
+        self.rc_queue.starts = OnDemand(self._start_series)
         self.avb_queues: dict[str, ShapedClass] = {}  # reserved classes only
         self.credit: dict[str, CreditState] = {}
         for cls, idle_slope in (("A", idle_slope_a), ("B", idle_slope_b)):
             if idle_slope:
                 points = store.scaled_vec(self.path, f"credit[{cls}]") if store.flags.credit else None
                 queue = self.avb_queues[cls] = _labelled(ShapedClass, AVB_LABELS[cls])
-                queue.series = f"txStart[{queue.label}]"
+                queue.series = store.series(self.path, f"txStart[{queue.label}]")
                 queue.credit = self.credit[cls] = CreditState(idle_slope, rate, points)
         self._shaped = tuple(self.avb_queues.values())
         self.be_queues = [_labelled(FifoClass, label) for label in BE_LABELS]
@@ -426,7 +436,17 @@ class EthPort:
         self._wakeup_at: int | None = None
         self._kick_pending = False
         self._max_gap = schedule.max_gap(self.link) if schedule else None
+        # This link's TDMA windows in offset order, and their starts: empty when unscheduled.
+        self.windows = schedule.windows_for(self.link) if schedule else ()
+        self._starts = [w.offset for w in self.windows] if schedule else ()
+        self.cycle = schedule.cycle_length if schedule else None
         sim.register(self.path, self._handle)
+
+    def _length_series(self, label: str):
+        return self.store.queue_series(self.path, label)
+
+    def _start_series(self, vl: int):
+        return self.store.series(self.path, f"txStart[vl{vl}]")
 
     # -- queue plumbing -------------------------------------------------
 
@@ -446,21 +466,20 @@ class EthPort:
             queue = self.tt_queues.get(tag.ct_id)
             if queue is None:
                 queue = self.tt_queues[tag.ct_id] = _labelled(FifoClass, f"TT[{tag.ct_id}]")
-        store = self.store
         if len(queue) >= self.capacity:
-            store.count_drop(self.path, queue.label)
-            if store.flags.queues:
-                store.record_queue(self.path, queue.label, now, len(queue))
+            self.store.count_drop(self.path, queue.label)
+            if self.lengths is not None:
+                self.lengths[queue.label].add(now, len(queue))
             return
         # A frame longer than every window-free stretch can never start.
         if kind is not TT and self._max_gap is not None and self._durations[frame.payload_len] > self._max_gap:
-            store.count_drop(self.path, queue.label, reason="guardband")
+            self.store.count_drop(self.path, queue.label, reason="guardband")
             return
         if self._shaped:
             self._credit_settle(now, idle=False)
         queue.append(entry)
-        if store.flags.queues:
-            store.record_queue(self.path, queue.label, now, len(queue))
+        if self.lengths is not None:
+            self.lengths[queue.label].add(now, len(queue))
         # While a transmission runs past this tick a kick would find the port
         # busy and do nothing; _complete kicks when the transmission ends.
         if self._tx_end <= now:
@@ -491,47 +510,48 @@ class EthPort:
     # -- transmission selection --------------------------------------------
 
     def _select(self, now: int):
-        """(class queue, what its take returned) for the frame that starts now, or None."""
-        sched = self.schedule
+        """(class queue, what its take returned) for the frame that starts now, or
+        None; and on a scheduled link the first window start after now, else None."""
+        starts = self._starts
         latest = None
-        if sched is not None:
-            # TT: only inside a window and only the window's ct.
-            cyc = now % sched.cycle_length
-            w = sched.covering(self.link, cyc)
-            if w is not None:
+        if starts:
+            cyc = now % self.cycle
+            i = bisect_right(starts, cyc)
+            latest = now - cyc + (starts[i] if i < len(starts) else self.cycle + starts[0])
+            if i:
+                # TT: only the last window begun, its ct, and a frame that ends inside it.
+                w = self.windows[i - 1]
                 q = self.tt_queues.get(w.ct_id)
                 if q:
                     dur = self._durations[q[0].payload_len]
                     if cyc + dur <= w.offset + w.duration:
-                        return q, (q.popleft(), dur, None)
-            latest = sched.next_begin(self.link, now)
+                        return (q, (q.popleft(), dur, None)), latest
         for q in self.classes:
             if q:
                 taken = q.take(now, latest, self._durations)
                 if taken is not None:
-                    return q, taken
-        return None
+                    return (q, taken), latest
+        return None, latest
 
     def try_send(self, now: int) -> None:
         if self._tx is not None:
             return
         if self._shaped:
             self._credit_settle(now, idle=True)
-        picked = self._select(now)
+        picked, latest = self._select(now)
         if picked is None:
-            self._plan_wakeup(now)
+            self._plan_wakeup(now, latest)
             return
         queue, (frame, dur, series) = picked
         self._tx = queue
         self._tx_end = end = now + dur
-        store = self.store
-        if store.flags.queues:
-            store.record_queue(self.path, queue.label, now, len(queue))
+        if self.lengths is not None:
+            self.lengths[queue.label].add(now, len(queue))
         if series is not None:
-            store.vec(self.path, series, now, eth_wire_bits(frame.payload_len))
+            series.add(now, eth_wire_bits(frame.payload_len))
         self.sim.schedule(end, self.path, EventKind.PORT_TX_DONE, frame)
 
-    def _plan_wakeup(self, now: int) -> None:
+    def _plan_wakeup(self, now: int, latest: int | None) -> None:
         candidates: list[int] = []
         sched = self.schedule
         if sched is not None:
@@ -553,10 +573,8 @@ class EthPort:
                 t = q.wake(now)
                 if t is not None:
                     candidates.append(t)
-        if waiting and sched is not None:
-            begin = sched.next_begin(self.link, now)
-            if begin is not None:
-                candidates.append(begin)
+        if waiting and latest is not None:
+            candidates.append(latest)
         if not candidates:
             return
         t = min(candidates)
@@ -602,13 +620,14 @@ class Switch:
         self.name = name
         self.hw_delay = hw_delay
         self.table: dict[tuple, list[EthPort]] = {}
+        self.rx = store.station_series(name)
         sim.register(name, self._handle)
 
     def add_route(self, key: tuple, ports: list[EthPort]) -> None:
         self.table[key] = ports
 
     def receive(self, frame: EthFrame, now: int, in_port=None) -> None:
-        record_station_latency(self.store, self.name, frame, now)
+        record_station_latency(self.rx, frame, now)
         self.sim.schedule(now + self.hw_delay, self.name, EventKind.SWITCH_FORWARD, frame)
 
     def _handle(self, ev: Event) -> None:

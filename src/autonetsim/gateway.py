@@ -130,6 +130,8 @@ class Pool:
         self.holdup_by_id = dict(holdup_by_id)
         self.on_flush = on_flush
         self.buffered: list[PoolEntry] = []
+        self.holdups = store.series(self.path, "holdUpTime")
+        self.lengths = store.queue_series(self.path, "pool")
         self._timer = None
         sim.register(self.path, self._handle)
 
@@ -145,8 +147,8 @@ class Pool:
             if self._timer is not None:
                 self.sim.cancel(self._timer)
             self._timer = self.sim.schedule(candidate, self.path, EventKind.POOL_FLUSH, False)
-        if self.store.flags.queues:
-            self.store.record_queue(self.path, "pool", now, len(self.buffered))
+        if self.lengths is not None:
+            self.lengths.add(now, len(self.buffered))
 
     def _handle(self, ev: Event) -> None:
         if ev.payload is False:
@@ -163,9 +165,9 @@ class Pool:
         entries = self.buffered
         self.buffered = []
         for e in entries:
-            self.store.vec(self.path, "holdUpTime", now, now - e.arrival)
-        if self.store.flags.queues:
-            self.store.record_queue(self.path, "pool", now, 0)
+            self.holdups.add(now, now - e.arrival)
+        if self.lengths is not None:
+            self.lengths.add(now, 0)
         self.on_flush(entries, now)
 
 
@@ -190,6 +192,8 @@ class Gateway:
         self.buses: dict[str, object] = {}
         self.eth_port = None
         self.eth_segment = "backbone"
+        self.rx = store.station_series(name)
+        self.aggregates = store.series(name, "aggregateCount")
         sim.register(name, self._handle)
 
     # -- wiring -----------------------------------------------------------
@@ -223,8 +227,8 @@ class Gateway:
     # -- CAN ingress ----------------------------------------------------------
 
     def on_can_rx(self, bus, frame: CanFrame, now: int) -> None:
-        if frame.message is not None and self.store.flags.stations:
-            self.store.station_latency(self.name, frame.message, frame.creation_time, now)
+        if frame.message is not None and self.rx is not None:
+            self.rx[frame.message].add(now, now - frame.creation_time)
         dests = self.can_rules.get((bus.segment, frame.can_id))
         if not dests:
             self.store.count_drop(self.name, "router", reason="no_rule")
@@ -259,7 +263,7 @@ class Gateway:
                     key=key, payload_len=size, tag=tag, creation_time=now, message=None, records=chunk,
                 )
                 frames.append(frame)
-                self.store.vec(self.name, "aggregateCount", now, len(chunk))
+                self.aggregates.add(now, len(chunk))
         self.sim.schedule(
             now + self.processing_delay, self.name, EventKind.GW_ETH_EGRESS, frames
         )
@@ -267,7 +271,7 @@ class Gateway:
     # -- Ethernet ingress ----------------------------------------------------
 
     def receive(self, frame: EthFrame, now: int, port=None) -> None:
-        record_station_latency(self.store, self.name, frame, now)
+        record_station_latency(self.rx, frame, now)
         # Every rule for Ethernet ingress leads to CAN: a gateway has one Ethernet link.
         segment = self.eth_segment
         if frame.records:

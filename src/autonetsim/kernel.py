@@ -64,6 +64,19 @@ class Range:
         return value
 
 
+class OnDemand(dict):
+    """A dict that makes the value of a key at its first lookup, as ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 TICKS = Range(0)
 POSITIVE = Range(1)
 Ticks = Annotated[int, TICKS]        # a time or an offset

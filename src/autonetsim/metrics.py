@@ -5,6 +5,16 @@ including every framing overhead), end-to-end latency per message and sink,
 jitter derived from consecutive latencies, and queue occupancy plus drop
 counts.  Vectors are ordered (time, value) series; scalars carry a unit.
 
+A series is held by the object that records it, as OMNeT++'s ``cOutVector``
+is: an ``EthPort`` its classes' ``QueueLength``, each AVB class its
+``txStart`` and shaper ``credit``, the RC class a ``txStart`` per VL; a
+``Switch`` or ``Gateway`` its ``rx[message]`` latencies; a ``Pool``,
+``GatewayCanPort`` or ``Gateway`` its ``holdUpTime``, ``QueueLength`` or
+``aggregateCount``; a ``Host`` its ``latencies`` per message.  A series whose
+flag is off is None; a family of series keyed by a class, VL or message is an
+``OnDemand`` that makes each at its first point.  A series enters the store
+at its first point, as through ``vec``, whose checks it keeps.
+
 Export is deterministic: identical runs produce byte-identical files.
 """
 
@@ -17,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 
-from .kernel import SEC
+from .kernel import SEC, OnDemand
 
 # Points of a scaled series are integers in units of 10^-12 (credit: bits x 10^12).
 SCALE = 10**12
@@ -35,6 +45,39 @@ class LatencySample:
 
     def __repr__(self) -> str:
         return f"LatencySample(creation={self.creation}, arrival={self.arrival})"
+
+
+class Series(list):
+    """The (time, value) points of one vector, held by its recorder."""
+
+    __slots__ = ("home", "key")
+
+    def __init__(self, home: dict, key: tuple[str, str]):
+        self.home = home  # the store's dict this series enters at its first point
+        self.key = key
+
+    def add(self, t: int, value) -> None:
+        if not self:
+            self.home[self.key] = self
+        elif t < self[-1][0]:
+            raise ValueError(f"timestamps must be non-decreasing in {self.key[0]}.{self.key[1]}")
+        self.append((t, value))
+
+
+class Latencies(Series):
+    """The deliveries of one message at one sink, held by the sink."""
+
+    __slots__ = ()
+
+    def add(self, creation: int, arrival: int) -> None:
+        message, sink = self.key
+        if arrival < creation:
+            raise ValueError(f"negative latency for {message} at {sink}")
+        if not self:
+            self.home[self.key] = self
+        elif arrival < self[-1].arrival:
+            raise ValueError(f"timestamps must be non-decreasing in {sink}.app[{message}].rxLatency")
+        self.append(LatencySample(creation, arrival))
 
 
 @dataclass(frozen=True)
@@ -128,7 +171,7 @@ class MetricStore:
         self.vectors: dict[tuple[str, str], list[tuple[int, object]]] = {}
         self.scaled: set[tuple[str, str]] = set()  # vector keys whose points are ints in 10^-12 units
         self.scalars: dict[tuple[str, str], tuple[object, str]] = {}
-        self.latencies: dict[tuple[str, str], list[LatencySample]] = {}
+        self.latencies: dict[tuple[str, str], Latencies] = {}
         # Per-link wire-bit totals; bandwidth windows are answered from their checkpoints.
         self.link_bits: dict[str, int] = {}
         self.link_frames: dict[str, int] = {}
@@ -137,11 +180,24 @@ class MetricStore:
 
     # -- raw recording -------------------------------------------------
 
+    def series(self, module: str, name: str) -> Series:
+        """The series ``module.name``, for its one recorder to hold."""
+        return Series(self.vectors, (module, name))
+
+    def queue_series(self, module: str, queue: str) -> Series | None:
+        return self.series(module, f"QueueLength[{queue}]") if self.flags.queues else None
+
+    def station_series(self, station: str) -> OnDemand | None:
+        """Per message, the latency series at ``station``."""
+        if self.flags.stations:
+            return OnDemand(lambda message: self.series(f"{station}.rx[{message}]", "rxLatency"))
+        return None
+
+    def latency_series(self, message: str, sink: str) -> Latencies:
+        return Latencies(self.latencies, (message, sink))
+
     def vec(self, module: str, name: str, t: int, value) -> None:
-        points = self.vectors.setdefault((module, name), [])
-        if points and t < points[-1][0]:
-            raise ValueError(f"timestamps must be non-decreasing in {module}.{name}")
-        points.append((t, value))
+        (self.vectors.get((module, name)) or self.series(module, name)).add(t, value)
 
     def scaled_vec(self, module: str, name: str) -> list[tuple[int, int]]:
         """The point list of a series whose values are integers in 10^-12 units;
@@ -162,13 +218,7 @@ class MetricStore:
     # -- latency -------------------------------------------------------
 
     def add_latency(self, message: str, sink: str, creation: int, arrival: int) -> None:
-        sample = LatencySample(creation, arrival)
-        if sample.latency < 0:
-            raise ValueError(f"negative latency for {message} at {sink}")
-        samples = self.latencies.setdefault((message, sink), [])
-        if samples and arrival < samples[-1].arrival:
-            raise ValueError(f"timestamps must be non-decreasing in {sink}.app[{message}].rxLatency")
-        samples.append(sample)
+        (self.latencies.get((message, sink)) or self.latency_series(message, sink)).add(creation, arrival)
 
     def station_latency(self, station: str, message: str, creation: int, arrival: int) -> None:
         if self.flags.stations:

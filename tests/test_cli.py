@@ -221,7 +221,7 @@ def test_an_unknown_override_key_is_one_plain_line(tmp_path, capsys):
      "pools[0]: field 'holdup_by_id' of a PoolCfg must be at least 0, not -1"),
     # An id's key is its canonical decimal text: "037" was id 37 and overwrote the hold-up of "37".
     (lambda doc: doc["pools"][0]["holdup_by_id"].update({"037": 1}),
-     "pools[0]: field 'holdup_by_id' of a PoolCfg must be an object of integers, not {\"37\": 2000000000, \"037\": 1}"),
+     "pools[0].holdup_by_id[\"037\"]: a key must be an integer in canonical decimal text"),
     (lambda doc: doc["metric_flags"].update(queus=False),
      "metric_flags: unknown field 'queus'; a MetricFlags has no such field"),
     (lambda doc: doc["messages"][0]["can_talker"].update(id=2048),
@@ -237,6 +237,9 @@ def test_an_unknown_override_key_is_one_plain_line(tmp_path, capsys):
     (lambda doc: doc["forwarding"][0].update(ports=["cn1"]), "forwarding[0]: \"s1->cn1\" names no port"),
     (lambda doc: doc["rules"][0].update(can_id=None),
      "rules[0]: a rule matches a CAN id, or a forwarding key and then sends to CAN only"),
+    # A nullable field's range fault was worded as a type fault ("an integer or null").
+    (lambda doc: doc["rules"][0].update(can_id=2**70),
+     "rules[0]: field 'can_id' of a RuleCfg must be at most 2047, not 1180591620717411303424"),
     (lambda doc: doc["devices"][3]["params"].update(driftPpm="fast"), "devices[3].params: not a drift in ppm: 'fast'"),
     (lambda doc: doc["devices"][3]["params"].update(speed="9"),
      "devices[3].params: unknown field 'speed'; a DeviceParams has no such field"),
@@ -271,7 +274,8 @@ def test_an_unknown_override_key_is_one_plain_line(tmp_path, capsys):
         "negative-hold-up", "pool-id-not-canonical", "metric-flag-unknown", "can-id-over-11-bits",
         "receiver-undeclared", "talker-off-its-bus",
         "listener-off-its-bus", "talker-without-a-link", "talker-without-tt-releases",
-        "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "drift-not-a-number",
+        "pool-without-the-id", "forward-to-no-port", "rule-matches-nothing", "rule-can-id-past-the-range",
+        "drift-not-a-number",
         "unknown-device-parameter", "bandwidth-past-the-range", "windows-overlap", "window-past-the-cycle",
         "window-on-no-port",
         "avb-port-without-reservation", "device-twice", "device-twice-other-kind", "message-twice",

@@ -472,9 +472,22 @@ RESET_AT_COMPLETION = (100_000_000, 8, [75_000_000, 0], None, [],
                        [(0, [(BE(0), 1500)]), (1 * US, [(AVB(1, "A"), 46)]),
                         (125 * US, [(BE(0), 46)]), (None, [(AVB(1, "A"), 46)])])
 
+# Two windows in a 1 ms cycle: ct 1 at [100, 110] us and ct 2 at [600, 610] us.
+EDGE_WINDOWS = [TdmaWindow(1, "s1->en2", 100 * US, 10 * US), TdmaWindow(2, "s1->en2", 600 * US, 10 * US)]
+# Frames ready at the tick the first window ends: that window still covers the
+# tick, but no frame fits in what is left of it.
+READY_AT_WINDOW_END = (100_000_000, 8, [0, 0], 1 * MS, EDGE_WINDOWS,
+                       [(110 * US, [(TT(1), 46), (BE(0), 46), (BE(1), 1500)])])
+# Frames in the gap after the cycle's last window: the next start is the next
+# cycle's first, and a 1500 B frame at 990 us would overrun it.
+GAP_AFTER_LAST_WINDOW = (100_000_000, 8, [0, 0], 1 * MS, EDGE_WINDOWS,
+                         [(610 * US, [(TT(2), 46)]), (990 * US, [(BE(0), 1500), (TT(1), 46), (BE(3), 46)])])
+
 
 @settings(max_examples=1000, deadline=None)
 @example(trace=RESET_AT_COMPLETION)
+@example(trace=READY_AT_WINDOW_END)
+@example(trace=GAP_AFTER_LAST_WINDOW)
 @given(trace=traces())
 def test_port_matches_the_reference_port(trace):
     assert run(ethernet.EthPort, trace) == run(EthPort, trace)

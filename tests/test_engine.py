@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -516,3 +518,54 @@ def test_runtime_refuses_a_second_interface(listing_small, attach, needle):
     with pytest.raises(ConfigError, match=needle):
         Runtime(cfg)
 
+
+
+
+SCENARIOS = {path.stem: path for path in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.andl")}
+FAMILIES = {"queues": "QueueLength[", "credit": "credit[", "stations": ".rx["}  # flag -> what its series' names hold
+RECORDED = {"small_network": {"queues", "credit", "stations"}, "two_pools": {"queues", "stations"}}  # no AVB, no credit
+
+
+def recorded_run(scenario: str, **flags) -> Runtime:
+    cfg = compile_network(parse(SCENARIOS[scenario].read_text())[0])
+    cfg.metric_flags.update(dict.fromkeys(FAMILIES, True), **flags)
+    rt = Runtime(cfg)
+    rt.run(50 * MS)
+    return rt
+
+
+def families(store) -> set[str]:
+    return {flag for flag, needle in FAMILIES.items() if any(needle in f"{m}.{n}" for m, n in store.vectors)}
+
+
+@pytest.mark.parametrize("scenario", sorted(RECORDED))
+def test_held_series_enter_the_store_at_their_first_point_in_time_order(scenario):
+    store = recorded_run(scenario).store
+    assert families(store) == RECORDED[scenario]
+    for points in store.vectors.values():
+        assert points and [t for t, _ in points] == sorted(t for t, _ in points)
+    for samples in store.latencies.values():
+        assert samples and [s.arrival for s in samples] == sorted(s.arrival for s in samples)
+
+
+def test_a_held_series_refuses_an_earlier_point_as_vec_does():
+    rt = recorded_run("small_network")
+    port = next(port for port in rt.ports.values() if port.lengths)
+    label, series = next(iter(port.lengths.items()))
+    t = series[-1][0]
+    message = f"timestamps must be non-decreasing in {port.path}.QueueLength[{label}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        series.add(t - 1, 0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rt.store.vec(port.path, f"QueueLength[{label}]", t - 1, 0)
+    host, message, samples = next((h, m, s) for h in rt.hosts.values() for m, s in h.latencies.items() if s)
+    with pytest.raises(ValueError, match=re.escape(f"non-decreasing in {host.name}.app[{message}].rxLatency")):
+        samples.add(0, samples[-1].arrival - 1)
+    with pytest.raises(ValueError, match=re.escape(f"negative latency for {message} at {host.name}")):
+        samples.add(samples[-1].arrival + 2, samples[-1].arrival + 1)
+
+
+@pytest.mark.parametrize("flag", FAMILIES)
+@pytest.mark.parametrize("scenario", sorted(RECORDED))
+def test_a_series_whose_flag_is_off_never_appears(scenario, flag):
+    assert families(recorded_run(scenario, **{flag: False}).store) == RECORDED[scenario] - {flag}
