@@ -14,7 +14,7 @@ from .kernel import (
 from .can import CanBus, CanFrame, arbitrate, can_frame_duration, can_wire_bits
 from .ethernet import (
     AVB, BE, RC, TT, CreditState, EthFrame, EthPort, PayloadOutOfRange, Switch,
-    TdmaSchedule, TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
+    TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, in_tt_window,
 )
 from .gateway import (
     CanRecord, Gateway, Pool, RouteDest, aggregate_len, compute_holdup, split_records,

@@ -601,10 +601,10 @@ class _Builder:
         flows = list(self.tt_flows.values())
         if flows:
             try:
-                schedule, releases = generate_tdma_schedule(flows)
+                cycle, windows, releases = generate_tdma_schedule(flows)
                 self.cfg.schedule = ScheduleCfg(
-                    schedule.cycle_length,
-                    schedule.windows,
+                    cycle,
+                    windows,
                     {fid: offs for fid, offs in releases.items() if self.tt_flows[fid].scheduled_release},
                 )
             except (ScheduleInfeasible, CycleTooLong) as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ..kernel import SEC
-from ..ethernet import TdmaSchedule, TdmaWindow
+from ..ethernet import TdmaWindow, violations
 
 
 class ScheduleInfeasible(Exception):
@@ -70,11 +70,11 @@ def _fits(hops: list[tuple[str, int, int, list]], shift: int, period: int, cycle
 
 def generate_tdma_schedule(
     flows: list[TtFlow], cycle_cap: int = 10 * SEC
-) -> tuple[TdmaSchedule, dict[str, list[int]]]:
-    """Place windows for every flow; returns the schedule and, per flow,
-    the release offsets of its first hop inside the cycle."""
+) -> tuple[int, list[TdmaWindow], dict[str, list[int]]]:
+    """Place windows for every flow; returns the cycle, the windows and, per
+    flow, the release offsets of its first hop inside the cycle."""
     if not flows:
-        return TdmaSchedule(1, []), {}
+        return 1, [], {}
     cycle = _lcm([f.period for f in flows])
     if cycle > cycle_cap:
         raise CycleTooLong(f"schedule cycle {cycle} ticks exceeds cap {cycle_cap}")
@@ -115,6 +115,5 @@ def generate_tdma_schedule(
                 windows.append(TdmaWindow(flow.ct_id, link, (j * period + shift + up) % cycle, dur))
         releases[flow.flow_id] = list(range(shift, cycle, period))
 
-    schedule = TdmaSchedule(cycle, windows)
-    assert not schedule.violations(), "generated schedule violates its own invariants"
-    return schedule, releases
+    assert not violations(cycle, windows), "generated schedule violates its own invariants"
+    return cycle, windows, releases

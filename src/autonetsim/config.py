@@ -19,7 +19,7 @@ from types import NoneType, UnionType
 from typing import Annotated, Literal, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
 from .can import CAN_MAX_ID
-from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, PRIORITY, TdmaSchedule, TdmaWindow
+from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, PRIORITY, TdmaWindow, violations
 from .gateway import DEFAULT_PROCESSING_DELAY
 from .kernel import POSITIVE, TICKS, Oscillator, Positive, Range, Ticks, parse_duration, parse_rate
 
@@ -400,7 +400,8 @@ def _checker(tp) -> Callable[[object, tuple, list], object]:
 def _check_names(cfg: NetworkConfig, names: list) -> None:
     """Refuse a name given twice, a name of nothing declared or of nothing where the engine looks it up,
     overlapping TDMA windows or one leaving the cycle, a CAN payload over 8 bytes, a rule the gateway
-    cannot route and an AVB frame leaving an unreserved port."""
+    cannot route, a node's second interface, a gateway's second Ethernet link and an AVB frame leaving
+    an unreserved port."""
     ports = [(("links", i), f"{a}->{b}") for i, ln in enumerate(cfg.links) for a, b in ((ln.a, ln.b), (ln.b, ln.a))]
     for what, named in (("device", [(("devices", i), d.name) for i, d in enumerate(cfg.devices)]),
                         ("message", [(("messages", i), m.name) for i, m in enumerate(cfg.messages)]),
@@ -419,7 +420,7 @@ def _check_names(cfg: NetworkConfig, names: list) -> None:
                 *(("pool id", f"{p.gateway}.{p.name}[{i}]") for p in cfg.pools for i in p.holdup_by_id),
                 *(("device with a link", a) for a in peer),
                 *(("port", port) for _, port in ports)}
-    for fault in TdmaSchedule(cfg.schedule.cycle, cfg.schedule.windows).violations() if cfg.schedule else ():
+    for fault in violations(cfg.schedule.cycle, cfg.schedule.windows) if cfg.schedule else ():
         raise ConfigError(f"schedule: {fault}")
     names += [(("buses", i), b.name, ("canLink",)) for i, b in enumerate(cfg.buses)]
     for i, m in enumerate(cfg.messages):
@@ -442,6 +443,17 @@ def _check_names(cfg: NetworkConfig, names: list) -> None:
     for where, name, what in names:
         if declared.isdisjoint(product(what, (name,))):
             raise ConfigError(f"{_where(where)}: {json.dumps(name)} names no {' or '.join(what)}")
+    # A node has one interface, a link or a bus; a gateway has one Ethernet link beside its buses.
+    kinds, seen = {d.name: d.kind for d in cfg.devices}, set()
+    ends = [(("links", i), n) for i, ln in enumerate(cfg.links) for n in (ln.a, ln.b) if kinds[n] != "switch"]
+    ends += [(("buses", i, "attached", k), n) for i, b in enumerate(cfg.buses)
+             for k, n in enumerate(b.attached) if kinds[n] == "node"]
+    for where, name in ends:
+        if name in seen:
+            raise ConfigError(f"{_where(where)}: node {name} has a second link; a node has one interface"
+                              if kinds[name] == "node" else
+                              f"{_where(where)}: gateway {name} has a second Ethernet link; one uplink is supported")
+        seen.add(name)
     # An AVB frame leaves its talker or gateway by its one port, then each port a switch forwards its key to.
     forward = {(f.switch, f.key, cls): f.ports for f in cfg.forwarding for cls in "AB"}
     sent = [(m.sender, f["key"], f["binding"]) for m in cfg.messages if not m.can_talker for f in m.eth_talker]

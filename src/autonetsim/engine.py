@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .can import CanBus, CanFrame, NodeCanPort
-from .config import ConfigError, NetworkConfig, device_value
-from .ethernet import (
-    AVB, BE, RC, TT, EthFrame, EthPort, Switch,
-    TdmaSchedule, in_tt_window, pad_payload,
-)
+from .config import NetworkConfig, device_value
+from .ethernet import AVB, BE, RC, TT, EthFrame, EthPort, Switch, in_tt_window, pad_payload, windows_by_link
 from .gateway import Gateway, RouteDest
 from .kernel import Event, EventKind, OnDemand, Oscillator, Simulator
 from .metrics import Latencies, MetricStore, RecordingFlags
@@ -80,7 +77,7 @@ class CanSource:
         self.period = period
         self.path = f"{node}.src[{message}]"
         rt.sim.register(self.path, self._fire)
-        rt.sim.schedule(offset, self.path, EventKind.FIRE_SOURCE)
+        rt.first_releases.append(rt.sim.schedule(offset, self.path, EventKind.FIRE_SOURCE))
 
     def _fire(self, ev: Event) -> None:
         now = ev.time
@@ -105,7 +102,7 @@ class EthSource:
         self.period = period
         self.path = f"{node}.src[{message}]"
         rt.sim.register(self.path, self._fire)
-        rt.sim.schedule(offset, self.path, EventKind.FIRE_SOURCE)
+        rt.first_releases.append(rt.sim.schedule(offset, self.path, EventKind.FIRE_SOURCE))
 
     def _fire(self, ev: Event) -> None:
         now = ev.time
@@ -139,7 +136,8 @@ class TtSource:
         rt.sim.register(self.path, self._fire)
         # The oscillator is monotone, so each release is due no earlier than the last.
         for offset in releases:
-            rt.sim.schedule(osc.local_to_ideal(offset), self.path, EventKind.TT_RELEASE, offset)
+            rt.first_releases.append(
+                rt.sim.schedule(osc.local_to_ideal(offset), self.path, EventKind.TT_RELEASE, offset))
 
     def _fire(self, ev: Event) -> None:
         now = ev.time
@@ -150,10 +148,9 @@ class TtSource:
         )
         self.port.enqueue(frame, now)
         nominal = ev.payload + self.cycle
-        if self.rt.stop_time is None or nominal <= self.rt.stop_time:
-            self.rt.sim.schedule(
-                self.osc.local_to_ideal(nominal), self.path, EventKind.TT_RELEASE, nominal,
-            )
+        due = self.osc.local_to_ideal(nominal)  # the horizon is in ideal time
+        if self.rt.stop_time is None or due <= self.rt.stop_time:
+            self.rt.sim.schedule(due, self.path, EventKind.TT_RELEASE, nominal)
 
 
 @dataclass
@@ -174,12 +171,12 @@ class Runtime:
         self.store = MetricStore(RecordingFlags(**flags))
         self.sim = Simulator(seed if seed is not None else cfg.seed)
         self.stop_time: int | None = None
+        self.first_releases: list[Event] = []  # each source's first events; run() cancels those past the horizon
         self.hosts: dict[str, Host] = {}
         self.buses: dict[str, CanBus] = {}
         self.switches: dict[str, Switch] = {}
         self.gateways: dict[str, Gateway] = {}
         self.ports: dict[str, EthPort] = {}
-        self.schedule: TdmaSchedule | None = None
         self.oscillators: dict[str, Oscillator] = {}
         self._build()
 
@@ -187,8 +184,9 @@ class Runtime:
 
     def _build(self) -> None:
         cfg = self.cfg
-        if cfg.schedule and cfg.schedule.windows:
-            self.schedule = TdmaSchedule(cfg.schedule.cycle, cfg.schedule.windows)
+        # Each port holds its link's windows; the cycle is None only when there is no schedule.
+        windows = windows_by_link(cfg.schedule.windows) if cfg.schedule else {}
+        cycle = cfg.schedule.cycle if cfg.schedule else None
         for dev in cfg.devices:
             self.oscillators[dev.name] = Oscillator(device_value(dev.params, "driftPpm"))
             if dev.kind == "switch":
@@ -210,29 +208,23 @@ class Runtime:
         def endpoint(name: str):
             return self.hosts.get(name) or self.switches.get(name) or self.gateways.get(name)
 
-        def set_interface(host: Host, port: EthPort | NodeCanPort) -> None:
-            if host.port is not None:
-                raise ConfigError(f"node {host.name} has a second link; a node has one interface")
-            host.port = port
-
         for link in cfg.links:
             for owner, peer in ((link.a, link.b), (link.b, link.a)):
-                slopes = cfg.slopes.get(f"{owner}->{peer}", {})
+                directed = f"{owner}->{peer}"
+                slopes = cfg.slopes.get(directed, {})
                 port = EthPort(
                     self.sim, self.store, owner, peer, link.rate,
-                    capacity=cfg.queue_capacity, schedule=self.schedule,
+                    capacity=cfg.queue_capacity, windows=windows.get(directed, ()), cycle=cycle,
                     idle_slope_a=slopes.get("A", 0), idle_slope_b=slopes.get("B", 0),
                 )
                 port.peer = endpoint(peer)
                 self.ports[port.link] = port
                 owner_obj = endpoint(owner)
                 if isinstance(owner_obj, Gateway):
-                    if owner_obj.eth_port is not None:
-                        raise ConfigError(f"gateway {owner} has a second Ethernet link; one uplink is supported")
                     owner_obj.eth_port = port
                     owner_obj.eth_segment = link.segment
                 elif isinstance(owner_obj, Host):
-                    set_interface(owner_obj, port)
+                    owner_obj.port = port
 
         for bus_cfg in cfg.buses:
             bus = self.buses[bus_cfg.name]
@@ -243,7 +235,7 @@ class Runtime:
                     port = NodeCanPort(name)
                     port.on_rx = self.hosts[name].on_can_rx
                     bus.attach(port)
-                    set_interface(self.hosts[name], port)
+                    self.hosts[name].port = port
 
         for pool_cfg in cfg.pools:
             self.gateways[pool_cfg.gateway].add_pool(pool_cfg.name, pool_cfg.holdup_by_id)
@@ -310,6 +302,9 @@ class Runtime:
     def run(self, horizon: int, drain: bool = True, window: tuple[int, int] | None = None) -> RunResult:
         """Run to the horizon, checkpointing the store at ``window``'s ends; then drain if asked."""
         self.stop_time = horizon
+        for ev in self.first_releases:
+            if ev.time > horizon:
+                self.sim.cancel(ev)
         events = 0  # run_until(t) dispatches every event at t, so a split reorders none
         for t in window or ():
             if 0 < t < horizon:

@@ -8,20 +8,24 @@ queue and selection rule, served by strict precedence:
     > AVB class A (credit >= 0) > AVB class B (credit >= 0)
     > best effort (802.1Q priority 7..0, FIFO within priority)
 
-A non-TT frame additionally starts only if it completes before the next
-scheduled window begins (guard band by lookahead; preemption is not
-modeled).  AVB classes are shaped by a credit-based shaper: credit grows at
-idle_slope while frames wait, drains at send_slope while transmitting, and
-resets to zero when the queue empties with positive credit.  Credit is kept
-as an integer scaled by 10^12 (slope in bit/s times ticks) and recorded as
-that integer, so the trajectory is exact.
+Each port holds its own link's TDMA windows in offset order and the
+schedule's cycle, as an 802.1Qbv port holds its gate control list.  A non-TT
+frame additionally starts only if it completes before the next of those
+windows begins (guard band by lookahead; preemption is not modeled).
+
+AVB classes are shaped by a credit-based shaper: credit grows at idle_slope
+while frames wait, drains at send_slope while transmitting, and resets to
+zero when the queue empties with positive credit.  Credit is kept as an
+integer scaled by 10^12 (slope in bit/s times ticks) and recorded as that
+integer, so the trajectory is exact.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from collections import deque
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Annotated
 
 from .kernel import SEC, US, Event, EventKind, OnDemand, Positive, Range, Simulator, Ticks
@@ -192,90 +196,27 @@ class TdmaWindow:
     duration: Positive
 
 
-class TdmaSchedule:
-    """Offline window plan; windows on one link never overlap in a cycle."""
+def windows_by_link(windows: list[TdmaWindow]) -> dict[str, list[TdmaWindow]]:
+    """The windows of each link, in offset order; links in the order they first appear."""
+    by_link: dict[str, list[TdmaWindow]] = {}
+    for w in windows:
+        by_link.setdefault(w.link, []).append(w)
+    for ws in by_link.values():
+        ws.sort(key=lambda w: w.offset)
+    return by_link
 
-    def __init__(self, cycle_length: int, windows: list[TdmaWindow]):
-        self.cycle_length = cycle_length
-        self.windows = windows
-        self._by_link: dict[str, list[TdmaWindow]] = {}
-        for w in self.windows:
-            self._by_link.setdefault(w.link, []).append(w)
-        for ws in self._by_link.values():
-            ws.sort(key=lambda w: w.offset)
-        self._starts: dict[str, list[int]] = {
-            link: [w.offset for w in ws] for link, ws in self._by_link.items()
-        }
 
-    def violations(self) -> list[str]:
-        out = []
-        for link, ws in self._by_link.items():
-            for w in ws:
-                if w.offset < 0 or w.offset + w.duration > self.cycle_length:
-                    out.append(f"window {w.ct_id} on {link} leaves the cycle")
-            for a, b in zip(ws, ws[1:]):
-                if a.offset + a.duration > b.offset:
-                    out.append(f"windows {a.ct_id} and {b.ct_id} overlap on {link}")
-        return out
-
-    def windows_for(self, link: str) -> list[TdmaWindow]:
-        return self._by_link.get(link, [])
-
-    def covering(self, link: str, cyc: int) -> TdmaWindow | None:
-        ws = self._by_link.get(link)
-        if not ws:
-            return None
-        idx = bisect_right(self._starts[link], cyc) - 1
-        if idx >= 0:
-            w = ws[idx]
-            if cyc <= w.offset + w.duration:
-                return w
-        return None
-
-    def next_begin(self, link: str, now: int) -> int | None:
-        """Absolute time of the first window start strictly after now."""
-        starts = self._starts.get(link)
-        if not starts:
-            return None
-        cyc = now % self.cycle_length
-        idx = bisect_right(starts, cyc)
-        if idx < len(starts):
-            return now + (starts[idx] - cyc)
-        return now + (self.cycle_length - cyc) + starts[0]
-
-    def next_open_for_ct(self, link: str, ct_id: int, now: int, duration: int) -> int | None:
-        """Next absolute start of a window of ct_id long enough for duration."""
-        best = None
-        cyc = now % self.cycle_length
-        for w in self._by_link.get(link, []):
-            if w.ct_id != ct_id or w.duration < duration:
-                continue
-            delta = (w.offset - cyc) % self.cycle_length
-            if delta == 0:
-                delta = self.cycle_length
-            t = now + delta
-            if best is None or t < best:
-                best = t
-        return best
-
-    def max_gap(self, link: str) -> int | None:
-        """Longest window-free stretch on the link; None when unscheduled."""
-        ws = self._by_link.get(link)
-        if not ws:
-            return None
-        gaps = []
+def violations(cycle: int, windows: list[TdmaWindow]) -> list[str]:
+    """Each window that leaves the cycle and each pair that overlaps on a link."""
+    out = []
+    for link, ws in windows_by_link(windows).items():
+        for w in ws:
+            if w.offset < 0 or w.offset + w.duration > cycle:
+                out.append(f"window {w.ct_id} on {link} leaves the cycle")
         for a, b in zip(ws, ws[1:]):
-            gaps.append(b.offset - (a.offset + a.duration))
-        wrap = (self.cycle_length - (ws[-1].offset + ws[-1].duration)) + ws[0].offset
-        gaps.append(wrap)
-        return max(gaps)
-
-
-def tt_receive_check(
-    schedule: TdmaSchedule, link: str, ct_id: int, arrival: int, tolerance: int = 0
-) -> bool:
-    """Accept a TT frame whose arrival falls inside its window (+tolerance)."""
-    return in_tt_window(schedule.windows_for(link), schedule.cycle_length, ct_id, arrival, tolerance)
+            if a.offset + a.duration > b.offset:
+                out.append(f"windows {a.ct_id} and {b.ct_id} overlap on {link}")
+    return out
 
 
 def in_tt_window(windows: list[TdmaWindow], cycle: int, ct_id: int, arrival: int, tolerance: int) -> bool:
@@ -396,7 +337,8 @@ class EthPort:
         peer_label: str,
         rate: int,
         capacity: int = DEFAULT_QUEUE_CAPACITY,
-        schedule: TdmaSchedule | None = None,
+        windows: Sequence[TdmaWindow] = (),
+        cycle: int | None = None,
         idle_slope_a: int = 0,
         idle_slope_b: int = 0,
     ):
@@ -407,7 +349,6 @@ class EthPort:
         self.link = f"{owner}->{peer_label}"
         self.rate = rate
         self.capacity = capacity
-        self.schedule = schedule
         self.peer = None  # wired after construction: .receive(frame, now, port)
 
         # Per class label, its QueueLength series, made at the class's first point.
@@ -435,11 +376,14 @@ class EthPort:
         self._tx_end = 0  # end tick of the current (or last) transmission
         self._wakeup_at: int | None = None
         self._kick_pending = False
-        self._max_gap = schedule.max_gap(self.link) if schedule else None
         # This link's TDMA windows in offset order, and their starts: empty when unscheduled.
-        self.windows = schedule.windows_for(self.link) if schedule else ()
-        self._starts = [w.offset for w in self.windows] if schedule else ()
-        self.cycle = schedule.cycle_length if schedule else None
+        # The cycle is None only when the network has no schedule.
+        self.windows = windows
+        self._starts = starts = [w.offset for w in windows]
+        self.cycle = cycle
+        # The longest window-free stretch, wrapping into the next cycle; None when unscheduled.
+        self._max_gap = max(nxt - w.offset - w.duration
+                            for w, nxt in zip(windows, starts[1:] + [cycle + starts[0]])) if windows else None
         sim.register(self.path, self._handle)
 
     def _length_series(self, label: str):
@@ -553,18 +497,21 @@ class EthPort:
 
     def _plan_wakeup(self, now: int, latest: int | None) -> None:
         candidates: list[int] = []
-        sched = self.schedule
-        if sched is not None:
+        cycle = self.cycle
+        if cycle is not None:
+            cyc = now % cycle
             for ct, q in self.tt_queues.items():
                 while q:
                     dur = self._durations[q[0].payload_len]
-                    t = sched.next_open_for_ct(self.link, ct, now, dur)
-                    if t is None:
+                    # Ticks to the next start, after now, of a window of ct that fits the frame.
+                    waits = [(w.offset - cyc) % cycle or cycle
+                             for w in self.windows if w.ct_id == ct and w.duration >= dur]
+                    if not waits:
                         # No window will ever fit this frame: schedule fault.
                         q.popleft()
                         self.store.count_drop(self.path, q.label, reason="unschedulable")
                         continue
-                    candidates.append(t)
+                    candidates.append(now + min(waits))
                     break
         waiting = False
         for q in self.classes:

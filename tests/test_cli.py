@@ -294,10 +294,10 @@ def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc["messages"][0].update(offset=2**63 - 1),
+    lambda doc: doc["devices"][9]["params"].update(hardwareDelay=f"{2**63 - 1}ps"),
     lambda doc: doc["schedule"].update(cycle=2**63 - 1),
     lambda doc: doc["pools"][0]["holdup_by_id"].update({"37": 2**63 - 1}),
-], ids=["message-offset", "schedule-cycle", "pool-hold-up"])
+], ids=["switch-hardware-delay", "schedule-cycle", "pool-hold-up"])
 def test_a_time_past_the_tick_range_stops_the_run_with_one_line(tmp_path, capsys, edit):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0

@@ -1,15 +1,16 @@
 """The egress port against the port it replaced, departure by departure.
 
-``CreditState``, ``BagState``, ``bag_gate`` and ``EthPort`` below are the
-egress port as it was before each traffic class became one queue object,
-kept verbatim as the reference (``BE_PRECEDENCE`` with them).  Hypothesis
-feeds the reference and ``autonetsim.ethernet.EthPort`` the same arrival
-traces and compares every delivery tick, recorded vector and scalar, link
-total and dispatched event.
+``CreditState``, ``BagState``, ``bag_gate``, ``TdmaSchedule`` and ``EthPort``
+below are the egress port as it was before each traffic class became one
+queue object, kept verbatim as the reference (``BE_PRECEDENCE`` with them).
+Hypothesis feeds the reference and ``autonetsim.ethernet.EthPort`` the same
+arrival traces and compares every delivery tick, recorded vector and scalar,
+link total and dispatched event.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from autonetsim import ethernet
 from autonetsim.ethernet import (
     AVB, AVB_LABELS, BE, BE_LABELS, DEFAULT_QUEUE_CAPACITY, RC, TT, EthFrame,
-    TdmaSchedule, TdmaWindow, eth_frame_duration, eth_wire_bits,
+    TdmaWindow, eth_frame_duration, eth_wire_bits,
 )
 from autonetsim.kernel import MS, US, Event, EventKind, Simulator
 from autonetsim.metrics import SCALE, MetricStore
@@ -94,6 +95,85 @@ def bag_gate(state: BagState, now: int) -> int:
     if state.last_departure is None or now >= state.last_departure + state.bag:
         return now
     return state.last_departure + state.bag
+
+
+class TdmaSchedule:
+    """Offline window plan; windows on one link never overlap in a cycle."""
+
+    def __init__(self, cycle_length: int, windows: list[TdmaWindow]):
+        self.cycle_length = cycle_length
+        self.windows = windows
+        self._by_link: dict[str, list[TdmaWindow]] = {}
+        for w in self.windows:
+            self._by_link.setdefault(w.link, []).append(w)
+        for ws in self._by_link.values():
+            ws.sort(key=lambda w: w.offset)
+        self._starts: dict[str, list[int]] = {
+            link: [w.offset for w in ws] for link, ws in self._by_link.items()
+        }
+
+    def violations(self) -> list[str]:
+        out = []
+        for link, ws in self._by_link.items():
+            for w in ws:
+                if w.offset < 0 or w.offset + w.duration > self.cycle_length:
+                    out.append(f"window {w.ct_id} on {link} leaves the cycle")
+            for a, b in zip(ws, ws[1:]):
+                if a.offset + a.duration > b.offset:
+                    out.append(f"windows {a.ct_id} and {b.ct_id} overlap on {link}")
+        return out
+
+    def windows_for(self, link: str) -> list[TdmaWindow]:
+        return self._by_link.get(link, [])
+
+    def covering(self, link: str, cyc: int) -> TdmaWindow | None:
+        ws = self._by_link.get(link)
+        if not ws:
+            return None
+        idx = bisect_right(self._starts[link], cyc) - 1
+        if idx >= 0:
+            w = ws[idx]
+            if cyc <= w.offset + w.duration:
+                return w
+        return None
+
+    def next_begin(self, link: str, now: int) -> int | None:
+        """Absolute time of the first window start strictly after now."""
+        starts = self._starts.get(link)
+        if not starts:
+            return None
+        cyc = now % self.cycle_length
+        idx = bisect_right(starts, cyc)
+        if idx < len(starts):
+            return now + (starts[idx] - cyc)
+        return now + (self.cycle_length - cyc) + starts[0]
+
+    def next_open_for_ct(self, link: str, ct_id: int, now: int, duration: int) -> int | None:
+        """Next absolute start of a window of ct_id long enough for duration."""
+        best = None
+        cyc = now % self.cycle_length
+        for w in self._by_link.get(link, []):
+            if w.ct_id != ct_id or w.duration < duration:
+                continue
+            delta = (w.offset - cyc) % self.cycle_length
+            if delta == 0:
+                delta = self.cycle_length
+            t = now + delta
+            if best is None or t < best:
+                best = t
+        return best
+
+    def max_gap(self, link: str) -> int | None:
+        """Longest window-free stretch on the link; None when unscheduled."""
+        ws = self._by_link.get(link)
+        if not ws:
+            return None
+        gaps = []
+        for a, b in zip(ws, ws[1:]):
+            gaps.append(b.offset - (a.offset + a.duration))
+        wrap = (self.cycle_length - (ws[-1].offset + ws[-1].duration)) + ws[0].offset
+        gaps.append(wrap)
+        return max(gaps)
 
 
 class EthPort:
@@ -441,8 +521,11 @@ def run(port_class, trace):
     rate, capacity, (slope_a, slope_b), cycle, windows, groups = trace
     sim = Simulator(trace=True)
     store = MetricStore()
-    schedule = TdmaSchedule(cycle, windows) if windows else None
-    port = port_class(sim, store, "s1", "en2", rate, capacity=capacity, schedule=schedule,
+    if port_class is EthPort:  # the reference reads a schedule of all links
+        plan = {"schedule": TdmaSchedule(cycle, windows) if windows else None}
+    else:  # the port holds its own link's windows in offset order
+        plan = {"windows": sorted(windows, key=lambda w: w.offset), "cycle": cycle}
+    port = port_class(sim, store, "s1", "en2", rate, capacity=capacity, **plan,
                       idle_slope_a=slope_a, idle_slope_b=slope_b)
     port.peer = peer = Peer(sim)
 

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from autonetsim.andl import compile_network, parse
-from autonetsim.config import ConfigError, LinkCfg
+from autonetsim.config import ConfigError, LinkCfg, NetworkConfig
 from autonetsim.engine import Runtime
+from autonetsim.ethernet import TT, EthFrame
 from autonetsim.kernel import MS, SEC, US
 from autonetsim.can import can_frame_duration
 
@@ -431,7 +432,7 @@ def test_drifting_talker_shifts_latency():
 # driftPpm overridden: no workload drifts, so these pin a non-zero oscillator.
 @pytest.mark.parametrize("drift, digest", [
     ("400", "18af2902e1c69c0c2df79a5e3fc551feaa4625b0382564192dfc0dabeaa89ee4"),
-    ("-0.5", "5c78c407df25e3e368f2c2e2ade4a89226d837286ba003b4adeac06b79593ef9"),
+    ("-0.5", "75ba4bca7a931d343c61893d10f79355a996f3bf68eac052ecf8fd288e2e8a8c"),
 ], ids=["400ppm", "-0.5ppm"])
 def test_drifting_tt_export_is_pinned(tmp_path, drift, digest):
     ast, _ = parse(DRIFTING_TT)
@@ -441,9 +442,37 @@ def test_drifting_tt_export_is_pinned(tmp_path, drift, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_out_of_window_tt_arrival_is_dropped():
-    from autonetsim.ethernet import TT, EthFrame
+# The horizon is in ideal time: a release due after it makes no frame, the
+# first release of a source included, and one due before it always does.
+@pytest.mark.parametrize("drift, horizon, frames, last", [
+    ("-0.5", 1 * SEC, 1000, 999_000_499_500),  # local 1 s is due at 1,000,000,500,000 ps
+    ("400", 200_950 * US, 202, 200_919_632_147),  # local 201 ms is due before the horizon
+], ids=["slow-clock", "fast-clock"])
+def test_a_tt_talker_releases_until_the_horizon_in_ideal_time(drift, horizon, frames, last):
+    rt = Runtime(compile_network(parse(DRIFTING_TT)[0], overrides=[("talker.driftPpm", drift)]))
+    rt.run(horizon)
+    created = [s.creation for s in rt.store.latencies[("beat", "listener")]]
+    assert (len(created), max(created)) == (frames, last)
 
+
+LATE_FIRST_RELEASES = """
+network late {
+  devices { canLink cb; node a; node b; node c; node d; switch s; }
+  connections { segment can { a <--> cb; b <--> cb; } segment eth { c <--> s; d <--> s; } }
+  communication {
+    message oncan { sender a; receivers b; payload 4B; period 1ms; offset 5ms; mapping { can: can{id 5;}; } }
+    message oneth { sender c; receivers d; payload 46B; period 1ms; offset 5ms; mapping { eth: be{priority 1;}; } }
+  }
+}
+"""
+
+
+def test_a_first_release_after_the_horizon_makes_no_frame():
+    result = build(LATE_FIRST_RELEASES).run(1 * MS)
+    assert (result.events, result.final_time, result.deliveries) == (0, 1 * MS, {})
+
+
+def test_out_of_window_tt_arrival_is_dropped():
     rt = build(DRIFTING_TT.replace("driftPpm 400;", "driftPpm 0;"))
     rt.run(10 * MS)
     listener = rt.hosts["listener"]
@@ -501,22 +530,22 @@ def test_gateway_routes_stream_keyed_by_destination(binding):
 
 
 @pytest.mark.parametrize("attach, needle", [
-    ("link en1 en2", "node en1 has a second link; a node has one interface"),
-    ("bus cb1 en1", "node en1 has a second link; a node has one interface"),
-    ("bus cb2 cn1", "node cn1 has a second link; a node has one interface"),
-    ("link gw1 en2", "gateway gw1 has a second Ethernet link; one uplink is supported"),
+    ("link en1 en2", "links[4]: node en1 has a second link; a node has one interface"),
+    ("bus cb1 en1", "buses[0].attached[2]: node en1 has a second link; a node has one interface"),
+    ("bus cb2 cn1", "buses[1].attached[2]: node cn1 has a second link; a node has one interface"),
+    ("link gw1 en2", "links[4]: gateway gw1 has a second Ethernet link; one uplink is supported"),
 ], ids=["two-ethernet-links", "ethernet-and-can", "two-can-buses", "gateway-second-uplink"])
 def test_runtime_refuses_a_second_interface(listing_small, attach, needle):
     # The compiler gives every node one interface and every gateway one uplink;
-    # a document edited by hand is checked again when it is built.
+    # a document edited by hand is checked again when it is loaded.
     cfg = compile_network(parse(listing_small)[0])
     kind, x, y = attach.split()
     if kind == "link":
         cfg.links.append(LinkCfg("extra", x, y, 100_000_000, "backbone"))
     else:
         next(bus for bus in cfg.buses if bus.name == x).attached.append(y)
-    with pytest.raises(ConfigError, match=needle):
-        Runtime(cfg)
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        NetworkConfig.from_dict(json.loads(cfg.to_json()))
 
 
 
@@ -569,3 +598,34 @@ def test_a_held_series_refuses_an_earlier_point_as_vec_does():
 @pytest.mark.parametrize("scenario", sorted(RECORDED))
 def test_a_series_whose_flag_is_off_never_appears(scenario, flag):
     assert families(recorded_run(scenario, **{flag: False}).store) == RECORDED[scenario] - {flag}
+
+
+TWO_TT_PERIODS = """
+network ttports {
+  devices { node talker; node l1; node l2; switch s; }
+  connections { segment eth { talker <--> s; l1 <--> s; l2 <--> s; } }
+  communication {
+    message fast { sender talker; receivers l1; payload 46B; period 1ms; mapping { eth: tt{ctID 1;}; } }
+    message slow { sender talker; receivers l2; payload 46B; period 2ms; mapping { eth: tt{ctID 2;}; } }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("name", [*sorted(SCENARIOS), "two-tt-periods"])
+def test_each_port_holds_its_links_windows_in_offset_order(name):
+    cfg = compile_network(parse(SCENARIOS[name].read_text() if name in SCENARIOS else TWO_TT_PERIODS)[0])
+    rt = Runtime(cfg)
+    windows = cfg.schedule.windows if cfg.schedule else []
+    for link, port in rt.ports.items():
+        mine = [w for w in windows if w.link == link]
+        assert list(port.windows) == sorted(mine, key=lambda w: w.offset)
+        assert port.cycle == (cfg.schedule.cycle if cfg.schedule else None)
+    if name == "two-tt-periods":  # the generator lists talker->s's windows flow by flow, not in offset order
+        assert [w.offset for w in rt.ports["talker->s"].windows] == [0, 6_720_000, 1 * MS]
+        assert [w.offset for w in windows if w.link == "talker->s"] == [0, 1 * MS, 6_720_000]
+    # A TT frame on a link without windows is unschedulable in a scheduled network; with no schedule it waits.
+    port = next(port for port in rt.ports.values() if not port.windows)
+    port.enqueue(EthFrame(("dst", "x"), 46, TT(99), 0), 0)
+    rt.run(1 * MS)
+    assert (rt.store.scalar(port.path, "drops[TT[99]]", 0), len(port.tt_queues[99])) == ((1, 0) if cfg.schedule else (0, 1))

@@ -4,7 +4,7 @@ import pytest
 
 from autonetsim.ethernet import (
     AVB, BE, RC, TT, CreditState, EthFrame, EthPort, PayloadOutOfRange, Switch,
-    TdmaSchedule, TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, tt_receive_check,
+    TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, in_tt_window, violations,
 )
 from autonetsim.kernel import MS, US, EventKind, Simulator
 from autonetsim.metrics import SCALE, MetricStore
@@ -55,27 +55,27 @@ def test_reservation_cap():
 
 
 def test_schedule_invariants():
-    ok = TdmaSchedule(1 * MS, [
+    ok = violations(1 * MS, [
         TdmaWindow(1, "a->b", 0, 6_720_000),
         TdmaWindow(2, "a->b", 6_720_000, 6_720_000),
     ])
-    assert ok.violations() == []
-    bad = TdmaSchedule(1 * MS, [
+    assert ok == []
+    bad = violations(1 * MS, [
         TdmaWindow(1, "a->b", 0, 10 * US),
         TdmaWindow(2, "a->b", 5 * US, 10 * US),
     ])
-    assert bad.violations()
-    outside = TdmaSchedule(1 * MS, [TdmaWindow(1, "a->b", 999 * US, 2 * US)])
-    assert outside.violations()
+    assert bad
+    outside = violations(1 * MS, [TdmaWindow(1, "a->b", 999 * US, 2 * US)])
+    assert outside
 
 
 def test_tt_receive_check_examples():
-    sched = TdmaSchedule(1 * MS, [TdmaWindow(9, "s->n", 100 * US, 10 * US)])
-    assert tt_receive_check(sched, "s->n", 9, 105 * US)
-    assert not tt_receive_check(sched, "s->n", 9, 111 * US)  # 1 us late, no tolerance
-    assert tt_receive_check(sched, "s->n", 9, 110 * US + 500, tolerance=1 * US)
+    windows = [TdmaWindow(9, "s->n", 100 * US, 10 * US)]
+    assert in_tt_window(windows, 1 * MS, 9, 105 * US, 0)
+    assert not in_tt_window(windows, 1 * MS, 9, 111 * US, 0)  # 1 us late, no tolerance
+    assert in_tt_window(windows, 1 * MS, 9, 110 * US + 500, 1 * US)
     # other cycles see the same window
-    assert tt_receive_check(sched, "s->n", 9, 17 * MS + 105 * US)
+    assert in_tt_window(windows, 1 * MS, 9, 17 * MS + 105 * US, 0)
 
 
 class PeerStub:
@@ -86,11 +86,11 @@ class PeerStub:
         self.got.append((frame, now))
 
 
-def make_port(schedule=None, idle_a=0, idle_b=0, capacity=512):
+def make_port(windows=(), cycle=None, idle_a=0, idle_b=0, capacity=512):
     sim = Simulator()
     store = MetricStore()
     port = EthPort(sim, store, "s1", "en2", RATE, capacity=capacity,
-                   schedule=schedule, idle_slope_a=idle_a, idle_slope_b=idle_b)
+                   windows=windows, cycle=cycle, idle_slope_a=idle_a, idle_slope_b=idle_b)
     peer = PeerStub()
     port.peer = peer
     return sim, store, port, peer
@@ -101,8 +101,7 @@ def frame(tag, payload=46, message=None):
 
 
 def test_selection_tt_wins_inside_window():
-    sched = TdmaSchedule(1 * MS, [TdmaWindow(5, "s1->en2", 0, 6_720_000)])
-    sim, store, port, peer = make_port(schedule=sched, idle_a=25_000_000)
+    sim, store, port, peer = make_port([TdmaWindow(5, "s1->en2", 0, 6_720_000)], 1 * MS, idle_a=25_000_000)
     port.enqueue(frame(BE(7)), 0)           # queued but guard-banded at t=0
     port.enqueue(frame(AVB(1, "A")), 0)     # credit 0, would be eligible
     port.enqueue(frame(TT(5)), 0)
@@ -205,8 +204,7 @@ def test_be_priority_order_and_work_conservation():
 
 def test_guard_band_lookahead():
     # window starts at 50 us; a 46 B frame (6.72 us) enqueued at 45 us must wait
-    sched = TdmaSchedule(1 * MS, [TdmaWindow(5, "s1->en2", 50 * US, 6_720_000)])
-    sim, store, port, peer = make_port(schedule=sched)
+    sim, store, port, peer = make_port([TdmaWindow(5, "s1->en2", 50 * US, 6_720_000)], 1 * MS)
     sim.run_until(45 * US)
     port.enqueue(frame(BE(0)), sim.now)
     sim.run_until(2 * MS)

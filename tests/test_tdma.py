@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from autonetsim.andl.tdma import (
     CycleTooLong, ScheduleInfeasible, TtFlow, generate_tdma_schedule,
 )
-from autonetsim.ethernet import TdmaSchedule, TdmaWindow
+from autonetsim.ethernet import TdmaWindow, violations
 from autonetsim.kernel import MS, SEC, US
 
 
@@ -17,31 +17,31 @@ def flow(fid, ct, period, hops, gaps=()):
 
 
 def test_single_message_single_link():
-    sched, releases = generate_tdma_schedule([
+    cycle, windows, releases = generate_tdma_schedule([
         flow("m1:a", 1, 1 * MS, [("x->y", 6_720_000)]),
     ])
-    assert sched.cycle_length == 1 * MS
-    (w,) = sched.windows
+    assert cycle == 1 * MS
+    (w,) = windows
     assert (w.offset, w.duration) == (0, 6_720_000)
     assert releases["m1:a"] == [0]
 
 
 def test_two_messages_share_link_without_overlap():
-    sched, _ = generate_tdma_schedule([
+    cycle, windows, _ = generate_tdma_schedule([
         flow("m1:a", 1, 1 * MS, [("x->y", 6_720_000)]),
         flow("m2:a", 2, 1 * MS, [("x->y", 6_720_000)]),
     ])
-    ws = sorted(sched.windows_for("x->y"), key=lambda w: w.offset)
+    ws = sorted((w for w in windows if w.link == "x->y"), key=lambda w: w.offset)
     assert [w.offset for w in ws] == [0, 6_720_000]
-    assert sched.violations() == []
+    assert violations(cycle, windows) == []
 
 
 def test_multihop_alignment_includes_processing_delay():
-    sched, _ = generate_tdma_schedule([
+    _, windows, _ = generate_tdma_schedule([
         flow("m:a", 7, 1 * MS, [("a->s", 6_720_000), ("s->b", 6_720_000)], [8 * US]),
     ])
-    first = sched.windows_for("a->s")[0]
-    second = sched.windows_for("s->b")[0]
+    first = next(w for w in windows if w.link == "a->s")
+    second = next(w for w in windows if w.link == "s->b")
     assert second.offset == first.offset + first.duration + 8 * US
 
 
@@ -62,14 +62,14 @@ def test_cycle_cap():
 
 
 def test_mixed_periods_instances():
-    sched, releases = generate_tdma_schedule([
+    cycle, windows, releases = generate_tdma_schedule([
         flow("fast:a", 1, 1 * MS, [("x->y", 50 * US)]),
         flow("slow:a", 2, 4 * MS, [("x->y", 50 * US)]),
     ])
-    assert sched.cycle_length == 4 * MS
-    assert len([w for w in sched.windows if w.ct_id == 1]) == 4
+    assert cycle == 4 * MS
+    assert len([w for w in windows if w.ct_id == 1]) == 4
     assert len(releases["fast:a"]) == 4
-    assert sched.violations() == []
+    assert violations(cycle, windows) == []
 
 
 @settings(deadline=None, max_examples=60)
@@ -90,17 +90,17 @@ def test_randomized_schedules_satisfy_invariants(data):
             gaps = [8 * US]
         flows.append(flow(f"f{i}:r", i, period, hops, gaps))
     try:
-        sched, releases = generate_tdma_schedule(flows)
+        cycle, windows, releases = generate_tdma_schedule(flows)
     except ScheduleInfeasible:
         return
-    assert sched.violations() == []
+    assert violations(cycle, windows) == []
     for f in flows:
-        assert len(releases[f.flow_id]) == sched.cycle_length // f.period
+        assert len(releases[f.flow_id]) == cycle // f.period
 
 
 def test_empty_input():
-    sched, releases = generate_tdma_schedule([])
-    assert sched.windows == [] and releases == {}
+    _, windows, releases = generate_tdma_schedule([])
+    assert windows == [] and releases == {}
 
 
 # The generator as it was before the per-hop rewrite: every instance of every
@@ -123,11 +123,11 @@ def _reference_overlaps(intervals: list[tuple[int, int]], start: int, end: int) 
 
 def reference_generate_tdma_schedule(
     flows: list[TtFlow], cycle_cap: int = 10 * SEC
-) -> tuple[TdmaSchedule, dict[str, list[int]]]:
-    """Place windows for every flow; returns the schedule and, per flow,
-    the release offsets of its first hop inside the cycle."""
+) -> tuple[int, list[TdmaWindow], dict[str, list[int]]]:
+    """Place windows for every flow; returns the cycle, the windows and, per
+    flow, the release offsets of its first hop inside the cycle."""
     if not flows:
-        return TdmaSchedule(1, []), {}
+        return 1, [], {}
     cycle = _reference_lcm([f.period for f in flows])
     if cycle > cycle_cap:
         raise CycleTooLong(f"schedule cycle {cycle} ticks exceeds cap {cycle_cap}")
@@ -192,9 +192,8 @@ def reference_generate_tdma_schedule(
             (j * period + shift) % cycle for j in range(instances)
         )
 
-    schedule = TdmaSchedule(cycle, windows)
-    assert not schedule.violations(), "generated schedule violates its own invariants"
-    return schedule, releases
+    assert not violations(cycle, windows), "generated schedule violates its own invariants"
+    return cycle, windows, releases
 
 
 LINKS = ["a->s", "s->b", "s->c", "b->s", "s->a", "c->s"]
@@ -224,10 +223,9 @@ def flow_sets(draw):
 
 def _outcome(generate, flows, cycle_cap):
     try:
-        schedule, releases = generate(flows, cycle_cap)
+        return generate(flows, cycle_cap)
     except (ScheduleInfeasible, CycleTooLong) as exc:
         return type(exc), str(exc)
-    return schedule.cycle_length, schedule.windows, releases
 
 
 @settings(deadline=None, max_examples=400)
