@@ -405,6 +405,8 @@ class _Builder:
             paths=paths,
         )
         self._derive_tables(cfg_msg, hops, msg.multicast, line)
+        if msg.offset and any("release" in frame for frame in cfg_msg.eth_talker):
+            self.warn(line, f"message {msg.name}: offset is ignored; a TT message is released by the TDMA schedule")
         return cfg_msg
 
     # -- derived tables ----------------------------------------------------------

@@ -73,13 +73,16 @@ class NodeCanPort:
     def __init__(self, node: str):
         self.node = node
         self.on_rx = None  # callable(frame, now)
-        self._pending: list | None = None  # the bus heap, set by CanBus.attach
+        self.bus: CanBus | None = None  # set by CanBus.attach
         self._index = 0
         self._order = 0
 
-    def submit(self, frame: CanFrame) -> None:
+    def enqueue(self, frame: CanFrame, now: int) -> None:
+        """Queue ``frame`` for transmission and wake the bus."""
         self._order += 1
-        heappush(self._pending, (frame.can_id, self._index, self._order, frame, None))
+        bus = self.bus
+        heappush(bus.pending, (frame.can_id, self._index, self._order, frame, None))
+        bus.notify(now)
 
 
 class GatewayCanPort:
@@ -88,18 +91,19 @@ class GatewayCanPort:
     Placing a batch (the burst produced by decoding one aggregate frame)
     queues its records in order.  If a later batch finds frames of the same
     id still waiting, the stale ones are overwritten and counted as drops;
-    their bus heap entries are dropped when they reach the top.
+    their bus heap entries are dropped when they reach the top.  Placing a
+    batch wakes the bus.
     """
 
-    def __init__(self, gateway: str, bus: str, store: MetricStore):
+    def __init__(self, gateway: str, bus_name: str, store: MetricStore):
         self.node = gateway
-        self.bus = bus
+        self.path = f"{gateway}.canif[{bus_name}]"
         self.store = store
-        self.lengths = store.queue_series(f"{gateway}.canif[{bus}]", "txObjects")
+        self.lengths = store.queue_series(self.path, "txObjects")
         self.slots: dict[int, deque[CanFrame]] = {}
         self.occupancy = 0  # frames in all slots
         self.on_rx = None
-        self._pending: list | None = None
+        self.bus: CanBus | None = None  # set by CanBus.attach
         self._index = 0
         self._order = 0
 
@@ -108,11 +112,12 @@ class GatewayCanPort:
         for f in frames:
             by_id.setdefault(f.can_id, []).append(f)
         store = self.store
-        pending, index = self._pending, self._index
+        bus, index = self.bus, self._index
+        pending = bus.pending
         for can_id, batch in by_id.items():
             slot = self.slots.setdefault(can_id, deque())
             if slot:
-                store.scalar_add(f"{self.node}.canif[{self.bus}]", "overwrites", len(slot), "frames")
+                store.scalar_add(self.path, "overwrites", len(slot), "frames")
                 self.occupancy -= len(slot)
                 slot.clear()
             slot.extend(batch)
@@ -122,6 +127,7 @@ class GatewayCanPort:
                 heappush(pending, (can_id, index, self._order, f, self))
         if self.lengths is not None:
             self.lengths.add(now, self.occupancy)
+        bus.notify(now)
 
 
 class CanBus:
@@ -167,7 +173,7 @@ class CanBus:
 
     def attach(self, port) -> int:
         """Attach a controller; the return value is its node index."""
-        port._pending = self.pending
+        port.bus = self
         port._index = len(self.ports)
         self.ports.append(port)
         return port._index

@@ -1,10 +1,14 @@
 """Runtime assembly: turn a NetworkConfig into live simulation components.
 
-The engine wires buses, switch ports, gateways, stimuli and sinks to the
+The engine wires buses, switch ports, gateways, talkers and sinks to the
 event kernel, runs to the horizon, and (by default) drains in-flight
-frames afterwards: periodic sources stop at the horizon, so delivery
-counts line up with creation counts while bandwidth windows, checkpointed
-during the run, never reach past the horizon.
+frames afterwards.  A ``Talker`` is one periodic sender: a CAN ECU, an
+AVB, RC or best-effort talker, or a TT talker released by the TDMA
+schedule.  Building a runtime schedules nothing; ``Runtime.run`` starts
+each talker with the horizon, and a talker makes frames only for releases
+due by it in ideal time.  So delivery counts line up with creation counts,
+while bandwidth windows, checkpointed during the run, never reach past
+the horizon.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from .can import CanBus, CanFrame, NodeCanPort
 from .config import NetworkConfig, device_value
 from .ethernet import AVB, BE, RC, TT, EthFrame, EthPort, Switch, in_tt_window, pad_payload, windows_by_link
 from .gateway import Gateway, RouteDest
-from .kernel import Event, EventKind, OnDemand, Oscillator, Simulator
+from .kernel import Event, EventKind, OnDemand, Oscillator, SimulationError, Simulator
 from .metrics import Latencies, MetricStore, RecordingFlags
 
 
@@ -63,94 +67,63 @@ class Host:
             self.latencies[frame.message].add(frame.creation_time, now)
 
 
-class CanSource:
-    """Periodic CAN stimulus feeding a node's controller."""
+class Talker:
+    """One periodic sender: a CAN ECU, an AVB, RC or best-effort talker, or a
+    TT talker.
 
-    def __init__(self, rt: "Runtime", node: str, port: NodeCanPort, bus: CanBus,
-                 message: str, can_id: int, payload: int, period: int, offset: int):
-        self.rt = rt
+    Releases fall at each local ``offset`` plus whole ``period``s.  A TT
+    talker's are its schedule's releases and cycle in its node's clock,
+    mapped to ideal time through ``osc``; any other talker's are in ideal
+    time (``osc`` is None).  ``send(port, now)`` builds a release's frames
+    and hands them to the sender's port.  ``start`` schedules the releases
+    due by the horizon, and each release schedules the next one due by it
+    before it sends.
+    """
+
+    def __init__(self, sim: Simulator, path: str, port: EthPort | NodeCanPort, offsets: list[int],
+                 period: int, kind: EventKind, send, osc: Oscillator | None = None):
+        self.sim = sim
+        self.path = path
         self.port = port
-        self.bus = bus
-        self.message = message
-        self.can_id = can_id
-        self.payload = payload
+        self.offsets = offsets
         self.period = period
-        self.path = f"{node}.src[{message}]"
-        rt.sim.register(self.path, self._fire)
-        rt.first_releases.append(rt.sim.schedule(offset, self.path, EventKind.FIRE_SOURCE))
-
-    def _fire(self, ev: Event) -> None:
-        now = ev.time
-        frame = CanFrame(self.can_id, self.payload, now, self.message)
-        self.port.submit(frame)
-        nxt = now + self.period
-        if self.rt.stop_time is None or nxt <= self.rt.stop_time:
-            self.rt.sim.schedule(nxt, self.path, EventKind.FIRE_SOURCE)
-        self.bus.notify(now)
-
-
-class EthSource:
-    """Periodic Ethernet stimulus (RC, AVB, or best effort)."""
-
-    def __init__(self, rt: "Runtime", node: str, port: EthPort, message: str,
-                 emissions: list[tuple[tuple, object]], payload: int, period: int, offset: int):
-        self.rt = rt
-        self.port = port
-        self.message = message
-        self.emissions = emissions  # (forwarding key, tag) per frame each period
-        self.payload = payload
-        self.period = period
-        self.path = f"{node}.src[{message}]"
-        rt.sim.register(self.path, self._fire)
-        rt.first_releases.append(rt.sim.schedule(offset, self.path, EventKind.FIRE_SOURCE))
-
-    def _fire(self, ev: Event) -> None:
-        now = ev.time
-        for key, tag in self.emissions:
-            frame = EthFrame(
-                key=key, payload_len=pad_payload(self.payload),
-                tag=tag, creation_time=now, message=self.message,
-                logical_len=self.payload,
-            )
-            self.port.enqueue(frame, now)
-        nxt = now + self.period
-        if self.rt.stop_time is None or nxt <= self.rt.stop_time:
-            self.rt.sim.schedule(nxt, self.path, EventKind.FIRE_SOURCE)
-
-
-class TtSource:
-    """Time-triggered talker releasing at its scheduled window offsets."""
-
-    def __init__(self, rt: "Runtime", node: str, port: EthPort, message: str,
-                 release: str, key: tuple, ct_id: int, payload: int,
-                 cycle: int, releases: list[int], osc: Oscillator):
-        self.rt = rt
-        self.port = port
-        self.message = message
-        self.key = key
-        self.ct_id = ct_id
-        self.payload = payload
-        self.cycle = cycle
+        self.kind = kind
+        self.send = send
         self.osc = osc
-        self.path = f"{node}.src[{release}]"
-        rt.sim.register(self.path, self._fire)
-        # The oscillator is monotone, so each release is due no earlier than the last.
-        for offset in releases:
-            rt.first_releases.append(
-                rt.sim.schedule(osc.local_to_ideal(offset), self.path, EventKind.TT_RELEASE, offset))
+        self.horizon = 0
+        sim.register(path, self._fire)
+
+    def start(self, horizon: int) -> None:
+        self.horizon = horizon
+        for offset in self.offsets:
+            due = offset if self.osc is None else self.osc.local_to_ideal(offset)
+            if due <= horizon:
+                self.sim.schedule(due, self.path, self.kind, offset)
 
     def _fire(self, ev: Event) -> None:
-        now = ev.time
-        frame = EthFrame(
-            key=self.key, payload_len=pad_payload(self.payload),
-            tag=TT(self.ct_id), creation_time=now, message=self.message,
-            logical_len=self.payload,
-        )
-        self.port.enqueue(frame, now)
-        nominal = ev.payload + self.cycle
-        due = self.osc.local_to_ideal(nominal)  # the horizon is in ideal time
-        if self.rt.stop_time is None or due <= self.rt.stop_time:
-            self.rt.sim.schedule(due, self.path, EventKind.TT_RELEASE, nominal)
+        nominal = ev.payload + self.period
+        due = nominal if self.osc is None else self.osc.local_to_ideal(nominal)
+        if due <= self.horizon:
+            self.sim.schedule(due, self.path, self.kind, nominal)
+        self.send(self.port, ev.time)
+
+
+def _can_send(can_id: int, payload: int, message: str):
+    """A CAN talker's ``send``: one frame per release."""
+    def send(port: NodeCanPort, now: int) -> None:
+        port.enqueue(CanFrame(can_id, payload, now, message), now)
+    return send
+
+
+def _eth_send(emissions: list[tuple[tuple, object]], payload: int, message: str):
+    """An Ethernet talker's ``send``: one frame per (forwarding key, tag) of ``emissions``."""
+    padded = pad_payload(payload)
+
+    def send(port: EthPort, now: int) -> None:
+        for key, tag in emissions:
+            port.enqueue(EthFrame(key=key, payload_len=padded, tag=tag, creation_time=now,
+                                  message=message, logical_len=payload), now)
+    return send
 
 
 @dataclass
@@ -171,7 +144,7 @@ class Runtime:
         self.store = MetricStore(RecordingFlags(**flags))
         self.sim = Simulator(seed if seed is not None else cfg.seed)
         self.stop_time: int | None = None
-        self.first_releases: list[Event] = []  # each source's first events; run() cancels those past the horizon
+        self.talkers: list[Talker] = []  # in build order; run() starts them
         self.hosts: dict[str, Host] = {}
         self.buses: dict[str, CanBus] = {}
         self.switches: dict[str, Switch] = {}
@@ -264,33 +237,31 @@ class Runtime:
         )
 
     def _build_stimuli(self) -> None:
-        """Instantiate the talkers and CAN subscriptions the compiler derived.
-
-        A source registers its own handler, which keeps it alive."""
+        """The talkers and CAN subscriptions the compiler derived, talkers in
+        the order ``run`` starts them."""
+        schedule = self.cfg.schedule
         for msg in self.cfg.messages:
+            port = self.hosts[msg.sender].port
+            emissions = []
+            for frame in msg.eth_talker:
+                tag = _tag_from_dict(frame["binding"])
+                if "release" not in frame:
+                    emissions.append((frame["key"], tag))
+                    continue
+                self.talkers.append(Talker(
+                    self.sim, f"{msg.sender}.src[{frame['release']}]", port,
+                    schedule.releases[frame["release"]], schedule.cycle, EventKind.TT_RELEASE,
+                    _eth_send([(frame["key"], tag)], msg.payload, msg.name), self.oscillators[msg.sender],
+                ))
             if msg.can_talker is not None:
-                bus = self.buses[msg.can_talker["bus"]]
-                CanSource(
-                    self, msg.sender, self.hosts[msg.sender].port, bus, msg.name,
-                    msg.can_talker["id"], msg.payload, msg.period, msg.offset,
-                )
+                send = _can_send(msg.can_talker["id"], msg.payload, msg.name)
+            elif emissions:
+                send = _eth_send(emissions, msg.payload, msg.name)
             else:
-                port = self.hosts[msg.sender].port
-                emissions = []
-                for frame in msg.eth_talker:
-                    if "release" not in frame:
-                        emissions.append((frame["key"], _tag_from_dict(frame["binding"])))
-                        continue
-                    TtSource(
-                        self, msg.sender, port, msg.name, frame["release"], frame["key"],
-                        frame["binding"]["ct"], msg.payload, self.cfg.schedule.cycle,
-                        self.cfg.schedule.releases[frame["release"]], self.oscillators[msg.sender],
-                    )
-                if emissions:
-                    EthSource(
-                        self, msg.sender, port, msg.name, emissions,
-                        msg.payload, msg.period, msg.offset,
-                    )
+                send = None  # the schedule releases every frame
+            if send is not None:
+                self.talkers.append(Talker(self.sim, f"{msg.sender}.src[{msg.name}]", port, [msg.offset],
+                                           msg.period, EventKind.FIRE_SOURCE, send))
             for receiver in msg.receivers:
                 sub = msg.can_receivers.get(receiver)
                 if sub is not None:
@@ -301,10 +272,11 @@ class Runtime:
 
     def run(self, horizon: int, drain: bool = True, window: tuple[int, int] | None = None) -> RunResult:
         """Run to the horizon, checkpointing the store at ``window``'s ends; then drain if asked."""
+        if self.stop_time is not None:
+            raise SimulationError("a Runtime runs once; build another one to run again")
         self.stop_time = horizon
-        for ev in self.first_releases:
-            if ev.time > horizon:
-                self.sim.cancel(ev)
+        for talker in self.talkers:
+            talker.start(horizon)
         events = 0  # run_until(t) dispatches every event at t, so a split reorders none
         for t in window or ():
             if 0 < t < horizon:

@@ -188,8 +188,7 @@ class Gateway:
         self.can_rules: dict[tuple[str, int], list[RouteDest]] = {}
         self.key_rules: dict[tuple[str, tuple], list[RouteDest]] = {}
         self.pools: dict[str, Pool] = {}
-        self.can_ports: dict[str, GatewayCanPort] = {}
-        self.buses: dict[str, object] = {}
+        self.can_ports: dict[str, GatewayCanPort] = {}  # by bus name
         self.eth_port = None
         self.eth_segment = "backbone"
         self.rx = store.station_series(name)
@@ -203,7 +202,6 @@ class Gateway:
         port.on_rx = lambda frame, now, _bus=bus: self.on_can_rx(_bus, frame, now)
         bus.attach(port)
         self.can_ports[bus.name] = port
-        self.buses[bus.name] = bus
         return port
 
     def add_pool(self, pool_id: str, holdup_by_id: dict[int, int]) -> Pool:
@@ -217,9 +215,8 @@ class Gateway:
     def add_can_rule(self, segment: str, can_id: int, dests: list[RouteDest]) -> None:
         self.can_rules[(segment, can_id)] = dests
         for port in self.can_ports.values():
-            bus = self.buses[port.bus]
-            if bus.segment == segment:
-                bus.subscribe(port, can_id)
+            if port.bus.segment == segment:
+                port.bus.subscribe(port, can_id)
 
     def add_key_rule(self, segment: str, key: tuple, dests: list[RouteDest]) -> None:
         self.key_rules[(segment, key)] = dests
@@ -311,4 +308,3 @@ class Gateway:
         elif ev.kind is EventKind.GW_CAN_EGRESS:
             bus_name, batch = ev.payload
             self.can_ports[bus_name].place_batch(batch, ev.time)
-            self.buses[bus_name].notify(ev.time)

@@ -328,6 +328,11 @@ _ONE_RULE_TWO_MESSAGES = {
     _case([(None, _ONE_RULE_TWO_MESSAGES["keyed"])],
           "small.andl:8:1: error: gateway gw: the key ('dst', 'gw') from segment eth is routed for m1 and m2",
           id="one-rule-two-messages-keyed"),
+    # A TT talker releases at its schedule's offsets; msg1's offset, on the CAN
+    # sender of a TT backbone stream, still delays its releases.
+    _case([("backbone: avb{id 1;};", "backbone: tt{ctID 3;};"), ("period 125us;", "period 125us; offset 300us;")],
+          "small.andl:58:1: warning: message msg2: offset is ignored; a TT message is released by the TDMA schedule",
+          code=0, id="tt-offset-ignored"),
 ])
 def test_validate_reports_compiler_diagnostic(tmp_path, listing_small, capsys, edits, needle, code, args):
     text = listing_small

@@ -66,9 +66,8 @@ def test_same_instant_release_serializes_by_priority():
         bus.attach(p)
     for can_id in (100, 200):
         bus.subscribe(rx, can_id)
-    p2.submit(CanFrame(200, 8, 0))
-    p1.submit(CanFrame(100, 8, 0))
-    bus.notify(0)
+    p2.enqueue(CanFrame(200, 8, 0), sim.now)
+    p1.enqueue(CanFrame(100, 8, 0), sim.now)
     sim.run_until(10_000 * US)
     dur = can_frame_duration(8, 500_000)
     assert sink.got == [(100, dur), (200, 2 * dur)]
@@ -83,12 +82,10 @@ def test_frame_arriving_mid_transmission_waits():
         bus.attach(p)
     for can_id in (5, 900):
         bus.subscribe(rx, can_id)
-    p1.submit(CanFrame(900, 8, 0))
-    bus.notify(0)
+    p1.enqueue(CanFrame(900, 8, 0), sim.now)
     sim.run_until(10 * US)
     # higher-priority frame shows up mid-transmission; no preemption
-    p2.submit(CanFrame(5, 8, sim.now))
-    bus.notify(sim.now)
+    p2.enqueue(CanFrame(5, 8, sim.now), sim.now)
     sim.run_until(10_000 * US)
     dur = can_frame_duration(8, 500_000)
     assert sink.got == [(900, dur), (5, 2 * dur)]
@@ -102,9 +99,8 @@ def test_equal_id_tie_broken_by_node_index():
     for p in (p1, p2, rx):
         bus.attach(p)
     bus.subscribe(rx, 50)
-    p2.submit(CanFrame(50, 1, 0, message="from_n2"))
-    p1.submit(CanFrame(50, 1, 0, message="from_n1"))
-    bus.notify(0)
+    p2.enqueue(CanFrame(50, 1, 0, message="from_n2"), sim.now)
+    p1.enqueue(CanFrame(50, 1, 0, message="from_n1"), sim.now)
     sim.run_until(10_000 * US)
     assert len(sink.got) == 2  # nothing lost, deterministic order
 
@@ -126,8 +122,7 @@ def test_conservation_on_error_free_bus():
         bus.subscribe(p, 10)
     n = 25
     for k in range(n):
-        tx.submit(CanFrame(10, 4, 0))
-    bus.notify(0)
+        tx.enqueue(CanFrame(10, 4, 0), sim.now)
     sim.run_until(10**12)
     assert store.link_frames[bus.name] == n
     assert all(len(s.got) == n for s in sinks)
@@ -145,15 +140,23 @@ def test_gateway_port_batch_overwrite():
     for can_id in (10, 20):
         bus.subscribe(rx, can_id)
     f = lambda i: CanFrame(i, 2, 0)
-    port.place_batch([f(10), f(10), f(20)], 0)
-    # same-batch records of one id stay queued in order
-    assert len(port.slots[10]) == 2 and len(port.slots[20]) == 1
+    slots = []
+
+    def place(ev):
+        port.place_batch(ev.payload, ev.time)
+        slots.append({can_id: len(slot) for can_id, slot in port.slots.items()})
+
+    # Two gateway egress events at one tick: placing the first wakes the bus,
+    # whose arbitration is deferred behind the second.
+    sim.register("driver", place)
+    sim.schedule(5, "driver", EventKind.TIMER, [f(10), f(10), f(20)])
+    sim.schedule(5, "driver", EventKind.TIMER, [f(10)])
+    sim.run_until(5)
+    # same-batch records of one id stay queued in order;
     # a later batch overwrites what is still pending for that id
-    port.place_batch([f(10)], 5)
-    assert len(port.slots[10]) == 1
+    assert slots[0] == {10: 2, 20: 1} and slots[1][10] == 1
     assert store.scalar("gw1.canif[cb2]", "overwrites") == 2
     assert [v for _, v in store.vectors[("gw1.canif[cb2]", "QueueLength[txObjects]")]] == [3, 2]
-    bus.notify(5)  # at set-up: arbitration stays an event at 5
     sim.run_until(10_000 * US)
     assert [can_id for can_id, _ in sink.got] == [10, 20]
     assert sink.got[0][1] == 5 + can_frame_duration(2, 500_000)
@@ -168,8 +171,7 @@ def test_subscription_added_after_attach_is_honoured():
     bus.attach(tx)
     bus.attach(rx)
     bus.subscribe(rx, 42)
-    tx.submit(CanFrame(42, 1, 0))
-    bus.notify(0)
+    tx.enqueue(CanFrame(42, 1, 0), sim.now)
     sim.run_until(10_000 * US)
     assert sink.got == [(42, can_frame_duration(1, 500_000))]
 
@@ -183,17 +185,15 @@ def test_frame_queued_at_a_completion_tick_joins_the_re_arbitration():
         bus.attach(p)
     for can_id in (5, 100, 300):
         bus.subscribe(rx, can_id)
-    tx.submit(CanFrame(100, 8, 0))
-    tx.submit(CanFrame(300, 8, 0))
-    bus.notify(0)
+    tx.enqueue(CanFrame(100, 8, 0), sim.now)
+    tx.enqueue(CanFrame(300, 8, 0), sim.now)
     sim.run_until(0)  # id 100 is on the wire; its CAN_TX_DONE is queued
     dur = can_frame_duration(8, 500_000)
 
-    def submit(ev):
-        late.submit(CanFrame(5, 8, ev.time))
-        bus.notify(ev.time)
+    def release(ev):
+        late.enqueue(CanFrame(5, 8, ev.time), ev.time)
 
-    sim.register("late", submit)
+    sim.register("late", release)
     # Queued behind the CAN_TX_DONE at dur, so the completion must not
     # arbitrate inline: id 5 has to take part and win over id 300.
     sim.schedule(dur, "late", EventKind.TIMER)
@@ -213,8 +213,7 @@ def test_subscribe_needs_an_attached_port_and_keeps_attachment_order():
     bus.subscribe(b, 7)
     bus.subscribe(a, 7)
     bus.subscribe(b, 7)  # a second subscription delivers once
-    tx.submit(CanFrame(7, 0, 0))
-    bus.notify(0)
+    tx.enqueue(CanFrame(7, 0, 0), sim.now)
     sim.run_until(10_000 * US)
     assert order == ["a", "b"] and bus.delivered == 2
 
@@ -228,13 +227,11 @@ def test_overwritten_gateway_frame_is_never_transmitted():
         bus.attach(p)
     for can_id in (1, 10, 20):
         bus.subscribe(rx, can_id)
-    node.submit(CanFrame(1, 8, 0, message="busy"))
-    bus.notify(0)
+    node.enqueue(CanFrame(1, 8, 0, message="busy"), sim.now)
     gw.place_batch([CanFrame(10, 0, 0, message="stale"),
-                    CanFrame(20, 0, 0, message="kept")], 0)
+                    CanFrame(20, 0, 0, message="kept")], sim.now)
     sim.run_until(10 * US)  # the bus is sending "busy"
     gw.place_batch([CanFrame(10, 0, 0, message="fresh")], sim.now)
-    bus.notify(sim.now)
     sim.run_until(10_000 * US)
     assert got == ["busy", "fresh", "kept"]
     assert store.scalar("gw1.canif[cb1]", "overwrites") == 1
@@ -323,10 +320,9 @@ def test_bus_heap_matches_reference_arbitration(order, timed):
     def act(ev):
         _, name, frames = ev.payload
         if name[0] == "n":
-            ports[name].submit(frames[0])
+            ports[name].enqueue(frames[0], ev.time)
         else:
             ports[name].place_batch(frames, ev.time)
-        bus.notify(ev.time)
 
     sim.register("driver", act)
     for action in actions:

@@ -1,15 +1,16 @@
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from autonetsim.andl import compile_network, parse
+from autonetsim.andl import compile_network, compile_with_warnings, parse
 from autonetsim.config import ConfigError, LinkCfg, NetworkConfig
 from autonetsim.engine import Runtime
 from autonetsim.ethernet import TT, EthFrame
-from autonetsim.kernel import MS, SEC, US
+from autonetsim.kernel import MS, SEC, US, SimulationError, Simulator
 from autonetsim.can import can_frame_duration
 
 
@@ -35,6 +36,14 @@ def test_small_network_end_to_end(listing_small):
     # no TT receive violations and nothing dropped anywhere
     assert result.drops == 0
     assert not any("ttViolations" in name for (_, name) in rt.store.scalars)
+
+
+def test_a_runtime_runs_once(listing_small):
+    # Its talkers started with the first horizon and the clock stands past it.
+    rt = build(listing_small)
+    rt.run(10 * MS)
+    with pytest.raises(SimulationError, match="^a Runtime runs once; build another one to run again$"):
+        rt.run(20 * MS)
 
 
 def test_end_to_end_latency_series_is_exported_from_the_samples(listing_small, tmp_path):
@@ -472,6 +481,49 @@ def test_a_first_release_after_the_horizon_makes_no_frame():
     assert (result.events, result.final_time, result.deliveries) == (0, 1 * MS, {})
 
 
+@pytest.mark.parametrize("text, horizon", [(LATE_FIRST_RELEASES, 1 * MS), (DRIFTING_TT, 100 * MS)],
+                         ids=["late-first-releases", "drifting-tt"])
+def test_a_run_without_pools_cancels_no_event(monkeypatch, text, horizon):
+    # A talker schedules only the releases due by the horizon; a pool's timer is
+    # the one event that is ever cancelled.
+    cancelled = []
+    monkeypatch.setattr(Simulator, "cancel", lambda self, event: cancelled.append(event))
+    build(text).run(horizon)
+    assert cancelled == []
+
+
+def test_a_drifting_nodes_best_effort_talker_stays_in_ideal_time():
+    # Only the TDMA schedule's releases follow the node's clock.
+    text = DRIFTING_TT.replace("  communication {\n", """  communication {
+    message chatter {
+      sender talker;
+      receivers listener;
+      payload 100B;
+      period 300us;
+      mapping {
+        eth: be{priority 2;};
+      }
+    }
+""")
+    rt = build(text)
+    rt.run(100 * MS)
+    created = [s.creation for s in rt.store.latencies[("chatter", "listener")]]
+    assert created == [k * 300 * US for k in range(100 * MS // (300 * US) + 1)]
+    beats = [s.creation for s in rt.store.latencies[("beat", "listener")]]
+    assert any(t % MS for t in beats)  # the TT talker's releases did drift
+
+
+def test_the_offset_of_a_can_message_on_a_tt_backbone_delays_its_releases(listing_small):
+    # msg1 leaves its CAN sender, so the TDMA schedule releases only the gateway's frames.
+    ast, _ = parse(listing_small.replace("period 1ms;", "period 1ms; offset 300us;"))
+    cfg, warnings = compile_with_warnings(ast)
+    assert not any("offset is ignored" in str(w) for w in warnings)
+    rt = Runtime(cfg)
+    rt.run(10 * MS)
+    created = [s.creation for s in rt.store.latencies[("msg1", "cn2")]]
+    assert created[0] == 300 * US and len(created) == 10
+
+
 def test_out_of_window_tt_arrival_is_dropped():
     rt = build(DRIFTING_TT.replace("driftPpm 400;", "driftPpm 0;"))
     rt.run(10 * MS)
@@ -550,7 +602,8 @@ def test_runtime_refuses_a_second_interface(listing_small, attach, needle):
 
 
 
-SCENARIOS = {path.stem: path for path in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.andl")}
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = {path.stem: path for path in (ROOT / "scenarios").glob("*.andl")}
 FAMILIES = {"queues": "QueueLength[", "credit": "credit[", "stations": ".rx["}  # flag -> what its series' names hold
 RECORDED = {"small_network": {"queues", "credit", "stations"}, "two_pools": {"queues", "stations"}}  # no AVB, no credit
 
@@ -629,3 +682,21 @@ def test_each_port_holds_its_links_windows_in_offset_order(name):
     port.enqueue(EthFrame(("dst", "x"), 46, TT(99), 0), 0)
     rt.run(1 * MS)
     assert (rt.store.scalar(port.path, "drops[TT[99]]", 0), len(port.tt_queues[99])) == ((1, 0) if cfg.schedule else (0, 1))
+
+
+def _workload_text(name: str) -> str:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return WORKLOADS[name].generate(1)
+
+
+@pytest.mark.parametrize("name", [*sorted(SCENARIOS), "avb_7hop", "vehicle_can", "mixed_recorded"])
+def test_building_a_runtime_schedules_nothing(name):
+    # Runtime.run starts each talker with the horizon, so no release waits
+    # before the run (Simulator.pending() counts deferred calls as well).
+    rt = build(SCENARIOS[name].read_text() if name in SCENARIOS else _workload_text(name))
+    assert rt.sim.pending() == 0
+    assert rt.run(1 * MS).events > 0
