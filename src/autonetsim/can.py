@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from collections import deque
 from heapq import heappop, heappush
 
-from .kernel import SEC, Event, EventKind, Simulator
+from .kernel import CAN_ARBITRATE, CAN_TX_DONE, SEC, Event, Simulator
 from .metrics import MetricStore
 
 # Standard 11-bit frame: SOF + arbitration + control + CRC + ACK + EOF + 3-bit
@@ -194,13 +194,29 @@ class CanBus:
             if t == self.sim.now:
                 self.sim.defer(self._arbitrate)
             else:
-                self.sim.schedule(t, self.name, EventKind.CAN_ARBITRATE)
+                self.sim.schedule(t, self.name, CAN_ARBITRATE)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind is EventKind.CAN_ARBITRATE:
+        if ev.kind is CAN_ARBITRATE:
             self._arbitrate()
-        elif ev.kind is EventKind.CAN_TX_DONE:
-            self._complete(ev.time)
+            return
+        # CAN_TX_DONE: the frame on the wire reaches every subscriber but its sender.
+        now = ev.time
+        frame, sender, wire_bits = self._sending
+        self._sending = None
+        self.store.link_completed(self.name, wire_bits)
+        for port in self._receivers.get(frame.can_id, ()):
+            if port is not sender:
+                self.delivered += 1
+                on_rx = port.on_rx
+                if on_rx is not None:
+                    on_rx(frame, now)
+        # Anything still pending re-arbitrates at this tick, after the work
+        # already due at it; the 3-bit interframe space is already part of
+        # the frame duration.
+        if self._top() is not None:
+            self._arb_scheduled = True
+            self.sim.defer(self._arbitrate)
 
     def _top(self):
         """The winning heap entry, or None; overwritten gateway frames are dropped."""
@@ -236,22 +252,4 @@ class CanBus:
             )
         self.busy_until = now + timing[0]
         self._sending = (frame, self.ports[index], timing[1])
-        self.sim.schedule(self.busy_until, self.name, EventKind.CAN_TX_DONE)
-
-    def _complete(self, now: int) -> None:
-        assert self._sending is not None
-        frame, sender, wire_bits = self._sending
-        self._sending = None
-        self.store.link_completed(self.name, wire_bits)
-        for port in self._receivers.get(frame.can_id, ()):
-            if port is not sender:
-                self.delivered += 1
-                on_rx = port.on_rx
-                if on_rx is not None:
-                    on_rx(frame, now)
-        # Anything still pending re-arbitrates at this tick, after the work
-        # already due at it; the 3-bit interframe space is already part of
-        # the frame duration.
-        if self._top() is not None:
-            self._arb_scheduled = True
-            self.sim.defer(self._arbitrate)
+        self.sim.schedule(self.busy_until, self.name, CAN_TX_DONE)

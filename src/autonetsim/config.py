@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from functools import cache, partial
 from fractions import Fraction
 from itertools import product
@@ -22,6 +22,16 @@ from .can import CAN_MAX_ID
 from .ethernet import DEFAULT_HW_DELAY, ETH_MAX_PAYLOAD, PRIORITY, TdmaWindow, violations
 from .gateway import DEFAULT_PROCESSING_DELAY
 from .kernel import POSITIVE, TICKS, Oscillator, Positive, Range, Ticks, parse_duration, parse_rate
+
+
+def _plain(value):
+    """``value`` with each record a new dict of its fields and each list of records a new list;
+    anything else, records aside, is already JSON's and is returned as it is, not copied."""
+    if is_dataclass(value):
+        return {name: _plain(v) for name, v in vars(value).items()}
+    if value.__class__ is list and value and is_dataclass(value[0]):
+        return [_plain(v) for v in value]
+    return value
 
 
 class ConfigError(Exception):
@@ -251,7 +261,7 @@ class NetworkConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = _plain(self)
         for pool in doc["pools"]:  # so that the ids sort as text, as they always have
             pool["holdup_by_id"] = {str(k): v for k, v in pool["holdup_by_id"].items()}
         return doc

@@ -19,7 +19,7 @@ from .can import CanBus, CanFrame, NodeCanPort
 from .config import NetworkConfig, device_value
 from .ethernet import AVB, BE, RC, TT, EthFrame, EthPort, Switch, in_tt_window, pad_payload, windows_by_link
 from .gateway import Gateway, RouteDest
-from .kernel import Event, EventKind, OnDemand, Oscillator, SimulationError, Simulator
+from .kernel import FIRE_SOURCE, TT_RELEASE, Event, EventKind, OnDemand, Oscillator, SimulationError, Simulator
 from .metrics import Latencies, MetricStore, RecordingFlags
 
 
@@ -250,7 +250,7 @@ class Runtime:
                     continue
                 self.talkers.append(Talker(
                     self.sim, f"{msg.sender}.src[{frame['release']}]", port,
-                    schedule.releases[frame["release"]], schedule.cycle, EventKind.TT_RELEASE,
+                    schedule.releases[frame["release"]], schedule.cycle, TT_RELEASE,
                     _eth_send([(frame["key"], tag)], msg.payload, msg.name), self.oscillators[msg.sender],
                 ))
             if msg.can_talker is not None:
@@ -261,7 +261,7 @@ class Runtime:
                 send = None  # the schedule releases every frame
             if send is not None:
                 self.talkers.append(Talker(self.sim, f"{msg.sender}.src[{msg.name}]", port, [msg.offset],
-                                           msg.period, EventKind.FIRE_SOURCE, send))
+                                           msg.period, FIRE_SOURCE, send))
             for receiver in msg.receivers:
                 sub = msg.can_receivers.get(receiver)
                 if sub is not None:

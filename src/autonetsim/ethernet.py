@@ -28,7 +28,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Annotated
 
-from .kernel import SEC, US, Event, EventKind, OnDemand, Positive, Range, Simulator, Ticks
+from .kernel import (PORT_TRY_SEND, PORT_TX_DONE, SEC, SWITCH_FORWARD, US, Event, OnDemand, Positive, Range,
+                     Simulator, Ticks)
 from .metrics import MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
@@ -118,15 +119,14 @@ def pad_payload(logical_len: int) -> int:
     return max(ETH_MIN_PAYLOAD, logical_len)
 
 
-def record_station_latency(rx: OnDemand | None, frame: EthFrame, now: int) -> None:
-    """Into a station's ``rx`` series (if recorded), the latency of ``frame``'s
+def record_station_latency(rx: OnDemand, frame: EthFrame, now: int) -> None:
+    """Into a station's recorded ``rx`` series, the latency of ``frame``'s
     message and of each record it carries."""
-    if rx is not None:
-        if frame.message is not None:
-            rx[frame.message].add(now, now - frame.creation_time)
-        for record in frame.records or ():
-            if record.message is not None:
-                rx[record.message].add(now, now - record.creation)
+    if frame.message is not None:
+        rx[frame.message].add(now, now - frame.creation_time)
+    for record in frame.records or ():
+        if record.message is not None:
+            rx[record.message].add(now, now - record.creation)
 
 
 # --------------------------------------------------------------------------
@@ -134,9 +134,10 @@ def record_station_latency(rx: OnDemand | None, frame: EthFrame, now: int) -> No
 # --------------------------------------------------------------------------
 
 class CreditState:
-    """Credit-based shaper state for one AVB class on one port."""
+    """Credit-based shaper state for one AVB class on one port; the port
+    integrates it (``EthPort._credit_settle``)."""
 
-    __slots__ = ("idle_slope", "send_slope", "scaled", "last_update", "_points")
+    __slots__ = ("idle_slope", "send_slope", "scaled", "last_update", "points")
 
     def __init__(self, idle_slope: int, port_rate: int, points: list | None = None):
         if idle_slope <= 0:
@@ -145,31 +146,9 @@ class CreditState:
         self.send_slope = idle_slope - port_rate
         self.scaled = 0  # credit in bits, scaled by 10^12
         self.last_update = 0
-        self._points = points  # (tick, scaled credit), or None when not recorded
+        self.points = points  # (tick, scaled credit), or None when not recorded
         if points is not None:
             points.append((0, 0))
-
-    def advance(self, now: int, waiting: bool, transmitting: bool) -> None:
-        """Integrate credit over [last_update, now] under one constant phase."""
-        dt = now - self.last_update
-        if dt <= 0:
-            return
-        if transmitting:
-            slope = self.send_slope
-        elif waiting:
-            slope = self.idle_slope
-        else:
-            slope = 0
-        self.scaled += slope * dt
-        self.last_update = now
-        if self._points is not None:
-            self._points.append((now, self.scaled))
-
-    def reset_if_positive(self, now: int) -> None:
-        if self.scaled > 0:
-            self.scaled = 0
-            if self._points is not None:
-                self._points.append((now, 0))
 
     def zero_crossing(self, now: int) -> int:
         """First tick at which credit is back to >= 0, accruing at idle_slope."""
@@ -425,7 +404,7 @@ class EthPort:
         if self.lengths is not None:
             self.lengths[queue.label].add(now, len(queue))
         # While a transmission runs past this tick a kick would find the port
-        # busy and do nothing; _complete kicks when the transmission ends.
+        # busy and do nothing; its PORT_TX_DONE kicks when it ends.
         if self._tx_end <= now:
             self._kick()
 
@@ -441,15 +420,27 @@ class EthPort:
         self.try_send(self.sim.now)
 
     def _credit_settle(self, now: int, idle: bool) -> None:
-        """Advance every shaper to now, the class on the wire having sent
-        since its last update; when the port goes ``idle``, also zero the
-        positive credit of each shaper with nothing queued."""
+        """Integrate every shaper's credit over [its last update, now] under
+        one constant phase: send_slope for the class on the wire, idle_slope
+        for a class with frames waiting, flat otherwise.  When the port goes
+        ``idle``, also zero the positive credit of each shaper with nothing
+        queued."""
         sending = self._tx
         for queue in self._shaped:
             credit = queue.credit
-            credit.advance(now, bool(queue), queue is sending)
-            if idle and not queue:
-                credit.reset_if_positive(now)
+            dt = now - credit.last_update
+            if dt > 0:
+                if queue is sending:
+                    credit.scaled += credit.send_slope * dt
+                elif queue:
+                    credit.scaled += credit.idle_slope * dt
+                credit.last_update = now
+                if credit.points is not None:
+                    credit.points.append((now, credit.scaled))
+            if idle and not queue and credit.scaled > 0:
+                credit.scaled = 0
+                if credit.points is not None:
+                    credit.points.append((now, 0))
 
     # -- transmission selection --------------------------------------------
 
@@ -492,8 +483,8 @@ class EthPort:
         if self.lengths is not None:
             self.lengths[queue.label].add(now, len(queue))
         if series is not None:
-            series.add(now, eth_wire_bits(frame.payload_len))
-        self.sim.schedule(end, self.path, EventKind.PORT_TX_DONE, frame)
+            series.add(now, 8 * (frame.payload_len + ETH_OVERHEAD_BYTES))
+        self.sim.schedule(end, self.path, PORT_TX_DONE, frame)
 
     def _plan_wakeup(self, now: int, latest: int | None) -> None:
         candidates: list[int] = []
@@ -529,26 +520,23 @@ class EthPort:
             t = now + 1
         if self._wakeup_at is None or t < self._wakeup_at:
             self._wakeup_at = t
-            self.sim.schedule(t, self.path, EventKind.PORT_TRY_SEND)
+            self.sim.schedule(t, self.path, PORT_TRY_SEND)
 
     # -- event handling -----------------------------------------------------
 
     def _handle(self, ev: Event) -> None:
-        kind = ev.kind
-        if kind is EventKind.PORT_TRY_SEND:  # a wakeup
-            if self._wakeup_at is not None and ev.time >= self._wakeup_at:
-                self._wakeup_at = None
-            self.try_send(ev.time)
-        elif kind is EventKind.PORT_TX_DONE:
-            self._complete(ev)
-
-    def _complete(self, ev: Event) -> None:
-        frame = ev.payload
         now = ev.time
+        if ev.kind is PORT_TRY_SEND:  # a wakeup
+            if self._wakeup_at is not None and now >= self._wakeup_at:
+                self._wakeup_at = None
+            self.try_send(now)
+            return
+        # PORT_TX_DONE: the frame on the wire has left the port.
+        frame = ev.payload
         if self._shaped:
             self._credit_settle(now, idle=True)
         self._tx = None
-        self.store.link_completed(self.link, eth_wire_bits(frame.payload_len))
+        self.store.link_completed(self.link, 8 * (frame.payload_len + ETH_OVERHEAD_BYTES))
         if self.peer is not None:
             self.peer.receive(frame, now, self)
         self._kick()
@@ -574,8 +562,9 @@ class Switch:
         self.table[key] = ports
 
     def receive(self, frame: EthFrame, now: int, in_port=None) -> None:
-        record_station_latency(self.rx, frame, now)
-        self.sim.schedule(now + self.hw_delay, self.name, EventKind.SWITCH_FORWARD, frame)
+        if self.rx is not None:
+            record_station_latency(self.rx, frame, now)
+        self.sim.schedule(now + self.hw_delay, self.name, SWITCH_FORWARD, frame)
 
     def _handle(self, ev: Event) -> None:
         frame: EthFrame = ev.payload
@@ -583,5 +572,6 @@ class Switch:
         if not ports:
             self.store.count_drop(self.name, "forwarding", reason="unknown_destination")
             return
+        now = ev.time
         for port in ports:
-            port.enqueue(frame, ev.time)
+            port.enqueue(frame, now)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .can import CanFrame, GatewayCanPort
 from .ethernet import ETH_MAX_PAYLOAD, EthFrame, pad_payload, record_station_latency
-from .kernel import MS, US, Event, EventKind, Simulator
+from .kernel import GW_CAN_EGRESS, GW_ETH_EGRESS, MS, POOL_FLUSH, US, Event, Simulator
 from .metrics import MetricStore
 
 DEFAULT_PROCESSING_DELAY = 40 * US   # measured CAN-Ethernet gateway
@@ -143,22 +143,22 @@ class Pool:
     def insert(self, record: CanRecord, now: int, keys: tuple[tuple, ...], tag) -> None:
         self.buffered.append(PoolEntry(record, now, keys, tag))
         candidate = now + self.holdup_by_id[record.can_id]
-        if self.deadline is None or candidate < self.deadline:
-            if self._timer is not None:
-                self.sim.cancel(self._timer)
-            self._timer = self.sim.schedule(candidate, self.path, EventKind.POOL_FLUSH, False)
+        timer = self._timer
+        if timer is None or candidate < timer.time:
+            if timer is not None:
+                self.sim.cancel(timer)
+            self._timer = self.sim.schedule(candidate, self.path, POOL_FLUSH, False)
         if self.lengths is not None:
             self.lengths.add(now, len(self.buffered))
 
     def _handle(self, ev: Event) -> None:
+        now = ev.time
         if ev.payload is False:
             # Re-arm once behind any same-tick arrivals so a frame landing
             # exactly at the deadline is still included (FIFO order).
-            self._timer = self.sim.schedule(ev.time, self.path, EventKind.POOL_FLUSH, True)
+            self._timer = self.sim.schedule(now, self.path, POOL_FLUSH, True)
             return
-        self.flush(ev.time)
-
-    def flush(self, now: int) -> None:
+        # The flush: everything buffered so far leaves the pool.
         self._timer = None
         if not self.buffered:
             return
@@ -240,7 +240,7 @@ class Gateway:
                 out = CanFrame(d.can_id, frame.payload_len, frame.creation_time, frame.message)
                 self.sim.schedule(
                     now + self.processing_delay, self.name,
-                    EventKind.GW_CAN_EGRESS, (d.bus, [out]),
+                    GW_CAN_EGRESS, (d.bus, [out]),
                 )
 
     # -- pool flush / Ethernet egress -------------------------------------------
@@ -262,13 +262,14 @@ class Gateway:
                 frames.append(frame)
                 self.aggregates.add(now, len(chunk))
         self.sim.schedule(
-            now + self.processing_delay, self.name, EventKind.GW_ETH_EGRESS, frames
+            now + self.processing_delay, self.name, GW_ETH_EGRESS, frames
         )
 
     # -- Ethernet ingress ----------------------------------------------------
 
     def receive(self, frame: EthFrame, now: int, port=None) -> None:
-        record_station_latency(self.rx, frame, now)
+        if self.rx is not None:
+            record_station_latency(self.rx, frame, now)
         # Every rule for Ethernet ingress leads to CAN: a gateway has one Ethernet link.
         segment = self.eth_segment
         if frame.records:
@@ -285,7 +286,7 @@ class Gateway:
             for bus_name, batch in batches.items():
                 self.sim.schedule(
                     now + self.processing_delay, self.name,
-                    EventKind.GW_CAN_EGRESS, (bus_name, batch),
+                    GW_CAN_EGRESS, (bus_name, batch),
                 )
             return
         dests = self.key_rules.get((segment, frame.key))
@@ -296,15 +297,16 @@ class Gateway:
             out = CanFrame(d.can_id, min(8, frame.logical_len), frame.creation_time, frame.message)
             self.sim.schedule(
                 now + self.processing_delay, self.name,
-                EventKind.GW_CAN_EGRESS, (d.bus, [out]),
+                GW_CAN_EGRESS, (d.bus, [out]),
             )
 
     # -- deferred egress events -------------------------------------------------
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind is EventKind.GW_ETH_EGRESS:
+        now = ev.time
+        if ev.kind is GW_ETH_EGRESS:
             for frame in ev.payload:
-                self.eth_port.enqueue(frame, ev.time)
-        elif ev.kind is EventKind.GW_CAN_EGRESS:
+                self.eth_port.enqueue(frame, now)
+        elif ev.kind is GW_CAN_EGRESS:
             bus_name, batch = ev.payload
-            self.can_ports[bus_name].place_batch(batch, ev.time)
+            self.can_ports[bus_name].place_batch(batch, now)

@@ -700,3 +700,20 @@ def test_building_a_runtime_schedules_nothing(name):
     rt = build(SCENARIOS[name].read_text() if name in SCENARIOS else _workload_text(name))
     assert rt.sim.pending() == 0
     assert rt.run(1 * MS).events > 0
+
+
+# sha256 of the event trace, one "time seq target kind" line per dispatch: a
+# change to the models may make an event cheaper, never move one or reorder a tie.
+TRACE_DIGESTS = {
+    ("small_network", 50 * MS): (2693, "2eb78d75a1aa144a929794df287e3115f18fa5b6c78667bb9aba3d78ef0fe644"),
+    ("two_pools", 200 * MS): (167, "e7957adcddcbb9b4e9e19f2a0a82dc59d87f14f6a47ed936762549d4bd088319"),
+}
+
+
+@pytest.mark.parametrize("scenario, horizon", sorted(TRACE_DIGESTS))
+def test_event_trace_matches_its_digest(scenario, horizon):
+    rt = build(SCENARIOS[scenario].read_text())
+    rt.sim.trace = []
+    rt.run(horizon)
+    lines = "".join(f"{t} {seq} {target} {kind}\n" for t, seq, target, kind in rt.sim.trace)
+    assert (len(rt.sim.trace), hashlib.sha256(lines.encode()).hexdigest()) == TRACE_DIGESTS[scenario, horizon]

@@ -28,25 +28,49 @@ def test_payload_bounds():
         EthFrame(("dst", "b"), 12, BE(0), 0)
 
 
+# The port integrates its shapers' credit (EthPort._credit_settle); these runs
+# read it from the recorded credit[A] series, in bits scaled by 10^12.
+def credit_points(store):
+    return store.vectors[("s1.port.en2", "credit[A]")]
+
+
 def test_credit_drain_during_transmission():
-    st = CreditState(25_000_000, RATE)
-    st.advance(6_720_000, waiting=True, transmitting=True)
-    assert st.scaled == -504 * SCALE  # -75 Mb/s for 6.72 us
+    sim, store, port, peer = make_port(idle_a=25_000_000)
+    port.enqueue(frame(AVB(1, "A")), 0)
+    sim.run_until(1 * MS)
+    assert [t for _, t in peer.got] == [6_720_000]
+    # -75 Mb/s (send_slope) for 6.72 us; nothing is queued, and negative credit is kept.
+    assert credit_points(store) == [(0, 0), (6_720_000, -504 * SCALE)]
+    assert port.credit["A"].scaled == -504 * SCALE
 
 
 def test_credit_recovery_time():
-    st = CreditState(25_000_000, RATE)
-    st.scaled = -504 * 10**12
-    assert st.zero_crossing(0) == 20_160_000  # 20.16 us at 25 Mb/s
-    st.advance(20_160_000, waiting=True, transmitting=False)
-    assert st.scaled == 0
+    sim, store, port, peer = make_port(idle_a=25_000_000)
+    port.enqueue(frame(AVB(1, "A")), 0)
+    port.enqueue(frame(AVB(1, "A")), 0)
+    sim.run_until(6_720_000)
+    assert port.credit["A"].zero_crossing(6_720_000) == 26_880_000  # 20.16 us at 25 Mb/s
+    sim.run_until(1 * MS)
+    # The second frame waits at idle_slope until its credit is back to 0, then starts.
+    assert [t for _, t in peer.got] == [6_720_000, 33_600_000]
+    assert credit_points(store) == [
+        (0, 0), (6_720_000, -504 * SCALE), (26_880_000, 0), (33_600_000, -504 * SCALE),
+    ]
 
 
 def test_credit_reset_when_queue_empties_positive():
-    st = CreditState(25_000_000, RATE)
-    st.scaled = 300 * 10**12
-    st.reset_if_positive(7)
-    assert st.scaled == 0
+    sim, store, port, peer = make_port(idle_a=25_000_000)
+    port.enqueue(frame(BE(0), payload=1500), 0)  # on the wire until 123.04 us
+    sim.run_until(1 * US)
+    port.enqueue(frame(AVB(1, "A")), 1 * US)
+    sim.run_until(1 * MS)
+    # Waiting from 1 us gains 3051 bits, sending 6.72 us spends 504; the rest is
+    # zeroed when the frame leaves with nothing else queued.
+    assert credit_points(store) == [
+        (0, 0), (1 * US, 0), (123_040_000, 3051 * SCALE),
+        (129_760_000, 2547 * SCALE), (129_760_000, 0),
+    ]
+    assert port.credit["A"].scaled == 0
 
 
 def test_reservation_cap():
@@ -306,9 +330,10 @@ def test_unreserved_port_never_touches_credit_state(monkeypatch):
     def untouchable(*args, **kwargs):
         raise AssertionError("credit state used on a port without a reservation")
 
-    for method in ("advance", "reset_if_positive", "zero_crossing"):
-        monkeypatch.setattr(CreditState, method, untouchable)
+    monkeypatch.setattr(EthPort, "_credit_settle", untouchable)
+    monkeypatch.setattr(CreditState, "zero_crossing", untouchable)
     sim, store, port, peer = make_port()
+    assert port.credit == {}
     for _ in range(3):
         port.enqueue(frame(BE(2)), 0)
         port.enqueue(frame(RC(4, 100 * US), payload=100), 0)
