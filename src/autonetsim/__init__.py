@@ -11,7 +11,7 @@ from .kernel import (
     SchedulingInPast, SimTimeOverflow, Simulator, fmt_duration,
     parse_byte_count, parse_duration, parse_rate,
 )
-from .can import CanBus, CanFrame, arbitrate, can_frame_duration, can_wire_bits
+from .can import CanBus, CanFrame, can_frame_duration, can_wire_bits
 from .ethernet import (
     AVB, BE, RC, TT, CreditState, EthFrame, EthPort, PayloadOutOfRange, Switch,
     TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, in_tt_window,

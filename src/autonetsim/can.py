@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from collections import deque
 from heapq import heappop, heappush
 
-from .kernel import CAN_ARBITRATE, CAN_TX_DONE, SEC, Event, Simulator
+from .kernel import CAN_TX_DONE, SEC, Event, Simulator, Transmitter
 from .metrics import MetricStore
 
 # Standard 11-bit frame: SOF + arbitration + control + CRC + ACK + EOF + 3-bit
@@ -58,14 +58,6 @@ class CanFrame:
             raise ValueError(f"CAN payload limited to 8 bytes, got {self.payload_len}")
 
 
-def arbitrate(pending: list[tuple[int, int, CanFrame]]) -> CanFrame | None:
-    """Pick the winner among (can_id, node_index, frame) candidates (the
-    reference form of the order CanBus keeps in its heap)."""
-    if not pending:
-        return None
-    return min(pending, key=lambda c: (c[0], c[1]))[2]
-
-
 class NodeCanPort:
     """Controller of an application node: unbounded transmit queue, kept in
     the bus's heap."""
@@ -82,7 +74,7 @@ class NodeCanPort:
         self._order += 1
         bus = self.bus
         heappush(bus.pending, (frame.can_id, self._index, self._order, frame, None))
-        bus.notify(now)
+        bus.wake(now)
 
 
 class GatewayCanPort:
@@ -127,10 +119,10 @@ class GatewayCanPort:
                 heappush(pending, (can_id, index, self._order, f, self))
         if self.lengths is not None:
             self.lengths.add(now, self.occupancy)
-        bus.notify(now)
+        bus.wake(now)
 
 
-class CanBus:
+class CanBus(Transmitter):
     """Shared bus: serializes frames, delivers to matching receivers.
 
     Every pending frame of every controller sits in one heap keyed by
@@ -139,9 +131,10 @@ class CanBus:
     the subscriptions: per id, the receiving controllers in attachment
     order.
 
-    Arbitration that falls due at the current tick is a deferred call
-    (``Simulator.defer``), behind everything already due at that tick; one
-    due later is a CAN_ARBITRATE event.
+    Arbitration is the bus's ``try_send``.  A controller that gains a frame
+    and the completion of a transmission wake the bus (``Transmitter.wake``),
+    so it arbitrates once at the end of the tick, after everything already
+    due at it; no arbitration waits for a later tick.
     """
 
     def __init__(
@@ -155,7 +148,7 @@ class CanBus:
     ):
         if bitrate <= 0:
             raise ValueError("bitrate must be positive")
-        self.sim = sim
+        super().__init__(sim, name)
         self.store = store
         self.name = name
         self.bitrate = bitrate
@@ -164,12 +157,8 @@ class CanBus:
         self.ports: list = []
         self._receivers: dict[int, tuple] = {}  # can_id -> subscribed ports, attachment order
         self.pending: list[tuple[int, int, int, CanFrame, GatewayCanPort | None]] = []
-        self.busy_until = 0
-        self._sending: tuple[CanFrame, object, int] | None = None  # frame, sender, wire bits
-        self._arb_scheduled = False
         self._timing: dict[int, tuple[int, int]] = {}  # payload length -> (ticks, wire bits)
         self.delivered = 0
-        sim.register(name, self._handle)
 
     def attach(self, port) -> int:
         """Attach a controller; the return value is its node index."""
@@ -186,24 +175,11 @@ class CanBus:
         if port not in receivers:
             self._receivers[can_id] = tuple(sorted(receivers + (port,), key=lambda p: p._index))
 
-    def notify(self, now: int) -> None:
-        """A controller gained a pending frame; arbitrate once the bus idles."""
-        if self._sending is None and not self._arb_scheduled:
-            self._arb_scheduled = True
-            t = max(now, self.busy_until)
-            if t == self.sim.now:
-                self.sim.defer(self._arbitrate)
-            else:
-                self.sim.schedule(t, self.name, CAN_ARBITRATE)
-
     def _handle(self, ev: Event) -> None:
-        if ev.kind is CAN_ARBITRATE:
-            self._arbitrate()
-            return
         # CAN_TX_DONE: the frame on the wire reaches every subscriber but its sender.
         now = ev.time
-        frame, sender, wire_bits = self._sending
-        self._sending = None
+        frame, sender, wire_bits = self._tx
+        self._tx = None
         self.store.link_completed(self.name, wire_bits)
         for port in self._receivers.get(frame.can_id, ()):
             if port is not sender:
@@ -215,8 +191,7 @@ class CanBus:
         # already due at it; the 3-bit interframe space is already part of
         # the frame duration.
         if self._top() is not None:
-            self._arb_scheduled = True
-            self.sim.defer(self._arbitrate)
+            self.wake(now)
 
     def _top(self):
         """The winning heap entry, or None; overwritten gateway frames are dropped."""
@@ -234,12 +209,12 @@ class CanBus:
             heappop(pending)
         return None
 
-    def _arbitrate(self) -> None:
-        self._arb_scheduled = False
-        now = self.sim.now
-        if self._sending is not None or now < self.busy_until or self._top() is None:
-            return
-        can_id, index, _, frame, gw_port = heappop(self.pending)
+    def try_send(self, now: int) -> None:
+        """Arbitrate: put the winning frame on the wire as (frame, sender, wire
+        bits).  The bus is woken only with a live frame pending, and the
+        woken call runs after the completion due at its tick."""
+        can_id, index, _, frame, gw_port = self._top()
+        heappop(self.pending)
         if gw_port is not None:
             gw_port.slots[can_id].popleft()
             gw_port.occupancy -= 1
@@ -250,6 +225,6 @@ class CanBus:
                 can_frame_duration(size, self.bitrate, self.stuffing),
                 can_wire_bits(size, self.stuffing),
             )
-        self.busy_until = now + timing[0]
-        self._sending = (frame, self.ports[index], timing[1])
-        self.sim.schedule(self.busy_until, self.name, CAN_TX_DONE)
+        self._tx_end = end = now + timing[0]
+        self._tx = (frame, self.ports[index], timing[1])
+        self.sim.schedule(end, self.name, CAN_TX_DONE)

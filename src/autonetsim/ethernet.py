@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Annotated
 
 from .kernel import (PORT_TRY_SEND, PORT_TX_DONE, SEC, SWITCH_FORWARD, US, Event, OnDemand, Positive, Range,
-                     Simulator, Ticks)
+                     Simulator, Ticks, Transmitter)
 from .metrics import MetricStore
 
 # Wire overhead per frame: preamble+SFD 8, MAC header 14, FCS 4, IFG 12.
@@ -305,8 +305,9 @@ class _Durations(dict):
 # Egress port
 # --------------------------------------------------------------------------
 
-class EthPort:
-    """One direction of a full-duplex link: TT windows over a tuple of traffic classes."""
+class EthPort(Transmitter):
+    """One direction of a full-duplex link: TT windows over a tuple of traffic
+    classes.  What is on the wire (``_tx``) is the class queue of the frame."""
 
     def __init__(
         self,
@@ -321,10 +322,10 @@ class EthPort:
         idle_slope_a: int = 0,
         idle_slope_b: int = 0,
     ):
-        self.sim = sim
+        self.path = f"{owner}.port.{peer_label}"
+        super().__init__(sim, self.path)
         self.store = store
         self.owner = owner
-        self.path = f"{owner}.port.{peer_label}"
         self.link = f"{owner}->{peer_label}"
         self.rate = rate
         self.capacity = capacity
@@ -351,10 +352,7 @@ class EthPort:
         self._durations = _Durations()
         self._durations.rate = rate
 
-        self._tx: FifoClass | RateConstrainedClass | None = None  # the class on the wire
-        self._tx_end = 0  # end tick of the current (or last) transmission
         self._wakeup_at: int | None = None
-        self._kick_pending = False
         # This link's TDMA windows in offset order, and their starts: empty when unscheduled.
         # The cycle is None only when the network has no schedule.
         self.windows = windows
@@ -363,7 +361,6 @@ class EthPort:
         # The longest window-free stretch, wrapping into the next cycle; None when unscheduled.
         self._max_gap = max(nxt - w.offset - w.duration
                             for w, nxt in zip(windows, starts[1:] + [cycle + starts[0]])) if windows else None
-        sim.register(self.path, self._handle)
 
     def _length_series(self, label: str):
         return self.store.queue_series(self.path, label)
@@ -403,21 +400,7 @@ class EthPort:
         queue.append(entry)
         if self.lengths is not None:
             self.lengths[queue.label].add(now, len(queue))
-        # While a transmission runs past this tick a kick would find the port
-        # busy and do nothing; its PORT_TX_DONE kicks when it ends.
-        if self._tx_end <= now:
-            self._kick()
-
-    def _kick(self) -> None:
-        """Defer selection to the end of the tick so simultaneous arrivals
-        compete as one batch instead of first-caller-wins."""
-        if not self._kick_pending:
-            self._kick_pending = True
-            self.sim.defer(self._kicked)
-
-    def _kicked(self) -> None:
-        self._kick_pending = False
-        self.try_send(self.sim.now)
+        self.wake(now)
 
     def _credit_settle(self, now: int, idle: bool) -> None:
         """Integrate every shaper's credit over [its last update, now] under
@@ -471,7 +454,8 @@ class EthPort:
     def try_send(self, now: int) -> None:
         if self._tx is not None:
             return
-        if self._shaped:
+        # At the tick a transmission ends its PORT_TX_DONE has settled already.
+        if self._shaped and self._tx_end != now:
             self._credit_settle(now, idle=True)
         picked, latest = self._select(now)
         if picked is None:
@@ -539,7 +523,7 @@ class EthPort:
         self.store.link_completed(self.link, 8 * (frame.payload_len + ETH_OVERHEAD_BYTES))
         if self.peer is not None:
             self.peer.receive(frame, now, self)
-        self._kick()
+        self.wake(now)
 
 
 # --------------------------------------------------------------------------

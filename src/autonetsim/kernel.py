@@ -20,8 +20,11 @@ and dispatch stays in exact (time, seq) order.  A handler that raises
 leaves the rest of its tick where it was, and the next run goes on from
 there in the same order.  A deferred call is a bound method run with no
 ``Event``, no handler lookup and no count in ``events_dispatched`` or the
-trace; models use it for their same-tick follow-ups (an egress port's
-selection, a CAN bus's arbitration).
+trace.  Models defer work in one place, ``Transmitter.wake``: a medium that
+carries one frame at a time (a CAN bus, an egress port) selects its next
+frame once per tick, after everything already due at that tick.  No
+arbitration waits for a later tick; only an egress port whose gates hold
+its frames back schedules a wakeup event for the tick they open.
 """
 
 from __future__ import annotations
@@ -162,6 +165,8 @@ class EventKind(Enum):
     TIMER = auto()
     FIRE_SOURCE = auto()
     TT_RELEASE = auto()
+    # Never scheduled: a CAN bus arbitrates in a deferred call.  The member stays
+    # because the benchmark reads its count (perfbench/pipeline.py).
     CAN_ARBITRATE = auto()
     CAN_TX_DONE = auto()
     PORT_TRY_SEND = auto()
@@ -299,6 +304,37 @@ class Simulator:
         items = [entry[2] for entry in self._heap]
         items.extend(self._ready)
         return sum(1 for item in items if item.__class__ is not Event or not item.cancelled)
+
+
+class Transmitter:
+    """A medium that carries one frame at a time: what is on the wire
+    (``_tx``), the tick its transmission ends (``_tx_end``) and the one
+    selection it has pending.
+
+    A subclass defines ``_handle``, the handler registered under ``path``
+    (the completion of a transmission among its events), and
+    ``try_send(now)``, which starts the next transmission if one may start:
+    it sets ``_tx`` and ``_tx_end`` and schedules the completion.
+    """
+
+    def __init__(self, sim: Simulator, path: str):
+        self.sim = sim
+        self._tx = None
+        self._tx_end = 0  # end tick of the current (or last) transmission
+        self._kick_pending = False
+        sim.register(path, self._handle)
+
+    def wake(self, now: int) -> None:
+        """Select at the end of this tick, once, so that frames arriving at one
+        tick compete as one batch; nothing while a transmission runs past
+        ``now``, whose completion wakes the medium again."""
+        if self._tx_end <= now and not self._kick_pending:
+            self._kick_pending = True
+            self.sim.defer(self._kicked)
+
+    def _kicked(self) -> None:
+        self._kick_pending = False
+        self.try_send(self.sim.now)
 
 
 class Oscillator:

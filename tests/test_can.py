@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autonetsim.can import (
-    CanBus, CanFrame, GatewayCanPort, NodeCanPort, arbitrate,
+    CanBus, CanFrame, GatewayCanPort, NodeCanPort,
     can_frame_duration, can_wire_bits, worst_case_stuff_bits,
 )
 from autonetsim.kernel import US, EventKind, Simulator
@@ -31,6 +31,14 @@ def test_frame_invariants():
         CanFrame(1, -1, 0)
 
 
+def arbitrate(pending: list[tuple[int, int, CanFrame]]) -> CanFrame | None:
+    """The reference arbitration order: of (can_id, node_index, frame)
+    candidates, the lowest id wins, ties to the lowest node index."""
+    if not pending:
+        return None
+    return min(pending, key=lambda c: (c[0], c[1]))[2]
+
+
 def test_arbitrate_lowest_id():
     frames = [
         (331, 0, CanFrame(331, 1, 0)),
@@ -42,8 +50,8 @@ def test_arbitrate_lowest_id():
     assert arbitrate([]) is None
 
 
-def bus_fixture(bitrate=500_000):
-    sim = Simulator()
+def bus_fixture(bitrate=500_000, trace=False):
+    sim = Simulator(trace=trace)
     store = MetricStore()
     bus = CanBus(sim, store, "cb1", bitrate, "canbus")
     return sim, store, bus
@@ -176,7 +184,9 @@ def test_subscription_added_after_attach_is_honoured():
     assert sink.got == [(42, can_frame_duration(1, 500_000))]
 
 
-def test_frame_queued_at_a_completion_tick_joins_the_re_arbitration():
+@pytest.mark.parametrize("before_completion", [True, False],
+                         ids=["before_tx_done", "after_tx_done"])
+def test_frame_queued_at_a_completion_tick_joins_the_re_arbitration(before_completion):
     sim, _, bus = bus_fixture()
     tx, late, rx = NodeCanPort("n1"), NodeCanPort("n2"), NodeCanPort("rx")
     sink = Sink()
@@ -185,18 +195,23 @@ def test_frame_queued_at_a_completion_tick_joins_the_re_arbitration():
         bus.attach(p)
     for can_id in (5, 100, 300):
         bus.subscribe(rx, can_id)
-    tx.enqueue(CanFrame(100, 8, 0), sim.now)
-    tx.enqueue(CanFrame(300, 8, 0), sim.now)
-    sim.run_until(0)  # id 100 is on the wire; its CAN_TX_DONE is queued
     dur = can_frame_duration(8, 500_000)
 
     def release(ev):
         late.enqueue(CanFrame(5, 8, ev.time), ev.time)
 
     sim.register("late", release)
-    # Queued behind the CAN_TX_DONE at dur, so the completion must not
-    # arbitrate inline: id 5 has to take part and win over id 300.
-    sim.schedule(dur, "late", EventKind.TIMER)
+    if before_completion:
+        # Dispatched ahead of the CAN_TX_DONE at dur: the bus is still sending,
+        # and the wake it makes must arbitrate only after the completion.
+        sim.schedule(dur, "late", EventKind.TIMER)
+    tx.enqueue(CanFrame(100, 8, 0), sim.now)
+    tx.enqueue(CanFrame(300, 8, 0), sim.now)
+    sim.run_until(0)  # id 100 is on the wire; its CAN_TX_DONE is queued
+    if not before_completion:
+        # Queued behind the CAN_TX_DONE at dur, so the completion must not
+        # arbitrate inline: id 5 has to take part and win over id 300.
+        sim.schedule(dur, "late", EventKind.TIMER)
     sim.run_until(10_000 * US)
     assert sink.got == [(100, dur), (5, 2 * dur), (300, 3 * dur)]
 
@@ -298,7 +313,7 @@ def reference_transmissions(order, actions):
 @settings(max_examples=150, deadline=None)
 @given(order=st.permutations(PORTS), timed=st.lists(st.tuples(st.integers(0, 40), ACTION), max_size=30))
 def test_bus_heap_matches_reference_arbitration(order, timed):
-    sim, store, bus = bus_fixture()
+    sim, store, bus = bus_fixture(trace=True)
     ports = {name: NodeCanPort(name) if name[0] == "n" else GatewayCanPort(name, "cb1", store)
              for name in order}
     for name in order:
@@ -332,3 +347,5 @@ def test_bus_heap_matches_reference_arbitration(order, timed):
     created = sum(len(frames) for _, _, frames in actions)
     overwritten = sum(v for (_, name), (v, _) in store.scalars.items() if name == "overwrites")
     assert store.link_frames.get(bus.name, 0) == len(got) == created - overwritten
+    # Every arbitration is a deferred call at the tick its wake comes.
+    assert "CAN_ARBITRATE" not in {kind for *_, kind in sim.trace}

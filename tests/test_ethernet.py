@@ -326,6 +326,25 @@ def test_enqueue_at_transmission_end_keeps_its_kick():
     assert [t for _, t in peer.got] == [dur, 2 * dur]
 
 
+def test_reserved_port_settles_credit_once_per_completion_tick():
+    sim, store, port, peer = make_port(idle_a=25_000_000)
+    settles = []
+    settle = port._credit_settle
+
+    def counted(now, idle):
+        settles.append(now)
+        settle(now, idle)
+
+    port._credit_settle = counted
+    for _ in range(3):
+        port.enqueue(frame(BE(0)), 0)
+    sim.run_until(1 * MS)
+    dur = eth_frame_duration(46, RATE)
+    assert [t for _, t in peer.got] == [dur, 2 * dur, 3 * dur]
+    # The completion settles, and the selection right behind it at that tick does not again.
+    assert [t for t in settles if t] == [dur, 2 * dur, 3 * dur]
+
+
 def test_unreserved_port_never_touches_credit_state(monkeypatch):
     def untouchable(*args, **kwargs):
         raise AssertionError("credit state used on a port without a reservation")
