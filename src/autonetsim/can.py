@@ -189,32 +189,33 @@ class CanBus(Transmitter):
                     on_rx(frame, now)
         # Anything still pending re-arbitrates at this tick, after the work
         # already due at it; the 3-bit interframe space is already part of
-        # the frame duration.
-        if self._top() is not None:
+        # the frame duration.  A pending heap holds a live frame: an
+        # overwritten gateway entry sorts ahead of the live one of its id
+        # that overwrote it.
+        if self.pending:
             self.wake(now)
 
-    def _top(self):
-        """The winning heap entry, or None; overwritten gateway frames are dropped."""
+    def _drop_overwritten(self) -> None:
+        """Pop overwritten gateway entries off the heap until its head is live."""
         pending = self.pending
-        while pending:
-            entry = pending[0]
-            port = entry[4]
-            if port is None:
-                return entry
-            slot = port.slots[entry[0]]
+        while (port := pending[0][4]) is not None:
+            can_id, _, _, frame, _ = pending[0]
+            slot = port.slots[can_id]
             # Slot frames were pushed in order, so a live entry at the top
             # is its slot's head; an overwritten one is in no slot.
-            if slot and slot[0] is entry[3]:
-                return entry
+            if slot and slot[0] is frame:
+                return
             heappop(pending)
-        return None
 
     def try_send(self, now: int) -> None:
         """Arbitrate: put the winning frame on the wire as (frame, sender, wire
         bits).  The bus is woken only with a live frame pending, and the
-        woken call runs after the completion due at its tick."""
-        can_id, index, _, frame, gw_port = self._top()
-        heappop(self.pending)
+        woken call runs after the completion due at its tick.  A node's frame
+        at the head is live as it stands; a gateway's may have been overwritten."""
+        pending = self.pending
+        if pending[0][4] is not None:
+            self._drop_overwritten()
+        can_id, index, _, frame, gw_port = heappop(pending)
         if gw_port is not None:
             gw_port.slots[can_id].popleft()
             gw_port.occupancy -= 1

@@ -178,8 +178,9 @@ class EventKind(Enum):
 
 
 # Each kind as a module global, which the models' per-event paths read: ``EventKind.X``
-# is an enum attribute lookup, about 100 ns on CPython 3.11.7 (124 ns on 3.10, 26 ns on
-# 3.12) against about 10 ns for a global, and an Ethernet frame-hop made four of them.
+# is an enum attribute lookup, and an Ethernet frame-hop made four of them.  ``timeit``
+# (best of 25, a shared 2-vCPU host) read it at 97-118 ns against 11-14 ns for a global
+# on CPython 3.10.13, 102 against 8 ns on 3.11.7 and 23-26 against 8-9 ns on 3.12.1.
 (TIMER, FIRE_SOURCE, TT_RELEASE, CAN_ARBITRATE, CAN_TX_DONE, PORT_TRY_SEND,
  PORT_TX_DONE, SWITCH_FORWARD, POOL_FLUSH, GW_CAN_EGRESS, GW_ETH_EGRESS) = EventKind
 

@@ -10,10 +10,12 @@ is: an ``EthPort`` its classes' ``QueueLength``, each AVB class its
 ``txStart`` and shaper ``credit``, the RC class a ``txStart`` per VL; a
 ``Switch`` or ``Gateway`` its ``rx[message]`` latencies; a ``Pool``,
 ``GatewayCanPort`` or ``Gateway`` its ``holdUpTime``, ``QueueLength`` or
-``aggregateCount``; a ``Host`` its ``latencies`` per message.  A series whose
-flag is off is None; a family of series keyed by a class, VL or message is an
-``OnDemand`` that makes each at its first point.  A series enters the store
-at its first point, as through ``vec``, whose checks it keeps.
+``aggregateCount``; a ``Host`` its deliveries per message (``Latencies``), as
+two int columns, creation and arrival, that make a ``LatencySample`` only
+when a delivery is read.  A series whose flag is off is None; a family of
+series keyed by a class, VL or message is an ``OnDemand`` that makes each at
+its first point.  A series enters the store at its first point, as through
+``vec``, whose checks it keeps.
 
 Export is deterministic: identical runs produce byte-identical files.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import sub
 from pathlib import Path
 
 from .kernel import SEC, OnDemand
@@ -64,20 +66,46 @@ class Series(list):
         self.append((t, value))
 
 
-class Latencies(Series):
-    """The deliveries of one message at one sink, held by the sink."""
+class Latencies:
+    """The deliveries of one message at one sink, held by the sink: their
+    creation and arrival ticks in two int columns.  Reading a delivery, by
+    index, slice or iteration, makes its ``LatencySample``."""
 
-    __slots__ = ()
+    __slots__ = ("home", "key", "creation", "arrival")
+
+    def __init__(self, home: dict, key: tuple[str, str]):
+        self.home = home  # the store's dict this series enters at its first delivery
+        self.key = key  # (message, sink)
+        self.creation: list[int] = []
+        self.arrival: list[int] = []
 
     def add(self, creation: int, arrival: int) -> None:
-        message, sink = self.key
+        arrivals = self.arrival
         if arrival < creation:
+            message, sink = self.key
             raise ValueError(f"negative latency for {message} at {sink}")
-        if not self:
+        if not arrivals:
             self.home[self.key] = self
-        elif arrival < self[-1].arrival:
+        elif arrival < arrivals[-1]:
+            message, sink = self.key
             raise ValueError(f"timestamps must be non-decreasing in {sink}.app[{message}].rxLatency")
-        self.append(LatencySample(creation, arrival))
+        self.creation.append(creation)
+        arrivals.append(arrival)
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __iter__(self):
+        return map(LatencySample, self.creation, self.arrival)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(LatencySample, self.creation[index], self.arrival[index]))
+        return LatencySample(self.creation[index], self.arrival[index])
+
+    def latencies(self) -> list[int]:
+        """arrival - creation of every delivery."""
+        return list(map(sub, self.arrival, self.creation))
 
 
 @dataclass(frozen=True)
@@ -115,14 +143,13 @@ _JSON_ROWS = ('   [\n    %d,\n    "%d"\n   ]', '   [\n    %d,\n    "%s"\n   ]', 
 _CSV_ROWS = ("%d,%d", "%d,%s", "%s,%s")
 _INT = {int}
 _INT_OR_BOOL = {int, bool}
-_arrival, _latency = attrgetter("arrival"), attrgetter("latency")
 
 
-def _sample_points(samples: list[LatencySample]) -> list[int]:
+def _sample_points(samples: Latencies) -> list[int]:
     """(arrival, latency) of every delivery, flat."""
     flat = [0] * (2 * len(samples))
-    flat[::2] = map(_arrival, samples)
-    flat[1::2] = map(_latency, samples)
+    flat[::2] = samples.arrival
+    flat[1::2] = samples.latencies()
     return flat
 
 
@@ -229,7 +256,7 @@ class MetricStore:
         samples = self.latencies.get((message, sink), [])
         if not samples:
             return (0, 0, 0, 0.0)
-        values = [s.latency for s in samples]
+        values = samples.latencies()
         return (len(values), min(values), max(values), sum(values) / len(values))
 
     def jitter(self, message: str, sink: str) -> int:
@@ -237,9 +264,8 @@ class MetricStore:
         samples = self.latencies.get((message, sink), [])
         if len(samples) < 2:
             return 0
-        return max(
-            abs(b.latency - a.latency) for a, b in zip(samples, samples[1:])
-        )
+        values = samples.latencies()
+        return max(map(abs, map(sub, values[1:], values)))
 
     # -- queues ----------------------------------------------------------
 

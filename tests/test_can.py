@@ -253,6 +253,27 @@ def test_overwritten_gateway_frame_is_never_transmitted():
     assert store.link_frames[bus.name] == 3 and not bus.pending
 
 
+def test_a_node_frame_at_the_head_goes_first_and_a_stale_gateway_entry_below_it_is_dropped():
+    sim, store, bus = bus_fixture()
+    node, gw, rx = NodeCanPort("n1"), GatewayCanPort("gw1", "cb1", store), NodeCanPort("rx")
+    got = []
+    rx.on_rx = lambda frame, now: got.append((frame.message, now))
+    for p in (node, gw, rx):
+        bus.attach(p)
+    for can_id in (10, 20):
+        bus.subscribe(rx, can_id)
+    gw.place_batch([CanFrame(20, 0, 0, message="overwritten")], sim.now)
+    gw.place_batch([CanFrame(20, 0, 0, message="live")], sim.now)
+    node.enqueue(CanFrame(10, 0, 0, message="node"), sim.now)
+    assert bus.pending[0][3].message == "node"
+    dur = can_frame_duration(0, 500_000)
+    sim.run_until(dur - 1)  # the node's frame is on the wire; the stale entry is still pending
+    assert [entry[3].message for entry in sorted(bus.pending)] == ["overwritten", "live"]
+    sim.run_until(10_000 * US)
+    assert got == [("node", dur), ("live", 2 * dur)]
+    assert not bus.pending and gw.occupancy == 0 and store.link_frames[bus.name] == 2
+
+
 # -- differential check of the bus heap against the arbitration rule ---------
 
 SLOT = 50 * US   # action times are multiples of this; frames take 94-222 us

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import autonetsim
 from autonetsim.andl import compile_network, parse
 from autonetsim.cli import main
 from autonetsim.ethernet import eth_frame_duration
@@ -25,6 +29,15 @@ def hash_dir(d: Path) -> str:
             h.update(p.name.encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # Only a run with --jobs above 1 imports the process pool, where it starts one.
+    code = "import sys, autonetsim.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    src = str(Path(autonetsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_compile_ok(tmp_path, listing_small, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from autonetsim.kernel import MS, SEC, US
-from autonetsim.metrics import MetricStore, RecordingFlags
+from autonetsim.metrics import LatencySample, MetricStore, RecordingFlags
 
 
 def _replay(store, link, completions, checkpoints):
@@ -99,6 +99,42 @@ def test_latency_arrivals_must_not_go_back_in_time():
     with pytest.raises(ValueError, match=r"sink\.app\[m\]\.rxLatency"):
         store.add_latency("m", "sink", 0, 9)
     assert [s.arrival for s in store.latencies[("m", "sink")]] == [10]
+
+
+def _fields(samples) -> list[tuple[int, int, int]]:
+    return [(s.creation, s.arrival, s.latency) for s in samples]
+
+
+_SLICES = [slice(None), slice(1, None), slice(None, -1), slice(1, 3), slice(None, None, 2),
+           slice(-2, None), slice(None, None, -1), slice(3, 1), slice(50, None)]
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=12))
+def test_latencies_read_as_the_samples_of_their_pairs(steps):
+    # (arrival step, latency) pairs: arrivals never go back, latencies are never negative.
+    pairs, arrival = [], 0
+    for step, latency in steps:
+        arrival += step
+        pairs.append((arrival - latency, arrival))
+    store = MetricStore()
+    for creation, arrival in pairs:
+        store.add_latency("m", "sink", creation, arrival)
+    got = store.latencies[("m", "sink")]
+    expected = [LatencySample(creation, arrival) for creation, arrival in pairs]
+    assert len(got) == len(expected)
+    assert _fields(got) == _fields(expected)
+    assert _fields(got) == _fields(got)  # iteration starts over
+    for index in range(-len(pairs), len(pairs)):
+        assert _fields([got[index]]) == _fields([expected[index]])
+    with pytest.raises(IndexError):
+        got[len(pairs)]
+    for part in _SLICES:
+        assert _fields(got[part]) == _fields(expected[part])
+    latencies = [s.latency for s in expected]
+    assert store.latency_stats("m", "sink") == (
+        len(latencies), min(latencies), max(latencies), sum(latencies) / len(latencies))
+    assert store.jitter("m", "sink") == max(
+        (abs(b.latency - a.latency) for a, b in zip(expected, expected[1:])), default=0)
 
 
 def test_queue_recording_and_drops():
