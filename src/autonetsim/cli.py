@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -223,12 +224,11 @@ def _rows(csv_path: Path, width: int) -> list[list[str]]:
 
 
 def _is_number(value) -> bool:
-    """Whether ``value`` is a point value: a number, or the decimal text exports write."""
+    """Whether ``value`` is a point value: a finite number, or the decimal text exports write."""
     try:
-        float(value)
-    except (TypeError, ValueError):
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
         return False
-    return True
 
 
 def _is_export(doc) -> bool:
@@ -318,6 +318,8 @@ def cmd_analyze(args) -> int:
             if "QueueLength[" not in series or pattern not in series:
                 continue
             occ = [int(float(v)) for _, v in points]
+            if not occ:
+                continue
             rows.append((series, f"max occupancy {max(occ)}"))
             plot.extend((series, t, v) for t, v in points)
         for name, entry in sorted(doc.get("scalars", {}).items()):

@@ -254,7 +254,6 @@ class NetworkConfig:
     warnings: list[str] = field(default_factory=list)
     seed: int = 0
     queue_capacity: Positive = 512
-    tt_tolerance: Ticks = 0
     can_stuffing: bool = False
     metric_flags: MetricFlags = field(default_factory=dict)
 
@@ -518,7 +517,7 @@ def derives_tables(cfg: NetworkConfig, key: str) -> bool:
 
 # The run knobs: the override key, the field it sets and how its text parses.
 _KNOBS = {"sim.seed": ("seed", int), "sim.queueCapacity": ("queue_capacity", int),
-          "sim.ttTolerance": ("tt_tolerance", parse_duration), "sim.canStuffing": ("can_stuffing", _bool)}
+          "sim.canStuffing": ("can_stuffing", _bool)}
 
 
 @cache

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .can import CanBus, CanFrame, NodeCanPort
 from .config import NetworkConfig, device_value
-from .ethernet import AVB, BE, RC, TT, EthFrame, EthPort, Switch, in_tt_window, pad_payload, windows_by_link
+from .ethernet import AVB, BE, RC, TT, EthFrame, EthPort, Switch, pad_payload, windows_by_link
 from .gateway import Gateway, RouteDest
 from .kernel import FIRE_SOURCE, TT_RELEASE, Event, EventKind, OnDemand, Oscillator, SimulationError, Simulator
 from .metrics import Latencies, MetricStore, RecordingFlags
@@ -35,13 +35,14 @@ def _tag_from_dict(b: dict):
 
 
 class Host:
-    """An end node: consumes frames, checks TT windows, records latency."""
+    """An end node: consumes frames and records their latency.  A TT frame
+    arrives inside its window: its egress port starts it only when it ends
+    there, and links have no propagation delay."""
 
-    def __init__(self, sim: Simulator, store: MetricStore, name: str, tolerance: int):
+    def __init__(self, sim: Simulator, store: MetricStore, name: str):
         self.sim = sim
         self.store = store
         self.name = name
-        self.tolerance = tolerance
         self.subs: set[str] = set()
         self.latencies = OnDemand(self._latency_series)  # per message received, its deliveries here
         self.port: EthPort | NodeCanPort | None = None  # the node's one interface
@@ -49,12 +50,7 @@ class Host:
     def _latency_series(self, message: str) -> Latencies:
         return self.store.latency_series(message, self.name)
 
-    def receive(self, frame: EthFrame, now: int, port: EthPort) -> None:
-        if isinstance(frame.tag, TT) and port.windows and not in_tt_window(
-            port.windows, port.cycle, frame.tag.ct_id, now, self.tolerance
-        ):
-            self.store.scalar_add(self.name, f"ttViolations[{frame.tag.ct_id}]", 1, "frames")
-            return
+    def receive(self, frame: EthFrame, now: int) -> None:
         if frame.records:
             for record in frame.records:
                 if record.message in self.subs:
@@ -171,7 +167,7 @@ class Runtime:
                     self.sim, self.store, dev.name, device_value(dev.params, "processingDelay"),
                 )
             elif dev.kind == "node":
-                self.hosts[dev.name] = Host(self.sim, self.store, dev.name, cfg.tt_tolerance)
+                self.hosts[dev.name] = Host(self.sim, self.store, dev.name)
         for bus_cfg in cfg.buses:
             self.buses[bus_cfg.name] = CanBus(
                 self.sim, self.store, bus_cfg.name, bus_cfg.bitrate,

@@ -198,20 +198,6 @@ def violations(cycle: int, windows: list[TdmaWindow]) -> list[str]:
     return out
 
 
-def in_tt_window(windows: list[TdmaWindow], cycle: int, ct_id: int, arrival: int, tolerance: int) -> bool:
-    """Whether ``arrival`` falls inside a window of ``ct_id`` among ``windows`` (+tolerance)."""
-    cyc = arrival % cycle
-    for w in windows:
-        if w.ct_id != ct_id:
-            continue
-        if w.offset <= cyc <= w.offset + w.duration + tolerance:
-            return True
-        # window whose tolerance band wraps past the cycle end
-        if w.offset <= cyc + cycle <= w.offset + w.duration + tolerance:
-            return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # Traffic classes: one queue object each, asked two questions while it holds
 # a frame.  take(now, latest, durations) removes and returns (frame, duration,
@@ -329,7 +315,7 @@ class EthPort(Transmitter):
         self.link = f"{owner}->{peer_label}"
         self.rate = rate
         self.capacity = capacity
-        self.peer = None  # wired after construction: .receive(frame, now, port)
+        self.peer = None  # wired after construction: .receive(frame, now)
 
         # Per class label, its QueueLength series, made at the class's first point.
         self.lengths = OnDemand(self._length_series) if store.flags.queues else None
@@ -522,7 +508,7 @@ class EthPort(Transmitter):
         self._tx = None
         self.store.link_completed(self.link, 8 * (frame.payload_len + ETH_OVERHEAD_BYTES))
         if self.peer is not None:
-            self.peer.receive(frame, now, self)
+            self.peer.receive(frame, now)
         self.wake(now)
 
 
@@ -545,7 +531,7 @@ class Switch:
     def add_route(self, key: tuple, ports: list[EthPort]) -> None:
         self.table[key] = ports
 
-    def receive(self, frame: EthFrame, now: int, in_port=None) -> None:
+    def receive(self, frame: EthFrame, now: int) -> None:
         if self.rx is not None:
             record_station_latency(self.rx, frame, now)
         self.sim.schedule(now + self.hw_delay, self.name, SWITCH_FORWARD, frame)

@@ -267,7 +267,7 @@ class Gateway:
 
     # -- Ethernet ingress ----------------------------------------------------
 
-    def receive(self, frame: EthFrame, now: int, port=None) -> None:
+    def receive(self, frame: EthFrame, now: int) -> None:
         if self.rx is not None:
             record_station_latency(self.rx, frame, now)
         # Every rule for Ethernet ingress leads to CAN: a gateway has one Ethernet link.

@@ -146,6 +146,34 @@ network recbarBackbone {
 """
 
 
+def assert_tt_arrivals_in_windows(rt) -> None:
+    """Every TT frame reaches each station on its path inside a window of its
+    CT on the link into it: at a receiver its deliveries, at a switch or
+    gateway the arrivals in its recorded ``rx`` series.  A window ends
+    inclusively, and one that ends at the cycle's end holds the arrival at
+    the next cycle's start."""
+    schedule = rt.cfg.schedule
+    checked = 0
+    for msg in rt.cfg.messages:
+        cts = {b["ct"] for b in msg.bindings.values() if b["kind"] == "tt"}
+        for receiver, path in msg.paths.items():
+            for hop, station in zip(path, path[1:]):
+                windows = [w for w in schedule.windows if w.ct_id in cts and w.link == f"{hop}->{station}"]
+                if not windows:
+                    continue
+                if station == receiver:
+                    arrivals = [s.arrival for s in rt.store.latencies[(msg.name, receiver)]]
+                else:
+                    arrivals = [t for t, _ in rt.store.vectors[(f"{station}.rx[{msg.name}]", "rxLatency")]]
+                assert arrivals, (msg.name, hop, station)
+                for t in arrivals:
+                    cyc = t % schedule.cycle
+                    assert any(w.offset <= c <= w.offset + w.duration
+                               for w in windows for c in (cyc, cyc + schedule.cycle)), (msg.name, station, t)
+                checked += len(arrivals)
+    assert checked, "no TT arrival to check"
+
+
 @pytest.fixture
 def listing_small():
     return LISTING_SMALL_NETWORK

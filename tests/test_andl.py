@@ -966,10 +966,10 @@ def test_multicast_avb_reserves_its_one_frame_once_per_link():
 # sha256 of ``compile_network(...).to_json()``: a change to how tables are
 # derived must leave these documents byte for byte as they are.
 COMPILED_DIGESTS = {
-    "small_network": "5f53d4f268c6965b51b8aed524cd10b6721fda3ed759c0b1e979a37375a0c63b",
-    "two_pools": "b6de5f97d029bad3302608259bd540b833fb9cad1e9c2432fcce2d80d0e4eeee",
-    "LISTING_SMALL_NETWORK": "e5e97784eed5977e8df7dcedaed172660f42fdb84f43e2097e354164efbca829",
-    "LISTING_BACKBONE_EXTENSION": "f6caa719f9fbf706bfb2e0bc91a46968eaa733802345d42df903aeccbfb4c18d",
+    "small_network": "fc20dc3122747159d6920da339b7a62093b25754c268834b8d8499ad0ada9731",
+    "two_pools": "903032919a75cfa8232a09043d112766f37f98eef5217db89e4d3e6b6775e1f6",
+    "LISTING_SMALL_NETWORK": "29367bf9e7ad4eefc01327175acb484253e94dd32a84d48a0612346dd4694c33",
+    "LISTING_BACKBONE_EXTENSION": "2d916378bca698988f4461904572f4765936c574b66ee669c8f0bd3ba1a11581",
 }
 SCENARIO_TEXTS = {p.stem: p.read_text() for p in sorted(SMALL_NETWORK.parent.glob("*.andl"))}
 

@@ -434,16 +434,31 @@ def test_analyze_missing_dir(tmp_path):
     assert main(["analyze", str(tmp_path / "void"), "latency"]) == 2
 
 
-@pytest.mark.parametrize("fmt, damage", [
-    ("structured", lambda text: text[:100]),
-    ("csv", lambda text: text + "12345\n"),
-    ("structured", lambda text: "[]"),
-    ("structured", lambda text: '{"vectors": []}'),
-    ("structured", lambda text: '{"vectors": {"n.app[m].rxLatency": [[0, "abc"]]}, "scalars": {}, "links": {}}'),
-    ("csv", lambda text: text + "0,abc\n"),
-], ids=["structured", "csv", "a-list", "vectors-a-list", "value-not-a-number", "csv-value-not-a-number"])
-# truncated; a row without a comma; not exports; a point value that is not a number
-def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt, damage):
+def _queue_point(raw: str):
+    """A damage that makes the first queue-length series one point of value ``raw``, as JSON text."""
+    def damage(text):
+        doc = json.loads(text)
+        doc["vectors"][next(k for k in sorted(doc["vectors"]) if "QueueLength[" in k)] = [[0, "@"]]
+        return json.dumps(doc).replace('"@"', raw)
+    return damage
+
+
+@pytest.mark.parametrize("fmt, damage, metric", [
+    ("structured", lambda text: text[:100], "latency"),
+    ("csv", lambda text: text + "12345\n", "latency"),
+    ("structured", lambda text: "[]", "latency"),
+    ("structured", lambda text: '{"vectors": []}', "latency"),
+    ("structured", lambda text: '{"vectors": {"n.app[m].rxLatency": [[0, "abc"]]}, "scalars": {}, "links": {}}', "latency"),
+    ("csv", lambda text: text + "0,abc\n", "latency"),
+    ("structured", _queue_point('"inf"'), "queues"),
+    ("structured", _queue_point('"nan"'), "queues"),
+    ("structured", _queue_point("1e400"), "queues"),
+    ("structured", _queue_point("1" + "0" * 400), "queues"),
+    ("csv", lambda text: text + "0,inf\n", "queues"),
+], ids=["structured", "csv", "a-list", "vectors-a-list", "value-not-a-number", "csv-value-not-a-number",
+        "value-inf", "value-nan", "value-past-the-float-range", "int-past-the-float-range", "csv-value-inf"])
+# truncated; a row without a comma; not exports; a point value that is not a finite number
+def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt, damage, metric):
     out = tmp_path / "res"
     assert main(["run", str(SCENARIO), "--horizon", "10ms", "--format", fmt, "--out", str(out)]) == 0
     if fmt == "structured":
@@ -452,9 +467,27 @@ def test_analyze_refuses_unreadable_results(tmp_path, capsys, fmt, damage):
         export = next(p for p in sorted(out.glob("*.csv")) if p.name != "scalars.csv")
     export.write_text(damage(export.read_text()))
     capsys.readouterr()
-    assert main(["analyze", str(out), "latency"]) == 2
+    assert main(["analyze", str(out), metric]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{out}: unreadable results: ")
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv"])
+def test_analyze_queues_skips_an_empty_series(tmp_path, capsys, fmt):
+    out = tmp_path / "res"
+    assert main(["run", str(SCENARIO), "--horizon", "10ms", "--format", fmt, "--out", str(out)]) == 0
+    empty = "en1.port.s1.QueueLength[AVB_A]"
+    if fmt == "structured":
+        export = out / "results.json"
+        doc = json.loads(export.read_text())
+        doc["vectors"][empty] = []
+        export.write_text(json.dumps(doc))
+    else:
+        (out / f"{empty}.csv").write_text("time_ps,value\n")
+    capsys.readouterr()
+    assert main(["analyze", str(out), "queues"]) == 0
+    text = capsys.readouterr().out
+    assert "max occupancy" in text and empty not in text
 
 
 def test_run_window_bandwidth(tmp_path, listing_small, capsys):
@@ -543,8 +576,11 @@ BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
     (None, ["run", "--set", "sim.queueCapacity=-5"], 2, "override 'sim.queueCapacity' must be positive, not -5"),
     ((INI, "sim.queueCapacity = 0"), ["compile"], 1, "override 'sim.queueCapacity' must be positive, not 0"),
     # An override value takes the range of the document field it lands in.
-    ((INI, "sim.ttTolerance = 99999999s"), ["compile"], 1,
-     "override 'sim.ttTolerance' must be at most 9223372036854775807, not 99999999000000000000"),
+    ((INI, "s1.hardwareDelay = 99999999s"), ["compile"], 1,
+     "override 's1.hardwareDelay' must be at most 9223372036854775807, not 99999999000000000000"),
+    # Not a run knob: an inline-ini key that names none is kept as an extra.
+    ((INI, "sim.ttTolerance = 99999999s"), ["validate"], 0,
+     "unknown inline-ini key 'sim.ttTolerance' (kept as extra)"),
     (None, ["run", "--set", "eth1.bandwidth=100000000000Gb/s"], 2,
      "override 'eth1.bandwidth' must be at most 9223372036854775807, not 100000000000000000000"),
     (None, ["run", "--set", "s1.hardwareDlay=1us"], 1, "unknown override key 's1.hardwareDlay'"),
@@ -561,7 +597,7 @@ BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
     (("node cn1;", "node cn1 { driftPpm abc; }"), ["run"], 1, "19:1: error: cn1.driftPpm: not a drift in ppm"),
     (None, ["run", "--set", "cn1.driftPpm=1/0"], 2, "cn1.driftPpm"),
 ], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-int-zero", "set-int-negative", "ini-int-zero",
-        "ini-tolerance-past-the-tick-range", "set-bandwidth-past-the-range", "set-unknown-device-parameter",
+        "ini-duration-past-the-tick-range", "ini-tolerance-is-an-unknown-key", "set-bandwidth-past-the-range", "set-unknown-device-parameter",
         "set-duration", "horizon", "window",
         "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run",
         "processing-delay-run", "drift-run", "set-drift"])

@@ -9,7 +9,7 @@ from autonetsim.andl import compile_network, parse
 from autonetsim.cli import build_parser
 from autonetsim.config import ConfigError, NetworkConfig, apply_override
 from autonetsim.engine import Runtime
-from autonetsim.kernel import MS, US
+from autonetsim.kernel import MS
 
 ROOT = Path(__file__).resolve().parents[1]
 # A time-triggered flow whose talker's clock drifts: a schedule with releases.
@@ -43,10 +43,9 @@ def test_override_port_slopes(listing_small):
 def test_override_sim_and_metrics(listing_small):
     cfg = compiled(listing_small)
     assert apply_override(cfg, "sim.queueCapacity", "64")
-    assert apply_override(cfg, "sim.ttTolerance", "2us")
     assert apply_override(cfg, "metrics.queues", "false")
+    assert not apply_override(cfg, "sim.ttTolerance", "2us")
     assert cfg.queue_capacity == 64
-    assert cfg.tt_tolerance == 2 * US
     assert cfg.metric_flags["queues"] is False
 
 

@@ -199,7 +199,7 @@ class EthPort:
         self.rate = rate
         self.capacity = capacity
         self.schedule = schedule
-        self.peer = None  # wired after construction: .receive(frame, now, port)
+        self.peer = None  # wired after construction: .receive(frame, now)
 
         self.tt_queues: dict[int, deque[EthFrame]] = {}
         self.rc_queue: list[tuple[int, int, int, EthFrame]] = []  # (enq_t, vl, order, frame)
@@ -451,7 +451,7 @@ class EthPort:
         self._tx = None
         self.store.link_completed(self.link, eth_wire_bits(frame.payload_len))
         if self.peer is not None:
-            self.peer.receive(frame, now, self)
+            self.peer.receive(frame, now)
         self._kick()
 
 
@@ -470,7 +470,7 @@ class Peer:
         self.got = []
         self.waiting = None  # the index of the group due at the next delivery
 
-    def receive(self, frame, now, port):
+    def receive(self, frame, now):
         self.got.append((frame.message, now))
         if self.waiting is not None:
             self.sim.schedule(now, "arrivals", EventKind.TIMER, self.waiting)

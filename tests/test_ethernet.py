@@ -4,7 +4,7 @@ import pytest
 
 from autonetsim.ethernet import (
     AVB, BE, RC, TT, CreditState, EthFrame, EthPort, PayloadOutOfRange, Switch,
-    TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, in_tt_window, violations,
+    TdmaWindow, check_reservation_cap, eth_frame_duration, eth_wire_bits, violations,
 )
 from autonetsim.kernel import MS, US, EventKind, Simulator
 from autonetsim.metrics import SCALE, MetricStore
@@ -93,20 +93,11 @@ def test_schedule_invariants():
     assert outside
 
 
-def test_tt_receive_check_examples():
-    windows = [TdmaWindow(9, "s->n", 100 * US, 10 * US)]
-    assert in_tt_window(windows, 1 * MS, 9, 105 * US, 0)
-    assert not in_tt_window(windows, 1 * MS, 9, 111 * US, 0)  # 1 us late, no tolerance
-    assert in_tt_window(windows, 1 * MS, 9, 110 * US + 500, 1 * US)
-    # other cycles see the same window
-    assert in_tt_window(windows, 1 * MS, 9, 17 * MS + 105 * US, 0)
-
-
 class PeerStub:
     def __init__(self):
         self.got = []
 
-    def receive(self, frame, now, port):
+    def receive(self, frame, now):
         self.got.append((frame, now))
 
 
