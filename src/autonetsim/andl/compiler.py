@@ -222,13 +222,17 @@ class _Builder:
         for link in self.cfg.links:
             for end in (link.a, link.b):
                 eth_links[end] = eth_links.get(end, 0) + 1
+        can_buses: dict[str, int] = {}
+        for bus in self.cfg.buses:
+            for name in bus.attached:
+                can_buses[name] = can_buses.get(name, 0) + 1
         for dev in self.cfg.devices:
             count = eth_links.get(dev.name, 0)
             if dev.kind == "gateway" and count > 1:
                 self.error(self.device_line[dev.name],
                            f"gateway {dev.name} has {count} Ethernet links; one uplink is supported")
             elif dev.kind == "node":
-                count += sum(dev.name in bus.attached for bus in self.cfg.buses)
+                count += can_buses.get(dev.name, 0)
                 if count > 1:
                     self.error(self.device_line[dev.name], f"node {dev.name} has {count} links; "
                                "a node has one Ethernet link or one CAN bus")
@@ -571,8 +575,7 @@ class _Builder:
                     self.error(line, f"inline ini: {exc}")
                     continue
                 if not known:
-                    self.cfg.extras[key.strip()] = value.strip()
-                    self.warn(line, f"unknown inline-ini key {key.strip()!r} (kept as extra)")
+                    self.warn(line, f"unknown inline-ini key {key.strip()!r} (ignored)")
         for key, value in overrides:
             if not apply_override(self.cfg, key, value):
                 raise ConfigError(f"unknown override key {key!r}")

@@ -138,7 +138,7 @@ def _run_one(
     except CompileError as exc:
         return _diag_lines(exc.diagnostics, path), None
     try:
-        rt = Runtime(cfg, seed=args.seed)
+        rt = Runtime(cfg)
         result = rt.run(horizon, drain=not args.no_drain, window=window)
     except SimTimeOverflow as exc:  # e.g. an offset or hold-up that lands past 2^63-1 ps
         return [f"{path}: error: {exc}"], None
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate one or more scenarios")
     p.add_argument("files", nargs="+")
     p.add_argument("--horizon", required=True, help="e.g. 1s, 500ms")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--out", default="results")
     p.add_argument("--format", choices=("csv", "structured"), default="csv")

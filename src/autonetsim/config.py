@@ -250,9 +250,7 @@ class NetworkConfig:
     forwarding: list[ForwardCfg] = field(default_factory=list)
     schedule: ScheduleCfg | None = None
     slopes: dict[Annotated[str, ("port",)], Slopes] = field(default_factory=dict)
-    extras: dict[str, str] = field(default_factory=dict)   # unknown override keys
     warnings: list[str] = field(default_factory=list)
-    seed: int = 0
     queue_capacity: Positive = 512
     can_stuffing: bool = False
     metric_flags: MetricFlags = field(default_factory=dict)
@@ -516,8 +514,7 @@ def derives_tables(cfg: NetworkConfig, key: str) -> bool:
 
 
 # The run knobs: the override key, the field it sets and how its text parses.
-_KNOBS = {"sim.seed": ("seed", int), "sim.queueCapacity": ("queue_capacity", int),
-          "sim.canStuffing": ("can_stuffing", _bool)}
+_KNOBS = {"sim.queueCapacity": ("queue_capacity", int), "sim.canStuffing": ("can_stuffing", _bool)}
 
 
 @cache

@@ -134,11 +134,13 @@ class RunResult:
 class Runtime:
     """Everything needed to execute one compiled scenario once."""
 
+    # ``seed`` is ignored, as no model is stochastic. It stays while perfbench/
+    # passes one positionally (ROADMAP item 5a).
     def __init__(self, cfg: NetworkConfig, seed: int | None = None):
         self.cfg = cfg
         flags = {k: v for k, v in cfg.metric_flags.items() if k != "completions"}
         self.store = MetricStore(RecordingFlags(**flags))
-        self.sim = Simulator(seed if seed is not None else cfg.seed)
+        self.sim = Simulator()
         self.stop_time: int | None = None
         self.talkers: list[Talker] = []  # in build order; run() starts them
         self.hosts: dict[str, Host] = {}

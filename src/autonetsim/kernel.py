@@ -7,8 +7,7 @@ models is representable without rounding drift.
 
 Events are dispatched in strict (time, seq) order where seq is a global
 insertion counter; two runs over the same configuration therefore produce
-identical event traces.  Randomness, when a model asks for it, comes from
-a single seeded generator owned by the simulator.
+identical event traces.
 
 Work due at the current tick waits in a same-tick queue, the delta cycle
 of SystemC (IEEE 1666).  An event scheduled at ``now`` and a call handed to
@@ -29,7 +28,6 @@ its frames back schedules a wakeup event for the tick they open.
 
 from __future__ import annotations
 
-import random
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -211,9 +209,8 @@ class RunSummary:
 class Simulator:
     """Future-event-list engine with integer time and FIFO tie-breaking."""
 
-    def __init__(self, seed: int = 0, trace: bool = False):
+    def __init__(self, trace: bool = False):
         self.now: int = 0
-        self.rng = random.Random(seed)
         self._heap: list[tuple[int, int, Event]] = []
         self._ready: deque[Event | Callable[[], None]] = deque()  # due at now, in seq order
         self._seq = 0

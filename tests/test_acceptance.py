@@ -23,11 +23,11 @@ from autonetsim.metrics import MetricStore
 from conftest import assert_tt_arrivals_in_windows
 
 
-def build(text, seed=None):
+def build(text):
     ast, diags = parse(text)
     errors = [d for d in diags if d.severity == "error"]
     assert not errors, errors
-    return Runtime(compile_network(ast), seed=seed)
+    return Runtime(compile_network(ast))
 
 
 def passline(n, msg):
@@ -608,7 +608,7 @@ def test_criterion_10_determinism(listing_small, tmp_path):
 
     digests = []
     for run_dir in ("one", "two"):
-        rt = build(listing_small, seed=11)
+        rt = build(listing_small)
         rt.run(200 * MS)
         out = tmp_path / run_dir
         rt.store.export_csv(out)
@@ -619,7 +619,7 @@ def test_criterion_10_determinism(listing_small, tmp_path):
             h.update(p.read_bytes())
         digests.append(h.hexdigest())
     assert digests[0] == digests[1]
-    passline(10, f"two seeded runs export byte-identical metrics ({digests[0][:12]}...)")
+    passline(10, f"two runs export byte-identical metrics ({digests[0][:12]}...)")
 
 
 # -------------------------------------------------------------------------

@@ -294,10 +294,10 @@ _ONE_RULE_TWO_MESSAGES = {
           id="second-uplink"),
     _case([("record-eventlog = false", "sim.queueCapacity = lots")],
           "small.andl:9:1: error: inline ini: override 'sim.queueCapacity'", id="ini-value-at-block"),
-    _case([], "small.andl:9:1: warning: unknown inline-ini key 'record-eventlog' (kept as extra)",
+    _case([], "small.andl:9:1: warning: unknown inline-ini key 'record-eventlog' (ignored)",
           code=0, id="ini-unknown-key-at-block"),
     _case([("record-eventlog = false", "port.en1.en2.idleSlopeA = 10Mb/s")],
-          "small.andl:9:1: warning: unknown inline-ini key 'port.en1.en2.idleSlopeA' (kept as extra)",
+          "small.andl:9:1: warning: unknown inline-ini key 'port.en1.en2.idleSlopeA' (ignored)",
           code=0, id="ini-idle-slope-without-link"),
     _case([("record-eventlog = false", "port.en1.s1.idleSlopeA = 99Mb/s")],
           "small.andl: error: AVB reservation on en1->s1 is 99000000 b/s, above 75% of 100000000 b/s",
@@ -470,9 +470,10 @@ def test_compile_small_network(listing_small):
     # schedule exists with windows on both backbone hops of the aggregate
     links = {w.link for w in cfg.schedule.windows}
     assert links == {"gw1->s1", "s1->gw2"}
-    # inline ini was unknown -> kept as extra with a warning
-    assert cfg.extras.get("record-eventlog") == "false"
-    assert any("record-eventlog" in w for w in cfg.warnings)
+    # inline ini was unknown -> ignored: its warning is all the document keeps of it
+    warning = "9:1: warning: unknown inline-ini key 'record-eventlog' (ignored)"
+    assert warning in cfg.warnings
+    assert [ln for ln in cfg.to_json().splitlines() if "record-eventlog" in ln] == [f'  "{warning}",']
 
 
 def test_compile_is_deterministic(listing_small):
@@ -874,7 +875,7 @@ def test_receivers_sharing_a_frame_share_its_reservation(receivers):
     cfg = _compiled(_shared_frame_text(_AVB, receivers))
     # 8 B in a one-record aggregate pads to 46 B, 84 B on the wire, every 1 ms
     assert cfg.slopes == {"gwA->s": {"A": 672_000}, "s->gwB": {"A": 672_000}}
-    result = Runtime(cfg, seed=1).run(20 * MS)
+    result = Runtime(cfg).run(20 * MS)
     assert result.link_frames["gwA->s"] == 21
 
 
@@ -966,10 +967,10 @@ def test_multicast_avb_reserves_its_one_frame_once_per_link():
 # sha256 of ``compile_network(...).to_json()``: a change to how tables are
 # derived must leave these documents byte for byte as they are.
 COMPILED_DIGESTS = {
-    "small_network": "fc20dc3122747159d6920da339b7a62093b25754c268834b8d8499ad0ada9731",
-    "two_pools": "903032919a75cfa8232a09043d112766f37f98eef5217db89e4d3e6b6775e1f6",
-    "LISTING_SMALL_NETWORK": "29367bf9e7ad4eefc01327175acb484253e94dd32a84d48a0612346dd4694c33",
-    "LISTING_BACKBONE_EXTENSION": "2d916378bca698988f4461904572f4765936c574b66ee669c8f0bd3ba1a11581",
+    "small_network": "c905493d912a2decb091acb27265294d7ddbce0b9e8af4fe440ad022b5ac994b",
+    "two_pools": "f04d45541142f3fde37bee4dba0b0fb91d724ce105818819f6d7da685dcfcb9b",
+    "LISTING_SMALL_NETWORK": "0aeed5d27374d6ad5ae03a394cee9463879483ce9dc517b9dad799aedc009f37",
+    "LISTING_BACKBONE_EXTENSION": "369db65af492cfc211bee9594ef9fd030c51d1a8a0606689612f2de28a3af79a",
 }
 SCENARIO_TEXTS = {p.stem: p.read_text() for p in sorted(SMALL_NETWORK.parent.glob("*.andl"))}
 
@@ -1064,7 +1065,7 @@ def test_every_frame_key_is_in_the_tables_along_its_run(name):
 
 ONE_INTERFACE_CASES = {
     # a -> s -> relay -> cb -> r: all 11 frames of a 10 ms run were dropped at s
-    "relay-through-a-node": ("relay", """
+    "relay-through-a-node": ("relay", 2, """
 network relay {
   devices { canLink cb; node a; node r; switch s;
     node relay; }
@@ -1076,7 +1077,7 @@ network relay {
 }
 """),
     # the path a -> t0 -> c, but every frame left on a->s0 and was dropped there
-    "receiver-behind-the-second-link": ("a", """
+    "receiver-behind-the-second-link": ("a", 2, """
 network second {
   devices { node b; node c; switch s0; switch t0;
     node a; }
@@ -1087,7 +1088,7 @@ network second {
 }
 """),
     # b received every frame on Ethernet, c on the bus none
-    "can-and-ethernet": ("a", """
+    "can-and-ethernet": ("a", 2, """
 network caneth {
   devices { canLink cb; node b; node c; switch s;
     node a; }
@@ -1099,7 +1100,7 @@ network caneth {
 }
 """),
     # b on cb1 received every frame, c on cb2 none
-    "two-can-buses": ("a", """
+    "two-can-buses": ("a", 2, """
 network twocan {
   devices { canLink cb1; canLink cb2; node b; node c;
     node a; }
@@ -1110,13 +1111,26 @@ network twocan {
   }
 }
 """),
+    # an Ethernet link and two buses: the count sums both tallies
+    "ethernet-and-two-can-buses": ("a", 3, """
+network ethtwocan {
+  devices { canLink cb1; canLink cb2; node b; node c; node d; switch s;
+    node a; }
+  connections { segment bb { a <--> s; b <--> s; }
+    segment can1 { a <--> cb1; c <--> cb1; } segment can2 { a <--> cb2; d <--> cb2; } }
+  communication {
+    message m { sender a; receivers b, c, d; payload 4B; period 1ms;
+      mapping { bb: be{priority 1;}; can1: can{id 5;}; can2: can{id 5;}; } }
+  }
+}
+"""),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ONE_INTERFACE_CASES))
 def test_a_node_has_one_interface(case):
-    node, text = ONE_INTERFACE_CASES[case]
+    node, count, text = ONE_INTERFACE_CASES[case]
     ast, diags = parse(text)
     assert not has_errors(diags)
     assert [str(d) for d in validate(ast) if d.severity == "error"] == [
-        f"4:1: error: node {node} has 2 links; a node has one Ethernet link or one CAN bus"]
+        f"4:1: error: node {node} has {count} links; a node has one Ethernet link or one CAN bus"]

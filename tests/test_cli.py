@@ -95,8 +95,7 @@ def test_run_deterministic_hashes(tmp_path, listing_small):
     outs = []
     for name in ("d1", "d2"):
         out = tmp_path / name
-        assert main(["run", str(src), "--horizon", "100ms", "--seed", "3",
-                     "--out", str(out)]) == 0
+        assert main(["run", str(src), "--horizon", "100ms", "--out", str(out)]) == 0
         outs.append(hash_dir(out))
     assert outs[0] == outs[1]
 
@@ -210,6 +209,9 @@ def test_an_unknown_override_key_is_one_plain_line(tmp_path, capsys):
      "messages[0]: field 'period' of a MessageCfg must be an integer, not true"),
     (lambda doc: doc["devices"][0].update(name=3), "devices[0]: field 'name' of a DeviceCfg must be a string, not 3"),
     (lambda doc: doc.update(can_stuffing=0), "the document: field 'can_stuffing' of a NetworkConfig must be true or false, not 0"),
+    # No document field holds a seed (no model draws a random number) or the unknown inline-ini keys (ignored).
+    (lambda doc: doc.update(seed=0), "the document: unknown field 'seed'; a NetworkConfig has no such field"),
+    (lambda doc: doc.update(extras={}), "the document: unknown field 'extras'; a NetworkConfig has no such field"),
     # A zero period or a negative window offset never let the run end, a zero
     # rate divided by zero, and a receiver that is no string was a bare KeyError.
     (lambda doc: doc["messages"][0].update(period=0),
@@ -282,6 +284,7 @@ def test_an_unknown_override_key_is_one_plain_line(tmp_path, capsys):
      "messages[0]: field 'payload' of a MessageCfg with a CAN binding must be at most 8, not 9"),
 ], ids=["message-field", "rule-field", "missing-field", "not-an-object", "not-a-list",
         "int-field-a-string", "window-field-a-string", "int-field-a-bool", "str-field-an-int", "bool-field-an-int",
+        "dropped-seed", "dropped-extras",
         "zero-period", "negative-window-offset", "zero-rate", "receiver-an-int", "path-member-null",
         "talker-key-an-int", "talker-key-of-strings", "binding-kind-unknown", "avb-class-unknown",
         "negative-hold-up", "pool-id-not-canonical", "metric-flag-unknown", "can-id-over-11-bits",
@@ -302,7 +305,8 @@ def test_malformed_compiled_document_is_refused(tmp_path, capsys, edit, needle):
     capsys.readouterr()
     out = tmp_path / "o"
     assert main(["run", str(cfgp), "--horizon", "1ms", "--out", str(out)]) == 1
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and needle in err[0]
     assert not out.exists()
 
 
@@ -325,17 +329,19 @@ def test_a_time_past_the_tick_range_stops_the_run_with_one_line(tmp_path, capsys
     assert not out.exists()
 
 
-def test_the_seed_changes_no_output(tmp_path):
-    # No model draws from the simulator's generator.
-    for seed in ("1", "99"):
-        assert main(["run", str(SCENARIO), "--horizon", "50ms", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
-    assert _tree(tmp_path / "1") == _tree(tmp_path / "99")
+def test_a_run_takes_no_seed(tmp_path, capsys):
+    # No model draws a random number, so there is no seed to give.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(SCENARIO), "--horizon", "10ms", "--seed", "7", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_compiled_document_takes_other_keys_as_the_source_does(tmp_path):
     cfgp = tmp_path / "net.json"
     assert main(["compile", str(SCENARIO), "-o", str(cfgp)]) == 0
-    pairs = ["--set", "gw1.processingDelay=60us", "--set", "cb1.bitrate=250kb/s", "--set", "sim.seed=3"]
+    pairs = ["--set", "gw1.processingDelay=60us", "--set", "cb1.bitrate=250kb/s", "--set", "sim.canStuffing=true"]
     hashes = {}
     for name, src, argv in (("plain", SCENARIO, []), ("andl", SCENARIO, pairs), ("doc", cfgp, pairs)):
         assert main(["run", str(src), "--horizon", "20ms", "--out", str(tmp_path / name), *argv]) == 0
@@ -578,9 +584,11 @@ BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
     # An override value takes the range of the document field it lands in.
     ((INI, "s1.hardwareDelay = 99999999s"), ["compile"], 1,
      "override 's1.hardwareDelay' must be at most 9223372036854775807, not 99999999000000000000"),
-    # Not a run knob: an inline-ini key that names none is kept as an extra.
+    # Not a run knob: an inline-ini key that names none is ignored with a warning; --set refuses it.
     ((INI, "sim.ttTolerance = 99999999s"), ["validate"], 0,
-     "unknown inline-ini key 'sim.ttTolerance' (kept as extra)"),
+     "unknown inline-ini key 'sim.ttTolerance' (ignored)"),
+    ((INI, "sim.seed = 3"), ["validate"], 0, "unknown inline-ini key 'sim.seed' (ignored)"),
+    (None, ["run", "--set", "sim.seed=3"], 1, "unknown override key 'sim.seed'"),
     (None, ["run", "--set", "eth1.bandwidth=100000000000Gb/s"], 2,
      "override 'eth1.bandwidth' must be at most 9223372036854775807, not 100000000000000000000"),
     (None, ["run", "--set", "s1.hardwareDlay=1us"], 1, "unknown override key 's1.hardwareDlay'"),
@@ -597,7 +605,8 @@ BE9_DIAG = "small.andl:64:31: error: priority must be at most 7, not 9"
     (("node cn1;", "node cn1 { driftPpm abc; }"), ["run"], 1, "19:1: error: cn1.driftPpm: not a drift in ppm"),
     (None, ["run", "--set", "cn1.driftPpm=1/0"], 2, "cn1.driftPpm"),
 ], ids=["ini-bool", "ini-int", "set-bool", "set-int", "set-int-zero", "set-int-negative", "ini-int-zero",
-        "ini-duration-past-the-tick-range", "ini-tolerance-is-an-unknown-key", "set-bandwidth-past-the-range", "set-unknown-device-parameter",
+        "ini-duration-past-the-tick-range", "ini-tolerance-is-an-unknown-key",
+        "ini-seed-is-an-unknown-key", "set-seed-is-an-unknown-key", "set-bandwidth-past-the-range", "set-unknown-device-parameter",
         "set-duration", "horizon", "window",
         "window-past-horizon", "jobs", "be-priority-validate", "be-priority-compile", "be-priority-run",
         "processing-delay-run", "drift-run", "set-drift"])
@@ -704,7 +713,7 @@ def _logged_run(tmp_path, monkeypatch, name, *extra):
 
     monkeypatch.setattr(cli, "Runtime", LoggingRuntime)
     out = tmp_path / name
-    assert main(["run", str(SMALL_NETWORK), "--horizon", "50ms", "--seed", "1", "--format", "structured",
+    assert main(["run", str(SMALL_NETWORK), "--horizon", "50ms", "--format", "structured",
                  "--out", str(out), *extra]) == 0
     return log, json.loads((out / "results.json").read_text())["scalars"]
 

@@ -76,11 +76,11 @@ def test_unknown_cli_override_raises(listing_small):
 
 
 def test_unknown_ini_key_warns_once(listing_small):
-    # The listing carries record-eventlog; it is kept as an extra and warned about
-    # once, and command-line pairs add no second warning.
+    # The listing carries record-eventlog; it is ignored and warned about once,
+    # as an unknown device parameter is, and command-line pairs add no second warning.
     cfg = compiled(listing_small, [("gw1.processingDelay", "70us")])
-    assert sum("record-eventlog" in w for w in cfg.warnings) == 1
-    assert cfg.extras["record-eventlog"] == "false"
+    assert [w for w in cfg.warnings if "record-eventlog" in w] == [
+        "9:1: warning: unknown inline-ini key 'record-eventlog' (ignored)"]
 
 
 def _compiled(name: str) -> NetworkConfig:

@@ -15,11 +15,11 @@ from autonetsim.can import can_frame_duration
 from conftest import assert_tt_arrivals_in_windows
 
 
-def build(text, **kwargs):
+def build(text):
     ast, diags = parse(text)
     assert not any(d.severity == "error" for d in diags), diags
     cfg = compile_network(ast)
-    return Runtime(cfg, **kwargs)
+    return Runtime(cfg)
 
 
 def test_small_network_end_to_end(listing_small):
@@ -90,7 +90,7 @@ def test_network_without_messages_is_runnable():
 def test_event_trace_is_identical_across_replays(listing_small):
     traces = []
     for _ in range(2):
-        rt = build(listing_small, seed=5)
+        rt = build(listing_small)
         rt.sim.trace = []
         rt.run(30 * MS)
         traces.append(rt.sim.trace)
@@ -101,7 +101,7 @@ def test_event_trace_is_identical_across_replays(listing_small):
 def test_determinism_same_seed_identical_exports(listing_small, tmp_path):
     out = []
     for name in ("a", "b"):
-        rt = build(listing_small, seed=7)
+        rt = build(listing_small)
         rt.run(50 * MS)
         d = tmp_path / name
         rt.store.export_csv(d)

@@ -44,7 +44,7 @@ def tree_digest(root: Path) -> str:
 def test_export_bytes_match_golden_digest(case, tmp_path, capsys):
     scenario, fmt, extra, digest = GOLDEN[case]
     out = tmp_path / "out"
-    assert main(["run", str(SCENARIOS / scenario), "--horizon", "200ms", "--seed", "1",
+    assert main(["run", str(SCENARIOS / scenario), "--horizon", "200ms",
                  "--format", fmt, "--out", str(out), *extra]) == 0
     capsys.readouterr()
     assert tree_digest(out) == digest

@@ -34,10 +34,10 @@ CASES = [
 
 
 def _outcome(text, horizon, out):
-    """Run summary, exported files and latency samples of one seeded run."""
+    """Run summary, exported files and latency samples of one run."""
     ast, diags = parse(text)
     assert not diags
-    rt = Runtime(compile_network(ast), seed=3)
+    rt = Runtime(compile_network(ast))
     window = (horizon // 5, horizon // 2)
     result = rt.run(horizon, window=window)
     store = rt.store
